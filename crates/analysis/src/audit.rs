@@ -156,7 +156,12 @@ pub fn audit_program_jobs(
             let slots = &slots;
             let mut local_types = types.clone();
             scope.spawn(move || loop {
-                let task = queues[w].lock().unwrap().pop_front().or_else(|| {
+                // Own pop in a statement of its own, so the own lock is
+                // released before any steal: a guard left alive across
+                // `or_else` deadlocks two workers that run dry together,
+                // each holding its queue while locking the other's.
+                let own = queues[w].lock().unwrap().pop_front();
+                let task = own.or_else(|| {
                     (0..queues.len())
                         .filter(|q| *q != w)
                         .find_map(|q| queues[q].lock().unwrap().pop_back())

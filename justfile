@@ -4,7 +4,7 @@
 
 default: check
 
-check: fmt clippy test audit-bench batch-bench fault-bench sim-bench perf-bench shadow-bench cache-bench
+check: fmt clippy test bench-test audit-bench batch-bench fault-bench sim-bench perf-bench shadow-bench cache-bench
 
 fmt:
     cargo fmt --all -- --check
@@ -14,6 +14,13 @@ clippy:
 
 test:
     cargo test --workspace -q
+
+# The benchmark package's own tests (replay equivalence with
+# `compile_unit`, the statistics, the metric registry against
+# BENCHMARK.json). `perfbench/` is a stand-alone package outside the
+# workspace, so `cargo test --workspace` does not reach them.
+bench-test:
+    cargo test --release --manifest-path perfbench/Cargo.toml
 
 # Run the independent storage-plan auditor + lints over all 11
 # benchsuite programs and print the reference-vs-worklist dataflow

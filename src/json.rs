@@ -18,6 +18,11 @@
 //! [`Json::render_to`] appends a rendered response directly to a
 //! connection's write buffer — no per-request `String` allocation or
 //! `BufReader` line copy anywhere on the hot path.
+//!
+//! The three byte loops on that path — frame scanning, string
+//! escaping and string parsing — test eight bytes at a time
+//! ([`find_flagged`]) and copy whole runs of ordinary bytes, not one
+//! `char` at a time.
 
 use std::fmt::Write as _;
 
@@ -29,11 +34,51 @@ use std::fmt::Write as _;
 /// matter how many reads a frame trickles in over.
 #[must_use]
 pub fn scan_frame(buf: &[u8], from: usize) -> Option<usize> {
-    let start = from.min(buf.len());
-    buf[start..]
-        .iter()
-        .position(|b| *b == b'\n')
-        .map(|i| start + i)
+    find_flagged(buf, from.min(buf.len()), |w| below(w ^ splat(b'\n'), 1))
+}
+
+/// `b` in every byte of a word.
+const fn splat(b: u8) -> u64 {
+    0x0101_0101_0101_0101 * b as u64
+}
+
+/// Sets the high bit of the bytes of `w` that are below `n` (`n` at
+/// most 0x80). A borrow can also flag bytes *above* the first such
+/// byte, but never below it, so the lowest flag is always exact.
+const fn below(w: u64, n: u8) -> u64 {
+    w.wrapping_sub(splat(n)) & !w & splat(0x80)
+}
+
+/// Flags the bytes that end a run of a JSON string's ordinary bytes:
+/// `"`, `\` and control bytes. All three are ASCII, so a run boundary
+/// is always a `char` boundary.
+const fn run_enders(w: u64) -> u64 {
+    below(w, 0x20) | below(w ^ splat(b'"'), 1) | below(w ^ splat(b'\\'), 1)
+}
+
+/// The absolute index of the first byte at or after `from` that
+/// `flags` marks, loading `bytes` a little-endian `u64` at a time.
+/// `flags` must mark no 0xff byte (the final short word is padded with
+/// them) and keep its lowest flag exact, as [`below`] does.
+fn find_flagged(bytes: &[u8], from: usize, flags: impl Fn(u64) -> u64) -> Option<usize> {
+    let mut i = from;
+    while i < bytes.len() {
+        let rest = &bytes[i..];
+        let word = match rest.first_chunk::<8>() {
+            Some(w) => *w,
+            None => {
+                let mut w = [0xff; 8];
+                w[..rest.len()].copy_from_slice(rest);
+                w
+            }
+        };
+        let hit = flags(u64::from_le_bytes(word));
+        if hit != 0 {
+            return Some(i + (hit.trailing_zeros() / 8) as usize);
+        }
+        i += 8;
+    }
+    None
 }
 
 /// A parsed JSON value.
@@ -62,6 +107,7 @@ impl Json {
     /// Returns a byte-offset-tagged message for malformed input.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -199,8 +245,35 @@ impl Json {
     }
 }
 
-/// Escapes `s` as a JSON string literal into `out` (with quotes).
-fn escape_into(s: &str, out: &mut String) {
+/// Escapes `s` as a JSON string literal into `out` (with quotes),
+/// appending each run of bytes that needs no escape with one copy.
+pub(crate) fn escape_into(s: &str, out: &mut String) {
+    let bytes = s.as_bytes();
+    out.reserve(bytes.len() + 2);
+    out.push('"');
+    let mut run = 0;
+    while let Some(i) = find_flagged(bytes, run, run_enders) {
+        out.push_str(&s[run..i]);
+        match bytes[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// The per-`char` escaper the run-copying one replaced, kept as the
+/// differential tests' oracle.
+#[cfg(test)]
+fn escape_into_by_char(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -223,6 +296,7 @@ fn escape_into(s: &str, out: &mut String) {
 const MAX_DEPTH: u32 = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: u32,
@@ -331,7 +405,73 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses a string literal, copying each run of ordinary bytes up
+    /// to the next `"`, `\` or control byte in one piece.
     fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let Some(end) = find_flagged(self.bytes, self.pos, run_enders) else {
+                return Err("unterminated string".to_string());
+            };
+            out.push_str(&self.text[self.pos..end]);
+            self.pos = end;
+            match self.bytes[end] {
+                b'"' => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                b'\\' => self.escape(&mut out)?,
+                _ => return Err(format!("raw control byte at {}", self.pos)),
+            }
+        }
+    }
+
+    /// Decodes the escape sequence at `pos` (its `\`) onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        self.pos += 1;
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                let c = if (0xd800..0xdc00).contains(&hi) {
+                    // Surrogate pair: a following \uXXXX low surrogate
+                    // is required.
+                    if self.bytes[self.pos..].starts_with(b"\\u") {
+                        self.pos += 2;
+                        let lo = self.hex4()?;
+                        if !(0xdc00..0xe000).contains(&lo) {
+                            return Err("bad low surrogate".to_string());
+                        }
+                        let cp = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+                        char::from_u32(cp).ok_or_else(|| "bad surrogate pair".to_string())?
+                    } else {
+                        return Err("lone high surrogate".to_string());
+                    }
+                } else {
+                    char::from_u32(hi).ok_or_else(|| "lone surrogate".to_string())?
+                };
+                out.push(c);
+                return Ok(()); // hex4 already advanced pos
+            }
+            _ => return Err(format!("bad escape at byte {}", self.pos)),
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// The per-`char` string parser the run-copying one replaced, kept
+    /// as the differential tests' oracle (escape decoding is shared).
+    #[cfg(test)]
+    fn string_by_char(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -341,52 +481,13 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair: a following \uXXXX low
-                                // surrogate is required.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xdc00..0xe000).contains(&lo) {
-                                        return Err("bad low surrogate".to_string());
-                                    }
-                                    let cp = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
-                                    char::from_u32(cp)
-                                        .ok_or_else(|| "bad surrogate pair".to_string())?
-                                } else {
-                                    return Err("lone high surrogate".to_string());
-                                }
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| "lone surrogate".to_string())?
-                            };
-                            out.push(c);
-                            continue; // hex4 already advanced pos
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
+                Some(b'\\') => self.escape(&mut out)?,
                 Some(b) if b < 0x20 => return Err(format!("raw control byte at {}", self.pos)),
                 Some(_) => {
-                    // Consume one full UTF-8 scalar (input is &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("not at the end");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -439,6 +540,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_and_rerenders_protocol_shapes() {
@@ -538,6 +640,117 @@ mod tests {
         let mut out = String::from("prefix:");
         Json::num(7).render_to(&mut out);
         assert_eq!(out, "prefix:7");
+    }
+
+    /// Characters that stress the run boundaries: every byte class the
+    /// escaper and parser stop at, plus 2-, 3- and 4-byte UTF-8.
+    fn tricky_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            Just('"'),
+            Just('\\'),
+            Just('\n'),
+            (0u32..0x20).prop_map(|c| char::from_u32(c).expect("ASCII")),
+            (0x20u8..0x7f).prop_map(char::from),
+            Just('é'),
+            Just('€'),
+            Just('😀'),
+            Just('\u{7f}'),
+        ]
+    }
+
+    fn tricky_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec(tricky_char(), 0..40).prop_map(|v| v.into_iter().collect())
+    }
+
+    fn escaped(s: &str, escape: fn(&str, &mut String)) -> String {
+        let mut out = String::new();
+        escape(s, &mut out);
+        out
+    }
+
+    /// The new and the old string parser on the same literal: the
+    /// error, or the value and where parsing stopped.
+    fn parse_both(literal: &str) -> [Result<(String, usize), String>; 2] {
+        let run = |by_char: bool| {
+            let mut p = Parser {
+                text: literal,
+                bytes: literal.as_bytes(),
+                pos: 0,
+                depth: 0,
+            };
+            let v = if by_char {
+                p.string_by_char()
+            } else {
+                p.string()
+            };
+            v.map(|v| (v, p.pos))
+        };
+        [run(false), run(true)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn run_copying_escape_matches_the_per_char_one(s in tricky_string()) {
+            let new = escaped(&s, escape_into);
+            prop_assert_eq!(&new, &escaped(&s, escape_into_by_char));
+            prop_assert_eq!(Json::parse(&new).unwrap(), Json::Str(s.clone()));
+            let [fast, slow] = parse_both(&new);
+            prop_assert_eq!(fast, slow);
+        }
+
+        #[test]
+        fn run_copying_parse_matches_the_per_char_one_on_raw_input(s in tricky_string()) {
+            // Unescaped bodies: raw control bytes, stray `\`, missing
+            // terminators — the error, too, must match.
+            let literal = format!("\"{s}");
+            let [fast, slow] = parse_both(&literal);
+            prop_assert_eq!(fast, slow);
+        }
+    }
+
+    #[test]
+    fn escape_and_parse_agree_at_every_offset_mod_8() {
+        for c in ['"', '\\', '\n', '\u{1}', '\u{1f}', 'é', '€', '😀'] {
+            for pad in 0..17 {
+                for tail in [0, 1, 7, 8, 9] {
+                    let s = format!("{}{c}{}", "a".repeat(pad), "b".repeat(tail));
+                    let new = escaped(&s, escape_into);
+                    assert_eq!(new, escaped(&s, escape_into_by_char), "{s:?}");
+                    let [fast, slow] = parse_both(&new);
+                    assert_eq!(fast, slow, "{s:?}");
+                    assert_eq!(fast, Ok((s, new.len())));
+                }
+            }
+        }
+        assert_eq!(escaped("", escape_into), "\"\"");
+        assert_eq!(parse_both("\"\"")[0], Ok((String::new(), 2)));
+    }
+
+    #[test]
+    fn scan_frame_matches_a_naive_search() {
+        for len in 0..=18 {
+            for nl in (0..=17).map(Some).chain([None]) {
+                let mut buf = vec![b'x'; len];
+                if let Some(at) = nl.filter(|&at| at < len) {
+                    buf[at] = b'\n';
+                    // A second terminator later must not win.
+                    if at + 3 < len {
+                        buf[at + 3] = b'\n';
+                    }
+                }
+                for from in 0..=len + 1 {
+                    let naive = buf
+                        .iter()
+                        .enumerate()
+                        .skip(from)
+                        .find(|(_, b)| **b == b'\n')
+                        .map(|(i, _)| i);
+                    assert_eq!(scan_frame(&buf, from), naive, "{buf:?} from {from}");
+                }
+            }
+        }
     }
 
     #[test]

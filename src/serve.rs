@@ -355,13 +355,10 @@ pub(crate) struct Shared {
     net_faults_fired: AtomicU64,
     /// Finished jobs waiting for the reactor to route their responses.
     completions: Mutex<Vec<Completion>>,
-    /// The reactor's doorbell (write: workers, read: poller).
-    wake: WakePipe,
-    /// Gate so at most one doorbell byte is outstanding per tick.
+    /// The reactor's doorbell (rung by workers, acked by the reactor).
     /// Crate-visible: the simulated net source reports the wake token
-    /// readable exactly when this is set, so the reactor's blocking
-    /// drain always finds its byte.
-    pub(crate) wake_pending: AtomicBool,
+    /// readable exactly while a ring is pending.
+    pub(crate) wake: WakePipe,
     /// Poller backend name, for the stats census.
     backend: &'static str,
     conns_accepted: AtomicU64,
@@ -394,13 +391,11 @@ impl Shared {
         r.push_back(m);
     }
 
-    /// Routes a finished job back to the reactor, ringing the doorbell
-    /// at most once per reactor tick.
+    /// Routes a finished job back to the reactor and rings the doorbell
+    /// (a no-op while an earlier ring awaits the reactor's ack).
     fn complete(&self, c: Completion) {
         lock_recover(&self.completions).push(c);
-        if !self.wake_pending.swap(true, Ordering::SeqCst) {
-            self.wake.wake();
-        }
+        self.wake.ring();
     }
 
     pub(crate) fn summary(&self, drained_cleanly: bool) -> ServeSummary {
@@ -541,7 +536,6 @@ pub(crate) fn make_shared(cfg: ServeConfig, backend: &'static str) -> io::Result
         net_faults_fired: AtomicU64::new(0),
         completions: Mutex::new(Vec::new()),
         wake,
-        wake_pending: AtomicBool::new(false),
         backend,
         conns_accepted: AtomicU64::new(0),
         conns_open: AtomicU64::new(0),
@@ -680,8 +674,35 @@ pub(crate) fn run_job(shared: &Shared, job: Job) {
 }
 
 /// Response assembly for a finished compile/audit job (identical wire
-/// shape to the pre-reactor server).
+/// shape to the pre-reactor server). The emitted C and plan, tens of
+/// kilobytes each, are escaped straight from the artifact into the
+/// line rather than copied into the `Json` tree first.
 fn render_outcome(job: &Job, outcome: &UnitOutcome) -> String {
+    let Some(a) = outcome.artifact.as_ref().filter(|_| job.emit) else {
+        return Json::Obj(outcome_members(job, outcome)).render();
+    };
+    // Room for the escapes too (mostly one per line of C), so the line
+    // is allocated once.
+    let big = a.c_code.len() + a.plan_text.len();
+    let mut line = String::with_capacity(256 + big + big / 8);
+    Json::Obj(outcome_members(job, outcome)).render_to(&mut line);
+    // Reopen the object and append the members `Json::Obj` would have
+    // rendered last.
+    let closing = line.pop();
+    debug_assert_eq!(closing, Some('}'));
+    for (key, value) in [("c", &a.c_code), ("plan", &a.plan_text)] {
+        line.push(',');
+        json::escape_into(key, &mut line);
+        line.push(':');
+        json::escape_into(value, &mut line);
+    }
+    line.push('}');
+    line
+}
+
+/// Every response member except the emitted `c` and `plan`, in wire
+/// order.
+fn outcome_members(job: &Job, outcome: &UnitOutcome) -> Vec<(String, Json)> {
     let m = &outcome.metrics;
     let status = if m.error.is_some() {
         "error"
@@ -720,12 +741,8 @@ fn render_outcome(job: &Job, outcome: &UnitOutcome) -> String {
             let findings = Json::parse(&a.audit_json).unwrap_or_else(|_| Json::str(&a.audit_json));
             members.push(("findings".to_string(), findings));
         }
-        if job.emit {
-            members.push(("c".to_string(), Json::str(&a.c_code)));
-            members.push(("plan".to_string(), Json::str(&a.plan_text)));
-        }
     }
-    Json::Obj(members).render()
+    members
 }
 
 // ---------------------------------------------------------------------
@@ -911,8 +928,7 @@ impl<N: NetSource> Reactor<N> {
                     TOK_LISTENER => self.on_accept(),
                     TOK_WAKE => {
                         self.shared.wakeups.fetch_add(1, Ordering::Relaxed);
-                        self.shared.wake_pending.store(false, Ordering::SeqCst);
-                        self.shared.wake.drain();
+                        self.shared.wake.ack();
                     }
                     t => {
                         let idx = (t - TOK_BASE) as usize;
@@ -1909,4 +1925,76 @@ pub fn request_with_retries(opts: &RequestOptions, payload: &Json) -> Result<Jso
         "request failed after {} attempt(s): {last_err}",
         opts.retries + 1
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::bench_units;
+    use matc_benchsuite::Preset;
+
+    /// The renderer `render_outcome` replaced: every member, the C and
+    /// plan included, copied into one `Json::Obj`.
+    fn render_outcome_by_tree(job: &Job, outcome: &UnitOutcome) -> String {
+        let mut members = outcome_members(job, outcome);
+        if let (true, Some(a)) = (job.emit, &outcome.artifact) {
+            members.push(("c".to_string(), Json::str(&a.c_code)));
+            members.push(("plan".to_string(), Json::str(&a.plan_text)));
+        }
+        Json::Obj(members).render()
+    }
+
+    fn job(unit: &Unit, audit: bool, emit: bool) -> Job {
+        Job {
+            unit: unit.clone(),
+            config: BatchConfig::default(),
+            breaker_key: String::new(),
+            probe: false,
+            audit,
+            emit,
+            name: unit.name.clone(),
+            load_degraded: false,
+            dest: ConnRef {
+                idx: 0,
+                gen: 0,
+                seq: 0,
+            },
+            fate: RespFate::Normal,
+        }
+    }
+
+    #[test]
+    fn responses_are_byte_identical_to_the_json_tree_rendering() {
+        let cache = ArtifactCache::in_memory();
+        let mut units = bench_units(Preset::Test);
+        assert_eq!(units.len(), 11);
+        // A unit that fails to parse answers without an artifact.
+        units.push(Unit::new(
+            "broken".to_string(),
+            vec!["function (".to_string()],
+        ));
+        for unit in &units {
+            // A miss that fills the cache, then a hit from it.
+            for _ in 0..2 {
+                let outcome = compile_unit_with(unit, &BatchConfig::default(), Some(&cache));
+                assert_eq!(
+                    outcome.artifact.is_some(),
+                    unit.name != "broken",
+                    "{}",
+                    unit.name
+                );
+                for audit in [false, true] {
+                    for emit in [false, true] {
+                        let job = job(unit, audit, emit);
+                        assert_eq!(
+                            render_outcome(&job, &outcome),
+                            render_outcome_by_tree(&job, &outcome),
+                            "{} audit={audit} emit={emit}",
+                            unit.name
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

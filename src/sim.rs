@@ -801,7 +801,7 @@ impl SimNet {
     // -- readiness -----------------------------------------------------
 
     fn collect(&mut self, out: &mut Vec<Event>) {
-        if self.shared.wake_pending.load(Ordering::SeqCst) {
+        if self.shared.wake.pending() {
             out.push(Event {
                 token: self.wake_token,
                 readable: true,
@@ -891,8 +891,8 @@ impl NetSource for SimNet {
 
     fn init(&mut self, listener_token: u64, wake_token: u64, _wake_fd: RawFd) -> io::Result<()> {
         // The wake pipe's real read end stays with Shared: completions
-        // still write one real byte, and the reactor still drains it —
-        // the simulation only decides *when* the token polls readable.
+        // still ring one real byte, and the reactor still acks it — the
+        // simulation only decides *when* the token polls readable.
         self.listener_token = listener_token;
         self.wake_token = wake_token;
         Ok(())

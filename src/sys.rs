@@ -18,9 +18,10 @@
 //! that into correct (if unfashionable) polling behaviour.
 //!
 //! [`WakePipe`] is the reactor's cross-thread doorbell: compile
-//! workers finishing a job write one byte, the reactor's poller sees
-//! the read end become readable and drains it. An atomic "already
-//! rung" gate on the serve side keeps the pipe from ever filling.
+//! workers finishing a job ring it (one byte), the reactor's poller
+//! sees the read end become readable and acks it (drain, then reopen
+//! the gate). Its atomic "already rung" gate keeps the nonblocking pipe
+//! from ever filling.
 //!
 //! Two seams on top of the raw pollers make the reactor simulable
 //! (DESIGN.md §14): [`Clock`] abstracts monotonic time (system in
@@ -36,7 +37,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 #[cfg(not(unix))]
 type RawFd = i32;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -96,7 +97,12 @@ mod ffi {
             timeout: c_int,
         ) -> c_int;
         pub fn poll(fds: *mut pollfd, nfds: c_ulong, timeout: c_int) -> c_int;
+        #[cfg(target_os = "linux")]
+        pub fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
+        #[cfg(not(target_os = "linux"))]
         pub fn pipe(fds: *mut c_int) -> c_int;
+        #[cfg(not(target_os = "linux"))]
+        pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
         pub fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
         pub fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
         pub fn close(fd: c_int) -> c_int;
@@ -118,6 +124,19 @@ mod ffi {
 
     #[cfg(target_os = "linux")]
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
+    #[cfg(target_os = "linux")]
+    pub const O_NONBLOCK: c_int = 0o4000;
+    #[cfg(target_os = "linux")]
+    pub const O_CLOEXEC: c_int = 0o2000000;
+    // fcntl(2) commands and flags, BSD and macOS values.
+    #[cfg(not(target_os = "linux"))]
+    pub const F_SETFD: c_int = 2;
+    #[cfg(not(target_os = "linux"))]
+    pub const F_SETFL: c_int = 4;
+    #[cfg(not(target_os = "linux"))]
+    pub const FD_CLOEXEC: c_int = 1;
+    #[cfg(not(target_os = "linux"))]
+    pub const O_NONBLOCK: c_int = 4;
     #[cfg(target_os = "linux")]
     pub const EPOLL_CTL_ADD: c_int = 1;
     #[cfg(target_os = "linux")]
@@ -401,27 +420,46 @@ impl PollPoller {
     }
 }
 
-/// The reactor's cross-thread doorbell: a pipe whose read end lives in
-/// the poller. Worker threads [`WakePipe::wake`]; the reactor
-/// [`WakePipe::drain`]s after the read end polls readable.
+/// The reactor's cross-thread doorbell: a nonblocking pipe whose read
+/// end lives in the poller, plus the gate that keeps at most one byte
+/// in it. Workers [`WakePipe::ring`]; the reactor [`WakePipe::ack`]s
+/// after the read end polls readable, then reads the completion queue.
 pub(crate) struct WakePipe {
     read_fd: RawFd,
     write_fd: RawFd,
+    /// Set by the ring that writes the byte, cleared by the next ack:
+    /// rings in between write nothing, so the pipe never fills.
+    pending: AtomicBool,
 }
 
 impl WakePipe {
-    /// Opens the pipe pair.
+    /// Opens the pipe pair, nonblocking and close-on-exec.
     pub fn new() -> io::Result<WakePipe> {
         #[cfg(unix)]
         {
             let mut fds = [0i32; 2];
             // SAFETY: fds is a valid 2-slot buffer.
-            if unsafe { ffi::pipe(fds.as_mut_ptr()) } < 0 {
+            #[cfg(target_os = "linux")]
+            let rc = unsafe { ffi::pipe2(fds.as_mut_ptr(), ffi::O_NONBLOCK | ffi::O_CLOEXEC) };
+            // SAFETY: as above; fcntl only touches the two new fds.
+            #[cfg(not(target_os = "linux"))]
+            let rc = unsafe {
+                let mut rc = ffi::pipe(fds.as_mut_ptr());
+                for fd in fds {
+                    if rc == 0 {
+                        rc = ffi::fcntl(fd, ffi::F_SETFL, ffi::O_NONBLOCK)
+                            | ffi::fcntl(fd, ffi::F_SETFD, ffi::FD_CLOEXEC);
+                    }
+                }
+                rc
+            };
+            if rc < 0 {
                 return Err(io::Error::last_os_error());
             }
             Ok(WakePipe {
                 read_fd: fds[0],
                 write_fd: fds[1],
+                pending: AtomicBool::new(false),
             })
         }
         #[cfg(not(unix))]
@@ -430,6 +468,7 @@ impl WakePipe {
             Ok(WakePipe {
                 read_fd: -1,
                 write_fd: -1,
+                pending: AtomicBool::new(false),
             })
         }
     }
@@ -439,9 +478,12 @@ impl WakePipe {
         self.read_fd
     }
 
-    /// Rings the doorbell (one byte; callers gate on an atomic so the
-    /// pipe never fills and this never blocks).
-    pub fn wake(&self) {
+    /// Rings the doorbell: writes one byte, unless a ring since the
+    /// last [`WakePipe::ack`] already did.
+    pub fn ring(&self) {
+        if self.pending.swap(true, Ordering::SeqCst) {
+            return;
+        }
         #[cfg(unix)]
         {
             // SAFETY: one-byte write from a valid buffer.
@@ -449,15 +491,38 @@ impl WakePipe {
         }
     }
 
-    /// Drains buffered doorbell bytes (called only after the read end
-    /// polled readable, so the blocking read returns immediately).
-    pub fn drain(&self) {
+    /// Answers the doorbell: drains the pipe until it would block,
+    /// *then* reopens the gate.
+    ///
+    /// The order is the protocol. A ring that lands between the two
+    /// steps finds the gate closed and writes nothing, and its
+    /// completion is routed on this tick, because the reactor reads the
+    /// completion queue after acking. Cleared first, the gate would let
+    /// that ring write a byte the drain then swallows: the gate stays
+    /// closed over an empty pipe, and every later completion waits out
+    /// the poll tick.
+    pub fn ack(&self) {
+        self.ack_with(|| {});
+    }
+
+    /// [`WakePipe::ack`], running `between` after the drain and before
+    /// the gate reopens (the seam the interleaving test rings through).
+    fn ack_with(&self, between: impl FnOnce()) {
         #[cfg(unix)]
         {
             let mut buf = [0u8; 64];
-            // SAFETY: read into a valid 64-byte buffer.
-            unsafe { ffi::read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
+            // SAFETY: reads into a valid 64-byte buffer; the fd is
+            // nonblocking, so an empty pipe ends the loop with EAGAIN.
+            while unsafe { ffi::read(self.read_fd, buf.as_mut_ptr(), buf.len()) } > 0 {}
         }
+        between();
+        self.pending.store(false, Ordering::SeqCst);
+    }
+
+    /// Whether a ring is waiting for its ack. The simulated poller
+    /// reports the read end readable exactly when it is.
+    pub fn pending(&self) -> bool {
+        self.pending.load(Ordering::SeqCst)
     }
 }
 
@@ -879,12 +944,39 @@ mod tests {
             let mut events = Vec::new();
             poller.wait(&mut events, 0).unwrap();
             assert!(events.is_empty());
-            pipe.wake();
+            pipe.ring();
             poller.wait(&mut events, 1_000).unwrap();
             assert!(events.iter().any(|e| e.token == 9 && e.readable));
-            pipe.drain();
+            pipe.ack();
             poller.wait(&mut events, 0).unwrap();
-            assert!(events.is_empty(), "drained doorbell is quiet");
+            assert!(events.is_empty(), "acked doorbell is quiet");
         }
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn a_ring_during_ack_is_never_swallowed() {
+        let mut poller = Poller::new(false).unwrap();
+        let pipe = WakePipe::new().unwrap();
+        poller.register(pipe.read_fd(), 9, EV_READ).unwrap();
+        let mut events = Vec::new();
+        // The pipe is nonblocking: acking an empty one returns at once.
+        pipe.ack();
+        assert!(!pipe.pending());
+
+        // The losing interleaving: a worker rings while the reactor is
+        // between ack's two steps, and another completes afterwards.
+        pipe.ring();
+        pipe.ack_with(|| pipe.ring());
+        pipe.ring();
+        poller.wait(&mut events, 0).unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 9 && e.readable),
+            "the last ring must leave a byte for the reactor to wake on"
+        );
+        assert!(pipe.pending());
+        pipe.ack();
+        poller.wait(&mut events, 0).unwrap();
+        assert!(events.is_empty(), "one ack drains every byte");
     }
 }

@@ -260,6 +260,34 @@ fn parallel_audit_is_byte_identical_across_jobs() {
 }
 
 #[test]
+fn parallel_audit_workers_running_dry_together_never_deadlock() {
+    use matc::analysis::audit_program_jobs;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    // Tiny functions, so the workers run out of their own work at
+    // nearly the same instant and all try to steal at once.
+    let mut sources = vec!["function f()\ng1(2);\ng2(2);\ng3(2);\n".to_string()];
+    for k in 1..=3 {
+        sources.push(format!("function g{k}(n)\ndisp(n + {k});\n"));
+    }
+    let (ir, types, plans) = pipeline(&sources, GctdOptions::default());
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        for _ in 0..500 {
+            for jobs in 2..=4 {
+                audit_program_jobs(&ir, &types, &plans, jobs);
+            }
+        }
+        let _ = done.send(());
+    });
+    // A deadlocked worker pool fails here instead of hanging the suite.
+    finished
+        .recv_timeout(Duration::from_secs(120))
+        .expect("parallel audit deadlocked");
+}
+
+#[test]
 fn parallel_audit_orders_findings_like_serial() {
     use matc::analysis::audit_program_jobs;
 
