@@ -34,6 +34,48 @@ static int is_vector(const mrt_val *v) {
     return v->d2 == 1 && (v->d0 == 1 || v->d1 == 1);
 }
 
+/* Imaginary parts of values bound to frame buffers. The generated C
+ * never releases a stack slot, so such a part cannot be freed with its
+ * frame; it stays keyed by the frame buffer's address instead, and the
+ * next value bound at that address reuses it. */
+typedef struct {
+    const double *frame;
+    double *im;
+    size_t cap;
+} frame_im;
+static frame_im *frame_ims = NULL;
+static size_t frame_im_len = 0, frame_im_room = 0;
+
+/* A zeroed imaginary buffer of v->cap elements for fixed value v. */
+static double *frame_im_for(const mrt_val *v) {
+    frame_im *e = NULL;
+    for (size_t i = 0; i < frame_im_len && !e; i++)
+        if (frame_ims[i].frame == v->re) e = &frame_ims[i];
+    if (!e) {
+        if (frame_im_len == frame_im_room) {
+            frame_im_room = frame_im_room ? 2 * frame_im_room : 16;
+            frame_ims = (frame_im *)realloc(frame_ims, frame_im_room * sizeof(frame_im));
+            if (!frame_ims) die("out of memory");
+        }
+        e = &frame_ims[frame_im_len++];
+        e->frame = v->re; e->im = NULL; e->cap = 0;
+    }
+    if (e->cap < v->cap) {
+        free(e->im);
+        e->im = (double *)malloc(v->cap * sizeof(double));
+        if (!e->im) die("out of memory");
+        e->cap = v->cap;
+    }
+    memset(e->im, 0, v->cap * sizeof(double));
+    return e->im;
+}
+
+/* Drops v's imaginary part (a frame buffer's stays registered). */
+static void drop_im(mrt_val *v) {
+    if (v->im && !v->fixed) free(v->im);
+    v->im = NULL;
+}
+
 void mrt_bind(mrt_val *v, double *buf, size_t cap) {
     v->re = buf;
     v->im = NULL;
@@ -45,8 +87,8 @@ void mrt_bind(mrt_val *v, double *buf, size_t cap) {
 
 void mrt_free(mrt_val *v) {
     if (!v->fixed && v->re) free(v->re);
-    if (v->im) free(v->im);
-    v->re = NULL; v->im = NULL; v->cap = 0;
+    drop_im(v);
+    v->re = NULL; v->cap = 0;
     v->d0 = 0; v->d1 = 0; v->d2 = 1;
 }
 
@@ -131,7 +173,9 @@ static void ensure(mrt_val *v, size_t n, int want_im) {
         }
         v->cap = n;
     }
-    if (want_im && !v->im) {
+    if (want_im && !v->im && v->fixed) {
+        v->im = frame_im_for(v);
+    } else if (want_im && !v->im) {
         size_t c = v->cap ? v->cap : n;
         v->im = (double *)calloc(c ? c : 1, sizeof(double));
         if (!v->im) die("out of memory");
@@ -148,17 +192,24 @@ static void scratch_init(mrt_val *v) {
     v->d0 = 0; v->d1 = 0; v->d2 = 1;
 }
 
+/* Clears dst's value (real, non-char, 0x0) but keeps its storage, so
+ * an op can write its result straight into the planned buffer. */
+static void reset(mrt_val *v) {
+    drop_im(v);
+    v->is_char = 0;
+    set_dims(v, 0, 0, 1);
+}
+
 /* Copies src's contents into dst (capacity-managed). */
 static void assign(mrt_val *dst, const mrt_val *src) {
     size_t n = numel(src);
     ensure(dst, n, src->im != NULL);
-    memcpy(dst->re, src->re, n * sizeof(double));
+    if (n) memcpy(dst->re, src->re, n * sizeof(double));
     if (src->im) {
         ensure(dst, n, 1);
-        memcpy(dst->im, src->im, n * sizeof(double));
-    } else if (dst->im) {
-        free(dst->im);
-        dst->im = NULL;
+        if (n) memcpy(dst->im, src->im, n * sizeof(double));
+    } else {
+        drop_im(dst);
     }
     set_dims(dst, src->d0, src->d1, src->d2);
     dst->is_char = src->is_char;
@@ -179,8 +230,7 @@ static void normalize(mrt_val *v) {
     size_t n = numel(v);
     for (size_t i = 0; i < n; i++)
         if (v->im[i] != 0.0) return;
-    free(v->im);
-    v->im = NULL;
+    drop_im(v);
 }
 
 static double elem_im(const mrt_val *v, size_t i) {
@@ -206,11 +256,10 @@ const mrt_val *mrt_wrap(mrt_imm imm) {
     }
     mrt_val *v = &pool[pool_next];
     pool_next = (pool_next + 1) % POOL;
-    v->is_char = 0;
+    reset(v);
     switch (imm.tag) {
     case 0:
         ensure(v, 1, 0);
-        if (v->im) { free(v->im); v->im = NULL; }
         v->re[0] = imm.num;
         set_dims(v, 1, 1, 1);
         break;
@@ -223,15 +272,12 @@ const mrt_val *mrt_wrap(mrt_imm imm) {
     case 2: {
         size_t n = strlen(imm.str);
         ensure(v, n ? n : 1, 0);
-        if (v->im) { free(v->im); v->im = NULL; }
         for (size_t i = 0; i < n; i++) v->re[i] = (double)(unsigned char)imm.str[i];
         set_dims(v, 1, (int)n, 1);
         v->is_char = 1;
         break;
     }
-    default:
-        if (v->im) { free(v->im); v->im = NULL; }
-        set_dims(v, 0, 0, 1);
+    default: /* [] — reset left it 0x0 */
         break;
     }
     return v;
@@ -262,6 +308,83 @@ static double next_rand(void) {
     rng_state ^= rng_state >> 27;
     uint64_t x = rng_state * 0x2545F4914F6CDD1DULL;
     return (double)(x >> 11) / 9007199254740992.0; /* 2^53 */
+}
+
+/* ------------------------------------------------------------------ */
+/* Operation table                                                     */
+/* ------------------------------------------------------------------ */
+
+/* Every operation name mrt_opv accepts, with its dispatch id. */
+#define MRT_OPS(X) \
+    X(FPRINTF, "fprintf") X(DISP, "disp") X(ERROR, "error") \
+    X(SUBSASGN, "subsasgn") X(COPY, "copy") X(CONCAT, "concat") \
+    X(ADD, "bin_add") X(SUB, "bin_sub") X(TIMES, "bin_times") \
+    X(MTIMES, "bin_mtimes") X(RDIVIDE, "bin_rdivide") \
+    X(LDIVIDE, "bin_ldivide") X(MRDIVIDE, "bin_mrdivide") \
+    X(MLDIVIDE, "bin_mldivide") X(POWER, "bin_power") \
+    X(MPOWER, "bin_mpower") X(EQ, "bin_eq") X(NE, "bin_ne") \
+    X(LT, "bin_lt") X(LE, "bin_le") X(GT, "bin_gt") X(GE, "bin_ge") \
+    X(AND, "bin_and") X(OR, "bin_or") X(UMINUS, "un_uminus") \
+    X(UPLUS, "un_uplus") X(NOT, "un_not") X(TRANSPOSE, "un_transpose") \
+    X(CTRANSPOSE, "un_ctranspose") X(SUBSREF, "subsref") \
+    X(RANGE, "range") X(RANGE3, "range3") X(ZEROS, "zeros") \
+    X(ONES, "ones") X(EYE, "eye") X(RAND, "rand") X(SIZE, "size") \
+    X(NUMEL, "numel") X(LENGTH, "length") X(NDIMS, "ndims") \
+    X(ISEMPTY, "isempty") X(ISTRUE, "istrue") \
+    X(RANGE_COUNT, "range_count") X(LOOP_INDEX, "loop_index") \
+    X(SQRT, "sqrt") X(ABS, "abs") X(SIN, "sin") X(COS, "cos") \
+    X(TAN, "tan") X(ATAN, "atan") X(EXP, "exp") X(LOG, "log") \
+    X(FLOOR, "floor") X(CEIL, "ceil") X(ROUND, "round") X(FIX, "fix") \
+    X(REAL, "real") X(IMAG, "imag") X(CONJ, "conj") X(SIGN, "sign") \
+    X(SUM, "sum") X(MEAN, "mean") X(MAX, "max") X(MIN, "min") \
+    X(MOD, "mod") X(REM, "rem") X(ATAN2, "atan2") \
+    X(LINSPACE, "linspace") X(NORM, "norm") X(PI, "pi") X(INF, "Inf") \
+    X(EPS, "eps") X(PROD, "prod") X(ANY, "any") X(ALL, "all")
+
+enum {
+#define X(id, name) OP_##id,
+    MRT_OPS(X)
+#undef X
+    OP_COUNT
+};
+
+static const char *const op_names[OP_COUNT] = {
+#define X(id, name) name,
+    MRT_OPS(X)
+#undef X
+};
+
+/* Open-addressed name -> id + 1 table (0 = empty), built at first use;
+ * a power of two at least twice OP_COUNT, so probes stay short. */
+#define OP_HASH_SIZE 256
+static unsigned char op_hash[OP_HASH_SIZE];
+
+/* FNV-1a over the first len bytes of name. */
+static size_t op_hash_of(const char *name, size_t len) {
+    uint32_t h = 2166136261u;
+    for (size_t i = 0; i < len; i++) h = (h ^ (unsigned char)name[i]) * 16777619u;
+    return h & (OP_HASH_SIZE - 1);
+}
+
+/* The dispatch id of an op name; `concat:<rows>` keys on "concat".
+ * Unknown names are fatal. */
+static int op_id(const char *op) {
+    static int ready = 0;
+    if (!ready) {
+        for (int id = 0; id < OP_COUNT; id++) {
+            size_t h = op_hash_of(op_names[id], strlen(op_names[id]));
+            while (op_hash[h]) h = (h + 1) & (OP_HASH_SIZE - 1);
+            op_hash[h] = (unsigned char)(id + 1);
+        }
+        ready = 1;
+    }
+    size_t len = strcspn(op, ":");
+    for (size_t h = op_hash_of(op, len); op_hash[h]; h = (h + 1) & (OP_HASH_SIZE - 1)) {
+        const char *name = op_names[op_hash[h] - 1];
+        if (!strncmp(name, op, len) && name[len] == '\0') return op_hash[h] - 1;
+    }
+    fprintf(stderr, "mrt: unimplemented operation `%s`\n", op);
+    exit(70);
 }
 
 /* ------------------------------------------------------------------ */
@@ -312,7 +435,62 @@ static void k_pow(double ar, double ai, double br, double bi, double *cr, double
     *cr = mag * cos(ei); *ci = mag * sin(ei);
 }
 
-static void ew_op(mrt_val *out, const mrt_val *a, const mrt_val *b, ckernel k) {
+/* Real elementwise ops on the real parts of a and b (a scalar operand
+ * broadcasts), the expression chosen once, outside the element loop.
+ * Arithmetic is bit-identical to the complex kernels' real part with
+ * zero imaginary parts: `./` keeps k_div's `+ 0*0` terms (they decide
+ * the sign of zero quotients and make x./0 NaN), and k_mul's
+ * `x*y - 0*0` is exactly x*y. */
+static void ew_real(mrt_val *out, const mrt_val *a, const mrt_val *b, int id) {
+    int d0, d1, d2;
+    ew_dims(a, b, &d0, &d1, &d2);
+    size_t n = (size_t)d0 * d1 * d2;
+    ensure(out, n, 0);
+    const double *ar = a->re, *br = b->re;
+    double *o = out->re;
+    size_t sa = !is_scalar(a), sb = !is_scalar(b);
+#define EW_LOOP(expr)                                  \
+    for (size_t i = 0; i < n; i++) {                   \
+        double x = ar[i * sa], y = br[i * sb];         \
+        o[i] = (expr);                                 \
+    }
+    switch (id) {
+    case OP_ADD: EW_LOOP(x + y); break;
+    case OP_SUB: EW_LOOP(x - y); break;
+    case OP_TIMES: EW_LOOP(x * y); break;
+    case OP_RDIVIDE: EW_LOOP((x * y + 0.0) / (y * y + 0.0)); break;
+    case OP_EQ: EW_LOOP(x == y); break;
+    case OP_NE: EW_LOOP(x != y); break;
+    case OP_LT: EW_LOOP(x < y); break;
+    case OP_LE: EW_LOOP(x <= y); break;
+    case OP_GT: EW_LOOP(x > y); break;
+    case OP_GE: EW_LOOP(x >= y); break;
+    case OP_AND: EW_LOOP(x != 0.0 && y != 0.0); break;
+    case OP_OR: EW_LOOP(x != 0.0 || y != 0.0); break;
+    case OP_MAX: EW_LOOP((x > y || isnan(y)) ? x : y); break;
+    case OP_MIN: EW_LOOP((x < y || isnan(y)) ? x : y); break;
+    case OP_MOD: EW_LOOP(y == 0.0 ? x : x - y * floor(x / y)); break;
+    case OP_REM: EW_LOOP(y == 0.0 ? (0.0 / 0.0) : x - y * trunc(x / y)); break;
+    case OP_ATAN2: EW_LOOP(atan2(x, y)); break;
+    default: die("not a real elementwise operation");
+    }
+#undef EW_LOOP
+    set_dims(out, d0, d1, d2);
+}
+
+static const ckernel ew_kernels[OP_COUNT] = {
+    [OP_ADD] = k_add, [OP_SUB] = k_sub, [OP_TIMES] = k_mul,
+    [OP_RDIVIDE] = k_div, [OP_POWER] = k_pow,
+};
+
+/* Elementwise arithmetic: id is OP_ADD, OP_SUB, OP_TIMES, OP_RDIVIDE
+ * or OP_POWER. */
+static void ew_op(mrt_val *out, const mrt_val *a, const mrt_val *b, int id) {
+    if (id != OP_POWER && !a->im && !b->im) {
+        ew_real(out, a, b, id);
+        return;
+    }
+    ckernel k = ew_kernels[id];
     int d0, d1, d2;
     ew_dims(a, b, &d0, &d1, &d2);
     size_t n = (size_t)d0 * d1 * d2;
@@ -326,7 +504,6 @@ static void ew_op(mrt_val *out, const mrt_val *a, const mrt_val *b, ckernel k) {
         }
     }
     ensure(out, n, complex);
-    if (!complex && out->im) { free(out->im); out->im = NULL; }
     int sa = is_scalar(a), sb = is_scalar(b);
     for (size_t i = 0; i < n; i++) {
         size_t ia = sa ? 0 : i, ib = sb ? 0 : i;
@@ -353,12 +530,22 @@ static int c_or(double ar, double ai, double br, double bi) {
     return (ar != 0.0 || ai != 0.0) || (br != 0.0 || bi != 0.0);
 }
 
-static void cmp_op(mrt_val *out, const mrt_val *a, const mrt_val *b, cmpkernel k) {
+static const cmpkernel cmp_kernels[OP_COUNT] = {
+    [OP_EQ] = c_eq, [OP_NE] = c_ne, [OP_LT] = c_lt, [OP_LE] = c_le,
+    [OP_GT] = c_gt, [OP_GE] = c_ge, [OP_AND] = c_and, [OP_OR] = c_or,
+};
+
+/* Comparisons and logical and/or: id is OP_EQ .. OP_OR. */
+static void cmp_op(mrt_val *out, const mrt_val *a, const mrt_val *b, int id) {
+    if (!a->im && !b->im) {
+        ew_real(out, a, b, id);
+        return;
+    }
+    cmpkernel k = cmp_kernels[id];
     int d0, d1, d2;
     ew_dims(a, b, &d0, &d1, &d2);
     size_t n = (size_t)d0 * d1 * d2;
     ensure(out, n, 0);
-    if (out->im) { free(out->im); out->im = NULL; }
     int sa = is_scalar(a), sb = is_scalar(b);
     for (size_t i = 0; i < n; i++) {
         size_t ia = sa ? 0 : i, ib = sb ? 0 : i;
@@ -368,14 +555,13 @@ static void cmp_op(mrt_val *out, const mrt_val *a, const mrt_val *b, cmpkernel k
 }
 
 static void matmul(mrt_val *out, const mrt_val *a, const mrt_val *b) {
-    if (is_scalar(a) || is_scalar(b)) { ew_op(out, a, b, k_mul); return; }
+    if (is_scalar(a) || is_scalar(b)) { ew_op(out, a, b, OP_TIMES); return; }
     if (a->d2 != 1 || b->d2 != 1) die("matmul of N-D arrays");
     int m = a->d0, kk = a->d1, k2 = b->d0, n = b->d1;
     if (kk != k2) die("inner matrix dimensions must agree");
     int complex = a->im || b->im;
     size_t total = (size_t)m * n;
     ensure(out, total, complex);
-    if (!complex && out->im) { free(out->im); out->im = NULL; }
     for (size_t i = 0; i < total; i++) {
         out->re[i] = 0.0;
         if (complex) out->im[i] = 0.0;
@@ -385,11 +571,17 @@ static void matmul(mrt_val *out, const mrt_val *a, const mrt_val *b) {
         for (int l = 0; l < kk; l++) {
             double br = b->re[l + (size_t)kk * j], bi = elem_im(b, l + (size_t)kk * j);
             if (br == 0.0 && bi == 0.0) continue;
+            double *oc = out->re + (size_t)m * j;
+            const double *ac = a->re + (size_t)m * l;
+            if (!complex) { /* ar*br - 0*0 is exactly ar*br */
+                for (int i = 0; i < m; i++) oc[i] += ac[i] * br;
+                continue;
+            }
             for (int i = 0; i < m; i++) {
                 size_t ia = i + (size_t)m * l, io = i + (size_t)m * j;
-                double ar = a->re[ia], ai = elem_im(a, ia);
-                out->re[io] += ar * br - ai * bi;
-                if (complex) out->im[io] += ar * bi + ai * br;
+                double ai = elem_im(a, ia);
+                oc[i] += ac[i] * br - ai * bi;
+                out->im[io] += ac[i] * bi + ai * br;
             }
         }
     }
@@ -402,7 +594,6 @@ static void transpose(mrt_val *out, const mrt_val *a, int conj) {
     int h = a->d0, w = a->d1;
     size_t n = (size_t)h * w;
     ensure(out, n, a->im != NULL);
-    if (!a->im && out->im) { free(out->im); out->im = NULL; }
     for (int c = 0; c < w; c++)
         for (int r = 0; r < h; r++) {
             size_t src = r + (size_t)h * c, dst = c + (size_t)w * r;
@@ -450,15 +641,13 @@ static void subsref(mrt_val *out, const mrt_val *a, int nsubs,
         size_t n = numel(a);
         if (!s) { /* a(:) — column of all elements */
             ensure(out, n, a->im != NULL);
-            if (!a->im && out->im) { free(out->im); out->im = NULL; }
-            memcpy(out->re, a->re, n * sizeof(double));
-            if (a->im) memcpy(out->im, a->im, n * sizeof(double));
+            if (n) memcpy(out->re, a->re, n * sizeof(double));
+            if (n && a->im) memcpy(out->im, a->im, n * sizeof(double));
             set_dims(out, (int)n, 1, 1);
             return;
         }
         size_t m = numel(s);
         ensure(out, m, a->im != NULL);
-        if (!a->im && out->im) { free(out->im); out->im = NULL; }
         for (size_t k = 0; k < m; k++) {
             size_t i = sub_index(s, k);
             if (i >= n) die("index exceeds array elements");
@@ -489,7 +678,6 @@ static void subsref(mrt_val *out, const mrt_val *a, int nsubs,
         total *= lens[k];
     }
     ensure(out, total, a->im != NULL);
-    if (!a->im && out->im) { free(out->im); out->im = NULL; }
     size_t counter[3] = {0, 0, 0};
     for (size_t e = 0; e < total; e++) {
         size_t src = 0;
@@ -511,7 +699,9 @@ static void subsref(mrt_val *out, const mrt_val *a, int nsubs,
 }
 
 /* Grows `v` in place from old dims to new dims (zero fill, backward
- * element moves — §2.3.3.1). */
+ * element moves — §2.3.3.1). Column-major positions survive when the
+ * value is a column or only its trailing extent grows; then nothing
+ * moves and the tail is just zero-filled. */
 static void grow_to(mrt_val *v, const int *old_dims, const int *new_dims) {
     size_t old_n = (size_t)old_dims[0] * old_dims[1] * old_dims[2];
     size_t new_n = (size_t)new_dims[0] * new_dims[1] * new_dims[2];
@@ -520,23 +710,25 @@ static void grow_to(mrt_val *v, const int *old_dims, const int *new_dims) {
         v->re[i] = 0.0;
         if (v->im) v->im[i] = 0.0;
     }
-    size_t old_strides[3] = {1, (size_t)old_dims[0],
-                             (size_t)old_dims[0] * old_dims[1]};
-    size_t new_strides[3] = {1, (size_t)new_dims[0],
-                             (size_t)new_dims[0] * new_dims[1]};
-    (void)old_strides;
-    for (size_t lin = old_n; lin-- > 0;) {
-        size_t rem = lin, dst = 0;
-        for (int k = 0; k < 3; k++) {
-            size_t d = (size_t)old_dims[k];
-            size_t sk = rem % d;
-            rem /= d;
-            dst += sk * new_strides[k];
-        }
-        if (dst != lin) {
-            v->re[dst] = v->re[lin];
-            v->re[lin] = 0.0;
-            if (v->im) { v->im[dst] = v->im[lin]; v->im[lin] = 0.0; }
+    int in_place = (old_dims[1] == 1 && old_dims[2] == 1) ||
+                   (old_dims[0] == new_dims[0] &&
+                    (old_dims[2] == 1 || old_dims[1] == new_dims[1]));
+    if (!in_place) {
+        size_t new_strides[3] = {1, (size_t)new_dims[0],
+                                 (size_t)new_dims[0] * new_dims[1]};
+        for (size_t lin = old_n; lin-- > 0;) {
+            size_t rem = lin, dst = 0;
+            for (int k = 0; k < 3; k++) {
+                size_t d = (size_t)old_dims[k];
+                size_t sk = rem % d;
+                rem /= d;
+                dst += sk * new_strides[k];
+            }
+            if (dst != lin) {
+                v->re[dst] = v->re[lin];
+                v->re[lin] = 0.0;
+                if (v->im) { v->im[dst] = v->im[lin]; v->im[lin] = 0.0; }
+            }
         }
     }
     set_dims(v, new_dims[0], new_dims[1], new_dims[2]);
@@ -634,7 +826,6 @@ static void range_op(mrt_val *out, double a, double step, double b) {
     double c = floor((b - a) / step) + 1.0;
     size_t n = c > 0.0 ? (size_t)c : 0;
     ensure(out, n ? n : 1, 0);
-    if (out->im) { free(out->im); out->im = NULL; }
     for (size_t k = 0; k < n; k++) out->re[k] = a + step * (double)k;
     set_dims(out, n ? 1 : 0, (int)n, 1);
     if (!n) set_dims(out, 1, 0, 1);
@@ -657,7 +848,6 @@ static void sum_op(mrt_val *out, const mrt_val *a, int mean) {
     size_t cols, len;
     reduce_geometry(a, &cols, &len);
     ensure(out, cols ? cols : 1, a->im != NULL);
-    if (!a->im && out->im) { free(out->im); out->im = NULL; }
     for (size_t c = 0; c < cols; c++) {
         double sr = 0.0, si = 0.0;
         for (size_t k = 0; k < len; k++) {
@@ -668,8 +858,7 @@ static void sum_op(mrt_val *out, const mrt_val *a, int mean) {
         out->re[c] = sr;
         if (a->im) out->im[c] = si;
     }
-    set_dims(out, cols == 1 ? 1 : 1, (int)cols, 1);
-    if (cols == 1) set_dims(out, 1, 1, 1);
+    set_dims(out, 1, (int)cols, 1);
     if (out->im) normalize(out);
 }
 
@@ -690,12 +879,8 @@ static void minmax1(mrt_val *vals, mrt_val *idxs, const mrt_val *a, int want_max
         vals->re[c] = best;
         if (idxs) idxs->re[c] = (double)(bi + 1);
     }
-    if (cols == 1) set_dims(vals, 1, 1, 1);
-    else set_dims(vals, 1, (int)cols, 1);
-    if (idxs) {
-        if (cols == 1) set_dims(idxs, 1, 1, 1);
-        else set_dims(idxs, 1, (int)cols, 1);
-    }
+    set_dims(vals, 1, (int)cols, 1);
+    if (idxs) set_dims(idxs, 1, (int)cols, 1);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1071,7 +1256,6 @@ static void fill_like(mrt_val *out, const mrt_val *const *args, int argc, double
     }
     size_t n = (size_t)d[0] * d[1] * d[2];
     ensure(out, n ? n : 1, 0);
-    if (out->im) { free(out->im); out->im = NULL; }
     for (size_t i = 0; i < n; i++) out->re[i] = fill;
     set_dims(out, d[0], d[1], d[2]);
 }
@@ -1150,7 +1334,6 @@ static void apply_map(mrt_val *out, const mrt_val *a, map1 k, int forces_real) {
     }
     if (forces_real) complex = 0;
     ensure(out, n ? n : 1, complex);
-    if (!complex && out->im) { free(out->im); out->im = NULL; }
     for (size_t i = 0; i < n; i++) {
         double r, m;
         k(a->re[i], elem_im(a, i), &r, &m);
@@ -1161,7 +1344,192 @@ static void apply_map(mrt_val *out, const mrt_val *a, map1 k, int forces_real) {
     if (out->im) normalize(out);
 }
 
-static void dispatch(mrt_val *scr, const char *op, const mrt_val *const *a, int argc);
+static void set_scalar(mrt_val *out, double x) {
+    ensure(out, 1, 0);
+    out->re[0] = x;
+    set_dims(out, 1, 1, 1);
+}
+
+/* Computes op `id` (named `op`) of a[0..argc) into out, which holds no
+ * value yet (real, non-char, 0x0) and shares no storage with a. */
+static void dispatch(mrt_val *out, int id, const char *op, const mrt_val *const *a, int argc) {
+    switch (id) {
+    case OP_COPY: case OP_UPLUS: assign(out, a[0]); return;
+    case OP_CONCAT: do_concat(out, op[6] == ':' ? op + 7 : "", a, argc); return;
+    case OP_ADD: case OP_SUB: case OP_TIMES: case OP_RDIVIDE: case OP_POWER:
+        ew_op(out, a[0], a[1], id);
+        return;
+    case OP_MTIMES: matmul(out, a[0], a[1]); return;
+    case OP_LDIVIDE: ew_op(out, a[1], a[0], OP_RDIVIDE); return;
+    case OP_MRDIVIDE:
+        if (!is_scalar(a[1])) die("matrix right division needs a scalar divisor (runtime)");
+        ew_op(out, a[0], a[1], OP_RDIVIDE);
+        return;
+    case OP_MLDIVIDE:
+        if (!is_scalar(a[0])) die("matrix left division unsupported in the C runtime");
+        ew_op(out, a[1], a[0], OP_RDIVIDE);
+        return;
+    case OP_MPOWER:
+        if (!is_scalar(a[0]) || !is_scalar(a[1]))
+            die("matrix power unsupported in the C runtime");
+        ew_op(out, a[0], a[1], OP_POWER);
+        return;
+    case OP_EQ: case OP_NE: case OP_LT: case OP_LE:
+    case OP_GT: case OP_GE: case OP_AND: case OP_OR:
+        cmp_op(out, a[0], a[1], id);
+        return;
+    case OP_UMINUS: ew_op(out, mrt_wrap(mrt_numv(0.0)), a[0], OP_SUB); return;
+    case OP_NOT: cmp_op(out, a[0], mrt_wrap(mrt_numv(0.0)), OP_EQ); return;
+    case OP_TRANSPOSE: transpose(out, a[0], 0); return;
+    case OP_CTRANSPOSE: transpose(out, a[0], 1); return;
+    case OP_SUBSREF: subsref(out, a[0], argc - 1, &a[1]); return;
+    case OP_RANGE: range_op(out, mrt_scalar(a[0]), 1.0, mrt_scalar(a[1])); return;
+    case OP_RANGE3:
+        range_op(out, mrt_scalar(a[0]), mrt_scalar(a[1]), mrt_scalar(a[2]));
+        return;
+    case OP_ZEROS: fill_like(out, a, argc, 0.0); return;
+    case OP_ONES: fill_like(out, a, argc, 1.0); return;
+    case OP_EYE: {
+        fill_like(out, a, argc, 0.0);
+        int m = out->d0 < out->d1 ? out->d0 : out->d1;
+        for (int i = 0; i < m; i++) out->re[i + (size_t)out->d0 * i] = 1.0;
+        return;
+    }
+    case OP_RAND: {
+        fill_like(out, a, argc, 0.0);
+        size_t n = numel(out);
+        for (size_t i = 0; i < n; i++) out->re[i] = next_rand();
+        return;
+    }
+    case OP_SIZE:
+        if (argc >= 2) {
+            int k = (int)mrt_scalar(a[1]);
+            int d = k == 1 ? a[0]->d0 : (k == 2 ? a[0]->d1 : (k == 3 ? a[0]->d2 : 1));
+            set_scalar(out, (double)d);
+        } else {
+            int rank = a[0]->d2 > 1 ? 3 : 2;
+            ensure(out, (size_t)rank, 0);
+            out->re[0] = a[0]->d0;
+            out->re[1] = a[0]->d1;
+            if (rank == 3) out->re[2] = a[0]->d2;
+            set_dims(out, 1, rank, 1);
+        }
+        return;
+    case OP_NUMEL: set_scalar(out, (double)numel(a[0])); return;
+    case OP_LENGTH: {
+        int m = a[0]->d0;
+        if (a[0]->d1 > m) m = a[0]->d1;
+        if (a[0]->d2 > m) m = a[0]->d2;
+        set_scalar(out, numel(a[0]) == 0 ? 0.0 : (double)m);
+        return;
+    }
+    case OP_NDIMS: set_scalar(out, a[0]->d2 > 1 ? 3.0 : 2.0); return;
+    case OP_ISEMPTY: set_scalar(out, numel(a[0]) == 0 ? 1.0 : 0.0); return;
+    case OP_ISTRUE: set_scalar(out, mrt_istrue(a[0]) ? 1.0 : 0.0); return;
+    case OP_RANGE_COUNT: {
+        double x = mrt_scalar(a[0]), s = mrt_scalar(a[1]), y = mrt_scalar(a[2]);
+        if (s == 0.0) die("invalid for-loop range");
+        double c = floor((y - x) / s) + 1.0;
+        set_scalar(out, c > 0.0 ? c : 0.0);
+        return;
+    }
+    case OP_LOOP_INDEX: {
+        double st = mrt_scalar(a[0]), sp = mrt_scalar(a[1]), k = mrt_scalar(a[3]);
+        set_scalar(out, st + sp * (k - 1.0));
+        return;
+    }
+    case OP_SQRT: apply_map(out, a[0], m_sqrt, 0); return;
+    case OP_ABS: apply_map(out, a[0], m_abs, 1); return;
+    case OP_SIN: apply_map(out, a[0], m_sin, 0); return;
+    case OP_COS: apply_map(out, a[0], m_cos, 0); return;
+    case OP_TAN: apply_map(out, a[0], m_tan, 0); return;
+    case OP_ATAN: apply_map(out, a[0], m_atan, 1); return;
+    case OP_EXP: apply_map(out, a[0], m_exp, 0); return;
+    case OP_LOG: apply_map(out, a[0], m_log, 0); return;
+    case OP_FLOOR: apply_map(out, a[0], m_floor, 0); return;
+    case OP_CEIL: apply_map(out, a[0], m_ceil, 0); return;
+    case OP_ROUND: apply_map(out, a[0], m_round, 0); return;
+    case OP_FIX: apply_map(out, a[0], m_fix, 0); return;
+    case OP_REAL: apply_map(out, a[0], m_real, 1); return;
+    case OP_IMAG: apply_map(out, a[0], m_imag, 1); return;
+    case OP_CONJ: apply_map(out, a[0], m_conj, 0); return;
+    case OP_SIGN: apply_map(out, a[0], m_sign, 0); return;
+    case OP_SUM: sum_op(out, a[0], 0); return;
+    case OP_MEAN: sum_op(out, a[0], 1); return;
+    case OP_MAX: case OP_MIN:
+        if (argc >= 2) ew_real(out, a[0], a[1], id);
+        else minmax1(out, NULL, a[0], id == OP_MAX);
+        return;
+    /* Real parts only, whatever the operands hold. */
+    case OP_MOD: case OP_REM: case OP_ATAN2: ew_real(out, a[0], a[1], id); return;
+    case OP_LINSPACE: {
+        double lo = mrt_scalar(a[0]), hi = mrt_scalar(a[1]);
+        size_t n = argc >= 3 ? (size_t)mrt_scalar(a[2]) : 100;
+        ensure(out, n ? n : 1, 0);
+        for (size_t k = 0; k < n; k++) {
+            double t = n <= 1 ? 1.0 : (double)k / (double)(n - 1);
+            out->re[k] = lo + (hi - lo) * t;
+        }
+        set_dims(out, 1, (int)n, 1);
+        return;
+    }
+    case OP_NORM: {
+        double acc = 0.0;
+        size_t n = numel(a[0]);
+        for (size_t i = 0; i < n; i++) {
+            double r = a[0]->re[i], m = elem_im(a[0], i);
+            acc += r * r + m * m;
+        }
+        set_scalar(out, sqrt(acc));
+        return;
+    }
+    case OP_PI: set_scalar(out, 3.14159265358979323846); return;
+    case OP_INF: set_scalar(out, 1.0 / 0.0); return;
+    case OP_EPS: set_scalar(out, 2.220446049250313e-16); return;
+    case OP_PROD: {
+        size_t cols, len;
+        reduce_geometry(a[0], &cols, &len);
+        ensure(out, cols ? cols : 1, 0);
+        for (size_t c = 0; c < cols; c++) {
+            double p = 1.0;
+            for (size_t k = 0; k < len; k++) p *= a[0]->re[c * len + k];
+            out->re[c] = p;
+        }
+        set_dims(out, 1, (int)cols, 1);
+        return;
+    }
+    case OP_ANY: case OP_ALL: {
+        int want_all = id == OP_ALL;
+        size_t cols, len;
+        reduce_geometry(a[0], &cols, &len);
+        ensure(out, cols ? cols : 1, 0);
+        for (size_t c = 0; c < cols; c++) {
+            int acc = want_all ? 1 : 0;
+            for (size_t k = 0; k < len; k++) {
+                int nz = a[0]->re[c * len + k] != 0.0 || elem_im(a[0], c * len + k) != 0.0;
+                if (want_all) acc = acc && nz;
+                else acc = acc || nz;
+            }
+            out->re[c] = acc ? 1.0 : 0.0;
+        }
+        set_dims(out, 1, (int)cols, 1);
+        return;
+    }
+    default: /* effects and subsasgn never reach here */
+        die("operation is not a value");
+    }
+}
+
+/* Whether writing dst could clobber an operand before it is read: the
+ * same handle, or another handle over the same buffer (slots the plan
+ * coalesced, e.g. `r = r*r` or `x = x(idx)`). */
+static int aliases(const mrt_val *dst, const mrt_val *const *args, int argc) {
+    for (int i = 0; i < argc; i++) {
+        const mrt_val *a = args[i];
+        if (a == dst || (a && a->re && a->re == dst->re)) return 1;
+    }
+    return 0;
+}
 
 void mrt_op(mrt_val *dst, const char *op, int argc, ...) {
     const mrt_val *args[MAXARGS];
@@ -1175,335 +1543,34 @@ void mrt_op(mrt_val *dst, const char *op, int argc, ...) {
 }
 
 void mrt_opv(mrt_val *dst, const char *op, int argc, const mrt_val *const *args) {
-    /* Effects. */
-    if (!strcmp(op, "fprintf")) { do_fprintf(args, argc); return; }
-    if (!strcmp(op, "disp")) {
-        if (argc >= 1) display_body(args[0]);
-        return;
-    }
-    if (!strcmp(op, "error")) {
-        fprintf(stderr, "error raised\n");
-        exit(69);
-    }
-
+    int id = op_id(op);
     mrt_val scr;
     scratch_init(&scr);
-
-    /* subsasgn may grow in place within dst's own buffer when the plan
-     * coalesced base and result — handle before generic dispatch. */
-    if (!strcmp(op, "subsasgn")) {
+    switch (id) {
+    case OP_FPRINTF: do_fprintf(args, argc); return;
+    case OP_DISP:
+        if (argc >= 1) display_body(args[0]);
+        return;
+    case OP_ERROR:
+        fprintf(stderr, "error raised\n");
+        exit(69);
+    case OP_SUBSASGN:
+        /* Grows in place within dst's own buffer when the plan
+         * coalesced base and result. */
         subsasgn(dst ? dst : &scr, args[0], args[1], argc - 2, &args[2]);
         if (!dst) { free(scr.re); free(scr.im); }
         return;
     }
-
-    dispatch(&scr, op, args, argc);
+    /* The result goes straight into dst's planned storage; only a
+     * missing dst or one sharing storage with an operand takes a
+     * scratch result that is then copied in. */
+    if (dst && !aliases(dst, args, argc)) {
+        reset(dst);
+        dispatch(dst, id, op, args, argc);
+        return;
+    }
+    dispatch(&scr, id, op, args, argc);
     commit(dst, &scr);
-}
-
-static void dispatch(mrt_val *scr, const char *op, const mrt_val *const *a, int argc) {
-    if (!strcmp(op, "copy")) { assign(scr, a[0]); return; }
-    if (!strncmp(op, "concat", 6)) {
-        do_concat(scr, op[6] == ':' ? op + 7 : "", a, argc);
-        return;
-    }
-    if (!strcmp(op, "bin_add")) { ew_op(scr, a[0], a[1], k_add); return; }
-    if (!strcmp(op, "bin_sub")) { ew_op(scr, a[0], a[1], k_sub); return; }
-    if (!strcmp(op, "bin_times")) { ew_op(scr, a[0], a[1], k_mul); return; }
-    if (!strcmp(op, "bin_mtimes")) { matmul(scr, a[0], a[1]); return; }
-    if (!strcmp(op, "bin_rdivide")) { ew_op(scr, a[0], a[1], k_div); return; }
-    if (!strcmp(op, "bin_ldivide")) { ew_op(scr, a[1], a[0], k_div); return; }
-    if (!strcmp(op, "bin_mrdivide")) {
-        if (!is_scalar(a[1])) die("matrix right division needs a scalar divisor (runtime)");
-        ew_op(scr, a[0], a[1], k_div);
-        return;
-    }
-    if (!strcmp(op, "bin_mldivide")) {
-        if (!is_scalar(a[0])) die("matrix left division unsupported in the C runtime");
-        ew_op(scr, a[1], a[0], k_div);
-        return;
-    }
-    if (!strcmp(op, "bin_power")) { ew_op(scr, a[0], a[1], k_pow); return; }
-    if (!strcmp(op, "bin_mpower")) {
-        if (!is_scalar(a[0]) || !is_scalar(a[1]))
-            die("matrix power unsupported in the C runtime");
-        ew_op(scr, a[0], a[1], k_pow);
-        return;
-    }
-    if (!strcmp(op, "bin_eq")) { cmp_op(scr, a[0], a[1], c_eq); return; }
-    if (!strcmp(op, "bin_ne")) { cmp_op(scr, a[0], a[1], c_ne); return; }
-    if (!strcmp(op, "bin_lt")) { cmp_op(scr, a[0], a[1], c_lt); return; }
-    if (!strcmp(op, "bin_le")) { cmp_op(scr, a[0], a[1], c_le); return; }
-    if (!strcmp(op, "bin_gt")) { cmp_op(scr, a[0], a[1], c_gt); return; }
-    if (!strcmp(op, "bin_ge")) { cmp_op(scr, a[0], a[1], c_ge); return; }
-    if (!strcmp(op, "bin_and")) { cmp_op(scr, a[0], a[1], c_and); return; }
-    if (!strcmp(op, "bin_or")) { cmp_op(scr, a[0], a[1], c_or); return; }
-    if (!strcmp(op, "un_uminus")) {
-        const mrt_val *zero = mrt_wrap(mrt_numv(0.0));
-        ew_op(scr, zero, a[0], k_sub);
-        return;
-    }
-    if (!strcmp(op, "un_uplus")) { assign(scr, a[0]); return; }
-    if (!strcmp(op, "un_not")) {
-        const mrt_val *zero = mrt_wrap(mrt_numv(0.0));
-        cmp_op(scr, a[0], zero, c_eq);
-        return;
-    }
-    if (!strcmp(op, "un_transpose")) { transpose(scr, a[0], 0); return; }
-    if (!strcmp(op, "un_ctranspose")) { transpose(scr, a[0], 1); return; }
-    if (!strcmp(op, "subsref")) { subsref(scr, a[0], argc - 1, &a[1]); return; }
-    if (!strcmp(op, "range")) {
-        range_op(scr, mrt_scalar(a[0]), 1.0, mrt_scalar(a[1]));
-        return;
-    }
-    if (!strcmp(op, "range3")) {
-        range_op(scr, mrt_scalar(a[0]), mrt_scalar(a[1]), mrt_scalar(a[2]));
-        return;
-    }
-    if (!strcmp(op, "zeros")) { fill_like(scr, a, argc, 0.0); return; }
-    if (!strcmp(op, "ones")) { fill_like(scr, a, argc, 1.0); return; }
-    if (!strcmp(op, "eye")) {
-        fill_like(scr, a, argc, 0.0);
-        int m = scr->d0 < scr->d1 ? scr->d0 : scr->d1;
-        for (int i = 0; i < m; i++) scr->re[i + (size_t)scr->d0 * i] = 1.0;
-        return;
-    }
-    if (!strcmp(op, "rand")) {
-        fill_like(scr, a, argc, 0.0);
-        size_t n = numel(scr);
-        for (size_t i = 0; i < n; i++) scr->re[i] = next_rand();
-        return;
-    }
-    if (!strcmp(op, "size")) {
-        if (argc >= 2) {
-            int k = (int)mrt_scalar(a[1]);
-            int d = k == 1 ? a[0]->d0 : (k == 2 ? a[0]->d1 : (k == 3 ? a[0]->d2 : 1));
-            ensure(scr, 1, 0);
-            scr->re[0] = (double)d;
-            set_dims(scr, 1, 1, 1);
-        } else {
-            int rank = a[0]->d2 > 1 ? 3 : 2;
-            ensure(scr, (size_t)rank, 0);
-            scr->re[0] = a[0]->d0;
-            scr->re[1] = a[0]->d1;
-            if (rank == 3) scr->re[2] = a[0]->d2;
-            set_dims(scr, 1, rank, 1);
-        }
-        return;
-    }
-    if (!strcmp(op, "numel")) {
-        ensure(scr, 1, 0);
-        scr->re[0] = (double)numel(a[0]);
-        set_dims(scr, 1, 1, 1);
-        return;
-    }
-    if (!strcmp(op, "length")) {
-        ensure(scr, 1, 0);
-        size_t n = numel(a[0]);
-        int m = a[0]->d0;
-        if (a[0]->d1 > m) m = a[0]->d1;
-        if (a[0]->d2 > m) m = a[0]->d2;
-        scr->re[0] = n == 0 ? 0.0 : (double)m;
-        set_dims(scr, 1, 1, 1);
-        return;
-    }
-    if (!strcmp(op, "ndims")) {
-        ensure(scr, 1, 0);
-        scr->re[0] = a[0]->d2 > 1 ? 3.0 : 2.0;
-        set_dims(scr, 1, 1, 1);
-        return;
-    }
-    if (!strcmp(op, "isempty")) {
-        ensure(scr, 1, 0);
-        scr->re[0] = numel(a[0]) == 0 ? 1.0 : 0.0;
-        set_dims(scr, 1, 1, 1);
-        return;
-    }
-    if (!strcmp(op, "istrue")) {
-        ensure(scr, 1, 0);
-        scr->re[0] = mrt_istrue(a[0]) ? 1.0 : 0.0;
-        set_dims(scr, 1, 1, 1);
-        return;
-    }
-    if (!strcmp(op, "range_count")) {
-        double x = mrt_scalar(a[0]), s = mrt_scalar(a[1]), y = mrt_scalar(a[2]);
-        if (s == 0.0) die("invalid for-loop range");
-        double c = floor((y - x) / s) + 1.0;
-        ensure(scr, 1, 0);
-        scr->re[0] = c > 0.0 ? c : 0.0;
-        set_dims(scr, 1, 1, 1);
-        return;
-    }
-    if (!strcmp(op, "loop_index")) {
-        double st = mrt_scalar(a[0]), sp = mrt_scalar(a[1]), k = mrt_scalar(a[3]);
-        ensure(scr, 1, 0);
-        scr->re[0] = st + sp * (k - 1.0);
-        set_dims(scr, 1, 1, 1);
-        return;
-    }
-    if (!strcmp(op, "sqrt")) { apply_map(scr, a[0], m_sqrt, 0); return; }
-    if (!strcmp(op, "abs")) { apply_map(scr, a[0], m_abs, 1); return; }
-    if (!strcmp(op, "sin")) { apply_map(scr, a[0], m_sin, 0); return; }
-    if (!strcmp(op, "cos")) { apply_map(scr, a[0], m_cos, 0); return; }
-    if (!strcmp(op, "tan")) { apply_map(scr, a[0], m_tan, 0); return; }
-    if (!strcmp(op, "atan")) { apply_map(scr, a[0], m_atan, 1); return; }
-    if (!strcmp(op, "exp")) { apply_map(scr, a[0], m_exp, 0); return; }
-    if (!strcmp(op, "log")) { apply_map(scr, a[0], m_log, 0); return; }
-    if (!strcmp(op, "floor")) { apply_map(scr, a[0], m_floor, 0); return; }
-    if (!strcmp(op, "ceil")) { apply_map(scr, a[0], m_ceil, 0); return; }
-    if (!strcmp(op, "round")) { apply_map(scr, a[0], m_round, 0); return; }
-    if (!strcmp(op, "fix")) { apply_map(scr, a[0], m_fix, 0); return; }
-    if (!strcmp(op, "real")) { apply_map(scr, a[0], m_real, 1); return; }
-    if (!strcmp(op, "imag")) { apply_map(scr, a[0], m_imag, 1); return; }
-    if (!strcmp(op, "conj")) { apply_map(scr, a[0], m_conj, 0); return; }
-    if (!strcmp(op, "sign")) { apply_map(scr, a[0], m_sign, 0); return; }
-    if (!strcmp(op, "sum")) { sum_op(scr, a[0], 0); return; }
-    if (!strcmp(op, "mean")) { sum_op(scr, a[0], 1); return; }
-    if (!strcmp(op, "max")) {
-        if (argc >= 2) {
-            int d0, d1, d2;
-            ew_dims(a[0], a[1], &d0, &d1, &d2);
-            size_t n = (size_t)d0 * d1 * d2;
-            ensure(scr, n ? n : 1, 0);
-            int sa = is_scalar(a[0]), sb = is_scalar(a[1]);
-            for (size_t i = 0; i < n; i++) {
-                double x = a[0]->re[sa ? 0 : i], y = a[1]->re[sb ? 0 : i];
-                scr->re[i] = (x > y || isnan(y)) ? x : y;
-            }
-            set_dims(scr, d0, d1, d2);
-        } else {
-            minmax1(scr, NULL, a[0], 1);
-        }
-        return;
-    }
-    if (!strcmp(op, "min")) {
-        if (argc >= 2) {
-            int d0, d1, d2;
-            ew_dims(a[0], a[1], &d0, &d1, &d2);
-            size_t n = (size_t)d0 * d1 * d2;
-            ensure(scr, n ? n : 1, 0);
-            int sa = is_scalar(a[0]), sb = is_scalar(a[1]);
-            for (size_t i = 0; i < n; i++) {
-                double x = a[0]->re[sa ? 0 : i], y = a[1]->re[sb ? 0 : i];
-                scr->re[i] = (x < y || isnan(y)) ? x : y;
-            }
-            set_dims(scr, d0, d1, d2);
-        } else {
-            minmax1(scr, NULL, a[0], 0);
-        }
-        return;
-    }
-    if (!strcmp(op, "mod")) {
-        int d0, d1, d2;
-        ew_dims(a[0], a[1], &d0, &d1, &d2);
-        size_t n = (size_t)d0 * d1 * d2;
-        ensure(scr, n ? n : 1, 0);
-        int sa = is_scalar(a[0]), sb = is_scalar(a[1]);
-        for (size_t i = 0; i < n; i++) {
-            double x = a[0]->re[sa ? 0 : i], y = a[1]->re[sb ? 0 : i];
-            scr->re[i] = y == 0.0 ? x : x - y * floor(x / y);
-        }
-        set_dims(scr, d0, d1, d2);
-        return;
-    }
-    if (!strcmp(op, "rem")) {
-        int d0, d1, d2;
-        ew_dims(a[0], a[1], &d0, &d1, &d2);
-        size_t n = (size_t)d0 * d1 * d2;
-        ensure(scr, n ? n : 1, 0);
-        int sa = is_scalar(a[0]), sb = is_scalar(a[1]);
-        for (size_t i = 0; i < n; i++) {
-            double x = a[0]->re[sa ? 0 : i], y = a[1]->re[sb ? 0 : i];
-            scr->re[i] = y == 0.0 ? (0.0 / 0.0) : x - y * trunc(x / y);
-        }
-        set_dims(scr, d0, d1, d2);
-        return;
-    }
-    if (!strcmp(op, "atan2")) {
-        int d0, d1, d2;
-        ew_dims(a[0], a[1], &d0, &d1, &d2);
-        size_t n = (size_t)d0 * d1 * d2;
-        ensure(scr, n ? n : 1, 0);
-        int sa = is_scalar(a[0]), sb = is_scalar(a[1]);
-        for (size_t i = 0; i < n; i++)
-            scr->re[i] = atan2(a[0]->re[sa ? 0 : i], a[1]->re[sb ? 0 : i]);
-        set_dims(scr, d0, d1, d2);
-        return;
-    }
-    if (!strcmp(op, "linspace")) {
-        double lo = mrt_scalar(a[0]), hi = mrt_scalar(a[1]);
-        size_t n = argc >= 3 ? (size_t)mrt_scalar(a[2]) : 100;
-        ensure(scr, n ? n : 1, 0);
-        for (size_t k = 0; k < n; k++) {
-            double t = n <= 1 ? 1.0 : (double)k / (double)(n - 1);
-            scr->re[k] = lo + (hi - lo) * t;
-        }
-        set_dims(scr, 1, (int)n, 1);
-        return;
-    }
-    if (!strcmp(op, "norm")) {
-        double acc = 0.0;
-        size_t n = numel(a[0]);
-        for (size_t i = 0; i < n; i++) {
-            double r = a[0]->re[i], m = elem_im(a[0], i);
-            acc += r * r + m * m;
-        }
-        ensure(scr, 1, 0);
-        scr->re[0] = sqrt(acc);
-        set_dims(scr, 1, 1, 1);
-        return;
-    }
-    if (!strcmp(op, "pi")) {
-        ensure(scr, 1, 0);
-        scr->re[0] = 3.14159265358979323846;
-        set_dims(scr, 1, 1, 1);
-        return;
-    }
-    if (!strcmp(op, "Inf")) {
-        ensure(scr, 1, 0);
-        scr->re[0] = 1.0 / 0.0;
-        set_dims(scr, 1, 1, 1);
-        return;
-    }
-    if (!strcmp(op, "eps")) {
-        ensure(scr, 1, 0);
-        scr->re[0] = 2.220446049250313e-16;
-        set_dims(scr, 1, 1, 1);
-        return;
-    }
-    if (!strcmp(op, "prod")) {
-        size_t cols, len;
-        reduce_geometry(a[0], &cols, &len);
-        ensure(scr, cols ? cols : 1, 0);
-        for (size_t c = 0; c < cols; c++) {
-            double p = 1.0;
-            for (size_t k = 0; k < len; k++) p *= a[0]->re[c * len + k];
-            scr->re[c] = p;
-        }
-        if (cols == 1) set_dims(scr, 1, 1, 1);
-        else set_dims(scr, 1, (int)cols, 1);
-        return;
-    }
-    if (!strcmp(op, "any") || !strcmp(op, "all")) {
-        int want_all = op[1] == 'l';
-        size_t cols, len;
-        reduce_geometry(a[0], &cols, &len);
-        ensure(scr, cols ? cols : 1, 0);
-        for (size_t c = 0; c < cols; c++) {
-            int acc = want_all ? 1 : 0;
-            for (size_t k = 0; k < len; k++) {
-                int nz = a[0]->re[c * len + k] != 0.0 || elem_im(a[0], c * len + k) != 0.0;
-                if (want_all) acc = acc && nz;
-                else acc = acc || nz;
-            }
-            scr->re[c] = acc ? 1.0 : 0.0;
-        }
-        if (cols == 1) set_dims(scr, 1, 1, 1);
-        else set_dims(scr, 1, (int)cols, 1);
-        return;
-    }
-    fprintf(stderr, "mrt: unimplemented operation `%s`\n", op);
-    exit(70);
 }
 
 void mrt_multi(const char *op, int argc, ...) {

@@ -3,9 +3,12 @@
 //! support runtime, executed, and its stdout compared with the reference
 //! interpreter's output**. The RNG streams are aligned, so outputs match
 //! exactly up to libm rounding in the last printed digit (compared with
-//! a tight numeric tolerance).
+//! a tight numeric tolerance). The runtime's result convention is also
+//! checked directly (`mrt_contract.c`), growth shapes against the
+//! interpreter, and the benchmarks once more under ASan + UBSan.
 //!
-//! Skipped silently when no C compiler exists on the host.
+//! Skipped silently when no C compiler exists on the host (the
+//! sanitizer pass also when `cc` cannot build sanitized programs).
 
 use matc_benchsuite::{all, Preset};
 use matc_codegen::{emit_program, MRT_C, MRT_H};
@@ -13,8 +16,9 @@ use matc_frontend::parser::parse_program;
 use matc_gctd::GctdOptions;
 use matc_vm::compile::compile;
 use matc_vm::Interp;
-use std::io::Write as _;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
+use std::time::Duration;
 
 fn find_cc() -> Option<&'static str> {
     ["cc", "gcc", "clang"]
@@ -27,6 +31,53 @@ fn find_cc() -> Option<&'static str> {
                 .unwrap_or(false)
         })
         .map(|v| v as _)
+}
+
+/// A fresh directory under the system temp dir holding the runtime
+/// sources.
+fn runtime_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(name);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("mrt.h"), MRT_H).unwrap();
+    std::fs::write(dir.join("mrt.c"), MRT_C).unwrap();
+    dir
+}
+
+/// Writes `code` to `dir/<name>.c`, builds it against the runtime with
+/// `-O1 -std=c99 -w` plus `flags`, and returns the executable.
+fn build_c(cc: &str, dir: &Path, name: &str, code: &str, flags: &[&str]) -> PathBuf {
+    let c_path = dir.join(format!("{name}.c"));
+    let exe = dir.join(format!("{name}.exe"));
+    std::fs::write(&c_path, code).unwrap();
+    let build = Command::new(cc)
+        .args(["-O1", "-std=c99", "-w"])
+        .args(flags)
+        .arg("-o")
+        .arg(&exe)
+        .arg(&c_path)
+        .arg(dir.join("mrt.c"))
+        .arg("-lm")
+        .output()
+        .unwrap();
+    assert!(
+        build.status.success(),
+        "{name}: C compilation failed:\n{}",
+        String::from_utf8_lossy(&build.stderr)
+    );
+    exe
+}
+
+/// Runs an executable, asserting a clean exit.
+fn run_ok(exe: &Path) -> Output {
+    let run = Command::new(exe).output().unwrap();
+    assert!(
+        run.status.success(),
+        "{}: binary failed (status {:?}):\n{}",
+        exe.display(),
+        run.status.code(),
+        String::from_utf8_lossy(&run.stderr)
+    );
+    run
 }
 
 /// Token-level comparison: exact match, or numeric tokens within a
@@ -58,55 +109,27 @@ fn outputs_agree(a: &str, b: &str) -> bool {
     true
 }
 
+/// The interpreter's output and the planned C for one program.
+fn interp_and_c(sources: &[&str]) -> (String, String) {
+    let ast = parse_program(sources.iter().copied()).unwrap();
+    let want = Interp::new(&ast).run().unwrap();
+    let compiled = compile(&ast, GctdOptions::default()).unwrap();
+    (want, emit_program(&compiled))
+}
+
 #[test]
 fn generated_c_compiles_and_matches_interpreter() {
     let Some(cc) = find_cc() else {
         eprintln!("no C compiler found; skipping");
         return;
     };
-    let dir = std::env::temp_dir().join("matc-c-run");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("mrt.h"), MRT_H).unwrap();
-    std::fs::write(dir.join("mrt.c"), MRT_C).unwrap();
-
+    let dir = runtime_dir("matc-c-run");
     for bench in all() {
         let sources = bench.sources(Preset::Test);
         let refs: Vec<&str> = sources.iter().map(|s| s.as_str()).collect();
-        let ast = parse_program(refs).unwrap();
-
-        // Reference output.
-        let mut interp = Interp::new(&ast);
-        let want = interp.run().unwrap();
-
-        // Generate, compile, link, run.
-        let compiled = compile(&ast, GctdOptions::default()).unwrap();
-        let code = emit_program(&compiled);
-        let c_path = dir.join(format!("{}.c", bench.name));
-        let exe = dir.join(format!("{}.exe", bench.name));
-        let mut f = std::fs::File::create(&c_path).unwrap();
-        f.write_all(code.as_bytes()).unwrap();
-        let build = Command::new(cc)
-            .args(["-O1", "-std=c99", "-w", "-o"])
-            .arg(&exe)
-            .arg(&c_path)
-            .arg(dir.join("mrt.c"))
-            .arg("-lm")
-            .output()
-            .unwrap();
-        assert!(
-            build.status.success(),
-            "{}: C compilation failed:\n{}",
-            bench.name,
-            String::from_utf8_lossy(&build.stderr)
-        );
-        let run = Command::new(&exe).output().unwrap();
-        assert!(
-            run.status.success(),
-            "{}: generated binary failed (status {:?}):\n{}",
-            bench.name,
-            run.status.code(),
-            String::from_utf8_lossy(&run.stderr)
-        );
+        let (want, code) = interp_and_c(&refs);
+        let exe = build_c(cc, &dir, bench.name, &code, &[]);
+        let run = run_ok(&exe);
         let got = String::from_utf8_lossy(&run.stdout);
         assert!(
             outputs_agree(&got, &want),
@@ -115,6 +138,162 @@ fn generated_c_compiles_and_matches_interpreter() {
             got,
             want
         );
+    }
+}
+
+/// Whether `cc` can build and run a program under AddressSanitizer and
+/// UndefinedBehaviorSanitizer. The runtime libraries are optional, and
+/// on some kernels a sanitized binary faults or spins at start-up, so
+/// the probe gets ten seconds to exit cleanly.
+fn sanitizers_work(cc: &str, dir: &Path) -> bool {
+    let src = dir.join("probe.c");
+    let exe = dir.join("probe.exe");
+    std::fs::write(&src, "int main(void) { return 0; }\n").unwrap();
+    let built = Command::new(cc)
+        .args(["-fsanitize=address,undefined", "-o"])
+        .arg(&exe)
+        .arg(&src)
+        .output()
+        .is_ok_and(|o| o.status.success());
+    if !built {
+        return false;
+    }
+    let Ok(mut probe) = Command::new(&exe)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+    else {
+        return false;
+    };
+    for _ in 0..100 {
+        if let Ok(Some(status)) = probe.try_wait() {
+            return status.success();
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    let _ = probe.kill();
+    let _ = probe.wait();
+    false
+}
+
+const SANITIZE: &[&str] = &[
+    "-g",
+    "-fsanitize=address,undefined",
+    "-fno-sanitize-recover=all",
+];
+
+/// The runtime writes results straight into fixed frame buffers, so the
+/// benchmarks run under ASan + UBSan: any out-of-bounds write, leak or
+/// undefined operation aborts the binary. Skipped silently when the
+/// host cannot build sanitized programs.
+#[test]
+fn generated_c_is_clean_under_sanitizers() {
+    let Some(cc) = find_cc() else {
+        eprintln!("no C compiler found; skipping");
+        return;
+    };
+    let dir = runtime_dir("matc-c-run-sanitize");
+    if !sanitizers_work(cc, &dir) {
+        eprintln!("{cc} cannot build sanitized programs; skipping");
+        return;
+    }
+    for bench in all() {
+        let sources = bench.sources(Preset::Test);
+        let refs: Vec<&str> = sources.iter().map(|s| s.as_str()).collect();
+        let (want, code) = interp_and_c(&refs);
+        let exe = build_c(cc, &dir, bench.name, &code, SANITIZE);
+        let run = run_ok(&exe);
+        let got = String::from_utf8_lossy(&run.stdout);
+        assert!(
+            outputs_agree(&got, &want),
+            "{}: sanitized C output diverged\n--- C:\n{}\n--- interpreter:\n{}",
+            bench.name,
+            got,
+            want
+        );
+    }
+}
+
+/// The runtime's result convention, driven through its public interface
+/// by `mrt_contract.c`: results written into a distinct dst (heap or
+/// fixed) equal results computed in place over operand 0 (same handle
+/// or same buffer); a dst that held a complex or char value gets a
+/// clean real result; the real fast paths compute the complex kernels'
+/// real parts bit for bit; `concat:` names dispatch. The two error
+/// paths must still exit 70 with their messages. Built under the
+/// sanitizers when the host supports them.
+#[test]
+fn runtime_contract_holds() {
+    let Some(cc) = find_cc() else {
+        eprintln!("no C compiler found; skipping");
+        return;
+    };
+    let dir = runtime_dir("matc-c-run-contract");
+    let flags = if sanitizers_work(cc, &dir) {
+        SANITIZE
+    } else {
+        &[]
+    };
+    let exe = build_c(cc, &dir, "contract", include_str!("mrt_contract.c"), flags);
+    let run = Command::new(&exe).output().unwrap();
+    let out = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        run.status.success() && out.contains(", 0 failure(s)"),
+        "runtime contract broken:\n{out}{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+
+    for (mode, message) in [
+        ("plan", "storage plan violation"),
+        ("unknown", "mrt: unimplemented operation `frobnicate`"),
+    ] {
+        let run = Command::new(&exe).arg(mode).output().unwrap();
+        let err = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(70), "{mode}: wrong exit\n{err}");
+        assert!(
+            err.contains(message),
+            "{mode}: stderr lacks `{message}`:\n{err}"
+        );
+    }
+}
+
+/// `subsasgn` growth (§2.3.3.1) against the interpreter: appends to a
+/// row and a column, column growth of a matrix (nothing moves), row
+/// growth (elements move, also with an imaginary part) and 3-D growth.
+#[test]
+fn generated_c_grows_arrays_like_the_interpreter() {
+    let Some(cc) = find_cc() else {
+        eprintln!("no C compiler found; skipping");
+        return;
+    };
+    let dir = runtime_dir("matc-c-run-grow");
+    let programs: &[(&str, &str)] = &[
+        (
+            "row_append",
+            "x = [];\nfor i = 1:6\n  x(i) = i * 2;\nend\ndisp(x);\nx(9) = 1;\ndisp(x);\n",
+        ),
+        (
+            "column_append",
+            "y = zeros(3, 1);\nfor i = 4:6\n  y(i) = i;\nend\ndisp(y);\n",
+        ),
+        (
+            "matrix_columns",
+            "m = [1 2; 3 4];\nm(:, 3) = [5; 6];\ndisp(m);\nm(2, 5) = 9;\ndisp(m);\n",
+        ),
+        (
+            "matrix_rows",
+            "m = [1 2; 3 4];\nm(3, :) = [5 6];\ndisp(m);\nm(4, 3) = 7;\ndisp(m);\nz = [1+2i 3];\nz(2, 3) = 4;\ndisp(z);\n",
+        ),
+        (
+            "three_d",
+            "a = zeros(2, 2);\na(:, :, 2) = [1 2; 3 4];\ndisp(a);\na(3, 1, 2) = 5;\ndisp(a);\na(2, 3, 3) = 6;\ndisp(a);\nfprintf('%d\\n', numel(a));\n",
+        ),
+    ];
+    for (name, src) in programs {
+        let (want, code) = interp_and_c(&[src]);
+        let exe = build_c(cc, &dir, name, &code, &[]);
+        let got = String::from_utf8_lossy(&run_ok(&exe).stdout).into_owned();
+        assert_eq!(got, want, "{name}: C growth diverged");
     }
 }
 
@@ -129,11 +308,7 @@ fn generated_c_matches_display_and_concat_paths() {
         eprintln!("no C compiler found; skipping");
         return;
     };
-    let dir = std::env::temp_dir().join("matc-c-run-disp");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("mrt.h"), MRT_H).unwrap();
-    std::fs::write(dir.join("mrt.c"), MRT_C).unwrap();
-
+    let dir = runtime_dir("matc-c-run-disp");
     let programs: &[(&str, &str)] = &[
         (
             "concat",
@@ -157,31 +332,9 @@ fn generated_c_matches_display_and_concat_paths() {
         ),
     ];
     for (name, src) in programs {
-        let ast = parse_program([*src]).unwrap();
-        let mut interp = Interp::new(&ast);
-        let want = interp.run().unwrap();
-
-        let compiled = compile(&ast, GctdOptions::default()).unwrap();
-        let code = emit_program(&compiled);
-        let c_path = dir.join(format!("{name}.c"));
-        let exe = dir.join(format!("{name}.exe"));
-        std::fs::write(&c_path, code).unwrap();
-        let build = Command::new(cc)
-            .args(["-O1", "-std=c99", "-w", "-o"])
-            .arg(&exe)
-            .arg(&c_path)
-            .arg(dir.join("mrt.c"))
-            .arg("-lm")
-            .output()
-            .unwrap();
-        assert!(
-            build.status.success(),
-            "{name}: C compilation failed:\n{}",
-            String::from_utf8_lossy(&build.stderr)
-        );
-        let run = Command::new(&exe).output().unwrap();
-        assert!(run.status.success(), "{name}: binary failed");
-        let got = String::from_utf8_lossy(&run.stdout);
+        let (want, code) = interp_and_c(&[src]);
+        let exe = build_c(cc, &dir, name, &code, &[]);
+        let got = String::from_utf8_lossy(&run_ok(&exe).stdout).into_owned();
         assert_eq!(got, want, "{name}: C display output diverged");
     }
 }
@@ -196,11 +349,7 @@ fn generated_c_without_gctd_matches_interpreter() {
         eprintln!("no C compiler found; skipping");
         return;
     };
-    let dir = std::env::temp_dir().join("matc-c-run-nogctd");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("mrt.h"), MRT_H).unwrap();
-    std::fs::write(dir.join("mrt.c"), MRT_C).unwrap();
-
+    let dir = runtime_dir("matc-c-run-nogctd");
     let opts = GctdOptions {
         coalesce: false,
         ..GctdOptions::default()
@@ -214,26 +363,8 @@ fn generated_c_without_gctd_matches_interpreter() {
         let want = interp.run().unwrap();
 
         let compiled = compile(&ast, opts).unwrap();
-        let code = emit_program(&compiled);
-        let c_path = dir.join(format!("{name}.c"));
-        let exe = dir.join(format!("{name}.exe"));
-        std::fs::write(&c_path, code).unwrap();
-        let build = Command::new(cc)
-            .args(["-O1", "-std=c99", "-w", "-o"])
-            .arg(&exe)
-            .arg(&c_path)
-            .arg(dir.join("mrt.c"))
-            .arg("-lm")
-            .output()
-            .unwrap();
-        assert!(
-            build.status.success(),
-            "{name}: no-GCTD C compilation failed:\n{}",
-            String::from_utf8_lossy(&build.stderr)
-        );
-        let run = Command::new(&exe).output().unwrap();
-        assert!(run.status.success(), "{name}: no-GCTD binary failed");
-        let got = String::from_utf8_lossy(&run.stdout);
+        let exe = build_c(cc, &dir, name, &emit_program(&compiled), &[]);
+        let got = String::from_utf8_lossy(&run_ok(&exe).stdout).into_owned();
         assert!(
             outputs_agree(&got, &want),
             "{name}: no-GCTD C diverged\n--- C:\n{got}\n--- interpreter:\n{want}"
@@ -250,10 +381,7 @@ fn generated_c_handles_wide_matrix_literals() {
         eprintln!("no C compiler found; skipping");
         return;
     };
-    let dir = std::env::temp_dir().join("matc-c-run-wide");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("mrt.h"), MRT_H).unwrap();
-    std::fs::write(dir.join("mrt.c"), MRT_C).unwrap();
+    let dir = runtime_dir("matc-c-run-wide");
 
     let mut src = String::from("w = [");
     for i in 0..150 {
@@ -268,34 +396,13 @@ fn generated_c_handles_wide_matrix_literals() {
     }
     src.push_str("];\ndisp(sum(sum(m)));\ndisp(m(2, 17));\n");
 
-    let ast = parse_program([src.as_str()]).unwrap();
-    let mut interp = Interp::new(&ast);
-    let want = interp.run().unwrap();
-    let compiled = compile(&ast, GctdOptions::default()).unwrap();
-    let code = emit_program(&compiled);
+    let (want, code) = interp_and_c(&[src.as_str()]);
     assert!(
         code.contains("mrt_opv"),
         "wide literal not emitted via mrt_opv"
     );
-    let c_path = dir.join("wide.c");
-    let exe = dir.join("wide.exe");
-    std::fs::write(&c_path, code).unwrap();
-    let build = Command::new(cc)
-        .args(["-O1", "-std=c99", "-w", "-o"])
-        .arg(&exe)
-        .arg(&c_path)
-        .arg(dir.join("mrt.c"))
-        .arg("-lm")
-        .output()
-        .unwrap();
-    assert!(
-        build.status.success(),
-        "wide-literal C compilation failed:\n{}",
-        String::from_utf8_lossy(&build.stderr)
-    );
-    let run = Command::new(&exe).output().unwrap();
-    assert!(run.status.success(), "wide-literal binary failed");
-    assert_eq!(String::from_utf8_lossy(&run.stdout), want);
+    let exe = build_c(cc, &dir, "wide", &code, &[]);
+    assert_eq!(String::from_utf8_lossy(&run_ok(&exe).stdout), want);
 }
 
 /// The probe-instrumented C (DESIGN.md §11) must be a pure observer:
@@ -310,10 +417,7 @@ fn generated_c_with_probes_matches_and_reports() {
         eprintln!("no C compiler found; skipping");
         return;
     };
-    let dir = std::env::temp_dir().join("matc-c-run-probes");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("mrt.h"), MRT_H).unwrap();
-    std::fs::write(dir.join("mrt.c"), MRT_C).unwrap();
+    let dir = runtime_dir("matc-c-run-probes");
 
     let bench = matc_benchsuite::by_name("edit").unwrap();
     let sources = bench.sources(Preset::Test);
@@ -324,24 +428,7 @@ fn generated_c_with_probes_matches_and_reports() {
     let mut outputs = Vec::new();
     for (name, probes) in [("plain", false), ("probed", true)] {
         let code = emit_program_with(&compiled, EmitOptions { probes });
-        let c_path = dir.join(format!("{name}.c"));
-        let exe = dir.join(format!("{name}.exe"));
-        std::fs::write(&c_path, code).unwrap();
-        let build = Command::new(cc)
-            .args(["-O1", "-std=c99", "-w", "-o"])
-            .arg(&exe)
-            .arg(&c_path)
-            .arg(dir.join("mrt.c"))
-            .arg("-lm")
-            .output()
-            .unwrap();
-        assert!(
-            build.status.success(),
-            "{name}: C compilation failed:\n{}",
-            String::from_utf8_lossy(&build.stderr)
-        );
-        let run = Command::new(&exe).output().unwrap();
-        assert!(run.status.success(), "{name}: binary failed");
+        let run = run_ok(&build_c(cc, &dir, name, &code, &[]));
         outputs.push((
             run.stdout.clone(),
             String::from_utf8_lossy(&run.stderr).into_owned(),
