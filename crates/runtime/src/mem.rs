@@ -136,7 +136,8 @@ impl MemRecorder {
     /// Advances the logical clock by an operation cost (≈ elements
     /// touched).
     pub fn advance(&mut self, cost: u64) {
-        self.integrate_to_now();
+        // Every mutator leaves the weights integrated up to `clock`, so
+        // one integration after the tick covers the whole interval.
         self.clock += cost.max(1);
         self.integrate_to_now();
     }

@@ -226,7 +226,7 @@ pub fn subsasgn(a: Value, r: &Value, subs: &[Sub]) -> Result<Value> {
     }
     // `:` on a grown array refers to the *original* extent; growth via
     // other dimensions is fine.
-    let mut a = grow_to(a, &cur_dims, &new_dims, r.is_complex());
+    let mut a = grow_to(a, &cur_dims, &new_dims);
     let per_dim: Vec<Vec<usize>> = subs
         .iter()
         .zip(&cur_dims)
@@ -284,13 +284,13 @@ fn linear_subsasgn(a: Value, r: &Value, sub: &Sub) -> Result<Value> {
     if need > n {
         // Linear growth is only defined for vectors (and empties).
         if a.is_empty() {
-            a = grow_to(a, &[1, 0], &[1, need], r.is_complex());
+            a = grow_to(a, &[1, 0], &[1, need]);
         } else if a.is_vector() {
             let (d0, d1) = (a.dims()[0], a.dims()[1]);
             if d0 == 1 {
-                a = grow_to(a, &[1, d1], &[1, need], r.is_complex());
+                a = grow_to(a, &[1, d1], &[1, need]);
             } else {
-                a = grow_to(a, &[d0, 1], &[need, 1], r.is_complex());
+                a = grow_to(a, &[d0, 1], &[need, 1]);
             }
         } else {
             return err(format!(
@@ -313,41 +313,31 @@ fn write_elem(a: &mut Value, i: usize, vr: f64, vi: f64) {
     if vi != 0.0 && !a.is_complex() {
         *a = complexify(std::mem::replace(a, Value::empty()));
     }
-    let dims = a.dims().to_vec();
-    let class = a.class();
-    if a.is_complex() {
-        let mut re = a.re().to_vec();
-        let mut im = a.im().unwrap().to_vec();
-        re[i] = vr;
+    a.re_mut()[i] = vr;
+    if let Some(im) = a.im_mut() {
         im[i] = vi;
-        *a = Value::from_complex_parts(dims, re, im).with_class(class);
-    } else {
-        a.re_mut()[i] = vr;
     }
 }
 
 fn complexify(a: Value) -> Value {
-    let n = a.numel();
-    let class = a.class();
-    Value::from_complex_parts(a.dims().to_vec(), a.re().to_vec(), vec![0.0; n]).with_class(class)
+    let (dims, re, _, class) = a.into_parts();
+    let n = re.len();
+    Value::from_complex_parts(dims, re, vec![0.0; n]).with_class(class)
 }
 
 /// Grows `a` from `old_dims` to `new_dims` (pointwise ≥), zero-filling
-/// new positions. Elements are relocated **backwards** so the move is
-/// safe even within a shared buffer (§2.3.3.1).
-#[allow(clippy::needless_range_loop)] // dimension index drives two arrays
-fn grow_to(a: Value, old_dims: &[usize], new_dims: &[usize], _complex_hint: bool) -> Value {
+/// new positions. The buffers are moved, not copied, and extended with
+/// amortized capacity, so repeated appends stay linear. Elements are
+/// relocated **backwards** so the move is safe even within a shared
+/// buffer (§2.3.3.1); the pass is skipped when every old element keeps
+/// its column-major position (appends to a vector, new columns).
+fn grow_to(a: Value, old_dims: &[usize], new_dims: &[usize]) -> Value {
     if old_dims == new_dims {
         return a;
     }
-    let class = a.class();
     let new_n: usize = new_dims.iter().product();
     let old_n: usize = old_dims.iter().product();
-    let is_complex = a.is_complex();
-
-    // Take ownership of the buffers and extend them.
-    let mut re = a.re().to_vec();
-    let mut im = a.im().map(|s| s.to_vec());
+    let (_, mut re, mut im, class) = a.into_parts();
     re.resize(new_n, 0.0);
     if let Some(im) = &mut im {
         im.resize(new_n, 0.0);
@@ -355,30 +345,33 @@ fn grow_to(a: Value, old_dims: &[usize], new_dims: &[usize], _complex_hint: bool
 
     // Old strides and new strides.
     let rank = new_dims.len();
+    let old_dim = |k: usize| old_dims.get(k).copied().unwrap_or(1);
     let mut old_strides = vec![1usize; rank];
     let mut new_strides = vec![1usize; rank];
     for k in 1..rank {
-        old_strides[k] = old_strides[k - 1] * old_dims.get(k - 1).copied().unwrap_or(1);
+        old_strides[k] = old_strides[k - 1] * old_dim(k - 1);
         new_strides[k] = new_strides[k - 1] * new_dims[k - 1];
     }
+    let positions_survive = (0..rank).all(|k| old_dim(k) <= 1 || old_strides[k] == new_strides[k]);
 
     // Move from the last element to the first: target >= source always.
-    for lin in (0..old_n).rev() {
-        // Decompose `lin` under the old dims.
-        let mut rem = lin;
-        let mut dst = 0;
-        for k in 0..rank {
-            let d = old_dims.get(k).copied().unwrap_or(1);
-            let sk = rem % d;
-            rem /= d;
-            dst += sk * new_strides[k];
-        }
-        if dst != lin {
-            re[dst] = re[lin];
-            re[lin] = 0.0;
-            if let Some(im) = &mut im {
-                im[dst] = im[lin];
-                im[lin] = 0.0;
+    if !positions_survive {
+        for lin in (0..old_n).rev() {
+            // Decompose `lin` under the old dims.
+            let mut rem = lin;
+            let mut dst = 0;
+            for (k, stride) in new_strides.iter().enumerate() {
+                let d = old_dim(k);
+                dst += (rem % d) * stride;
+                rem /= d;
+            }
+            if dst != lin {
+                re[dst] = re[lin];
+                re[lin] = 0.0;
+                if let Some(im) = &mut im {
+                    im[dst] = im[lin];
+                    im[lin] = 0.0;
+                }
             }
         }
     }
@@ -386,7 +379,6 @@ fn grow_to(a: Value, old_dims: &[usize], new_dims: &[usize], _complex_hint: bool
         Some(im) => Value::from_complex_parts(new_dims.to_vec(), re, im),
         None => Value::from_parts(new_dims.to_vec(), re),
     };
-    let _ = is_complex;
     v.with_class(class)
 }
 
@@ -589,6 +581,54 @@ mod tests {
         assert!(b.is_complex());
         assert_eq!(b.at(0), (0.0, 1.0));
         assert_eq!(b.at(1), (2.0, 0.0));
+    }
+
+    #[test]
+    fn complex_assignment_keeps_the_other_elements() {
+        // A complex 2x2 char-class array: writing one element leaves the
+        // other real and imaginary parts and the class alone.
+        let a = Value::from_complex_parts(
+            vec![2, 2],
+            vec![1.0, 2.0, 3.0, 4.0],
+            vec![5.0, 6.0, 7.0, 8.0],
+        )
+        .with_class(Class::Char);
+        let b = subsasgn(a, &Value::complex_scalar(9.0, -9.0), &[sub1(2), sub1(1)]).unwrap();
+        assert_eq!(b.class(), Class::Char);
+        assert_eq!(b.re(), &[1.0, 9.0, 3.0, 4.0]);
+        assert_eq!(b.im().unwrap(), &[5.0, -9.0, 7.0, 8.0]);
+        // A real value clears just its own imaginary part.
+        let c = subsasgn(b, &Value::scalar(0.5), &[sub1(4)]).unwrap();
+        assert_eq!(c.re(), &[1.0, 9.0, 3.0, 0.5]);
+        assert_eq!(c.im().unwrap(), &[5.0, -9.0, 7.0, 0.0]);
+        // Promotion of a logical array keeps its class.
+        let l = Value::row(vec![1.0, 0.0, 1.0]).with_class(Class::Logical);
+        let p = subsasgn(l, &Value::complex_scalar(0.0, 2.0), &[sub1(2)]).unwrap();
+        assert_eq!(p.class(), Class::Logical);
+        assert_eq!(p.re(), &[1.0, 0.0, 1.0]);
+        assert_eq!(p.im().unwrap(), &[0.0, 2.0, 0.0]);
+    }
+
+    #[test]
+    fn appends_and_new_columns_keep_positions() {
+        // Appending one element at a time: the buffer grows in place.
+        let mut a = Value::empty();
+        for i in 1..=100 {
+            a = subsasgn(a, &Value::scalar(i as f64), &[sub1(i)]).unwrap();
+        }
+        assert_eq!(a.dims(), &[1, 100]);
+        assert!(a.re().iter().enumerate().all(|(i, x)| *x == (i + 1) as f64));
+        // New columns of a matrix: no element moves.
+        let m = Value::from_complex_parts(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0], vec![1.0; 4]);
+        let g = subsasgn(m, &Value::scalar(9.0), &[sub1(1), sub1(4)]).unwrap();
+        assert_eq!(g.dims(), &[2, 4]);
+        assert_eq!(g.re(), &[1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 9.0, 0.0]);
+        assert_eq!(g.im().unwrap(), &[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]);
+        // New rows of a matrix: elements move to their new positions.
+        let m = Value::from_parts(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]);
+        let g = subsasgn(m, &Value::scalar(9.0), &[sub1(3), sub1(1)]).unwrap();
+        assert_eq!(g.dims(), &[3, 2]);
+        assert_eq!(g.re(), &[1.0, 2.0, 9.0, 3.0, 4.0, 0.0]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub enum Class {
 }
 
 /// A column-major MATLAB array.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Value {
     /// Extents, rank ≥ 2.
     dims: Vec<usize>,
@@ -259,6 +259,11 @@ impl Value {
         &mut self.re
     }
 
+    /// Mutable access to the imaginary buffer, if complex.
+    pub fn im_mut(&mut self) -> Option<&mut [f64]> {
+        self.im.as_deref_mut()
+    }
+
     /// The scalar value, if `1 × 1` and real.
     pub fn as_scalar(&self) -> Option<f64> {
         (self.is_scalar() && !self.is_complex()).then(|| self.re[0])
@@ -332,6 +337,24 @@ impl Value {
         idx
     }
 
+    /// Overwrites the value with the real scalar `x` of class `class`,
+    /// keeping its buffers: the planned VM writes scalar results into
+    /// their slot's existing storage this way.
+    pub fn set_scalar(&mut self, x: f64, class: Class) {
+        self.dims.clear();
+        self.dims.extend_from_slice(&[1, 1]);
+        self.re.clear();
+        self.re.push(x);
+        self.im = None;
+        self.class = class;
+    }
+
+    /// Takes the value apart into `(dims, re, im, class)` without
+    /// copying its buffers.
+    pub fn into_parts(self) -> (Vec<usize>, Vec<f64>, Option<Vec<f64>>, Class) {
+        (self.dims, self.re, self.im, self.class)
+    }
+
     /// Rewrites the value in place from raw parts, reusing buffers where
     /// capacity allows (the planned VM's resize-in-slot path).
     pub fn assign_parts(&mut self, dims: Vec<usize>, re: Vec<f64>, im: Option<Vec<f64>>) {
@@ -351,6 +374,26 @@ impl Value {
             (Class::Char, _) | (Class::Logical, _) => 1,
         };
         self.numel() as u64 * per
+    }
+}
+
+impl Clone for Value {
+    fn clone(&self) -> Value {
+        Value {
+            dims: self.dims.clone(),
+            re: self.re.clone(),
+            im: self.im.clone(),
+            class: self.class,
+        }
+    }
+
+    /// Copies `src` into the existing buffers, reallocating only when
+    /// they are too small.
+    fn clone_from(&mut self, src: &Value) {
+        self.dims.clone_from(&src.dims);
+        self.re.clone_from(&src.re);
+        self.im.clone_from(&src.im);
+        self.class = src.class;
     }
 }
 
@@ -457,6 +500,23 @@ mod tests {
             Value::from_complex_parts(vec![1, 2], vec![1.0, 2.0], vec![3.0, 4.0]).payload_bytes(),
             32
         );
+    }
+
+    #[test]
+    fn set_scalar_and_clone_from_reuse_buffers() {
+        let mut v = Value::from_complex_parts(vec![4, 4], vec![1.0; 16], vec![2.0; 16]);
+        let cap = v.re.capacity();
+        v.set_scalar(-0.0, Class::Logical);
+        assert_eq!(v, Value::logical(false));
+        assert_eq!(v.re()[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(v.re.capacity(), cap, "the matrix buffer is kept");
+        let src = Value::from_parts(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        v.clone_from(&src);
+        assert_eq!(v, src);
+        assert_eq!(v.re.capacity(), cap);
+        let z = Value::complex_scalar(1.0, 2.0).with_class(Class::Char);
+        v.clone_from(&z);
+        assert_eq!(v, z);
     }
 
     #[test]

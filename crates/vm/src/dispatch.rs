@@ -172,6 +172,126 @@ pub fn eval_binop(b: BinOp, x: &Value, y: &Value) -> Result<Value> {
     }
 }
 
+/// A real elementwise kernel.
+pub(crate) type RealKernel = fn(f64, f64) -> f64;
+
+/// A comparison or logical result as MATLAB's 0/1.
+fn flag(t: bool) -> f64 {
+    f64::from(u8::from(t))
+}
+
+/// The kernel [`eval_binop`] applies to two real scalars, and the class
+/// of its result. On real arrays it is also the elementwise kernel of
+/// `+ - .* ./ .\ .^` and of the comparisons; `*`, `/` and `\` reduce to
+/// it only when an operand is scalar. For `^` and `.^` the result is
+/// complex when the base is negative and the exponent fractional —
+/// [`scalar_binop`] checks that case.
+pub(crate) fn real_kernel(b: BinOp) -> (RealKernel, Class) {
+    match b {
+        BinOp::Add => (|x, y| x + y, Class::Double),
+        BinOp::Sub => (|x, y| x - y, Class::Double),
+        BinOp::MatMul | BinOp::ElemMul => (|x, y| x * y, Class::Double),
+        BinOp::MatDiv | BinOp::ElemDiv => (|x, y| x / y, Class::Double),
+        BinOp::MatLeftDiv | BinOp::ElemLeftDiv => (|x, y| y / x, Class::Double),
+        BinOp::MatPow | BinOp::ElemPow => (f64::powf, Class::Double),
+        BinOp::Eq => (|x, y| flag(x == y), Class::Logical),
+        BinOp::Ne => (|x, y| flag(x != y), Class::Logical),
+        BinOp::Lt => (|x, y| flag(x < y), Class::Logical),
+        BinOp::Le => (|x, y| flag(x <= y), Class::Logical),
+        BinOp::Gt => (|x, y| flag(x > y), Class::Logical),
+        BinOp::Ge => (|x, y| flag(x >= y), Class::Logical),
+        BinOp::And | BinOp::ShortAnd => (|x, y| flag(x != 0.0 && y != 0.0), Class::Logical),
+        BinOp::Or | BinOp::ShortOr => (|x, y| flag(x != 0.0 || y != 0.0), Class::Logical),
+    }
+}
+
+/// `x b y` on two real scalars, bit-for-bit what [`eval_binop`] returns,
+/// or `None` when that result is not a real scalar (a power of a
+/// negative base with a fractional exponent).
+fn scalar_binop(b: BinOp, x: f64, y: f64) -> Option<(f64, Class)> {
+    if matches!(b, BinOp::MatPow | BinOp::ElemPow) && x < 0.0 && y.fract() != 0.0 {
+        return None;
+    }
+    let (k, class) = real_kernel(b);
+    Some((k(x, y), class))
+}
+
+/// The operand as a real scalar, if it is one.
+fn real_scalar(a: &Arg<'_>) -> Option<f64> {
+    match a {
+        Arg::Val(v) => v.as_scalar(),
+        Arg::Colon => None,
+    }
+}
+
+/// The 0-based linear index that scalar subscripts `subs` select in
+/// `a`, when every subscript is a real, non-logical, positive integral
+/// scalar within its extent and there is one subscript or one per
+/// dimension. `None` sends the caller to the general path, which also
+/// owns every error message.
+pub(crate) fn scalar_index(a: &Value, subs: &[Arg<'_>]) -> Option<usize> {
+    let dims = a.dims();
+    if subs.len() != 1 && subs.len() != dims.len() {
+        return None;
+    }
+    let extent = |k: usize| if subs.len() == 1 { a.numel() } else { dims[k] };
+    let (mut idx, mut stride) = (0, 1);
+    for (k, s) in subs.iter().enumerate() {
+        let x = match s {
+            Arg::Val(v) if v.class() != Class::Logical => v.as_scalar()?,
+            _ => return None,
+        };
+        if !(x >= 1.0 && x.fract() == 0.0 && x.is_finite()) || x as usize > extent(k) {
+            return None;
+        }
+        idx += (x as usize - 1) * stride;
+        stride *= extent(k);
+    }
+    Some(idx)
+}
+
+/// Evaluates `op` when its result is a real scalar computable without
+/// allocating: binary operators on real scalars, `istrue`,
+/// `loop_index`, `abs` of a real scalar, and `subsref` with scalar
+/// subscripts into a real array. Returns the value and class
+/// [`eval_op`] would produce; `None` means "take the general path"
+/// (which also reports every error).
+pub(crate) fn eval_scalar(op: &Op, args: &[Arg<'_>]) -> Option<(f64, Class)> {
+    match op {
+        Op::Bin(b) => scalar_binop(*b, real_scalar(&args[0])?, real_scalar(&args[1])?),
+        // A builtin given `:` fails on the general path.
+        Op::Builtin(_) if args.iter().any(|a| matches!(a, Arg::Colon)) => None,
+        Op::Builtin(Builtin::IsTrue) => match args {
+            [Arg::Val(v)] => Some((flag(v.is_true()), Class::Logical)),
+            _ => None,
+        },
+        Op::Builtin(Builtin::LoopIndex) => {
+            let (a, s, k) = (
+                real_scalar(args.first()?)?,
+                real_scalar(args.get(1)?)?,
+                real_scalar(args.get(3)?)?,
+            );
+            (a.is_finite() && s.is_finite() && k.is_finite())
+                .then_some((a + s * (k - 1.0), Class::Double))
+        }
+        Op::Builtin(Builtin::Abs) => match args {
+            [a] => Some((real_scalar(a)?.abs(), Class::Double)),
+            _ => None,
+        },
+        Op::Subsref => {
+            let Arg::Val(a) = args.first()? else {
+                return None;
+            };
+            if a.is_complex() || args.len() < 2 {
+                return None;
+            }
+            let i = scalar_index(a, &args[1..])?;
+            Some((a.re()[i], a.class()))
+        }
+        _ => None,
+    }
+}
+
 /// Evaluates a unary operator.
 pub fn eval_unop(u: UnOp, x: &Value) -> Result<Value> {
     match u {
@@ -514,6 +634,210 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.re(), &[0.0, 0.25, 0.5, 0.75, 1.0]);
+    }
+
+    const ALL_BINOPS: [BinOp; 20] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::MatMul,
+        BinOp::ElemMul,
+        BinOp::MatDiv,
+        BinOp::ElemDiv,
+        BinOp::MatLeftDiv,
+        BinOp::ElemLeftDiv,
+        BinOp::MatPow,
+        BinOp::ElemPow,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::ShortAnd,
+        BinOp::ShortOr,
+    ];
+
+    /// Scalars the parity sweep crosses: signed zeros, infinities, NaN,
+    /// integral and fractional reals of both signs, char and logical.
+    fn sweep() -> Vec<Value> {
+        let reals = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1.0,
+            2.0,
+            -8.0,
+            1.0 / 3.0,
+            -2.5,
+        ];
+        let mut v: Vec<Value> = reals.iter().map(|x| Value::scalar(*x)).collect();
+        v.push(Value::string("a"));
+        v.push(Value::logical(true));
+        v.push(Value::logical(false));
+        v
+    }
+
+    /// Whether the fast path's `(x, class)` is exactly the general
+    /// path's value: a real 1x1 of the same class and the same bits.
+    fn same(fast: (f64, Class), general: &Value) -> bool {
+        general.dims() == [1, 1]
+            && !general.is_complex()
+            && general.class() == fast.1
+            && general.re()[0].to_bits() == fast.0.to_bits()
+    }
+
+    #[test]
+    fn scalar_binops_match_eval_op() {
+        let mut sh = Shared::new();
+        let vals = sweep();
+        for b in ALL_BINOPS {
+            for x in &vals {
+                for y in &vals {
+                    let args = [Arg::Val(x), Arg::Val(y)];
+                    let general = eval_op(&Op::Bin(b), &args, &mut sh).unwrap();
+                    let (xs, ys) = (x.re()[0], y.re()[0]);
+                    match eval_scalar(&Op::Bin(b), &args) {
+                        Some(fast) => assert!(
+                            same(fast, &general),
+                            "{b:?} {x} {y}: fast {fast:?}, general {general:?}"
+                        ),
+                        None => assert!(
+                            matches!(b, BinOp::MatPow | BinOp::ElemPow)
+                                && xs < 0.0
+                                && ys.fract() != 0.0,
+                            "{b:?} {x} {y} left the fast path"
+                        ),
+                    }
+                }
+            }
+        }
+        // The case that leaves it: (-8)^(1/3) is complex.
+        let (x, y) = (Value::scalar(-8.0), Value::scalar(1.0 / 3.0));
+        let args = [Arg::Val(&x), Arg::Val(&y)];
+        assert_eq!(eval_scalar(&Op::Bin(BinOp::ElemPow), &args), None);
+        assert!(eval_op(&Op::Bin(BinOp::ElemPow), &args, &mut sh)
+            .unwrap()
+            .is_complex());
+    }
+
+    #[test]
+    fn scalar_builtins_match_eval_op() {
+        let mut sh = Shared::new();
+        let mut vals = sweep();
+        vals.push(Value::row(vec![1.0, 0.0]));
+        vals.push(Value::complex_scalar(0.0, 2.0));
+        vals.push(Value::empty());
+        for x in &vals {
+            let args = [Arg::Val(x)];
+            for b in [Builtin::IsTrue, Builtin::Abs] {
+                let op = Op::Builtin(b);
+                let general = eval_op(&op, &args, &mut sh).unwrap();
+                match eval_scalar(&op, &args) {
+                    Some(fast) => assert!(same(fast, &general), "{b:?} {x}"),
+                    // abs of a non-scalar or complex value allocates.
+                    None => assert!(b == Builtin::Abs && x.as_scalar().is_none(), "{b:?} {x}"),
+                }
+            }
+        }
+        let op = Op::Builtin(Builtin::LoopIndex);
+        let count = Value::scalar(9.0);
+        for a in &vals {
+            for st in &vals {
+                for k in &vals {
+                    let args = [Arg::Val(a), Arg::Val(st), Arg::Val(&count), Arg::Val(k)];
+                    match (eval_scalar(&op, &args), eval_op(&op, &args, &mut sh)) {
+                        (Some(fast), Ok(general)) => assert!(same(fast, &general)),
+                        (None, Err(e)) => assert_eq!(e.message, "invalid for-loop index"),
+                        (fast, general) => panic!("{a} {st} {k}: {fast:?} vs {general:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_subscripts_match_eval_op() {
+        let mut sh = Shared::new();
+        let arrays = [
+            Value::from_parts(vec![2, 3], vec![1.0, -0.0, f64::NAN, 4.0, 5.0, 6.0]),
+            Value::string("hello"),
+            Value::row(vec![1.0, 0.0, 1.0]).with_class(Class::Logical),
+            Value::from_parts(vec![2, 2, 2], (1..=8).map(f64::from).collect()),
+            Value::scalar(7.0),
+        ];
+        let r = Value::scalar(-3.5);
+        for a in &arrays {
+            // Every in-range position, linearly and one subscript per
+            // dimension.
+            let mut forms: Vec<Vec<Value>> = (1..=a.numel())
+                .map(|i| vec![Value::scalar(i as f64)])
+                .collect();
+            let d = a.dims();
+            for lin in 0..a.numel() {
+                let (mut rem, mut subs) = (lin, Vec::new());
+                for &e in d {
+                    subs.push(Value::scalar((rem % e + 1) as f64));
+                    rem /= e;
+                }
+                forms.push(subs);
+            }
+            for subs in &forms {
+                let mut args = vec![Arg::Val(a)];
+                args.extend(subs.iter().map(Arg::Val));
+                let general = eval_op(&Op::Subsref, &args, &mut sh).unwrap();
+                let fast = eval_scalar(&Op::Subsref, &args).expect("scalar subscripts");
+                assert!(same(fast, &general), "{a}({subs:?})");
+
+                // subsasgn: the element written in place is the general
+                // path's whole result.
+                let mut asgn = vec![Arg::Val(a), Arg::Val(&r)];
+                asgn.extend(subs.iter().map(Arg::Val));
+                let general = eval_op(&Op::Subsasgn, &asgn, &mut sh).unwrap();
+                let mut fast = a.clone();
+                fast.re_mut()[scalar_index(a, &args[1..]).unwrap()] = -3.5;
+                assert_eq!(fast.class(), general.class());
+                assert_eq!(fast.dims(), general.dims());
+                let bits = |v: &Value| v.re().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&general), "{a}({subs:?}) = r");
+            }
+        }
+    }
+
+    #[test]
+    fn subscripts_outside_the_fast_path_keep_the_general_result() {
+        let mut sh = Shared::new();
+        let a = Value::from_parts(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let cube = Value::from_parts(vec![2, 2, 2], (1..=8).map(f64::from).collect());
+        let subsref = |args: &[Arg<'_>], sh: &mut Shared| {
+            assert_eq!(eval_scalar(&Op::Subsref, args), None);
+            eval_op(&Op::Subsref, args, sh)
+        };
+        // A logical subscript selects by mask, not by position.
+        let t = Value::logical(true);
+        let r = subsref(&[Arg::Val(&a), Arg::Val(&t)], &mut sh).unwrap();
+        assert_eq!((r.re(), r.class()), (&[1.0][..], Class::Double));
+        // Out of range and non-integral: the general path's errors.
+        let seven = Value::scalar(7.0);
+        let e = subsref(&[Arg::Val(&a), Arg::Val(&seven)], &mut sh).unwrap_err();
+        assert_eq!(e.message, "index 7 exceeds the 6 elements of the array");
+        let three = Value::scalar(3.0);
+        let e = subsref(&[Arg::Val(&a), Arg::Val(&three), Arg::Val(&three)], &mut sh).unwrap_err();
+        assert_eq!(e.message, "index 3 exceeds extent 2 in dimension 1");
+        let half = Value::scalar(1.5);
+        let e = subsref(&[Arg::Val(&a), Arg::Val(&half)], &mut sh).unwrap_err();
+        assert_eq!(e.message, "subscript must be a positive integer, got 1.5");
+        // Two subscripts into a 2x2x2 array fold the trailing dims.
+        let (one, four) = (Value::scalar(1.0), Value::scalar(4.0));
+        let r = subsref(&[Arg::Val(&cube), Arg::Val(&one), Arg::Val(&four)], &mut sh).unwrap();
+        assert_eq!(r.as_scalar(), Some(7.0));
+        // A complex array allocates.
+        let z = Value::from_complex_parts(vec![1, 2], vec![1.0, 2.0], vec![0.0, 1.0]);
+        let r = subsref(&[Arg::Val(&z), Arg::Val(&one)], &mut sh).unwrap();
+        assert_eq!(r.as_scalar(), Some(1.0));
     }
 
     #[test]

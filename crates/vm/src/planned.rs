@@ -8,6 +8,14 @@
 //! shares its operand's slot mutate the buffer in place (Figure 1's
 //! specialization), and `subsasgn` grows within the slot.
 //!
+//! Execution is table-driven: [`PlannedVm::new`] resolves, once per
+//! function, every variable to a dense cell index (planned slots first,
+//! then one cell per unplanned immediate or temporary), every definition
+//! to its resize annotation and every call site to its callee. Results
+//! that are real scalars, scalar-subscript `subsasgn`s and copies are
+//! written into the destination cell's existing buffer; everything else
+//! goes through [`dispatch::eval_op`] (DESIGN.md §16).
+//!
 //! Soundness telemetry: if a definition ever needs more bytes than a
 //! `∘`-annotated slot holds (which a correct plan rules out), the VM
 //! grows the slot anyway, counts a **plan violation**, and fails the
@@ -23,49 +31,157 @@ use matc_analysis::shadow::{DefAction, ShadowLog};
 use matc_frontend::ast::BinOp;
 use matc_gctd::{ResizeKind, SlotKind, StoragePlan};
 use matc_ir::ids::{FuncId, VarId};
-use matc_ir::instr::{InstrKind, Op, Operand, Terminator};
-use matc_ir::{Builtin, FuncIr};
+use matc_ir::instr::{Const, InstrKind, Op, Operand, Terminator};
+use matc_ir::{Builtin, FuncIr, Instr, IrProgram};
 use matc_runtime::error::{err, Result};
 use matc_runtime::format;
 use matc_runtime::mem::{ImageModel, MemRecorder};
-use matc_runtime::ops::arith;
-use matc_runtime::value::Value;
-use std::collections::HashMap;
+use matc_runtime::ops::{arith, index};
+use matc_runtime::value::{Class, Value};
 
-/// One storage slot at run time.
-struct Slot {
-    value: Value,
-    /// Bytes charged to the heap for this slot (0 for stack slots and
-    /// unallocated heap slots).
+/// Operands the allocation-free path gathers at most (a 3-D
+/// `subsasgn` takes five).
+const FAST_ARGS: usize = 5;
+
+/// A call site's callee, resolved once per executor.
+#[derive(Debug, Clone, Copy)]
+enum Callee {
+    /// A user function.
+    User(FuncId),
+    /// A builtin (multi-output call sites only).
+    Builtin(Builtin),
+    /// Not a call, or a call to nothing the program defines.
+    Undefined,
+}
+
+/// One function's dense tables, indexed by [`VarId`] or by instruction.
+#[derive(Debug)]
+struct FuncTable {
+    /// Each variable's cell: its planned slot (cells `0..plan.slots.len()`),
+    /// or a cell of its own past the slots for an unplanned immediate or
+    /// temporary.
+    cell: Vec<usize>,
+    /// Each variable's resize annotation (meaningful for heap slots).
+    resize: Vec<ResizeKind>,
+    /// Cells per activation.
+    cells: usize,
+    /// Bytes one activation pushes on the stack.
+    frame_bytes: u64,
+    /// Index of each block's first instruction in `callees`.
+    block_base: Vec<usize>,
+    /// The callee of every instruction (`Undefined` for non-calls).
+    callees: Vec<Callee>,
+}
+
+impl FuncTable {
+    fn new(func: &FuncIr, plan: &StoragePlan, ir: &IrProgram) -> FuncTable {
+        let vars = || (0..func.vars.len()).map(VarId::new);
+        let mut cells = plan.slots.len();
+        let cell = vars()
+            .map(|v| {
+                plan.slot_of(v).unwrap_or_else(|| {
+                    cells += 1;
+                    cells - 1
+                })
+            })
+            .collect();
+        let resize = vars().map(|v| plan.resize_of(v)).collect();
+        let frame_bytes = plan
+            .slots
+            .iter()
+            .map(|s| match s.kind {
+                SlotKind::Stack { bytes } => bytes,
+                SlotKind::Heap => 0,
+            })
+            .sum::<u64>()
+            + 96; // saved registers, return address, locals
+        let user = |name: &str| ir.by_name.get(name).map(|f| Callee::User(*f));
+        let mut block_base = Vec::with_capacity(func.blocks.len());
+        let mut callees = Vec::new();
+        for b in &func.blocks {
+            block_base.push(callees.len());
+            callees.extend(b.instrs.iter().map(|i| {
+                match &i.kind {
+                    InstrKind::Compute {
+                        op: Op::Call(name), ..
+                    } => user(name),
+                    InstrKind::CallMulti { func: name, .. } => {
+                        user(name).or_else(|| Builtin::from_name(name).map(Callee::Builtin))
+                    }
+                    _ => None,
+                }
+                .unwrap_or(Callee::Undefined)
+            }));
+        }
+        FuncTable {
+            cell,
+            resize,
+            cells,
+            frame_bytes,
+            block_base,
+            callees,
+        }
+    }
+}
+
+/// One storage cell of an activation.
+#[derive(Debug, Default)]
+struct Cell {
+    /// The current value; `None` until a definition writes the cell.
+    value: Option<Value>,
+    /// Bytes charged to the heap for this cell (0 for stack slots,
+    /// unallocated heap slots and unplanned cells).
     charged: u64,
-    kind: SlotKind,
-    /// Whether any definition has written the slot yet.
-    initialized: bool,
 }
 
-/// One function activation.
-struct Frame {
-    slots: Vec<Slot>,
-    /// Immediates and unplanned temporaries (code literals, registers).
-    aux: HashMap<VarId, Value>,
-    stack_bytes: u64,
+/// What an activation executes: its function, plan and tables, plus
+/// every function's tables for calls.
+#[derive(Clone, Copy)]
+struct Ctx<'a> {
+    func: &'a FuncIr,
+    plan: &'a StoragePlan,
+    table: &'a FuncTable,
+    tables: &'a [FuncTable],
 }
 
-/// Borrows the current value of `v` from its slot or the immediates
-/// table — the zero-copy read path.
-fn operand_value<'a>(frame: &'a Frame, plan: &StoragePlan, v: VarId) -> Result<&'a Value> {
-    if let Some(val) = frame.aux.get(&v) {
-        return Ok(val);
+/// Borrows the current value of `v` from its cell — the zero-copy read
+/// path.
+fn value<'c>(cells: &'c [Cell], t: &FuncTable, v: VarId) -> Result<&'c Value> {
+    match &cells[t.cell[v.index()]].value {
+        Some(val) => Ok(val),
+        None => err(format!("read of unset variable v{} (planned vm)", v.0)),
     }
-    match plan.slot_of(v) {
-        Some(i) if frame.slots[i].initialized => Ok(&frame.slots[i].value),
-        _ => err(format!("read of unset variable v{} (planned vm)", v.0)),
+}
+
+/// Writes a real scalar into a cell, reusing its buffer.
+fn put_scalar(cell: &mut Cell, x: f64, class: Class) {
+    match &mut cell.value {
+        Some(v) => v.set_scalar(x, class),
+        None => cell.value = Some(Value::scalar(x).with_class(class)),
     }
+}
+
+/// Copies cell `src`'s value into cell `dst`, reusing `dst`'s buffers.
+fn copy_cell(cells: &mut [Cell], dst: usize, src: usize) {
+    let mut out = cells[dst].value.take();
+    out.clone_from(&cells[src].value);
+    cells[dst].value = out;
+}
+
+/// The result of the allocation-free path.
+enum Fast {
+    /// A real scalar and its class.
+    Scalar(f64, Class),
+    /// `subsasgn` storing one real element at a linear index of an
+    /// array of `numel` elements.
+    Assign { index: usize, x: f64, numel: usize },
 }
 
 /// The planned executor.
 pub struct PlannedVm<'p> {
     compiled: &'p Compiled,
+    /// Per-function dense tables, indexed by [`FuncId`].
+    tables: Vec<FuncTable>,
     /// Shared RNG + output.
     pub shared: Shared,
     /// Memory accounting under the mat2c image model.
@@ -80,13 +196,23 @@ pub struct PlannedVm<'p> {
     cur_func: usize,
     /// Index of the currently-executing block (for probe events).
     cur_block: usize,
+    /// Cell vectors of returned activations, reused by later calls.
+    spare: Vec<Vec<Cell>>,
 }
 
 impl<'p> PlannedVm<'p> {
     /// Creates an executor over a compiled program.
     pub fn new(compiled: &'p Compiled) -> PlannedVm<'p> {
+        let ir = &compiled.ir;
+        let tables = ir
+            .functions
+            .iter()
+            .zip(&compiled.plans.plans)
+            .map(|(f, p)| FuncTable::new(f, p, ir))
+            .collect();
         PlannedVm {
             compiled,
+            tables,
             shared: Shared::new(),
             mem: MemRecorder::new(ImageModel::mat2c()),
             plan_violations: 0,
@@ -94,6 +220,7 @@ impl<'p> PlannedVm<'p> {
             shadow: None,
             cur_func: 0,
             cur_block: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -128,7 +255,11 @@ impl<'p> PlannedVm<'p> {
     /// be trusted in any build profile.
     pub fn run(&mut self) -> Result<String> {
         let entry = self.compiled.entry();
-        self.call(entry, vec![])?;
+        // The tables are read while `self` is mutated: hold them aside.
+        let tables = std::mem::take(&mut self.tables);
+        let result = self.call(&tables, entry, vec![]);
+        self.tables = tables;
+        result?;
         let out = std::mem::take(&mut self.shared.out);
         if self.plan_violations > 0 && self.shadow.is_none() {
             return err(format!(
@@ -140,7 +271,7 @@ impl<'p> PlannedVm<'p> {
         Ok(out)
     }
 
-    fn call(&mut self, fid: FuncId, args: Vec<Value>) -> Result<Vec<Value>> {
+    fn call(&mut self, tables: &[FuncTable], fid: FuncId, args: Vec<Value>) -> Result<Vec<Value>> {
         self.call_depth += 1;
         // MATLAB's default RecursionLimit is 100; enforcing it also
         // bounds the host stack in debug builds.
@@ -149,7 +280,12 @@ impl<'p> PlannedVm<'p> {
             return err("maximum recursion depth exceeded");
         }
         let func = self.compiled.ir.func(fid);
-        let plan = self.compiled.plans.plan(fid);
+        let cx = Ctx {
+            func,
+            plan: self.compiled.plans.plan(fid),
+            table: &tables[fid.index()],
+            tables,
+        };
         let (saved_func, saved_block) = (self.cur_func, self.cur_block);
         self.cur_func = fid.index();
         self.cur_block = func.entry.index();
@@ -159,56 +295,37 @@ impl<'p> PlannedVm<'p> {
 
         // Build the activation: one fixed stack frame for all stack
         // slots, heap slots start unallocated.
-        let mut slots = Vec::with_capacity(plan.slots.len());
-        let mut stack_bytes = 0u64;
-        for info in &plan.slots {
-            if let SlotKind::Stack { bytes } = info.kind {
-                stack_bytes += bytes;
-            }
-            slots.push(Slot {
-                value: Value::empty(),
-                charged: 0,
-                kind: info.kind,
-                initialized: false,
-            });
-        }
-        stack_bytes += 96; // saved registers, return address, locals
-        self.mem.stack_push(stack_bytes);
-        let mut frame = Frame {
-            slots,
-            aux: HashMap::new(),
-            stack_bytes,
-        };
+        self.mem.stack_push(cx.table.frame_bytes);
+        let mut cells = self.spare.pop().unwrap_or_default();
+        cells.resize_with(cx.table.cells, Cell::default);
         // Bind parameters.
         for (p, v) in func.params.iter().zip(args) {
-            self.store(func, plan, &mut frame, *p, v)?;
+            self.store(cx, &mut cells, *p, v);
         }
 
-        let result = self.exec(func, plan, &mut frame);
+        let result = self.exec(cx, &mut cells);
 
         // Tear down: free heap slots, pop the stack frame.
-        for s in &frame.slots {
-            if s.charged > 0 {
-                self.mem.heap_free(s.charged);
+        for c in &cells[..cx.plan.slots.len()] {
+            if c.charged > 0 {
+                self.mem.heap_free(c.charged);
                 let (t, level) = (self.mem.elapsed(), self.mem.live_heap());
                 if let Some(log) = self.shadow.as_mut() {
                     log.record_heap_event(t, level);
                 }
             }
         }
-        self.mem.stack_pop(frame.stack_bytes);
+        self.mem.stack_pop(cx.table.frame_bytes);
+        cells.clear();
+        self.spare.push(cells);
         self.call_depth -= 1;
         self.cur_func = saved_func;
         self.cur_block = saved_block;
         result
     }
 
-    fn exec(
-        &mut self,
-        func: &'p FuncIr,
-        plan: &'p StoragePlan,
-        frame: &mut Frame,
-    ) -> Result<Vec<Value>> {
+    fn exec(&mut self, cx: Ctx<'_>, cells: &mut [Cell]) -> Result<Vec<Value>> {
+        let func = cx.func;
         let mut block = func.entry;
         let mut guard = 0u64;
         loop {
@@ -217,8 +334,9 @@ impl<'p> PlannedVm<'p> {
                 return err("execution exceeded the instruction guard");
             }
             self.cur_block = block.index();
-            for instr in &func.block(block).instrs {
-                self.instr(func, plan, instr, frame)?;
+            let base = cx.table.block_base[block.index()];
+            for (i, instr) in func.block(block).instrs.iter().enumerate() {
+                self.instr(cx, cells, instr, base + i)?;
             }
             match &func.block(block).term {
                 Terminator::Jump(b) => block = *b,
@@ -227,23 +345,32 @@ impl<'p> PlannedVm<'p> {
                     then_bb,
                     else_bb,
                 } => {
-                    let c = self.read_operand(frame, plan, *cond)?;
-                    let t = c.is_true();
+                    let t = value(cells, cx.table, *cond)?.is_true();
+                    self.note_read(cx, *cond);
                     self.mem.advance(1);
                     block = if t { *then_bb } else { *else_bb };
                 }
                 Terminator::Return => {
                     let outs = if func.ssa_outs.is_empty() {
-                        func.outs.clone()
+                        &func.outs
                     } else {
-                        func.ssa_outs.clone()
+                        &func.ssa_outs
                     };
                     let mut vals = Vec::with_capacity(outs.len());
-                    for o in outs {
-                        vals.push(
-                            self.read_operand(frame, plan, o)
-                                .unwrap_or_else(|_| Value::empty()),
-                        );
+                    for (k, o) in outs.iter().enumerate() {
+                        let c = cx.table.cell[o.index()];
+                        if cells[c].value.is_some() {
+                            self.note_read(cx, *o);
+                        }
+                        // The frame dies here: move each result out,
+                        // unless a later output reads the same cell.
+                        let later = outs[k + 1..].iter().any(|p| cx.table.cell[p.index()] == c);
+                        let v = if later {
+                            cells[c].value.clone()
+                        } else {
+                            cells[c].value.take()
+                        };
+                        vals.push(v.unwrap_or_else(Value::empty));
                     }
                     return Ok(vals);
                 }
@@ -251,84 +378,66 @@ impl<'p> PlannedVm<'p> {
         }
     }
 
-    /// Stores `value` as the new definition of `v`, applying the slot
-    /// discipline and resize annotations.
-    fn store(
+    /// Charges a definition of `v` — `numel` elements, plus its payload
+    /// bytes when complex — to `v`'s slot under the slot discipline and
+    /// resize annotation, records it for the shadow log, and returns the
+    /// cell the value goes to. The caller writes the value.
+    fn define(
         &mut self,
-        _func: &FuncIr,
-        plan: &StoragePlan,
-        frame: &mut Frame,
+        cx: Ctx<'_>,
+        cells: &mut [Cell],
         v: VarId,
-        value: Value,
-    ) -> Result<()> {
-        let Some(si) = plan.slot_of(v) else {
-            frame.aux.insert(v, value);
-            return Ok(());
-        };
+        numel: usize,
+        complex_bytes: Option<u64>,
+    ) -> usize {
+        let si = cx.table.cell[v.index()];
+        if si >= cx.plan.slots.len() {
+            return si;
+        }
         // Size under the *planned* element type — the C backend declares
         // BOOLEAN arrays as 1-byte, INTEGER as 4-byte, etc. (§3.2). A
         // complex value landing in a non-complex slot is a plan bug.
-        let intrinsic = plan.slots[si].intrinsic;
-        let needed = if value.is_complex() && !intrinsic.is_complex() {
-            self.plan_violations += 1;
-            value.payload_bytes()
-        } else {
-            value.numel() as u64 * intrinsic.byte_size()
+        let info = &cx.plan.slots[si];
+        let needed = match complex_bytes {
+            Some(bytes) if !info.intrinsic.is_complex() => {
+                self.plan_violations += 1;
+                bytes
+            }
+            _ => numel as u64 * info.intrinsic.byte_size(),
         };
-        let slot = &mut frame.slots[si];
-        let action;
-        match slot.kind {
+        let slot = &mut cells[si];
+        let action = match info.kind {
             SlotKind::Stack { bytes } => {
                 if needed > bytes {
                     self.plan_violations += 1;
                 }
-                slot.value = value;
-                slot.initialized = true;
-                action = DefAction::Stack;
+                DefAction::Stack
             }
-            SlotKind::Heap => {
-                match plan.resize_of(v) {
-                    ResizeKind::NoResize => {
-                        if slot.charged == 0 {
-                            slot.charged = self.mem.heap_alloc(needed);
-                            action = DefAction::Alloc;
-                        } else if needed > slot.charged {
-                            self.plan_violations += 1;
-                            slot.charged = self.mem.heap_realloc(slot.charged, needed);
-                            action = DefAction::Realloc;
-                        } else {
-                            action = DefAction::Reuse;
-                        }
-                    }
-                    ResizeKind::Grow => {
-                        if slot.charged == 0 {
-                            slot.charged = self.mem.heap_alloc(needed);
-                            action = DefAction::Alloc;
-                        } else if needed + matc_runtime::mem::BLOCK_OVERHEAD > slot.charged {
-                            slot.charged = self.mem.heap_realloc(slot.charged, needed);
-                            action = DefAction::Realloc;
-                        } else {
-                            action = DefAction::Reuse;
-                        }
-                    }
-                    ResizeKind::Resize => {
-                        if slot.charged == 0 {
-                            slot.charged = self.mem.heap_alloc(needed);
-                            action = DefAction::Alloc;
-                        } else if slot.charged != needed + matc_runtime::mem::BLOCK_OVERHEAD {
-                            slot.charged = self.mem.heap_realloc(slot.charged, needed);
-                            action = DefAction::Realloc;
-                        } else {
-                            action = DefAction::Reuse;
-                        }
-                    }
+            SlotKind::Heap => match cx.table.resize[v.index()] {
+                _ if slot.charged == 0 => {
+                    slot.charged = self.mem.heap_alloc(needed);
+                    DefAction::Alloc
                 }
-                slot.value = value;
-                slot.initialized = true;
-            }
-        }
+                ResizeKind::NoResize if needed > slot.charged => {
+                    self.plan_violations += 1;
+                    slot.charged = self.mem.heap_realloc(slot.charged, needed);
+                    DefAction::Realloc
+                }
+                ResizeKind::Grow if needed + matc_runtime::mem::BLOCK_OVERHEAD > slot.charged => {
+                    slot.charged = self.mem.heap_realloc(slot.charged, needed);
+                    DefAction::Realloc
+                }
+                ResizeKind::Resize
+                    if slot.charged != needed + matc_runtime::mem::BLOCK_OVERHEAD =>
+                {
+                    slot.charged = self.mem.heap_realloc(slot.charged, needed);
+                    DefAction::Realloc
+                }
+                _ => DefAction::Reuse,
+            },
+        };
         let fi = self.cur_func;
-        let charged = frame.slots[si].charged;
+        let charged = slot.charged;
         let (t, level) = (self.mem.elapsed(), self.mem.live_heap());
         if let Some(log) = self.shadow.as_mut() {
             log.record_def(fi, v.index(), si, needed, charged, action);
@@ -336,33 +445,63 @@ impl<'p> PlannedVm<'p> {
                 log.record_heap_event(t, level);
             }
         }
-        Ok(())
+        si
     }
 
-    fn instr(
-        &mut self,
-        func: &'p FuncIr,
-        plan: &'p StoragePlan,
-        instr: &'p matc_ir::Instr,
-        frame: &mut Frame,
-    ) -> Result<()> {
+    /// Stores `value` as the new definition of `v`, applying the slot
+    /// discipline and resize annotations.
+    fn store(&mut self, cx: Ctx<'_>, cells: &mut [Cell], v: VarId, value: Value) {
+        let complex_bytes = value.is_complex().then(|| value.payload_bytes());
+        let c = self.define(cx, cells, v, value.numel(), complex_bytes);
+        cells[c].value = Some(value);
+    }
+
+    /// Records a read of `v` for the shadow log (planned variables only).
+    fn note_read(&mut self, cx: Ctx<'_>, v: VarId) {
+        if let Some(log) = self.shadow.as_mut() {
+            if cx.table.cell[v.index()] < cx.plan.slots.len() {
+                log.record_read(self.cur_func, self.cur_block, v.index());
+            }
+        }
+    }
+
+    fn instr(&mut self, cx: Ctx<'_>, cells: &mut [Cell], instr: &Instr, at: usize) -> Result<()> {
         match &instr.kind {
             InstrKind::Const { dst, value } => {
-                let v = crate::mcc::value_of_const(value);
                 self.mem.advance(1);
-                self.store(func, plan, frame, *dst, v)?;
+                let scalar = match value {
+                    Const::Num(x) => Some((*x, Class::Double)),
+                    Const::Bool(b) => Some((f64::from(u8::from(*b)), Class::Logical)),
+                    _ => None,
+                };
+                match scalar {
+                    Some((x, class)) => {
+                        let c = self.define(cx, cells, *dst, 1, None);
+                        put_scalar(&mut cells[c], x, class);
+                    }
+                    None => self.store(cx, cells, *dst, crate::mcc::value_of_const(value)),
+                }
             }
             InstrKind::Copy { dst, src } => {
-                // Copies between distinct slots materialize; same-slot
-                // copies were removed by the plan-aware SSA inversion.
-                let v = self.read_operand(frame, plan, *src)?;
-                self.mem.advance(v.numel() as u64);
-                self.store(func, plan, frame, *dst, v)?;
+                // Copies between distinct slots materialize into the
+                // destination's buffer; same-slot copies were removed by
+                // the plan-aware SSA inversion.
+                let v = value(cells, cx.table, *src)?;
+                let (numel, complex_bytes) = (v.numel(), v.is_complex().then(|| v.payload_bytes()));
+                self.note_read(cx, *src);
+                self.mem.advance(numel as u64);
+                let dc = self.define(cx, cells, *dst, numel, complex_bytes);
+                let sc = cx.table.cell[src.index()];
+                if dc != sc {
+                    copy_cell(cells, dc, sc);
+                }
             }
             InstrKind::Compute { dst, op, args } => {
-                let result = self.compute(plan, frame, *dst, op, args)?;
-                self.mem.advance(result.numel() as u64);
-                self.store(func, plan, frame, *dst, result)?;
+                if !self.compute_fast(cx, cells, *dst, op, args) {
+                    let result = self.compute(cx, cells, *dst, op, args, at)?;
+                    self.mem.advance(result.numel() as u64);
+                    self.store(cx, cells, *dst, result);
+                }
             }
             InstrKind::Phi { .. } => {
                 return err("planned vm executes non-SSA code; φ encountered");
@@ -371,183 +510,244 @@ impl<'p> PlannedVm<'p> {
                 dsts,
                 func: name,
                 args,
-            } => {
-                let vals = self.gather(frame, plan, args)?;
-                if let Some(fid) = self.compiled.ir.by_name.get(name).copied() {
-                    let outs = self.call(fid, vals)?;
+            } => match cx.table.callees[at] {
+                Callee::User(fid) => {
+                    let vals = self.gather(cx, cells, args)?;
+                    let vals = vals.into_iter().cloned().collect();
+                    let outs = self.call(cx.tables, fid, vals)?;
                     for (d, o) in dsts.iter().zip(outs) {
-                        self.store(func, plan, frame, *d, o)?;
+                        self.store(cx, cells, *d, o);
                     }
-                } else if let Some(b) = Builtin::from_name(name) {
-                    let refs: Vec<&Value> = vals.iter().collect();
+                }
+                Callee::Builtin(b) => {
+                    let vals = self.gather(cx, cells, args)?;
                     let outs = dispatch::eval_builtin_multi(
                         b,
                         dsts.len().max(1),
-                        &refs,
+                        &vals,
                         &mut self.shared,
                     )?;
                     self.mem.advance(4);
                     for (d, o) in dsts.iter().zip(outs) {
-                        self.store(func, plan, frame, *d, o)?;
+                        self.store(cx, cells, *d, o);
                     }
-                } else {
+                }
+                Callee::Undefined => {
+                    self.gather(cx, cells, args)?;
                     return err(format!("undefined function `{name}`"));
                 }
-            }
-            InstrKind::Display { value, label } => {
-                let v = self.read_operand(frame, plan, *value)?;
-                self.shared.out.push_str(&format::echo(label, &v));
+            },
+            InstrKind::Display { value: v, label } => {
+                let val = value(cells, cx.table, *v)?;
+                self.note_read(cx, *v);
+                self.shared.out.push_str(&format::echo(label, val));
                 self.mem.advance(4);
             }
             InstrKind::Effect { builtin, args } => {
-                let vals = self.gather(frame, plan, args)?;
-                let refs: Vec<&Value> = vals.iter().collect();
-                dispatch::eval_builtin(*builtin, &refs, &mut self.shared)?;
+                let vals = self.gather(cx, cells, args)?;
+                dispatch::eval_builtin(*builtin, &vals, &mut self.shared)?;
                 self.mem.advance(4);
             }
         }
         Ok(())
     }
 
-    fn read_operand(&mut self, frame: &Frame, plan: &StoragePlan, v: VarId) -> Result<Value> {
-        let value = operand_value(frame, plan, v).cloned()?;
-        if plan.slot_of(v).is_some() {
-            let (fi, bi) = (self.cur_func, self.cur_block);
-            if let Some(log) = self.shadow.as_mut() {
-                log.record_read(fi, bi, v.index());
+    /// Borrows call arguments, recording each read.
+    fn gather<'c>(
+        &mut self,
+        cx: Ctx<'_>,
+        cells: &'c [Cell],
+        args: &[Operand],
+    ) -> Result<Vec<&'c Value>> {
+        let mut vals = Vec::with_capacity(args.len());
+        for a in args {
+            match a {
+                Operand::Var(v) => {
+                    vals.push(value(cells, cx.table, *v)?);
+                    self.note_read(cx, *v);
+                }
+                Operand::ColonAll => return err("unexpected `:` outside subscripts"),
             }
         }
-        Ok(value)
+        Ok(vals)
     }
 
-    fn gather(
+    /// The allocation-free path: a real-scalar result written into the
+    /// destination cell's buffer, or a scalar-subscript `subsasgn`
+    /// storing one element in place (or into the destination's buffer).
+    /// Returns `false`, having done nothing, when the general path must
+    /// run — that path also owns every error message.
+    fn compute_fast(
         &mut self,
-        frame: &Frame,
-        plan: &StoragePlan,
+        cx: Ctx<'_>,
+        cells: &mut [Cell],
+        dst: VarId,
+        op: &Op,
         args: &[Operand],
-    ) -> Result<Vec<Value>> {
-        args.iter()
-            .map(|a| match a {
-                Operand::Var(v) => self.read_operand(frame, plan, *v),
-                Operand::ColonAll => err("unexpected `:` outside subscripts"),
-            })
-            .collect()
+    ) -> bool {
+        if args.len() > FAST_ARGS || matches!(op, Op::Call(_)) {
+            return false;
+        }
+        let mut argv = [Arg::Colon; FAST_ARGS];
+        for (slot, a) in argv.iter_mut().zip(args) {
+            if let Operand::Var(v) = a {
+                match &cells[cx.table.cell[v.index()]].value {
+                    Some(val) => *slot = Arg::Val(val),
+                    None => return false,
+                }
+            }
+        }
+        let argv = &argv[..args.len()];
+        let fast = match (op, argv) {
+            (Op::Subsasgn, [Arg::Val(a), Arg::Val(r), subs @ ..]) if !a.is_complex() => {
+                match (r.as_scalar(), dispatch::scalar_index(a, subs)) {
+                    (Some(x), Some(index)) => Fast::Assign {
+                        index,
+                        x,
+                        numel: a.numel(),
+                    },
+                    _ => return false,
+                }
+            }
+            _ => match dispatch::eval_scalar(op, argv) {
+                Some((x, class)) => Fast::Scalar(x, class),
+                None => return false,
+            },
+        };
+        match fast {
+            Fast::Scalar(x, class) => {
+                self.mem.advance(1);
+                let c = self.define(cx, cells, dst, 1, None);
+                put_scalar(&mut cells[c], x, class);
+            }
+            Fast::Assign { index, x, numel } => {
+                let ac = cx.table.cell[args[0].as_var().expect("array operand").index()];
+                let dc = cx.table.cell[dst.index()];
+                if ac == dc && dc < cx.plan.slots.len() {
+                    // In place, like the general in-place path: the value
+                    // and subscripts are read, the array stays put.
+                    for a in &args[1..] {
+                        if let Operand::Var(v) = a {
+                            self.note_read(cx, *v);
+                        }
+                    }
+                } else {
+                    copy_cell(cells, dc, ac);
+                }
+                cells[dc].value.as_mut().expect("written above").re_mut()[index] = x;
+                self.mem.advance(numel as u64);
+                self.define(cx, cells, dst, numel, None);
+            }
+        }
+        true
     }
 
     /// Computes an operation, taking the allocation-free in-place path
     /// when the destination shares its array operand's slot.
     fn compute(
         &mut self,
-        plan: &StoragePlan,
-        frame: &mut Frame,
+        cx: Ctx<'_>,
+        cells: &mut [Cell],
         dst: VarId,
         op: &Op,
         args: &[Operand],
+        at: usize,
     ) -> Result<Value> {
+        let t = cx.table;
+        let dc = t.cell[dst.index()];
+        let planned = dc < cx.plan.slots.len() && cells[dc].value.is_some();
         // In-place elementwise: dst and first-or-second operand in the
         // same slot, real data (Figure 1's generated-C specialization).
-        if let (Op::Bin(b), Some(dslot)) = (op, plan.slot_of(dst)) {
-            // (kernel, commutative, other-must-be-scalar): `*` and `/`
-            // are elementwise — hence in-place — only against a scalar
+        if let (Op::Bin(b), true) = (op, planned) {
+            // (commutative, other-must-be-scalar): `*` and `/` are
+            // elementwise — hence in-place — only against a scalar
             // operand (§2.3's dual semantics of `*`).
-            type InplaceKernel = (fn(f64, f64) -> f64, bool, bool);
-            let kernel: Option<InplaceKernel> = match b {
-                BinOp::Add => Some((|x, y| x + y, true, false)),
-                BinOp::Sub => Some((|x, y| x - y, false, false)),
-                BinOp::ElemMul => Some((|x, y| x * y, true, false)),
-                BinOp::ElemDiv => Some((|x, y| x / y, false, false)),
-                BinOp::MatMul => Some((|x, y| x * y, true, true)),
-                BinOp::MatDiv => Some((|x, y| x / y, false, true)),
+            let shape = match b {
+                BinOp::Add | BinOp::ElemMul => Some((true, false)),
+                BinOp::Sub | BinOp::ElemDiv => Some((false, false)),
+                BinOp::MatMul => Some((true, true)),
+                BinOp::MatDiv => Some((false, true)),
                 _ => None,
             };
-            if let Some((k, commutative, need_scalar)) = kernel {
-                let v0 = args[0].as_var();
-                let v1 = args[1].as_var();
-                let slot_of = |v: Option<VarId>| v.and_then(|v| plan.slot_of(v));
-                // dst in-place in operand 0?
-                let try_inplace = |frame: &mut Frame,
-                                   buf_var: VarId,
-                                   other_var: VarId|
-                 -> Result<Option<Value>> {
-                    if need_scalar {
-                        let other = if other_var == buf_var {
-                            &frame.slots[dslot].value
-                        } else {
-                            operand_value(frame, plan, other_var)?
-                        };
-                        if !other.is_scalar() {
-                            return Ok(None); // true matrix op: allocate
-                        }
-                    }
-                    let mut buf = std::mem::replace(&mut frame.slots[dslot].value, Value::empty());
-                    // `c = a op a`: the operand is the taken buffer itself.
-                    let done = if other_var == buf_var {
+            if let Some((commutative, need_scalar)) = shape {
+                let (k, _) = dispatch::real_kernel(*b);
+                let v0 = args[0].as_var().expect("binary operand");
+                let v1 = args[1].as_var().expect("binary operand");
+                // Operand order: the one sharing dst's slot is updated.
+                let other = if t.cell[v0.index()] == dc {
+                    Some(v1)
+                } else if commutative && t.cell[v1.index()] == dc {
+                    Some(v0)
+                } else {
+                    None
+                };
+                // A true matrix product allocates.
+                let other = match other {
+                    Some(o) if need_scalar && !value(cells, t, o)?.is_scalar() => None,
+                    o => o,
+                };
+                if let Some(other) = other {
+                    let mut buf = cells[dc].value.take().expect("planned above");
+                    // `c = a op a`: the operand is the taken buffer.
+                    let done = if t.cell[other.index()] == dc {
                         let rhs = buf.clone();
                         arith::ew_assign(&mut buf, &rhs, k)
                     } else {
-                        let other = operand_value(frame, plan, other_var)?;
-                        arith::ew_assign(&mut buf, other, k)
+                        arith::ew_assign(&mut buf, value(cells, t, other)?, k)
                     };
                     if done {
-                        Ok(Some(buf))
-                    } else {
-                        frame.slots[dslot].value = buf;
-                        Ok(None)
+                        return Ok(buf);
                     }
-                };
-                if slot_of(v0) == Some(dslot) && frame.slots[dslot].initialized {
-                    if let Some(r) = try_inplace(frame, v0.unwrap(), v1.unwrap())? {
-                        return Ok(r);
-                    }
-                } else if commutative
-                    && slot_of(v1) == Some(dslot)
-                    && frame.slots[dslot].initialized
-                {
-                    if let Some(r) = try_inplace(frame, v1.unwrap(), v0.unwrap())? {
-                        return Ok(r);
-                    }
+                    cells[dc].value = Some(buf);
                 }
             }
         }
         // In-place subsasgn: move the array out of the shared slot and
         // let the growth logic reuse its buffer.
-        if let (Op::Subsasgn, Some(dslot)) = (op, plan.slot_of(dst)) {
-            if let Some(Operand::Var(a)) = args.first() {
-                if plan.slot_of(*a) == Some(dslot) && frame.slots[dslot].initialized {
-                    let arr = std::mem::replace(&mut frame.slots[dslot].value, Value::empty());
-                    let r = self.read_operand(frame, plan, args[1].as_var().unwrap())?;
-                    let mut subs = Vec::with_capacity(args.len() - 2);
-                    for s in &args[2..] {
-                        subs.push(match s {
-                            Operand::ColonAll => matc_runtime::ops::index::Sub::Colon,
-                            Operand::Var(v) => matc_runtime::ops::index::Sub::from_value(
-                                &self.read_operand(frame, plan, *v)?,
-                            )?,
-                        });
-                    }
-                    return matc_runtime::ops::index::subsasgn(arr, &r, &subs);
+        if let (Op::Subsasgn, true, Some(Operand::Var(a))) = (op, planned, args.first()) {
+            if t.cell[a.index()] == dc {
+                let rv = args[1].as_var().expect("subsasgn value");
+                value(cells, t, rv)?;
+                self.note_read(cx, rv);
+                let mut subs = Vec::with_capacity(args.len() - 2);
+                for s in &args[2..] {
+                    subs.push(match s {
+                        Operand::ColonAll => index::Sub::Colon,
+                        Operand::Var(v) => {
+                            let sv = value(cells, t, *v)?;
+                            self.note_read(cx, *v);
+                            index::Sub::from_value(sv)?
+                        }
+                    });
                 }
+                let arr = cells[dc].value.take().expect("planned above");
+                return match &cells[t.cell[rv.index()]].value {
+                    Some(r) => index::subsasgn(arr, r, &subs),
+                    // The value shares the array's slot.
+                    None => {
+                        let r = arr.clone();
+                        index::subsasgn(arr, &r, &subs)
+                    }
+                };
             }
         }
         if let Op::Call(name) = op {
-            let vals = self.gather(frame, plan, args)?;
-            let fid = *self
-                .compiled
-                .ir
-                .by_name
-                .get(name)
-                .ok_or_else(|| matc_runtime::RtError::new(format!("undefined `{name}`")))?;
-            let mut outs = self.call(fid, vals)?;
-            return outs
-                .drain(..)
+            let vals = self.gather(cx, cells, args)?;
+            let Callee::User(fid) = t.callees[at] else {
+                return err(format!("undefined `{name}`"));
+            };
+            let vals = vals.into_iter().cloned().collect();
+            return self
+                .call(cx.tables, fid, vals)?
+                .into_iter()
                 .next()
                 .ok_or_else(|| matc_runtime::RtError::new(format!("`{name}` returned nothing")));
         }
-        // General path: operands are borrowed straight from their slots.
+        // General path: operands are borrowed straight from their cells.
         let mut arg_refs: Vec<Arg<'_>> = Vec::with_capacity(args.len());
         for a in args {
             arg_refs.push(match a {
-                Operand::Var(v) => Arg::Val(operand_value(frame, plan, *v)?),
+                Operand::Var(v) => Arg::Val(value(cells, t, *v)?),
                 Operand::ColonAll => Arg::Colon,
             });
         }
@@ -748,6 +948,84 @@ mod more_tests {
         assert_eq!(out, interp.run().unwrap());
         assert_eq!(vm.plan_violations, 0);
         assert_eq!(vm.mem.live_heap(), 0);
+    }
+
+    /// Runs `src` in the planned VM and the interpreter; asserts equal
+    /// output, a clean plan and an empty heap at exit.
+    fn agrees_cleanly(src: &str) -> String {
+        let ast = parse_program([src]).unwrap();
+        let compiled = compile(&ast, GctdOptions::default()).unwrap();
+        let mut vm = PlannedVm::new(&compiled);
+        let out = vm.run().unwrap_or_else(|e| panic!("planned vm error: {e}"));
+        let want = crate::interp::Interp::new(&ast).run().unwrap();
+        assert_eq!(out, want);
+        assert_eq!(vm.plan_violations, 0);
+        assert_eq!(vm.mem.live_heap(), 0);
+        out
+    }
+
+    #[test]
+    fn scalar_overwrites_a_matrix_slot() {
+        // `a`, `b`, `s` and `t` share one 128-byte stack slot: the scalar
+        // results land in the buffer that held the 4x4 matrices, and the
+        // next iteration's matrix replaces them again.
+        let src = "function f()
+for k = 1:3
+a = rand(4, 4) * k;
+b = a + 1;
+s = b(2, 3);
+t = s * 2;
+fprintf('%.6f\\n', t);
+end
+";
+        let ast = parse_program([src]).unwrap();
+        let compiled = compile(&ast, GctdOptions::default()).unwrap();
+        let shares = compiled.plans.plans[0].slots.iter().any(|s| {
+            let names: Vec<&str> = s
+                .members
+                .iter()
+                .filter_map(|v| compiled.ir.functions[0].vars.info(*v).name.as_deref())
+                .collect();
+            names.contains(&"b") && names.contains(&"s")
+        });
+        assert!(shares, "the matrix and the scalar share a slot");
+        agrees_cleanly(src);
+    }
+
+    #[test]
+    fn scalar_subscript_of_a_char_array_keeps_char() {
+        let out = agrees_cleanly(
+            "function f()\ns = 'hello';\nfor i = 1:5\nc = s(i);\ndisp(c);\nend\nt = [s(5) s(1)];\ndisp(t);\n",
+        );
+        assert_eq!(out, "h\ne\nl\nl\no\noh\n");
+    }
+
+    #[test]
+    fn recursive_calls_pass_and_return_arrays() {
+        agrees_cleanly(
+            "function f()\nv = rand(1, 5);\n[s, w] = walk(v, 5);\nfprintf('%.10f %.10f\\n', s, sum(w));\nend\nfunction [s, w] = walk(v, n)\nif n == 0\ns = 0;\nw = v;\nelse\n[s, w] = walk(v * 2, n - 1);\ns = s + v(n) + rsum(w, n);\nend\nend\nfunction r = rsum(u, n)\nif n == 0\nr = 0;\nelse\nr = u(n) + rsum(u, n - 1);\nend\nend\n",
+        );
+    }
+
+    #[test]
+    fn subscript_errors_keep_the_general_text() {
+        for (src, want) in [
+            (
+                "function f()\na = [1 2 3];\nfprintf('%g\\n', a(4));\n",
+                "index 4 exceeds the 3 elements of the array",
+            ),
+            (
+                "function f()\na = [1 2 3];\ni = 1.5;\nfprintf('%g\\n', a(i));\n",
+                "subscript must be a positive integer, got 1.5",
+            ),
+        ] {
+            let ast = parse_program([src]).unwrap();
+            let compiled = compile(&ast, GctdOptions::default()).unwrap();
+            let e = PlannedVm::new(&compiled).run().unwrap_err();
+            let interp = crate::interp::Interp::new(&ast).run().unwrap_err();
+            assert_eq!(e.message, want);
+            assert_eq!(e.message, interp.message);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 default: check
 
-check: fmt clippy test bench-test audit-bench batch-bench fault-bench sim-bench perf-bench shadow-bench cache-bench
+check: fmt clippy test paper-scale bench-test audit-bench batch-bench fault-bench sim-bench perf-bench shadow-bench cache-bench
 
 fmt:
     cargo fmt --all -- --check
@@ -14,6 +14,12 @@ clippy:
 
 test:
     cargo test --workspace -q
+
+# The planned VM against the interpreter on the benchsuite at the
+# Paper preset sizes (`tests/paper_scale.rs`; ignored by `just test`
+# because it needs a release build, ~10 s).
+paper-scale:
+    cargo test --release --test paper_scale -- --ignored
 
 # The benchmark package's own tests (replay equivalence with
 # `compile_unit`, the statistics, the metric registry against
