@@ -439,8 +439,8 @@ static void k_pow(double ar, double ai, double br, double bi, double *cr, double
  * broadcasts), the expression chosen once, outside the element loop.
  * Arithmetic is bit-identical to the complex kernels' real part with
  * zero imaginary parts: `./` keeps k_div's `+ 0*0` terms (they decide
- * the sign of zero quotients and make x./0 NaN), and k_mul's
- * `x*y - 0*0` is exactly x*y. */
+ * the sign of zero quotients and make x./0 NaN), k_mul's `x*y - 0*0`
+ * is exactly x*y, and `.^` comes here only when pow_is_real holds. */
 static void ew_real(mrt_val *out, const mrt_val *a, const mrt_val *b, int id) {
     int d0, d1, d2;
     ew_dims(a, b, &d0, &d1, &d2);
@@ -472,6 +472,7 @@ static void ew_real(mrt_val *out, const mrt_val *a, const mrt_val *b, int id) {
     case OP_MOD: EW_LOOP(y == 0.0 ? x : x - y * floor(x / y)); break;
     case OP_REM: EW_LOOP(y == 0.0 ? (0.0 / 0.0) : x - y * trunc(x / y)); break;
     case OP_ATAN2: EW_LOOP(atan2(x, y)); break;
+    case OP_POWER: EW_LOOP(pow(x, y)); break;
     default: die("not a real elementwise operation");
     }
 #undef EW_LOOP
@@ -483,10 +484,24 @@ static const ckernel ew_kernels[OP_COUNT] = {
     [OP_RDIVIDE] = k_div, [OP_POWER] = k_pow,
 };
 
+/* Whether every element pair of a real `.^` takes k_pow's real branch
+ * (a base that is not negative, or an integral exponent), so the real
+ * loop's pow(x, y) is the same bits. */
+static int pow_is_real(const mrt_val *a, const mrt_val *b) {
+    int d0, d1, d2;
+    ew_dims(a, b, &d0, &d1, &d2);
+    size_t n = (size_t)d0 * d1 * d2, sa = !is_scalar(a), sb = !is_scalar(b);
+    for (size_t i = 0; i < n; i++) {
+        double x = a->re[i * sa], y = b->re[i * sb];
+        if (!(x >= 0.0 || y == floor(y))) return 0;
+    }
+    return 1;
+}
+
 /* Elementwise arithmetic: id is OP_ADD, OP_SUB, OP_TIMES, OP_RDIVIDE
  * or OP_POWER. */
 static void ew_op(mrt_val *out, const mrt_val *a, const mrt_val *b, int id) {
-    if (id != OP_POWER && !a->im && !b->im) {
+    if (!a->im && !b->im && (id != OP_POWER || pow_is_real(a, b))) {
         ew_real(out, a, b, id);
         return;
     }
@@ -623,79 +638,200 @@ static void effective_dims(const mrt_val *a, int m, int *dims) {
     }
 }
 
-static size_t sub_count(const mrt_val *s, int extent) {
-    return s ? numel(s) : (size_t)extent;
+/* An index plan (DESIGN.md §17), built as the Rust runtime builds its
+ * own: per subscripted dimension, a progression or an explicit list,
+ * in indices until ix_layout turns them into element offsets. */
+typedef struct {
+    size_t start;   /* first index / offset of a progression        */
+    ptrdiff_t step; /* its step (zero or negative allowed)          */
+    size_t count;   /* indices along the dimension                  */
+    size_t *list;   /* explicit indices / offsets, or NULL          */
+    size_t end;     /* largest index + 1; 0 for `:` or no indices   */
+} ix_axis;
+
+typedef struct {
+    int n;
+    ix_axis ax[3];
+} ix_plan;
+
+/* The 0-based index of subscript value v (clamped far beyond any
+ * extent, so huge values convert without overflow). */
+static size_t ix_index(double v) {
+    return (size_t)(v < 9.0e15 ? v : 9.0e15) - 1;
 }
 
-static size_t sub_index(const mrt_val *s, size_t k) {
-    if (!s) return k;
-    double x = s->re[k];
-    if (x < 1.0 || x != floor(x)) die("subscript must be a positive integer");
-    return (size_t)x - 1;
+/* Reads subscript s into x: every value must be a positive integer;
+ * equally spaced values become a progression. */
+static void ix_scan(ix_axis *x, const mrt_val *s) {
+    size_t n = numel(s), prev = 0;
+    int prog = 1;
+    x->count = n;
+    for (size_t k = 0; k < n; k++) {
+        double v = s->re[k];
+        if (!(v >= 1.0) || v != floor(v) || isinf(v)) die("subscript must be a positive integer");
+        size_t i = ix_index(v);
+        if (k == 0) x->start = i;
+        else if (k == 1) x->step = (ptrdiff_t)(i - prev);
+        else if ((ptrdiff_t)(i - prev) != x->step) prog = 0;
+        if (i >= x->end) x->end = i + 1;
+        prev = i;
+    }
+    if (prog) return;
+    x->list = (size_t *)malloc(n * sizeof(size_t));
+    if (!x->list) die("out of memory");
+    for (size_t k = 0; k < n; k++) x->list[k] = ix_index(s->re[k]);
+}
+
+/* Reads every subscript (NULL for `:`, which covers extents[k]) before
+ * any extent is checked — the Rust runtime's order. Returns the
+ * addressed element count. */
+static size_t ix_build(ix_plan *p, int nsubs, const mrt_val *const *subs, const int *extents) {
+    if (nsubs < 1 || nsubs > 3) die("indexing takes one to three subscripts");
+    size_t total = 1;
+    p->n = nsubs;
+    for (int k = 0; k < nsubs; k++) {
+        ix_axis *x = &p->ax[k];
+        x->start = 0; x->step = 1; x->count = (size_t)extents[k];
+        x->list = NULL; x->end = 0;
+        if (subs[k]) ix_scan(x, subs[k]);
+        total *= x->count;
+    }
+    return total;
+}
+
+/* Scales indices to element offsets under the array's extents. */
+static void ix_layout(ix_plan *p, const int *dims) {
+    size_t stride = 1;
+    for (int k = 0; k < p->n; k++) {
+        ix_axis *x = &p->ax[k];
+        if (x->list) {
+            for (size_t i = 0; i < x->count; i++) x->list[i] *= stride;
+        } else {
+            x->start *= stride;
+            x->step *= (ptrdiff_t)stride;
+        }
+        stride *= (size_t)dims[k];
+    }
+}
+
+static void ix_free(ix_plan *p) {
+    for (int k = 0; k < p->n; k++)
+        if (p->ax[k].list) free(p->ax[k].list);
+}
+
+static size_t ix_offset(const ix_axis *x, size_t k) {
+    return x->list ? x->list[k] : x->start + (size_t)((ptrdiff_t)k * x->step);
+}
+
+/* The summed offset of dimensions 2..n at odometer position k, then
+ * the odometer advanced (first of them fastest). */
+static size_t ix_next_base(const ix_plan *p, size_t *k) {
+    size_t base = 0;
+    for (int d = 1; d < p->n; d++) base += ix_offset(&p->ax[d], k[d]);
+    for (int d = 1; d < p->n; d++) {
+        if (++k[d] < p->ax[d].count) break;
+        k[d] = 0;
+    }
+    return base;
+}
+
+/* Copies the addressed elements of src to out, column by column; a
+ * unit-step first dimension is one run. */
+static void ix_gather(double *out, const double *src, const ix_plan *p, size_t total) {
+    const ix_axis *in = &p->ax[0];
+    size_t n0 = in->count, k[3] = {0, 0, 0};
+    for (size_t e = 0; e < total; e += n0) {
+        const double *s = src + ix_next_base(p, k);
+        if (in->list) {
+            for (size_t i = 0; i < n0; i++) out[e + i] = s[in->list[i]];
+        } else if (in->step == 1 && n0 > 1) {
+            memcpy(out + e, s + in->start, n0 * sizeof(double));
+        } else {
+            for (size_t i = 0, o = in->start; i < n0; i++, o += (size_t)in->step)
+                out[e + i] = s[o];
+        }
+    }
+}
+
+/* Stores vals — one per addressed element, or vals[0] for all when
+ * `scalar` — at the addressed positions of dst. */
+static void ix_scatter(double *dst, const double *vals, int scalar, const ix_plan *p,
+                       size_t total) {
+    const ix_axis *in = &p->ax[0];
+    size_t n0 = in->count, k[3] = {0, 0, 0}, vs = !scalar;
+    for (size_t e = 0; e < total; e += n0) {
+        double *d = dst + ix_next_base(p, k);
+        const double *v = vals + e * vs;
+        if (in->list) {
+            for (size_t i = 0; i < n0; i++) d[in->list[i]] = v[i * vs];
+        } else if (in->step == 1 && n0 > 1 && vs) {
+            memmove(d + in->start, v, n0 * sizeof(double));
+        } else {
+            for (size_t i = 0, o = in->start; i < n0; i++, o += (size_t)in->step)
+                d[o] = v[i * vs];
+        }
+    }
+}
+
+/* The offset of the element that one to three in-range scalar
+ * subscripts select in an array of extents dims, or -1 when the index
+ * plan must run (it owns every error). Like the planned VM's
+ * dispatch::scalar_index, this spares scalar indexing the plan. */
+static ptrdiff_t scalar_offset(int nsubs, const mrt_val *const *subs, const int *dims) {
+    size_t off = 0, stride = 1;
+    if (nsubs < 1 || nsubs > 3) return -1;
+    for (int k = 0; k < nsubs; k++) {
+        if (!subs[k] || numel(subs[k]) != 1) return -1;
+        double v = subs[k]->re[0];
+        if (!(v >= 1.0 && v <= (double)dims[k]) || v != floor(v)) return -1;
+        off += ((size_t)v - 1) * stride;
+        stride *= (size_t)dims[k];
+    }
+    return (ptrdiff_t)off;
 }
 
 static void subsref(mrt_val *out, const mrt_val *a, int nsubs,
                     const mrt_val *const *subs) {
-    if (nsubs == 1) {
-        const mrt_val *s = subs[0];
-        size_t n = numel(a);
-        if (!s) { /* a(:) — column of all elements */
-            ensure(out, n, a->im != NULL);
-            if (n) memcpy(out->re, a->re, n * sizeof(double));
-            if (n && a->im) memcpy(out->im, a->im, n * sizeof(double));
-            set_dims(out, (int)n, 1, 1);
-            return;
-        }
-        size_t m = numel(s);
-        ensure(out, m, a->im != NULL);
-        for (size_t k = 0; k < m; k++) {
-            size_t i = sub_index(s, k);
-            if (i >= n) die("index exceeds array elements");
-            out->re[k] = a->re[i];
-            if (a->im) out->im[k] = a->im[i];
-        }
-        /* Orientation: vector sources keep their orientation; matrix
-         * subscripts shape the result (as the Rust dispatcher). */
-        if (is_vector(a) || is_scalar(a)) {
-            if (a->d0 == 1) set_dims(out, 1, (int)m, 1);
-            else set_dims(out, (int)m, 1, 1);
-        } else if (!is_vector(s)) {
-            set_dims(out, s->d0, s->d1, s->d2);
-        } else {
-            set_dims(out, 1, (int)m, 1);
-        }
-        out->is_char = a->is_char;
-        return;
-    }
+    if (nsubs == 0) { assign(out, a); return; }
     int dims[3] = {1, 1, 1};
     effective_dims(a, nsubs, dims);
-    size_t lens[3], strides[3];
-    strides[0] = 1;
-    for (int k = 1; k < nsubs; k++) strides[k] = strides[k - 1] * (size_t)dims[k - 1];
-    size_t total = 1;
-    for (int k = 0; k < nsubs; k++) {
-        lens[k] = sub_count(subs[k], dims[k]);
-        total *= lens[k];
+    ptrdiff_t at = scalar_offset(nsubs, subs, dims);
+    if (at >= 0) {
+        ensure(out, 1, a->im != NULL);
+        out->re[0] = a->re[at];
+        if (a->im) out->im[0] = a->im[at];
+        set_dims(out, 1, 1, 1);
+        out->is_char = a->is_char;
+        if (out->im) normalize(out);
+        return;
     }
+    ix_plan p;
+    size_t total = ix_build(&p, nsubs, subs, dims);
+    for (int k = 0; k < nsubs; k++)
+        if (p.ax[k].end > (size_t)dims[k])
+            die(nsubs == 1 ? "index exceeds array elements" : "index exceeds array extent");
+    ix_layout(&p, dims);
     ensure(out, total, a->im != NULL);
-    size_t counter[3] = {0, 0, 0};
-    for (size_t e = 0; e < total; e++) {
-        size_t src = 0;
-        for (int k = 0; k < nsubs; k++) {
-            size_t i = subs[k] ? sub_index(subs[k], counter[k]) : counter[k];
-            if (i >= (size_t)dims[k]) die("index exceeds array extent");
-            src += i * strides[k];
-        }
-        out->re[e] = a->re[src];
-        if (a->im) out->im[e] = a->im[src];
-        for (int k = 0; k < nsubs; k++) {
-            if (++counter[k] < lens[k]) break;
-            counter[k] = 0;
-        }
+    ix_gather(out->re, a->re, &p, total);
+    if (a->im) ix_gather(out->im, a->im, &p, total);
+    const mrt_val *s = subs[0];
+    if (nsubs > 1) {
+        set_dims(out, (int)p.ax[0].count, (int)p.ax[1].count, nsubs == 3 ? (int)p.ax[2].count : 1);
+    } else if (!s) { /* a(:) — column of all elements */
+        set_dims(out, (int)total, 1, 1);
+    } else if (is_vector(a) || is_scalar(a)) {
+        /* Vector sources keep their orientation; matrix subscripts
+         * shape the result (as the Rust dispatcher). */
+        if (a->d0 == 1) set_dims(out, 1, (int)total, 1);
+        else set_dims(out, (int)total, 1, 1);
+    } else if (!is_vector(s)) {
+        set_dims(out, s->d0, s->d1, s->d2);
+    } else {
+        set_dims(out, 1, (int)total, 1);
     }
-    if (nsubs == 2) set_dims(out, (int)lens[0], (int)lens[1], 1);
-    else set_dims(out, (int)lens[0], (int)lens[1], (int)lens[2]);
     out->is_char = a->is_char;
+    if (out->im) normalize(out);
+    ix_free(&p);
 }
 
 /* Grows `v` in place from old dims to new dims (zero fill, backward
@@ -739,86 +875,53 @@ static void subsasgn(mrt_val *dst, const mrt_val *a, const mrt_val *r,
     /* Work on dst holding a's value (callers pass dst == slot of a when
      * the plan coalesced them; otherwise copy a in first). */
     if (dst->re != a->re) assign(dst, a);
-    if (r->im) ensure(dst, numel(dst) ? numel(dst) : 1, 1);
-
-    if (nsubs == 1) {
-        const mrt_val *s = subs[0];
-        size_t n = numel(dst);
-        size_t count = s ? numel(s) : n;
-        size_t need = 0;
-        for (size_t k = 0; k < count; k++) {
-            size_t i = s ? sub_index(s, k) : k;
-            if (i + 1 > need) need = i + 1;
-        }
-        if (need > n) {
-            int old_dims[3] = {dst->d0, dst->d1, dst->d2};
-            int new_dims[3];
-            if (n == 0) {
-                new_dims[0] = 1; new_dims[1] = (int)need; new_dims[2] = 1;
-            } else if (dst->d0 == 1 && dst->d2 == 1) {
-                new_dims[0] = 1; new_dims[1] = (int)need; new_dims[2] = 1;
-            } else if (dst->d1 == 1 && dst->d2 == 1) {
-                new_dims[0] = (int)need; new_dims[1] = 1; new_dims[2] = 1;
-            } else {
-                die("linear index exceeds a non-vector");
-                return;
-            }
-            grow_to(dst, old_dims, new_dims);
-        }
-        int rs = is_scalar(r);
-        for (size_t k = 0; k < count; k++) {
-            size_t i = s ? sub_index(s, k) : k;
-            size_t e = rs ? 0 : k;
-            dst->re[i] = r->re[e];
-            if (r->im) dst->im[i] = r->im[e];
-            else if (dst->im) dst->im[i] = 0.0;
-        }
-        return;
-    }
-
     int cur[3] = {1, 1, 1};
     effective_dims(dst, nsubs, cur);
-    int nd[3] = {cur[0], cur[1], nsubs == 3 ? cur[2] : 1};
-    for (int k = 0; k < nsubs; k++) {
-        const mrt_val *s = subs[k];
-        if (!s) continue;
-        size_t m = numel(s);
-        for (size_t e = 0; e < m; e++) {
-            size_t i = sub_index(s, e);
-            if ((int)i + 1 > nd[k]) nd[k] = (int)i + 1;
-        }
+    ptrdiff_t at = is_scalar(r) ? scalar_offset(nsubs, subs, cur) : -1;
+    if (at >= 0) {
+        if (r->im) ensure(dst, numel(dst), 1);
+        dst->re[at] = r->re[0];
+        if (dst->im) dst->im[at] = r->im ? r->im[0] : 0.0;
+        return;
     }
-    int old_dims[3] = {cur[0], cur[1], nsubs == 3 ? cur[2] : 1};
-    if (nd[0] != old_dims[0] || nd[1] != old_dims[1] || nd[2] != old_dims[2])
-        grow_to(dst, old_dims, nd);
-
-    size_t lens[3], strides[3];
-    strides[0] = 1;
-    strides[1] = (size_t)nd[0];
-    strides[2] = (size_t)nd[0] * nd[1];
-    size_t total = 1;
-    for (int k = 0; k < nsubs; k++) {
-        lens[k] = sub_count(subs[k], cur[k]);
-        total *= lens[k];
-    }
+    ix_plan p;
+    size_t total = ix_build(&p, nsubs, subs, cur);
     int rs = is_scalar(r);
     if (!rs && numel(r) != total) die("subsasgn value count mismatch");
-    size_t counter[3] = {0, 0, 0};
-    for (size_t e = 0; e < total; e++) {
-        size_t pos = 0;
-        for (int k = 0; k < nsubs; k++) {
-            size_t i = subs[k] ? sub_index(subs[k], counter[k]) : counter[k];
-            pos += i * strides[k];
-        }
-        size_t ri = rs ? 0 : e;
-        dst->re[pos] = r->re[ri];
-        if (r->im) dst->im[pos] = r->im[ri];
-        else if (dst->im) dst->im[pos] = 0.0;
-        for (int k = 0; k < nsubs; k++) {
-            if (++counter[k] < lens[k]) break;
-            counter[k] = 0;
-        }
+
+    /* Target extents: grown to cover every subscript. */
+    int nd[3] = {cur[0], cur[1], cur[2]};
+    for (int k = 0; k < nsubs; k++) {
+        if (p.ax[k].end <= (size_t)nd[k]) continue;
+        if (p.ax[k].end > 0x7fffffff) die("subscript too large");
+        nd[k] = (int)p.ax[k].end;
     }
+    if (nsubs == 1 && nd[0] > cur[0]) {
+        /* Linear growth is only defined for vectors (and empties). */
+        int need = nd[0];
+        if (cur[0] == 0 || (dst->d0 == 1 && dst->d2 == 1)) {
+            nd[0] = 1; nd[1] = need;
+        } else if (dst->d1 == 1 && dst->d2 == 1) {
+            nd[1] = 1;
+        } else {
+            die("linear index exceeds a non-vector");
+        }
+        int old_dims[3] = {dst->d0, dst->d1, dst->d2};
+        grow_to(dst, old_dims, nd);
+    } else if (nsubs > 1 && (nd[0] != cur[0] || nd[1] != cur[1] || nd[2] != cur[2])) {
+        grow_to(dst, cur, nd);
+    }
+    if (r->im) ensure(dst, numel(dst) ? numel(dst) : 1, 1);
+
+    ix_layout(&p, nd);
+    ix_scatter(dst->re, r->re, rs, &p, total);
+    if (r->im) {
+        ix_scatter(dst->im, r->im, rs, &p, total);
+    } else if (dst->im) {
+        static const double zero = 0.0;
+        ix_scatter(dst->im, &zero, 1, &p, total);
+    }
+    ix_free(&p);
 }
 
 static void range_op(mrt_val *out, double a, double step, double b) {

@@ -219,9 +219,14 @@ fn generated_c_is_clean_under_sanitizers() {
 /// fixed) equal results computed in place over operand 0 (same handle
 /// or same buffer); a dst that held a complex or char value gets a
 /// clean real result; the real fast paths compute the complex kernels'
-/// real parts bit for bit; `concat:` names dispatch. The two error
-/// paths must still exit 70 with their messages. Built under the
-/// sanitizers when the host supports them.
+/// real parts bit for bit; `concat:` names dispatch; index plans
+/// (DESIGN.md §17) gather and scatter the hand-computed elements for
+/// colons, ranges of every step, repeated, permuted and empty
+/// subscripts, 3-D and partial indexing, growth and an overlapping
+/// shift. The error paths must exit 70 with their messages, subscript
+/// errors in the Rust runtime's order. Built under the sanitizers when
+/// the host supports them, so the run copies are checked by ASan and
+/// UBSan.
 #[test]
 fn runtime_contract_holds() {
     let Some(cc) = find_cc() else {
@@ -246,6 +251,9 @@ fn runtime_contract_holds() {
     for (mode, message) in [
         ("plan", "storage plan violation"),
         ("unknown", "mrt: unimplemented operation `frobnicate`"),
+        ("order", "mrt: subscript must be a positive integer"),
+        ("asgnorder", "mrt: subscript must be a positive integer"),
+        ("extent", "mrt: index exceeds array extent"),
     ] {
         let run = Command::new(&exe).arg(mode).output().unwrap();
         let err = String::from_utf8_lossy(&run.stderr);
@@ -286,7 +294,7 @@ fn generated_c_grows_arrays_like_the_interpreter() {
         ),
         (
             "three_d",
-            "a = zeros(2, 2);\na(:, :, 2) = [1 2; 3 4];\ndisp(a);\na(3, 1, 2) = 5;\ndisp(a);\na(2, 3, 3) = 6;\ndisp(a);\nfprintf('%d\\n', numel(a));\n",
+            "a = zeros(2, 2);\na(:, :, 2) = [1 2; 3 4];\ndisp(a);\na(3, 1, 2) = 5;\ndisp(a);\na(2, 3, 3) = 6;\ndisp(a);\ndisp(size(a));\nfprintf('%d\\n', numel(a));\n",
         ),
     ];
     for (name, src) in programs {

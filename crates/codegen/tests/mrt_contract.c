@@ -5,11 +5,19 @@
  *                         mismatch and a closing summary line
  *   mrt_contract plan     overflow a fixed slot (must exit 70)
  *   mrt_contract unknown  call an unknown op (must exit 70)
+ *   mrt_contract order    a(5, 0.5) on a 2x2 array (must exit 70 with
+ *                         the positive-integer error, not the extent
+ *                         error)
+ *   mrt_contract asgnorder  a(0.5, [2 1]) = four values (must exit 70
+ *                         with the positive-integer error, not the
+ *                         value count error)
+ *   mrt_contract extent   a(5, 1) on a 2x2 array (must exit 70)
  *
  * Each op runs four ways: into a distinct heap dst, into a distinct
  * fixed (frame-bound) dst, into dst == operand 0, and into another
  * handle over operand 0's fixed buffer. All four results must agree in
- * values, dims, presence of an imaginary part and char class.
+ * values, dims, presence of an imaginary part and char class. Index
+ * cases also compare against hand-computed results.
  */
 #include "mrt.h"
 
@@ -37,6 +45,14 @@ static mrt_val make(int d0, int d1, const double *re, const double *im, int is_c
     v.d1 = d1;
     v.d2 = 1;
     v.is_char = is_char;
+    return v;
+}
+
+/* A heap-owned real d0 x d1 x d2 value with the given contents. */
+static mrt_val shaped(int d0, int d1, int d2, const double *re) {
+    mrt_val v = make(d0, d1 * d2, re, NULL, 0);
+    v.d1 = d1;
+    v.d2 = d2;
     return v;
 }
 
@@ -104,6 +120,28 @@ static void differential(const char *op, int argc, const mrt_val *const *args) {
         differential(op, (int)(sizeof args_ / sizeof *args_), args_);  \
     } while (0)
 
+/* Checks that got holds exactly the real d0 x d1 x d2 value re. */
+static void expect(const char *what, const mrt_val *got, int d0, int d1, int d2,
+                   const double *re) {
+    mrt_val want = shaped(d0, d1, d2, re);
+    check(what, "expected value", &want, got);
+    mrt_free(&want);
+}
+
+/* An index plan case: subsref(args...) agrees four ways (see RUN) and
+ * equals the hand-computed d0 x d1 x d2 value. */
+#define INDEX(what, d0, d1, d2, want, ...)                              \
+    do {                                                                \
+        const mrt_val *args_[] = {__VA_ARGS__};                         \
+        int argc_ = (int)(sizeof args_ / sizeof *args_);                \
+        mrt_val got_;                                                   \
+        differential("subsref", argc_, args_);                          \
+        mrt_bind(&got_, NULL, 0);                                       \
+        mrt_opv(&got_, "subsref", argc_, args_);                        \
+        expect(what, &got_, d0, d1, d2, want);                          \
+        mrt_free(&got_);                                                \
+    } while (0)
+
 int main(int argc, char **argv) {
     static const double are[] = {4, -1, 0, 2.5, -9, 3};
     static const double bre[] = {2, 0, -3, 2.5, 7, 0.5};
@@ -128,6 +166,33 @@ int main(int argc, char **argv) {
         mrt_bind(&d, small, 2);
         mrt_op(&d, "zeros", 2, two, two);
         printf("a 2x2 result fit a 2-element fixed slot\n");
+        return 0;
+    }
+    /* Subscript errors: every subscript must be a positive integer
+     * before any extent or value count is checked (a(5, 0.5) on a 2x2
+     * array and a(0.5, 1:2) = [1 2 3]). */
+    if (argc > 1 && !strcmp(argv[1], "order")) {
+        mrt_val d;
+        mrt_bind(&d, NULL, 0);
+        mrt_op(&d, "zeros", 2, two, two);
+        mrt_op(&d, "subsref", 3, &d, mrt_wrap(mrt_numv(5.0)), half);
+        printf("a(5, 0.5) returned\n");
+        return 0;
+    }
+    if (argc > 1 && !strcmp(argv[1], "asgnorder")) {
+        mrt_val d;
+        mrt_bind(&d, NULL, 0);
+        mrt_op(&d, "zeros", 2, two, two);
+        mrt_op(&d, "subsasgn", 4, &d, &i1, half, &i2);
+        printf("a(0.5, [2 1]) = 4 values returned\n");
+        return 0;
+    }
+    if (argc > 1 && !strcmp(argv[1], "extent")) {
+        mrt_val d;
+        mrt_bind(&d, NULL, 0);
+        mrt_op(&d, "zeros", 2, two, two);
+        mrt_op(&d, "subsref", 3, &d, mrt_wrap(mrt_numv(5.0)), mrt_wrap(mrt_numv(1.0)));
+        printf("a(5, 1) returned\n");
         return 0;
     }
     if (argc > 1 && !strcmp(argv[1], "unknown")) {
@@ -168,6 +233,87 @@ int main(int argc, char **argv) {
     RUN("mod", &a, &b);
     RUN("sqrt", &a);
     RUN("concat:2", &a, &b);
+
+    /* Index plans (DESIGN.md §17) on m = reshape(1:12, 3, 4) and
+     * q = reshape(1:12, 2, 3, 2). */
+    static const double twelve[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+    static const double r23[] = {2, 3}, r234[] = {2, 3, 4}, r13[] = {1, 3};
+    static const double r321[] = {3, 2, 1}, r12_10[] = {12, 11, 10};
+    static const double rep[] = {2, 2, 1}, perm[] = {4, 1}, r246[] = {2, 4, 6};
+    mrt_val m = shaped(3, 4, 1, twelve), q = shaped(2, 3, 2, twelve);
+    mrt_val s23 = make(1, 2, r23, NULL, 0), s234 = make(1, 3, r234, NULL, 0);
+    mrt_val s13 = make(1, 2, r13, NULL, 0), s321 = make(1, 3, r321, NULL, 0);
+    mrt_val s12_10 = make(1, 3, r12_10, NULL, 0), srep = make(1, 3, rep, NULL, 0);
+    mrt_val sperm = make(1, 2, perm, NULL, 0), s246 = make(1, 3, r246, NULL, 0);
+    mrt_val s123 = make(1, 3, twelve, NULL, 0), none1 = make(1, 0, twelve, NULL, 0);
+    const mrt_val *one = mrt_wrap(mrt_numv(1.0)), *four = mrt_wrap(mrt_numv(4.0));
+    {
+        static const double col2[] = {4, 5, 6}, block[] = {5, 6, 8, 9, 11, 12};
+        static const double odd_rows[] = {1, 3, 4, 6, 7, 9, 10, 12};
+        static const double rev[] = {3, 2, 1}, back[] = {12, 11, 10};
+        static const double pick[] = {11, 11, 10, 2, 2, 1};
+        static const double page[] = {8, 10, 12}, mid[] = {3, 4, 9, 10};
+        static const double folded[] = {3, 7, 11}, all[] = {0};
+        INDEX("colon", 3, 1, 1, col2, &m, MRT_COLON, two);
+        INDEX("unit-step ranges", 2, 3, 1, block, &m, &s23, &s234);
+        INDEX("non-unit step", 2, 4, 1, odd_rows, &m, &s13, MRT_COLON);
+        INDEX("negative step", 3, 1, 1, rev, &m, &s321, one);
+        INDEX("negative step, linear", 1, 3, 1, back, &m, &s12_10);
+        INDEX("repeated and permuted", 3, 2, 1, pick, &m, &srep, &sperm);
+        INDEX("empty range", 0, 4, 1, all, &m, &none1, MRT_COLON);
+        INDEX("empty range, last dim", 3, 0, 1, all, &m, MRT_COLON, &none1);
+        INDEX("3-D", 1, 3, 1, page, &q, two, &s123, two);
+        INDEX("3-D colons", 2, 1, 2, mid, &q, MRT_COLON, two, MRT_COLON);
+        INDEX("trailing dims collapse", 1, 3, 1, folded, &q, one, &s246);
+        INDEX("trailing dims collapse, scalar", 1, 1, 1, &twelve[7], &q, two, four);
+    }
+
+    /* Scalar subscripts skip the plan: a complex element read, a real
+     * element stored into a complex array and an imaginary one into a
+     * real array. */
+    {
+        static const double zr[] = {0}, zi[] = {-2};
+        static const double wre[] = {1, 2, 2, -1, 3, 4}, wim[] = {1, 0, 0, 5, 0, 1};
+        static const double vre[] = {4, 0, 0, 2.5, -9, 3}, vim[] = {0, 1, 0, 0, 0, 0};
+        mrt_val elem = make(1, 1, zr, zi, 0), wz = make(2, 3, wre, wim, 0);
+        mrt_val va = make(2, 3, vre, vim, 0), w;
+        RUN("subsref", &z, one, two);
+        mrt_bind(&w, NULL, 0);
+        mrt_op(&w, "subsref", 3, &z, one, two);
+        check("scalar subsref", "complex element", &elem, &w);
+        mrt_op(&w, "subsasgn", 4, &z, two, one, two);
+        check("scalar subsasgn", "real into complex", &wz, &w);
+        mrt_op(&w, "subsasgn", 4, &a, mrt_wrap(mrt_imagv(1.0)), two, one);
+        check("scalar subsasgn", "imaginary into real", &va, &w);
+        mrt_val *tmp[] = {&elem, &wz, &va, &w};
+        for (size_t k = 0; k < sizeof tmp / sizeof *tmp; k++) mrt_free(tmp[k]);
+    }
+
+    /* Growth through a range: g(1:3, 3) = [5 6 7] on [1 3; 2 4], and
+     * v(4:5) = 9 on [1 2]; then the self-overlapping row shift
+     * m(2:3, :) = m(1:2, :) in m's own slot. */
+    {
+        static const double g22[] = {1, 2, 3, 4}, vals[] = {5, 6, 7}, row[] = {1, 2};
+        static const double grown[] = {1, 2, 0, 3, 4, 0, 5, 6, 7};
+        static const double r45[] = {4, 5}, appended[] = {1, 2, 0, 9, 9};
+        static const double shifted[] = {1, 1, 2, 4, 4, 5, 7, 7, 8, 10, 10, 11};
+        static const double r12[] = {1, 2};
+        mrt_val g = make(2, 2, g22, NULL, 0), r = make(1, 3, vals, NULL, 0);
+        mrt_val s45 = make(1, 2, r45, NULL, 0);
+        mrt_val v = make(1, 2, row, NULL, 0), s12 = make(1, 2, r12, NULL, 0), t;
+        mrt_op(&g, "subsasgn", 4, &g, &r, &s123, mrt_wrap(mrt_numv(3.0)));
+        expect("growth through a range", &g, 3, 3, 1, grown);
+        mrt_op(&v, "subsasgn", 3, &v, mrt_wrap(mrt_numv(9.0)), &s45);
+        expect("linear growth through a range", &v, 1, 5, 1, appended);
+        mrt_bind(&t, NULL, 0);
+        mrt_op(&t, "subsref", 3, &m, &s12, MRT_COLON);
+        mrt_op(&m, "subsasgn", 4, &m, &t, &s23, MRT_COLON);
+        expect("self-overlapping shift", &m, 3, 4, 1, shifted);
+        mrt_val *tmp[] = {&g, &r, &s45, &v, &s12, &t};
+        for (size_t k = 0; k < sizeof tmp / sizeof *tmp; k++) mrt_free(tmp[k]);
+    }
+    mrt_val *plans[] = {&m, &q, &s23, &s234, &s13, &s321, &s12_10, &srep, &sperm, &s246, &s123, &none1};
+    for (size_t k = 0; k < sizeof plans / sizeof *plans; k++) mrt_free(plans[k]);
 
     /* A dst that held a complex or char value gets a clean real result,
      * on the heap and in a frame buffer. */
@@ -217,7 +363,24 @@ int main(int argc, char **argv) {
     mrt_op(&got, "bin_mtimes", 2, &a, &cz);
     check_parts("bin_mtimes", "real vs complex kernel", &want, &got, 1);
 
-    mrt_val *owned[] = {&a, &b, &c, &z, &s, &i1, &i2, &g, &want, &bz, &cz, &got};
+    /* Real `.^` runs the real loop when no negative base meets a
+     * fractional exponent (b .^ a, a .^ b) and the complex kernel
+     * otherwise (a .^ 0.5, which goes complex): either way the result is
+     * the complex kernel's over zero imaginary parts. */
+    mrt_val az = make(2, 3, are, none, 0);
+    const mrt_val *pow_pairs[][2] = {{&b, &a}, {&a, &b}, {&a, half}};
+    const mrt_val *pow_zero[][2] = {{&bz, &a}, {&az, &b}, {&az, half}};
+    for (int k = 0; k < 3; k++) {
+        mrt_op(&want, "bin_power", 2, pow_zero[k][0], pow_zero[k][1]);
+        mrt_op(&got, "bin_power", 2, pow_pairs[k][0], pow_pairs[k][1]);
+        check("bin_power", k < 2 ? "real loop vs complex kernel" : "complex result", &want, &got);
+    }
+    if (!got.im) {
+        failures++;
+        printf("FAIL bin_power (a .^ 0.5): no imaginary part\n");
+    }
+
+    mrt_val *owned[] = {&a, &b, &c, &z, &s, &i1, &i2, &g, &want, &bz, &cz, &az, &got};
     for (size_t k = 0; k < sizeof owned / sizeof *owned; k++) mrt_free(owned[k]);
     printf("contract: %d case(s), %d failure(s)\n", cases, failures);
     return failures != 0;

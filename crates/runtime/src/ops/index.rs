@@ -1,6 +1,11 @@
 //! Array indexing: `subsref`, `subsasgn` (with §2.3.3 growth semantics)
 //! and range construction.
 //!
+//! Both indexing operations build one [`IndexPlan`] per call and walk it
+//! (DESIGN.md §17): per subscripted dimension, a progression of element
+//! offsets or an explicit index list, validated once before any element
+//! moves, then walked column by column with unit-step runs copied whole.
+//!
 //! `subsasgn` grows the array in place from the **last element to the
 //! first** — the paper's §2.3.3.1 argument that carried-over elements
 //! always move to equal-or-higher addresses makes this safe even when
@@ -9,11 +14,22 @@
 use crate::error::{err, Result};
 use crate::value::{Class, Value};
 
-/// A resolved subscript: the whole dimension or explicit 0-based indices.
+/// A resolved subscript in 0-based indices.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Sub {
     /// `:` — every index of the dimension.
     Colon,
+    /// The `count` indices `start, start + step, ...` — a range, or any
+    /// subscript whose values are equally spaced. `step` may be zero or
+    /// negative; every index is at least 0.
+    Range {
+        /// The first index.
+        start: usize,
+        /// The distance between consecutive indices.
+        step: isize,
+        /// How many indices.
+        count: usize,
+    },
     /// Explicit 0-based indices (possibly repeated or permuted).
     Indices(Vec<usize>),
 }
@@ -27,36 +43,61 @@ impl Sub {
     pub fn from_value(v: &Value) -> Result<Sub> {
         if v.class() == Class::Logical {
             // Logical indexing: positions of nonzeros.
-            let idx = v
+            let idx: Vec<usize> = v
                 .re()
                 .iter()
                 .enumerate()
                 .filter(|(_, x)| **x != 0.0)
                 .map(|(i, _)| i)
                 .collect();
-            return Ok(Sub::Indices(idx));
+            return Ok(Sub::of_indices(idx.iter().copied()));
         }
-        let mut idx = Vec::with_capacity(v.numel());
         for &x in v.re() {
             if x < 1.0 || x.fract() != 0.0 || !x.is_finite() {
                 return err(format!("subscript must be a positive integer, got {x}"));
             }
-            idx.push(x as usize - 1);
         }
-        Ok(Sub::Indices(idx))
+        Ok(Sub::of_indices(v.re().iter().map(|&x| x as usize - 1)))
     }
 
-    fn resolve(&self, extent: usize) -> Vec<usize> {
+    /// A progression when consecutive indices are equally spaced, else
+    /// the list.
+    fn of_indices(idx: impl ExactSizeIterator<Item = usize> + Clone) -> Sub {
+        let count = idx.len();
+        let mut it = idx.clone();
+        let start = it.next().unwrap_or(0);
+        let (mut prev, mut step) = (start, 1);
+        for (k, i) in it.enumerate() {
+            let d = i.wrapping_sub(prev) as isize;
+            if k == 0 {
+                step = d;
+            } else if d != step {
+                return Sub::Indices(idx.collect());
+            }
+            prev = i;
+        }
+        Sub::Range { start, step, count }
+    }
+
+    /// How many indices the subscript addresses in a dimension of
+    /// `extent`.
+    fn count(&self, extent: usize) -> usize {
         match self {
-            Sub::Colon => (0..extent).collect(),
-            Sub::Indices(v) => v.clone(),
+            Sub::Colon => extent,
+            Sub::Range { count, .. } => *count,
+            Sub::Indices(v) => v.len(),
         }
     }
 
+    /// The largest index (`None` for `:` or no indices).
     fn max_index(&self) -> Option<usize> {
-        match self {
-            Sub::Colon => None,
-            Sub::Indices(v) => v.iter().copied().max(),
+        match *self {
+            Sub::Colon | Sub::Range { count: 0, .. } => None,
+            Sub::Range { start, step, count } if step > 0 => {
+                Some(start + (count - 1) * step as usize)
+            }
+            Sub::Range { start, .. } => Some(start),
+            Sub::Indices(ref v) => v.iter().copied().max(),
         }
     }
 }
@@ -76,127 +117,205 @@ fn effective_dims(dims: &[usize], m: usize) -> Vec<usize> {
     }
 }
 
+/// One subscripted dimension of an [`IndexPlan`], in element offsets.
+#[derive(Debug, Clone, Copy)]
+enum Axis<'s> {
+    /// The offsets `start + k * step` for `k < count`.
+    Prog {
+        start: usize,
+        step: isize,
+        count: usize,
+    },
+    /// The offsets `idx[k] * stride`.
+    List { idx: &'s [usize], stride: usize },
+}
+
+impl Axis<'_> {
+    fn count(&self) -> usize {
+        match self {
+            Axis::Prog { count, .. } => *count,
+            Axis::List { idx, .. } => idx.len(),
+        }
+    }
+
+    fn offset(&self, k: usize) -> usize {
+        match *self {
+            Axis::Prog { start, step, .. } => start.wrapping_add_signed(k as isize * step),
+            Axis::List { idx, stride } => idx[k] * stride,
+        }
+    }
+}
+
+/// The elements one `subsref` or `subsasgn` addresses: the Cartesian
+/// product of its axes, in column-major order. Built once per call,
+/// after the subscripts are validated; the walk reads only offsets.
+struct IndexPlan<'s> {
+    axes: Vec<Axis<'s>>,
+}
+
+impl<'s> IndexPlan<'s> {
+    /// The plan of `subs` over an array laid out with extents `layout`;
+    /// `:` covers `extents` (smaller than `layout` after growth).
+    fn new(subs: &'s [Sub], extents: &[usize], layout: &[usize]) -> IndexPlan<'s> {
+        let mut stride = 1;
+        let axes = subs
+            .iter()
+            .zip(extents.iter().zip(layout))
+            .map(|(s, (&extent, &dim))| {
+                let axis = match s {
+                    Sub::Colon => Axis::Prog {
+                        start: 0,
+                        step: stride as isize,
+                        count: extent,
+                    },
+                    &Sub::Range { start, step, count } => Axis::Prog {
+                        start: start * stride,
+                        step: step * stride as isize,
+                        count,
+                    },
+                    Sub::Indices(idx) => Axis::List { idx, stride },
+                };
+                stride *= dim;
+                axis
+            })
+            .collect();
+        IndexPlan { axes }
+    }
+
+    /// How many elements the plan addresses.
+    fn len(&self) -> usize {
+        self.axes.iter().map(Axis::count).product()
+    }
+
+    /// Calls `column(base)` for every combination of dimensions 2..N,
+    /// first dimension fastest, with `base` the sum of their offsets.
+    fn columns(&self, mut column: impl FnMut(usize)) {
+        fn walk(axes: &[Axis<'_>], base: usize, column: &mut impl FnMut(usize)) {
+            match axes.split_last() {
+                None => column(base),
+                Some((last, rest)) => {
+                    for k in 0..last.count() {
+                        walk(rest, base + last.offset(k), column);
+                    }
+                }
+            }
+        }
+        if self.len() > 0 {
+            walk(&self.axes[1..], 0, &mut column);
+        }
+    }
+
+    /// Appends the addressed elements of `src` to `out`.
+    fn gather(&self, src: &[f64], out: &mut Vec<f64>) {
+        out.reserve(self.len());
+        match self.axes[0] {
+            Axis::Prog {
+                start,
+                step: 1,
+                count,
+            } => self.columns(|base| out.extend_from_slice(&src[base + start..][..count])),
+            inner => self.columns(|base| {
+                out.extend((0..inner.count()).map(|k| src[base + inner.offset(k)]));
+            }),
+        }
+    }
+
+    /// Stores `vals` — one per addressed element, or one for all — at
+    /// the addressed positions of `dst`. A repeated position keeps the
+    /// last value.
+    fn scatter(&self, dst: &mut [f64], vals: &[f64]) {
+        let inner = self.axes[0];
+        let n = inner.count();
+        let mut e = 0;
+        match (inner, vals) {
+            (Axis::Prog { start, step: 1, .. }, &[x]) => {
+                self.columns(|base| dst[base + start..][..n].fill(x));
+            }
+            (Axis::Prog { start, step: 1, .. }, _) => self.columns(|base| {
+                dst[base + start..][..n].copy_from_slice(&vals[e..e + n]);
+                e += n;
+            }),
+            (_, &[x]) => self.columns(|base| {
+                for k in 0..n {
+                    dst[base + inner.offset(k)] = x;
+                }
+            }),
+            _ => self.columns(|base| {
+                for (k, &x) in vals[e..e + n].iter().enumerate() {
+                    dst[base + inner.offset(k)] = x;
+                }
+                e += n;
+            }),
+        }
+    }
+}
+
 /// `subsref(a, subs...)` — right-hand side indexing (§2.3.2).
 ///
 /// # Errors
 ///
 /// Fails on out-of-range subscripts.
 pub fn subsref(a: &Value, subs: &[Sub]) -> Result<Value> {
-    if subs.is_empty() {
-        return Ok(a.clone());
-    }
-    if subs.len() == 1 {
-        return linear_subsref(a, &subs[0]);
-    }
-    let dims = effective_dims(a.dims(), subs.len());
-    // Validate.
-    for (k, s) in subs.iter().enumerate() {
-        if let Some(mx) = s.max_index() {
-            if mx >= dims[k] {
-                return err(format!(
-                    "index {} exceeds extent {} in dimension {}",
-                    mx + 1,
-                    dims[k],
-                    k + 1
-                ));
-            }
-        }
-    }
-    let per_dim: Vec<Vec<usize>> = subs.iter().zip(&dims).map(|(s, d)| s.resolve(*d)).collect();
-    let out_dims: Vec<usize> = per_dim.iter().map(|v| v.len()).collect();
-    let n: usize = out_dims.iter().product();
-    // Strides of the source under the effective dims.
-    let mut strides = vec![1usize; dims.len()];
-    for k in 1..dims.len() {
-        strides[k] = strides[k - 1] * dims[k - 1];
-    }
-    let mut re = Vec::with_capacity(n);
-    let mut im = a.im().map(|_| Vec::with_capacity(n));
-    // Odometer over output positions (first dim fastest: column-major).
-    let mut counter = vec![0usize; per_dim.len()];
-    for _ in 0..n {
-        let mut src = 0;
-        for (k, c) in counter.iter().enumerate() {
-            src += per_dim[k][*c] * strides[k];
-        }
-        re.push(a.re()[src]);
-        if let Some(im) = &mut im {
-            im.push(a.im().unwrap()[src]);
-        }
-        for (k, c) in counter.iter_mut().enumerate() {
-            *c += 1;
-            if *c < per_dim[k].len() {
-                break;
-            }
-            *c = 0;
-        }
-    }
-    let out = match im {
-        Some(im) => Value::from_complex_parts(out_dims, re, im).normalized(),
-        None => Value::from_parts(out_dims, re),
-    };
-    Ok(out.with_class(a.class()))
+    let mut out = Value::empty();
+    subsref_into(&mut out, a, subs)?;
+    Ok(out)
 }
 
-fn linear_subsref(a: &Value, sub: &Sub) -> Result<Value> {
-    let n = a.numel();
-    match sub {
-        Sub::Colon => {
-            // a(:) is a column of all elements.
-            let re = a.re().to_vec();
-            let out = match a.im() {
-                Some(im) => Value::from_complex_parts(vec![n, 1], re, im.to_vec()).normalized(),
-                None => Value::from_parts(vec![n, 1], re),
-            };
-            Ok(out.with_class(a.class()))
-        }
-        Sub::Indices(idx) => {
-            for &i in idx {
-                if i >= n {
-                    return err(format!(
-                        "index {} exceeds the {} elements of the array",
-                        i + 1,
-                        n
-                    ));
-                }
-            }
-            let re: Vec<f64> = idx.iter().map(|&i| a.re()[i]).collect();
-            let im = a
-                .im()
-                .map(|im| idx.iter().map(|&i| im[i]).collect::<Vec<f64>>());
-            // Orientation: a vector source indexed by a vector keeps the
-            // source's orientation; otherwise the subscript's shape wins.
-            let dims = if a.is_vector() {
-                if a.dims()[0] == 1 {
-                    vec![1, idx.len()]
-                } else {
-                    vec![idx.len(), 1]
-                }
+/// [`subsref`] written into `out`'s existing buffers. `out` is left
+/// untouched on error: every subscript is checked before any element
+/// moves.
+///
+/// # Errors
+///
+/// Fails on out-of-range subscripts.
+pub fn subsref_into(out: &mut Value, a: &Value, subs: &[Sub]) -> Result<()> {
+    if subs.is_empty() {
+        out.clone_from(a);
+        return Ok(());
+    }
+    let m = subs.len();
+    let dims = effective_dims(a.dims(), m);
+    for (k, (s, &extent)) in subs.iter().zip(&dims).enumerate() {
+        if let Some(mx) = s.max_index().filter(|&mx| mx >= extent) {
+            return err(if m == 1 {
+                format!(
+                    "index {} exceeds the {extent} elements of the array",
+                    mx + 1
+                )
             } else {
-                vec![1, idx.len()]
-            };
-            let out = match im {
-                Some(im) => Value::from_complex_parts(dims, re, im).normalized(),
-                None => Value::from_parts(dims, re),
-            };
-            Ok(out.with_class(a.class()))
+                format!(
+                    "index {} exceeds extent {extent} in dimension {}",
+                    mx + 1,
+                    k + 1
+                )
+            });
         }
     }
+    let plan = IndexPlan::new(subs, &dims, &dims);
+    out.refill(a.class(), a.is_complex(), |out_dims, re, im| {
+        plan.gather(a.re(), re);
+        if let (Some(src), Some(im)) = (a.im(), im) {
+            plan.gather(src, im);
+        }
+        if m > 1 {
+            out_dims.extend(plan.axes.iter().map(Axis::count));
+        } else if !matches!(subs[0], Sub::Colon) && (!a.is_vector() || a.dims()[0] == 1) {
+            // A row or non-vector source gives a row; `a(:)` and a
+            // column source give a column.
+            out_dims.extend([1, re.len()]);
+        } else {
+            out_dims.extend([re.len(), 1]);
+        }
+    });
+    Ok(())
 }
 
 /// Result shape adjustment for `a(v)` where the subscript itself is a
 /// matrix: MATLAB returns the subscript's shape. [`subsref`] callers
 /// that kept the subscript's value can use this to refine.
-pub fn reshape_like(v: Value, dims: &[usize]) -> Value {
+pub fn reshape_like(v: &mut Value, dims: &[usize]) {
     if v.numel() == dims.iter().product::<usize>() && v.dims() != dims {
-        let class = v.class();
-        let out = match v.im() {
-            Some(im) => Value::from_complex_parts(dims.to_vec(), v.re().to_vec(), im.to_vec()),
-            None => Value::from_parts(dims.to_vec(), v.re().to_vec()),
-        };
-        out.with_class(class)
-    } else {
-        v
+        v.reshape(dims);
     }
 }
 
@@ -212,27 +331,8 @@ pub fn subsasgn(a: Value, r: &Value, subs: &[Sub]) -> Result<Value> {
     if subs.is_empty() {
         return err("subsasgn needs at least one subscript");
     }
-    if subs.len() == 1 {
-        return linear_subsasgn(a, r, &subs[0]);
-    }
-    let m = subs.len();
-    let cur_dims = effective_dims(a.dims(), m);
-    // Target extents: grown to cover every subscript.
-    let mut new_dims = cur_dims.clone();
-    for (k, s) in subs.iter().enumerate() {
-        if let Some(mx) = s.max_index() {
-            new_dims[k] = new_dims[k].max(mx + 1);
-        }
-    }
-    // `:` on a grown array refers to the *original* extent; growth via
-    // other dimensions is fine.
-    let mut a = grow_to(a, &cur_dims, &new_dims);
-    let per_dim: Vec<Vec<usize>> = subs
-        .iter()
-        .zip(&cur_dims)
-        .map(|(s, d)| s.resolve(*d))
-        .collect();
-    let count: usize = per_dim.iter().map(|v| v.len()).product();
+    let cur = effective_dims(a.dims(), subs.len());
+    let count: usize = subs.iter().zip(&cur).map(|(s, &d)| s.count(d)).product();
     if !(r.is_scalar() || r.numel() == count) {
         return err(format!(
             "subsasgn value has {} elements for {} target positions",
@@ -240,82 +340,47 @@ pub fn subsasgn(a: Value, r: &Value, subs: &[Sub]) -> Result<Value> {
             count
         ));
     }
-    if r.is_complex() && !a.is_complex() {
-        a = complexify(a);
-    }
-    let mut strides = vec![1usize; new_dims.len()];
-    for k in 1..new_dims.len() {
-        strides[k] = strides[k - 1] * new_dims[k - 1];
-    }
-    let mut counter = vec![0usize; per_dim.len()];
-    for e in 0..count {
-        let mut dstp = 0;
-        for (k, c) in counter.iter().enumerate() {
-            dstp += per_dim[k][*c] * strides[k];
-        }
-        let (vr, vi) = r.at(if r.is_scalar() { 0 } else { e });
-        write_elem(&mut a, dstp, vr, vi);
-        for (k, c) in counter.iter_mut().enumerate() {
-            *c += 1;
-            if *c < per_dim[k].len() {
-                break;
-            }
-            *c = 0;
-        }
-    }
-    Ok(a)
-}
-
-fn linear_subsasgn(a: Value, r: &Value, sub: &Sub) -> Result<Value> {
-    let n = a.numel();
-    let idx: Vec<usize> = match sub {
-        Sub::Colon => (0..n).collect(),
-        Sub::Indices(v) => v.clone(),
+    // Target extents: grown to cover every subscript. `:` keeps the
+    // current extent.
+    let new: Vec<usize> = subs
+        .iter()
+        .zip(&cur)
+        .map(|(s, &d)| s.max_index().map_or(d, |mx| d.max(mx + 1)))
+        .collect();
+    let mut a = if subs.len() == 1 {
+        grow_linear(a, new[0])?
+    } else {
+        grow_to(a, &cur, &new)
     };
-    if !(r.is_scalar() || r.numel() == idx.len()) {
-        return err(format!(
-            "subsasgn value has {} elements for {} target positions",
-            r.numel(),
-            idx.len()
-        ));
-    }
-    let need = idx.iter().copied().max().map_or(0, |m| m + 1);
-    let mut a = a;
-    if need > n {
-        // Linear growth is only defined for vectors (and empties).
-        if a.is_empty() {
-            a = grow_to(a, &[1, 0], &[1, need]);
-        } else if a.is_vector() {
-            let (d0, d1) = (a.dims()[0], a.dims()[1]);
-            if d0 == 1 {
-                a = grow_to(a, &[1, d1], &[1, need]);
-            } else {
-                a = grow_to(a, &[d0, 1], &[need, 1]);
-            }
-        } else {
-            return err(format!(
-                "linear index {} exceeds the {} elements of a non-vector",
-                need, n
-            ));
-        }
-    }
     if r.is_complex() && !a.is_complex() {
         a = complexify(a);
     }
-    for (e, &i) in idx.iter().enumerate() {
-        let (vr, vi) = r.at(if r.is_scalar() { 0 } else { e });
-        write_elem(&mut a, i, vr, vi);
+    let plan = IndexPlan::new(subs, &cur, &new);
+    plan.scatter(a.re_mut(), r.re());
+    if let Some(im) = a.im_mut() {
+        plan.scatter(im, r.im().unwrap_or(&[0.0]));
     }
     Ok(a)
 }
 
-fn write_elem(a: &mut Value, i: usize, vr: f64, vi: f64) {
-    if vi != 0.0 && !a.is_complex() {
-        *a = complexify(std::mem::replace(a, Value::empty()));
+/// Grows `a` to `need` elements for a linear store. Linear growth is
+/// only defined for vectors (and empties).
+fn grow_linear(a: Value, need: usize) -> Result<Value> {
+    let n = a.numel();
+    if need <= n {
+        return Ok(a);
     }
-    a.re_mut()[i] = vr;
-    if let Some(im) = a.im_mut() {
-        im[i] = vi;
+    let (d0, d1) = (a.dims()[0], a.dims()[1]);
+    if a.is_empty() {
+        Ok(grow_to(a, &[1, 0], &[1, need]))
+    } else if !a.is_vector() {
+        err(format!(
+            "linear index {need} exceeds the {n} elements of a non-vector"
+        ))
+    } else if d0 == 1 {
+        Ok(grow_to(a, &[1, d1], &[1, need]))
+    } else {
+        Ok(grow_to(a, &[d0, 1], &[need, 1]))
     }
 }
 
@@ -415,6 +480,220 @@ pub fn range(start: &Value, step: Option<&Value>, stop: &Value) -> Result<Value>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A subscript's indices written out (`:` over `extent`).
+    fn resolve(s: &Sub, extent: usize) -> Vec<usize> {
+        match s {
+            Sub::Colon => (0..extent).collect(),
+            &Sub::Range { start, step, count } => (0..count)
+                .map(|k| (start as isize + k as isize * step) as usize)
+                .collect(),
+            Sub::Indices(v) => v.clone(),
+        }
+    }
+
+    /// The per-element odometer the index plans replaced, kept here as
+    /// their reference: the linear position of every addressed element,
+    /// first subscript fastest, recomputed from every subscript's
+    /// explicit indices under the strides of `layout`.
+    fn odometer(subs: &[Sub], extents: &[usize], layout: &[usize]) -> Vec<usize> {
+        let per: Vec<Vec<usize>> = subs
+            .iter()
+            .zip(extents)
+            .map(|(s, &d)| resolve(s, d))
+            .collect();
+        let n: usize = per.iter().map(Vec::len).product();
+        let mut counter = vec![0usize; per.len()];
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (mut pos, mut stride) = (0, 1);
+            for (k, c) in counter.iter().enumerate() {
+                pos += per[k][*c] * stride;
+                stride *= layout[k];
+            }
+            out.push(pos);
+            for (k, c) in counter.iter_mut().enumerate() {
+                *c += 1;
+                if *c < per[k].len() {
+                    break;
+                }
+                *c = 0;
+            }
+        }
+        out
+    }
+
+    /// A generated subscript: kind (`:`, progression, arbitrary values),
+    /// first value, step and length of the progression, and the
+    /// arbitrary values.
+    type Spec = (u8, usize, isize, usize, Vec<usize>);
+
+    /// A generated case: array extents, whether the array is complex,
+    /// one spec per subscript, and whether `subsasgn` stores a scalar.
+    type Case = (Vec<usize>, bool, Vec<Spec>, bool);
+
+    /// A subscript from a spec: `:`, an arithmetic progression of
+    /// 1-based values, or arbitrary values — the last two through
+    /// [`Sub::from_value`], so classification is exercised too.
+    fn spec_sub((kind, start, step, count, list): &Spec) -> Sub {
+        let vals: Vec<f64> = match kind {
+            0 => return Sub::Colon,
+            1 => (0..*count)
+                .map(|k| *start as isize + k as isize * step)
+                .take_while(|&i| i >= 1)
+                .map(|i| i as f64)
+                .collect(),
+            _ => list.iter().map(|&i| i as f64).collect(),
+        };
+        Sub::from_value(&Value::row(vals)).unwrap()
+    }
+
+    fn arb_case() -> impl Strategy<Value = Case> {
+        (
+            proptest::collection::vec(0..4usize, 1..4),
+            any::<bool>(),
+            proptest::collection::vec(
+                (
+                    0..3u8,
+                    1..6usize,
+                    -2..3isize,
+                    0..5usize,
+                    proptest::collection::vec(1..6usize, 0..5),
+                ),
+                1..4,
+            ),
+            any::<bool>(),
+        )
+    }
+
+    fn arb_array(dims: &[usize], complex: bool) -> Value {
+        let n: usize = dims.iter().product();
+        let re: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
+        if complex {
+            let im = (0..n).map(|i| -(i as f64) - 0.5).collect();
+            Value::from_complex_parts(dims.to_vec(), re, im)
+        } else {
+            Value::from_parts(dims.to_vec(), re)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn subsref_plan_matches_the_odometer((dims, complex, specs, _) in arb_case()) {
+            let a = arb_array(&dims, complex);
+            let subs: Vec<Sub> = specs.iter().map(spec_sub).collect();
+            let ext = effective_dims(a.dims(), subs.len());
+            let in_range = subs
+                .iter()
+                .zip(&ext)
+                .all(|(s, &d)| resolve(s, d).iter().all(|&i| i < d));
+            let got = subsref(&a, &subs);
+            if !in_range {
+                prop_assert!(got.is_err());
+                return Ok(());
+            }
+            let got = got.unwrap();
+            let pos = odometer(&subs, &ext, &ext);
+            let want_re: Vec<f64> = pos.iter().map(|&p| a.re()[p]).collect();
+            prop_assert_eq!(got.re(), &want_re[..]);
+            // An all-zero imaginary part (here: an empty one) is dropped.
+            let want_im: Option<Vec<f64>> = a
+                .im()
+                .map(|im| pos.iter().map(|&p| im[p]).collect::<Vec<f64>>())
+                .filter(|im| im.iter().any(|x| *x != 0.0));
+            prop_assert_eq!(got.im(), want_im.as_deref());
+            if subs.len() > 1 {
+                let counts: Vec<usize> = subs.iter().zip(&ext).map(|(s, &d)| s.count(d)).collect();
+                prop_assert_eq!(got.dims(), Value::from_parts(counts, want_re).dims());
+            }
+        }
+
+        #[test]
+        fn subsasgn_plan_matches_the_odometer((dims, complex, specs, scalar) in arb_case()) {
+            let a = arb_array(&dims, complex);
+            let subs: Vec<Sub> = specs.iter().map(spec_sub).collect();
+            let cur = effective_dims(a.dims(), subs.len());
+            let new: Vec<usize> = subs
+                .iter()
+                .zip(&cur)
+                .map(|(s, &d)| resolve(s, d).into_iter().map(|i| i + 1).fold(d, usize::max))
+                .collect();
+            let count: usize = subs.iter().zip(&cur).map(|(s, &d)| s.count(d)).product();
+            let r = if scalar {
+                Value::scalar(-7.0)
+            } else {
+                Value::row((0..count).map(|e| 100.0 + e as f64).collect())
+            };
+            // Naive growth: every old element to its subscript position
+            // under the grown extents; linear growth only for vectors.
+            let old_n = a.numel();
+            let new_n: usize = new.iter().product();
+            let got = subsasgn(a.clone(), &r, &subs);
+            if subs.len() == 1 && new_n > old_n && !a.is_empty() && !a.is_vector() {
+                prop_assert!(got.is_err());
+                return Ok(());
+            }
+            let got = got.unwrap();
+            let relocate = |src: &[f64]| {
+                let mut out = vec![0.0; new_n];
+                for (lin, &x) in src.iter().enumerate() {
+                    let (mut rem, mut pos, mut stride) = (lin, 0, 1);
+                    for (&c, &d) in cur.iter().zip(&new) {
+                        pos += (rem % c) * stride;
+                        rem /= c;
+                        stride *= d;
+                    }
+                    out[if subs.len() == 1 { lin } else { pos }] = x;
+                }
+                out
+            };
+            let mut want_re = relocate(a.re());
+            let mut want_im = a.im().map(relocate);
+            for (e, p) in odometer(&subs, &cur, &new).into_iter().enumerate() {
+                want_re[p] = r.re()[if scalar { 0 } else { e }];
+                if let Some(im) = &mut want_im {
+                    im[p] = 0.0;
+                }
+            }
+            prop_assert_eq!(got.re(), &want_re[..]);
+            prop_assert_eq!(got.im(), want_im.as_deref());
+        }
+    }
+
+    #[test]
+    fn equally_spaced_values_become_progressions() {
+        let sub = |vals: &[f64]| Sub::from_value(&Value::row(vals.to_vec())).unwrap();
+        let range = |start, step, count| Sub::Range { start, step, count };
+        assert_eq!(sub(&[3.0, 4.0, 5.0]), range(2, 1, 3));
+        assert_eq!(sub(&[9.0, 5.0, 1.0]), range(8, -4, 3));
+        assert_eq!(sub(&[2.0, 2.0]), range(1, 0, 2));
+        assert_eq!(sub(&[7.0]), range(6, 1, 1));
+        assert_eq!(sub(&[]), range(0, 1, 0));
+        assert_eq!(sub(&[1.0, 2.0, 4.0]), Sub::Indices(vec![0, 1, 3]));
+        let mask = Value::row(vec![0.0, 1.0, 0.0, 1.0]).with_class(Class::Logical);
+        assert_eq!(Sub::from_value(&mask).unwrap(), range(1, 2, 2));
+    }
+
+    #[test]
+    fn subsref_into_reuses_the_buffer_and_keeps_it_on_error() {
+        let a = Value::from_parts(vec![4, 4], (1..=16).map(f64::from).collect());
+        let mut out = Value::filled(vec![8, 8], 0.0, Class::Logical);
+        let cap = out.re().as_ptr();
+        let rows = Sub::Range {
+            start: 1,
+            step: 1,
+            count: 2,
+        };
+        subsref_into(&mut out, &a, &[rows.clone(), Sub::Colon]).unwrap();
+        assert_eq!(out.dims(), &[2, 4]);
+        assert_eq!(out.re(), &[2.0, 3.0, 6.0, 7.0, 10.0, 11.0, 14.0, 15.0]);
+        assert_eq!(out.class(), Class::Double);
+        assert_eq!(out.re().as_ptr(), cap, "written into the existing buffer");
+        let bad = Sub::Indices(vec![0, 9]);
+        assert!(subsref_into(&mut out, &a, &[rows, bad]).is_err());
+        assert_eq!(out.dims(), &[2, 4], "untouched on error");
+    }
 
     fn m23() -> Value {
         // [1 3 5; 2 4 6]

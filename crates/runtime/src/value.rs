@@ -364,6 +364,42 @@ impl Value {
         self.fix_rank();
     }
 
+    /// Rewrites the value in place, reusing its buffers. `fill` gets the
+    /// cleared extents and real parts, plus the cleared imaginary parts
+    /// when `complex`. The value is then tagged `class`, rank-fixed, and
+    /// an all-zero imaginary part is dropped.
+    pub(crate) fn refill(
+        &mut self,
+        class: Class,
+        complex: bool,
+        fill: impl FnOnce(&mut Vec<usize>, &mut Vec<f64>, Option<&mut Vec<f64>>),
+    ) {
+        self.dims.clear();
+        self.re.clear();
+        match &mut self.im {
+            Some(im) if complex => im.clear(),
+            _ => self.im = complex.then(Vec::new),
+        }
+        fill(&mut self.dims, &mut self.re, self.im.as_mut());
+        self.class = class;
+        self.fix_rank();
+        if self
+            .im
+            .as_ref()
+            .is_some_and(|im| im.iter().all(|x| *x == 0.0))
+        {
+            self.im = None;
+        }
+    }
+
+    /// Gives the value new extents over the same elements.
+    pub(crate) fn reshape(&mut self, dims: &[usize]) {
+        debug_assert_eq!(dims.iter().product::<usize>(), self.re.len());
+        self.dims.clear();
+        self.dims.extend_from_slice(dims);
+        self.fix_rank();
+    }
+
     /// Approximate payload bytes of the value under a C layout (used by
     /// the mcc-model accounting: doubles are 8 bytes, complex 16, char
     /// and logical 1).

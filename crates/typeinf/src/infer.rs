@@ -1352,9 +1352,13 @@ impl BodyInfer<'_> {
                     };
                     self.scalar_extent_facts(eng, value, dst, 90)
                 } else {
-                    let rank = a.shape.rank().unwrap_or(2) as i64;
                     let one = eng.cx.constant(1);
-                    let r = eng.cx.constant(rank);
+                    // An unknown rank gives a symbolic extent, which puts
+                    // the result on the heap.
+                    let r = match a.shape.rank() {
+                        Some(rank) => eng.cx.constant(rank as i64),
+                        None => self.site_sym(eng, dst, 95),
+                    };
                     VarFacts {
                         intrinsic: Intrinsic::Int,
                         shape: Shape::Tuple(vec![one, r]),

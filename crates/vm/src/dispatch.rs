@@ -55,7 +55,12 @@ pub enum Arg<'v> {
 }
 
 impl<'v> Arg<'v> {
-    fn value(&self) -> Result<&'v Value> {
+    /// The value, or an error for `:`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on the colon marker.
+    pub fn value(&self) -> Result<&'v Value> {
         match self {
             Arg::Val(v) => Ok(v),
             Arg::Colon => err("`:` is only valid as a subscript"),
@@ -70,6 +75,38 @@ fn subs_from(args: &[Arg<'_>]) -> Result<Vec<Sub>> {
             Arg::Val(v) => Sub::from_value(v),
         })
         .collect()
+}
+
+/// `subsref(args...)` written into `out`'s existing buffers; `out` is
+/// left untouched on error.
+///
+/// # Errors
+///
+/// Fails on invalid or out-of-range subscripts.
+pub fn subsref_into(out: &mut Value, args: &[Arg<'_>]) -> Result<()> {
+    let a = args[0].value()?;
+    let subs = subs_from(&args[1..])?;
+    index::subsref_into(out, a, &subs)?;
+    // A single non-vector subscript shapes the result like the
+    // subscript (MATLAB a(v) with matrix v).
+    if let [Arg::Val(v)] = args[1..] {
+        if !v.is_vector() && v.class() != Class::Logical {
+            index::reshape_like(out, v.dims());
+        }
+    }
+    Ok(())
+}
+
+/// `subsasgn(args...)` stored into `a`, a copy of the array operand
+/// `args[0]` whose buffers the result reuses.
+///
+/// # Errors
+///
+/// Fails on invalid subscripts or value-shape mismatches.
+pub fn subsasgn_onto(a: Value, args: &[Arg<'_>]) -> Result<Value> {
+    let r = args[1].value()?;
+    let subs = subs_from(&args[2..])?;
+    index::subsasgn(a, r, &subs)
 }
 
 /// Evaluates a single-result IR operation.
@@ -89,26 +126,11 @@ pub fn eval_op(op: &Op, args: &[Arg<'_>], sh: &mut Shared) -> Result<Value> {
             eval_unop(*u, x)
         }
         Op::Subsref => {
-            let a = args[0].value()?;
-            let subs = subs_from(&args[1..])?;
-            let r = index::subsref(a, &subs)?;
-            // A single non-vector subscript shapes the result like the
-            // subscript (MATLAB a(v) with matrix v).
-            if subs.len() == 1 {
-                if let Arg::Val(v) = args[1] {
-                    if !v.is_vector() && v.class() != Class::Logical {
-                        return Ok(index::reshape_like(r, v.dims()));
-                    }
-                }
-            }
-            Ok(r)
+            let mut out = Value::empty();
+            subsref_into(&mut out, args)?;
+            Ok(out)
         }
-        Op::Subsasgn => {
-            let a = args[0].value()?.clone();
-            let r = args[1].value()?;
-            let subs = subs_from(&args[2..])?;
-            index::subsasgn(a, r, &subs)
-        }
+        Op::Subsasgn => subsasgn_onto(args[0].value()?.clone(), args),
         Op::Range2 => {
             let a = args[0].value()?;
             let b = args[1].value()?;

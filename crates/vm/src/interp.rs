@@ -229,7 +229,11 @@ impl<'p> Interp<'p> {
                             Value::complex_scalar(re, im)
                         }
                     } else {
-                        let sub = Sub::Indices((0..rows).map(|r| r + rows * c).collect());
+                        let sub = Sub::Range {
+                            start: rows * c,
+                            step: 1,
+                            count: rows,
+                        };
                         index::subsref(&seq, &[sub])?
                     };
                     frame.vars.insert(var.clone(), col);
@@ -417,14 +421,15 @@ impl<'p> Interp<'p> {
                 if let Some(array) = frame.vars.get(name) {
                     // Indexing (no clone: the frame is only read here).
                     let (subs, vals) = self.subscripts_with_values(args, array, frame)?;
-                    let r = index::subsref(array, &subs)?;
+                    let mut r = index::subsref(array, &subs)?;
                     // MATLAB rule: a(v) with a matrix (non-vector,
                     // non-logical) subscript takes v's shape.
                     if subs.len() == 1 {
                         if let Some(sv) = &vals[0] {
                             if !sv.is_vector() && sv.class() != matc_runtime::Class::Logical {
                                 self.account_value(&r);
-                                return Ok(index::reshape_like(r, sv.dims()));
+                                index::reshape_like(&mut r, sv.dims());
+                                return Ok(r);
                             }
                         }
                     }

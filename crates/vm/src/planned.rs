@@ -12,9 +12,10 @@
 //! function, every variable to a dense cell index (planned slots first,
 //! then one cell per unplanned immediate or temporary), every definition
 //! to its resize annotation and every call site to its callee. Results
-//! that are real scalars, scalar-subscript `subsasgn`s and copies are
-//! written into the destination cell's existing buffer; everything else
-//! goes through [`dispatch::eval_op`] (DESIGN.md §16).
+//! that are real scalars, scalar-subscript `subsasgn`s, copies and
+//! array indexing are written into the destination cell's existing
+//! buffer; everything else goes through [`dispatch::eval_op`]
+//! (DESIGN.md §16, §17).
 //!
 //! Soundness telemetry: if a definition ever needs more bytes than a
 //! `∘`-annotated slot holds (which a correct plan rules out), the VM
@@ -497,7 +498,9 @@ impl<'p> PlannedVm<'p> {
                 }
             }
             InstrKind::Compute { dst, op, args } => {
-                if !self.compute_fast(cx, cells, *dst, op, args) {
+                if !self.compute_fast(cx, cells, *dst, op, args)
+                    && !self.compute_into(cx, cells, *dst, op, args)?
+                {
                     let result = self.compute(cx, cells, *dst, op, args, at)?;
                     self.mem.advance(result.numel() as u64);
                     self.store(cx, cells, *dst, result);
@@ -640,6 +643,50 @@ impl<'p> PlannedVm<'p> {
             }
         }
         true
+    }
+
+    /// The buffer-reusing path for array indexing: a `subsref`, or a
+    /// `subsasgn` whose array lives in another cell, is written into the
+    /// destination cell's existing buffer. Returns `false`, having done
+    /// nothing, when the destination shares a cell with an operand (the
+    /// general and in-place paths handle those).
+    fn compute_into(
+        &mut self,
+        cx: Ctx<'_>,
+        cells: &mut [Cell],
+        dst: VarId,
+        op: &Op,
+        args: &[Operand],
+    ) -> Result<bool> {
+        let t = cx.table;
+        let dc = t.cell[dst.index()];
+        if !matches!(op, Op::Subsref | Op::Subsasgn)
+            || args.len() > FAST_ARGS
+            || args
+                .iter()
+                .any(|a| a.as_var().is_some_and(|v| t.cell[v.index()] == dc))
+        {
+            return Ok(false);
+        }
+        let mut out = cells[dc].value.take().unwrap_or_else(Value::empty);
+        let mut argv = [Arg::Colon; FAST_ARGS];
+        for (slot, a) in argv.iter_mut().zip(args) {
+            if let Operand::Var(v) = a {
+                *slot = Arg::Val(value(cells, t, *v)?);
+            }
+        }
+        let argv = &argv[..args.len()];
+        if let Op::Subsasgn = op {
+            out.clone_from(argv[0].value()?);
+            out = dispatch::subsasgn_onto(out, argv)?;
+        } else {
+            dispatch::subsref_into(&mut out, argv)?;
+        }
+        let (numel, complex_bytes) = (out.numel(), out.is_complex().then(|| out.payload_bytes()));
+        self.mem.advance(numel as u64);
+        let c = self.define(cx, cells, dst, numel, complex_bytes);
+        cells[c].value = Some(out);
+        Ok(true)
     }
 
     /// Computes an operation, taking the allocation-free in-place path
@@ -788,6 +835,18 @@ mod tests {
             "function f()\na = rand(8, 8);\nb = a + 1;\nc = b .* b;\nd = c * c;\nfprintf('%.10f\\n', sum(sum(d)));\n",
         ]);
         assert_eq!(got, want);
+        assert_eq!(violations, 0);
+    }
+
+    #[test]
+    fn size_of_a_value_grown_to_three_dims() {
+        // `a.2`'s rank is unknown to inference, so `size(a)` has a
+        // symbolic extent and is planned on the heap, not as a 1x2
+        // stack slot.
+        let (got, want, violations) =
+            run_both(&["function f()\na = zeros(2,2);\na(:,:,2) = ones(2,2);\ns = size(a)\n"]);
+        assert_eq!(got, want);
+        assert!(got.contains("2          2          2"), "{got}");
         assert_eq!(violations, 0);
     }
 

@@ -94,3 +94,61 @@ fn error_after_output_preserves_prefix() {
         "unhelpful message: {msg}"
     );
 }
+
+/// Subscript errors come in one order in every executor, native C
+/// included: every subscript must be a positive integer before any is
+/// checked against its extent, so `a(5, 0.5)` on a 2x2 array reports
+/// the fractional subscript, not the out-of-range one (DESIGN.md §17).
+#[test]
+fn subscript_errors_check_every_subscript_before_extents() {
+    let src = "function f()\na = zeros(2, 2);\ndisp(a(5, 0.5));\n";
+    let want = "subscript must be a positive integer, got 0.5";
+    let ast = parse_program([src]).unwrap();
+    let compiled = compile(&ast, GctdOptions::default()).unwrap();
+    let errors = [
+        Interp::new(&ast).run().unwrap_err(),
+        PlannedVm::new(&compiled).run().unwrap_err(),
+        MccVm::new(&compiled.ir).run().unwrap_err(),
+    ];
+    for e in errors {
+        assert_eq!(e.message, want);
+    }
+
+    // Native C, when the host has a C compiler.
+    let Some(cc) = ["cc", "gcc", "clang"].into_iter().find(|cc| {
+        std::process::Command::new(cc)
+            .arg("--version")
+            .output()
+            .is_ok_and(|o| o.status.success())
+    }) else {
+        eprintln!("no C compiler found; skipping the native run");
+        return;
+    };
+    let dir = std::env::temp_dir().join(format!("matc-error-order-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("mrt.h"), matc::codegen::MRT_H).unwrap();
+    std::fs::write(dir.join("mrt.c"), matc::codegen::MRT_C).unwrap();
+    std::fs::write(dir.join("p.c"), matc::codegen::emit_program(&compiled)).unwrap();
+    let exe = dir.join("p.exe");
+    let build = std::process::Command::new(cc)
+        .args(["-O1", "-std=c99", "-w", "-o"])
+        .arg(&exe)
+        .arg(dir.join("p.c"))
+        .arg(dir.join("mrt.c"))
+        .arg("-lm")
+        .output()
+        .unwrap();
+    assert!(
+        build.status.success(),
+        "{}",
+        String::from_utf8_lossy(&build.stderr)
+    );
+    let run = std::process::Command::new(&exe).output().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(70), "{stderr}");
+    assert!(
+        stderr.contains("mrt: subscript must be a positive integer"),
+        "{stderr}"
+    );
+}
