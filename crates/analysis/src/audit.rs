@@ -38,9 +38,10 @@
 //!
 //! ## Parallel audits
 //!
-//! [`audit_program_jobs`] fans per-function audits across a small
-//! work-stealing pool (auditing is read-only over the program and the
-//! plan, so functions are embarrassingly parallel). The determinism
+//! [`audit_program_jobs`] fans per-function audits across worker
+//! threads that share one cursor over the functions
+//! ([`matc_gctd::par_map`]; auditing is read-only over the program and
+//! the plan, so functions are embarrassingly parallel). The determinism
 //! contract: diagnostics land in per-function slots and are merged in
 //! `FuncId` order, and every verdict is a pure function of the
 //! function, its types and its plan — so the output is byte-identical
@@ -50,7 +51,8 @@ use crate::dataflow::AuditFlow;
 use crate::diagnostics::Diagnostics;
 use matc_frontend::ast::{BinOp, UnOp};
 use matc_gctd::{
-    Dataflow, GctdOptions, InterferenceGraph, ProgramPlan, ResizeKind, SlotKind, StoragePlan,
+    par_map, Dataflow, GctdOptions, InterferenceGraph, ProgramPlan, ResizeKind, SlotKind,
+    StoragePlan,
 };
 use matc_ir::ids::{BlockId, FuncId, VarId};
 use matc_ir::instr::{InstrKind, Op, Operand};
@@ -116,9 +118,8 @@ pub fn audit_program_with_stats(
 }
 
 /// [`audit_program_with_stats`] with per-function audits fanned across
-/// `jobs` worker threads (work-stealing, like the batch pool: each
-/// worker owns a deque seeded round-robin, pops its own front and
-/// steals others' backs).
+/// `jobs` worker threads, each taking the next unaudited function from
+/// a shared cursor (the batch driver's [`par_map`]).
 ///
 /// Diagnostics are collected into per-function slots and merged in
 /// `FuncId` order, so the output is byte-identical to the serial audit
@@ -139,62 +140,31 @@ pub fn audit_program_jobs(
         return audit_program_with_stats(prog, &mut local, plans);
     }
 
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
-
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    for i in 0..n {
-        queues[i % jobs].lock().unwrap().push_back(i);
-    }
-    let slots: Vec<Mutex<Option<(Diagnostics, AuditStats)>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let queues = &queues;
-            let slots = &slots;
-            let mut local_types = types.clone();
-            scope.spawn(move || loop {
-                // Own pop in a statement of its own, so the own lock is
-                // released before any steal: a guard left alive across
-                // `or_else` deadlocks two workers that run dry together,
-                // each holding its queue while locking the other's.
-                let own = queues[w].lock().unwrap().pop_front();
-                let task = own.or_else(|| {
-                    (0..queues.len())
-                        .filter(|q| *q != w)
-                        .find_map(|q| queues[q].lock().unwrap().pop_back())
-                });
-                let Some(i) = task else { break };
-                let fid = FuncId::new(i);
-                let func = prog.func(fid);
-                let preds = func.predecessors();
-                let budget = Budget::unlimited();
-                let mut d = Diagnostics::new();
-                let s = audit_function_budgeted(
-                    func,
-                    fid,
-                    &mut local_types,
-                    plans.plan(fid),
-                    plans.options,
-                    &preds,
-                    &budget,
-                    &mut d,
-                )
-                .expect("unlimited budget cannot trip");
-                *slots[i].lock().unwrap() = Some((d, s));
-            });
-        }
+    let states = (0..jobs).map(|_| types.clone()).collect();
+    let audited = par_map(n, states, |local_types, i| {
+        let fid = FuncId::new(i);
+        let func = prog.func(fid);
+        let preds = func.predecessors();
+        let budget = Budget::unlimited();
+        let mut d = Diagnostics::new();
+        let s = audit_function_budgeted(
+            func,
+            fid,
+            local_types,
+            plans.plan(fid),
+            plans.options,
+            &preds,
+            &budget,
+            &mut d,
+        )
+        .expect("unlimited budget cannot trip");
+        Some((d, s))
     });
 
     let mut diags = Diagnostics::new();
     let mut stats = AuditStats::default();
-    for slot in slots {
-        let (d, s) = slot
-            .into_inner()
-            .unwrap()
-            .expect("every function was audited");
+    for slot in audited {
+        let (d, s) = slot.expect("every function was audited");
         diags.merge(d);
         stats.absorb(s);
     }

@@ -33,9 +33,7 @@
 //! crash at any point leaves either the old unit or a clean miss
 //! visible, never a hybrid (fragments without a manifest are harmless:
 //! they are content-addressed and only reachable through keys that
-//! prove their contents). Legacy flat `<hex>.art` files from older
-//! stores are still read, with the same quarantine-on-corruption
-//! policy.
+//! prove their contents).
 //!
 //! Everything here is `std`-only: the SHA-256 implementation below is
 //! the FIPS 180-4 algorithm transcribed directly (checked against the
@@ -838,11 +836,11 @@ impl ArtifactCache {
         self.dir.as_deref()
     }
 
-    /// Looks `key` up (memory, then manifest tier, then the legacy flat
-    /// layout), counting a hit or miss. A file that fails integrity
-    /// verification is quarantined to `corrupt/` — moved aside once,
-    /// counted, one structured warning — and reads as a miss, so the
-    /// caller transparently recompiles.
+    /// Looks `key` up (memory, then manifest tier), counting a hit or
+    /// miss. A manifest that fails integrity verification is
+    /// quarantined to `corrupt/` — moved aside once, counted, one
+    /// structured warning — and reads as a miss, so the caller
+    /// transparently recompiles.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<Artifact>> {
         if let Some(a) = lock_recover(&self.mem).get(key).cloned() {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -864,22 +862,6 @@ impl ArtifactCache {
                             return Some(a);
                         }
                         Err(why) => self.quarantine(dir, &man_path, &why),
-                    }
-                }
-                // Legacy flat layout from pre-manifest writers: still
-                // served, with the same quarantine-on-corruption policy
-                // (legacy files have no embedded digest; the structural
-                // parser is the integrity check).
-                let legacy = dir.join(format!("{hex}.art"));
-                if let Ok(bytes) = std::fs::read(&legacy) {
-                    match Artifact::from_bytes(&bytes) {
-                        Ok(a) => {
-                            let a = Arc::new(a);
-                            lock_recover(&self.mem).insert(*key, a.clone());
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            return Some(a);
-                        }
-                        Err(why) => self.quarantine(dir, &legacy, &why),
                     }
                 }
             }
@@ -1621,25 +1603,24 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_legacy_artifact_is_quarantined_once_with_one_warning() {
-        let dir = std::env::temp_dir().join(format!("matc-cache-quar-{}", std::process::id()));
+    fn stray_legacy_artifact_reads_as_a_plain_miss() {
+        let dir = std::env::temp_dir().join(format!("matc-cache-legacy-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ArtifactCache::at_dir(&dir).unwrap();
         let key = CacheKey::compute(["legacy"], "fp");
-        // Hand-corrupted flat file where pre-manifest writers put
-        // artifacts: it must be moved aside once, not retried forever.
+        // A flat file where pre-manifest writers put artifacts is no
+        // longer part of the store: not read, not quarantined, no warning.
         let legacy = dir.join(format!("{}.art", key.hex()));
-        std::fs::write(&legacy, b"not an artifact").unwrap();
+        let a = Artifact {
+            c_code: "x".to_string(),
+            plan_text: String::new(),
+            audit_json: "[]".to_string(),
+            meta: BTreeMap::new(),
+        };
+        std::fs::write(&legacy, a.to_bytes()).unwrap();
         assert!(cache.get(&key).is_none());
-        assert_eq!(cache.quarantined(), 1);
-        assert!(!legacy.exists(), "corrupt file left in place");
-        assert_eq!(std::fs::read_dir(dir.join("corrupt")).unwrap().count(), 1);
-        let warnings = cache.drain_warnings();
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains(".art"), "{warnings:?}");
-        // Second read: a clean miss, no second quarantine or warning.
-        assert!(cache.get(&key).is_none());
-        assert_eq!(cache.quarantined(), 1);
+        assert_eq!((cache.misses(), cache.quarantined()), (1, 0));
+        assert!(legacy.exists(), "stray file was moved");
         assert!(cache.drain_warnings().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -6,7 +6,7 @@
 //! answer on every run with the same seed — independent of thread
 //! scheduling, iteration order, or how often the probe is reached. That
 //! schedule independence is what makes the `tests/fault_injection.rs`
-//! matrix reproducible on a work-stealing pool.
+//! matrix reproducible on a multi-threaded pool.
 //!
 //! Probe sites ([`FaultSite`]):
 //!
@@ -231,8 +231,8 @@ impl FaultPlan {
     /// store's crash-consistency matrix: every 8th seed is a fault-free
     /// control, and the rest pick each store site's rate from
     /// {0, 10, 30, 100} by the seed's hash bits, with two of every
-    /// eight seeds also corrupting legacy cache reads so the matrix
-    /// crosses write-side corruption with read-side corruption.
+    /// eight seeds also tearing manifest and fragment reads so the
+    /// matrix crosses write-side corruption with read-side corruption.
     /// Pipeline panic/audit faults stay off — the store matrix pins
     /// healed units byte-identical to the fault-free reference, which
     /// requires the *compiles* themselves to stay pristine.

@@ -57,7 +57,7 @@ pub use cache::{options_fingerprint, Artifact, ArtifactCache, CacheKey, CacheSta
 pub use coloring::{Coloring, ColoringStrategy};
 pub use fault::{fnv1a, splitmix64, FaultPlan, FaultSite, FAULTS_ENV};
 pub use interference::{InterferenceGraph, InterferenceOptions};
-pub use isolate::{isolate, lock_recover};
+pub use isolate::{isolate, lock_recover, par_map};
 pub use liveness::Dataflow;
 pub use metrics::{
     BatchReport, BudgetEvent, CacheOutcome, DegradationEvent, Phase, PhaseTimer, ShadowStats,

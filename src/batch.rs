@@ -2,8 +2,8 @@
 //!
 //! A [`Unit`] is one program (driver source plus helper sources); the
 //! driver pushes every unit through the full pipeline — parse → SSA →
-//! passes → inference → GCTD → audit → inversion → C emission — on a
-//! hand-rolled work-stealing [`std::thread`] pool, recording a
+//! passes → inference → GCTD → audit → inversion → C emission — on
+//! scoped worker threads sharing one cursor ([`par_map`]), recording a
 //! [`UnitMetrics`] per unit and assembling a [`BatchReport`].
 //!
 //! Results are optionally served from a content-addressed
@@ -20,16 +20,16 @@ use matc_analysis::{lint_program, Diagnostics};
 use matc_codegen::{emit_function_unit, emit_unit_epilogue, emit_unit_prologue};
 use matc_frontend::parse_program;
 use matc_gctd::{
-    isolate, lock_recover, options_fingerprint, Artifact, ArtifactCache, BatchReport, CacheKey,
+    isolate, options_fingerprint, par_map, Artifact, ArtifactCache, BatchReport, CacheKey,
     CacheOutcome, FaultPlan, FaultSite, Fragment, GctdOptions, Phase, PlanStats, ResizeKind,
     SlotKind, StoragePlan, UnitMetrics,
 };
 use matc_ir::{ssa_destruct, Budget, FuncId, FuncIr};
 use matc_vm::Compiled;
 use matc_vm::{compile_front, compile_function};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One compilation unit: a named program made of one or more sources
@@ -578,13 +578,11 @@ pub fn compile_unit_with(
 
 /// Compiles every unit on `config.jobs` worker threads.
 ///
-/// The pool is a fixed-membership work-stealing scheduler: each worker
-/// owns a deque seeded round-robin; it pops its own work from the
-/// front and steals from the *back* of its neighbours' deques when
-/// empty. No work is ever added after seeding, so a worker that finds
-/// every deque empty can terminate. Results land in per-unit slots,
-/// making `outcomes` input-ordered (and the emitted artifacts
-/// schedule-independent — the determinism tests rely on this).
+/// The workers share one cursor over the unit list ([`par_map`]): each
+/// takes the next unclaimed unit until none is left. Results land in
+/// per-unit slots, making `outcomes` input-ordered (and the emitted
+/// artifacts schedule-independent — the determinism tests rely on
+/// this).
 pub fn run_batch(
     units: &[Unit],
     config: &BatchConfig,
@@ -596,54 +594,29 @@ pub fn run_batch(
     // report carries this run's delta.
     let store_before = cache.map(|c| c.stats()).unwrap_or_default();
 
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    for i in 0..units.len() {
-        lock_recover(&queues[i % jobs]).push_back(i);
-    }
-    let slots: Vec<Mutex<Option<UnitOutcome>>> = units.iter().map(|_| Mutex::new(None)).collect();
     let stop = AtomicBool::new(false);
-
-    std::thread::scope(|s| {
-        for w in 0..jobs {
-            let queues = &queues;
-            let slots = &slots;
-            let stop = &stop;
-            s.spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    break; // fail-fast: leave remaining units queued
-                }
-                // Bind the own-queue pop first so its guard drops before
-                // stealing: holding it while locking neighbours lets two
-                // idle workers steal from each other and deadlock.
-                let own = lock_recover(&queues[w]).pop_front();
-                let next = own.or_else(|| {
-                    (1..jobs).find_map(|d| lock_recover(&queues[(w + d) % jobs]).pop_back())
-                });
-                let Some(i) = next else { break };
-                let outcome = compile_unit_with(&units[i], config, cache);
-                if config.fail_fast && !outcome.metrics.ok() {
-                    stop.store(true, Ordering::Relaxed);
-                }
-                *lock_recover(&slots[i]) = Some(outcome);
-            });
+    let done = par_map(units.len(), vec![(); jobs], |(), i| {
+        if stop.load(Ordering::Relaxed) {
+            return None; // fail-fast: leave the remaining units unrun
         }
+        let outcome = compile_unit_with(&units[i], config, cache);
+        if config.fail_fast && !outcome.metrics.ok() {
+            stop.store(true, Ordering::Relaxed);
+        }
+        Some(outcome)
     });
 
-    let outcomes: Vec<UnitOutcome> = slots
+    let outcomes: Vec<UnitOutcome> = done
         .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let done = s
-                .into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        .zip(units)
+        .map(|(done, unit)| {
             done.unwrap_or_else(|| {
-                // Only reachable in fail-fast mode: the unit was never
-                // handed to a worker before the stop flag went up.
-                let mut m = UnitMetrics::new(&units[i].name);
+                // Only reachable in fail-fast mode: a worker claimed the
+                // unit after the stop flag went up.
+                let mut m = UnitMetrics::new(&unit.name);
                 m.error = Some("skipped (fail-fast)".to_string());
                 UnitOutcome {
-                    name: units[i].name.clone(),
+                    name: unit.name.clone(),
                     artifact: None,
                     metrics: m,
                 }

@@ -12,9 +12,9 @@
 //! `String` or `BufReader` line copy. Connections are persistent and
 //! **pipelined**: a client may put many frames in flight; responses
 //! are written back strictly in request order through a per-connection
-//! slot queue. Compile work fans onto a work-stealing worker pool (the
-//! `matc batch` discipline) and comes back through a completion queue
-//! + wake pipe — no per-request or per-connection threads anywhere.
+//! slot queue. Compile work goes to a worker pool through one FIFO
+//! queue and comes back through a completion queue + wake pipe — no
+//! per-request or per-connection threads anywhere.
 //!
 //! Requests run through the same fault-tolerant machinery as
 //! `matc batch` ([`crate::batch::compile_unit_with`]): full-pipeline
@@ -253,80 +253,47 @@ struct Completion {
     fate: RespFate,
 }
 
-/// The work-stealing compile pool (the PR 2 `run_batch` discipline,
-/// made persistent): per-worker deques, pop-own-front / steal-back,
-/// a shared condvar for sleep, and an atomic depth for admission.
+/// The compile pool's queue: one FIFO shared by every worker, a
+/// condvar on the same mutex for sleep, and atomic counters for
+/// admission and drain.
+#[derive(Default)]
 pub(crate) struct Pool {
-    queues: Vec<Mutex<VecDeque<Job>>>,
+    queue: Mutex<VecDeque<Job>>,
     depth: AtomicUsize,
     active: AtomicUsize,
-    rr: AtomicUsize,
-    sleep: Mutex<()>,
     cv: Condvar,
 }
 
 impl Pool {
-    fn new(workers: usize) -> Pool {
-        Pool {
-            queues: (0..workers.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            depth: AtomicUsize::new(0),
-            active: AtomicUsize::new(0),
-            rr: AtomicUsize::new(0),
-            sleep: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
     fn depth(&self) -> usize {
         self.depth.load(Ordering::SeqCst)
     }
 
+    /// Queues `job` behind every job already waiting. The notify is
+    /// issued under the queue lock, so a worker between its empty check
+    /// and its wait cannot miss the wakeup.
     fn push(&self, job: Job) {
-        let i = self.rr.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        lock_recover(&self.queues[i]).push_back(job);
+        let mut queue = lock_recover(&self.queue);
+        queue.push_back(job);
         self.depth.fetch_add(1, Ordering::SeqCst);
-        // Notify under the sleep lock so a worker between its depth
-        // re-check and its wait cannot miss the wakeup.
-        let _g = lock_recover(&self.sleep);
         self.cv.notify_one();
     }
 
-    /// Pops own-queue front, else steals another queue's back. The own
-    /// lock is dropped before any steal attempt — never hold two queue
-    /// locks. `active` is raised *before* `depth` drops so
-    /// `depth + active` never transiently hides an in-hand job from
-    /// the drain coordinator.
-    pub(crate) fn pop(&self, me: usize) -> Option<Job> {
-        if let Some(job) = lock_recover(&self.queues[me]).pop_front() {
-            self.active.fetch_add(1, Ordering::SeqCst);
-            self.depth.fetch_sub(1, Ordering::SeqCst);
-            return Some(job);
-        }
-        let n = self.queues.len();
-        for k in 1..n {
-            let i = (me + k) % n;
-            if let Some(job) = lock_recover(&self.queues[i]).pop_back() {
-                self.active.fetch_add(1, Ordering::SeqCst);
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                return Some(job);
-            }
-        }
-        None
+    /// Takes the oldest queued job. `active` is raised *before* `depth`
+    /// drops so `depth + active` never transiently hides an in-hand job
+    /// from the drain coordinator.
+    pub(crate) fn pop(&self) -> Option<Job> {
+        let job = lock_recover(&self.queue).pop_front()?;
+        self.active.fetch_add(1, Ordering::SeqCst);
+        self.depth.fetch_sub(1, Ordering::SeqCst);
+        Some(job)
     }
 
-    /// Empties every queue (drain-deadline force-reject path).
+    /// Empties the queue (drain-deadline force-reject path).
     fn drain_all(&self) -> Vec<Job> {
-        let mut out = Vec::new();
-        for q in &self.queues {
-            let mut q = lock_recover(q);
-            while let Some(job) = q.pop_front() {
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                out.push(job);
-            }
-        }
-        out
+        let jobs: Vec<Job> = lock_recover(&self.queue).drain(..).collect();
+        self.depth.fetch_sub(jobs.len(), Ordering::SeqCst);
+        jobs
     }
 }
 
@@ -519,7 +486,7 @@ pub(crate) fn make_shared(cfg: ServeConfig, backend: &'static str) -> io::Result
     Ok(Arc::new(Shared {
         breakers: BreakerMap::new(cfg.breaker),
         faults: Mutex::new(cfg.faults.unwrap_or(FaultPlan::quiet(0))),
-        pool: Pool::new(cfg.jobs),
+        pool: Pool::default(),
         cfg,
         stop: AtomicBool::new(false),
         abort: AtomicBool::new(false),
@@ -596,9 +563,9 @@ pub fn serve(cfg: ServeConfig) -> io::Result<ServeSummary> {
 /// Spawns the worker pool, runs the reactor, then joins everything.
 fn run_server<N: NetSource>(shared: Arc<Shared>, net: N) -> ServeSummary {
     let workers: Vec<_> = (0..shared.cfg.jobs.max(1))
-        .map(|w| {
+        .map(|_| {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || worker_loop(&shared, w))
+            std::thread::spawn(move || worker_loop(&shared))
         })
         .collect();
 
@@ -614,27 +581,27 @@ fn run_server<N: NetSource>(shared: Arc<Shared>, net: N) -> ServeSummary {
     shared.summary(drained_cleanly)
 }
 
-/// One compile worker: pops (or steals) jobs, runs the isolated
+/// One compile worker: pops jobs in arrival order, runs the isolated
 /// pipeline, feeds the breaker, renders the response, and hands it to
 /// the reactor through the completion queue.
-fn worker_loop(shared: &Shared, me: usize) {
+fn worker_loop(shared: &Shared) {
+    let pool = &shared.pool;
     loop {
-        let Some(job) = shared.pool.pop(me) else {
-            let guard = lock_recover(&shared.pool.sleep);
-            if shared.pool.depth() > 0 {
-                continue;
-            }
-            if shared.abort.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let _ = shared
-                .pool
-                .cv
-                .wait_timeout(guard, POLL)
-                .unwrap_or_else(|p| p.into_inner());
+        if let Some(job) = pool.pop() {
+            run_job(shared, job);
             continue;
-        };
-        run_job(shared, job);
+        }
+        let queue = lock_recover(&pool.queue);
+        if !queue.is_empty() {
+            continue;
+        }
+        if shared.abort.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let _ = pool
+            .cv
+            .wait_timeout(queue, POLL)
+            .unwrap_or_else(|p| p.into_inner());
     }
 }
 
@@ -1961,6 +1928,19 @@ mod tests {
             },
             fate: RespFate::Normal,
         }
+    }
+
+    #[test]
+    fn pool_serves_jobs_in_admission_order() {
+        let pool = Pool::default();
+        for i in 0..5 {
+            pool.push(job(&Unit::new(format!("u{i}"), Vec::new()), false, false));
+        }
+        assert_eq!(pool.depth(), 5);
+        let order: Vec<String> = std::iter::from_fn(|| pool.pop()).map(|j| j.name).collect();
+        assert_eq!(order, ["u0", "u1", "u2", "u3", "u4"]);
+        assert_eq!(pool.depth(), 0);
+        assert_eq!(pool.active.load(Ordering::SeqCst), 5);
     }
 
     #[test]

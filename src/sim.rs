@@ -566,7 +566,7 @@ impl SimNet {
             run_job(&self.shared, job);
         }
         while self.inflight.len() < self.shared.cfg.jobs.max(1) {
-            let Some(job) = self.shared.pool.pop(0) else {
+            let Some(job) = self.shared.pool.pop() else {
                 break;
             };
             let at = now + 100 + self.rng.below(1_900);

@@ -136,8 +136,8 @@ fn fifty_seed_matrix_degrades_or_fails_but_never_lies() {
 #[test]
 fn store_chaos_matrix_quarantines_heals_and_never_poisons() {
     // Fifty seed-derived store-fault plans (fragment corruption, torn
-    // manifests, writer death mid-commit, plus legacy read rot on some
-    // seeds). Store faults never touch the pipeline, so *every* faulty
+    // manifests, writer death mid-commit, plus torn manifest and
+    // fragment reads on some seeds). Store faults never touch the pipeline, so *every* faulty
     // run must still produce reference bytes for every unit — the store
     // degrades to recompiles, never to wrong artifacts. Afterwards a
     // clean pass must quarantine whatever rotted (with one structured

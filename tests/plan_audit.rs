@@ -238,7 +238,7 @@ fn dead_resize_annotation_is_l004() {
 /// Byte-identical findings for every `--jobs` value, on both clean
 /// plans (the whole benchsuite) and a deliberately corrupted
 /// multi-function program where finding *order* across functions is
-/// what the work-stealing pool could scramble.
+/// what a parallel schedule could scramble.
 #[test]
 fn parallel_audit_is_byte_identical_across_jobs() {
     use matc::analysis::audit_program_jobs;
