@@ -1091,7 +1091,7 @@ mod tests {
             &mut threaded,
         )
         .unwrap();
-        assert_eq!(plain.to_json(), threaded.to_json());
+        assert_eq!(plain, threaded);
         assert!(stats.cfg_edges > 0, "loops have edges");
     }
 

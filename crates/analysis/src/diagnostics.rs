@@ -3,8 +3,9 @@
 //! Every finding carries a stable machine-readable code (`A…` for plan
 //! audits, `L…` for lints), a severity, the function it concerns, a
 //! human-readable message and — when the finding maps to source text — a
-//! byte [`Span`]. The sink renders either a human listing or a JSON
-//! array, so `matc audit` can feed both terminals and tooling.
+//! byte [`Span`]. The sink renders a human listing and the line format
+//! the artifact store embeds in fragments; the root crate's `stats`
+//! module renders findings as JSON for `matc audit --json` and tooling.
 
 use matc_frontend::span::Span;
 use std::fmt;
@@ -30,7 +31,7 @@ impl fmt::Display for Severity {
 }
 
 /// One finding.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Stable code, e.g. `A101` or `L003`.
     pub code: &'static str,
@@ -59,7 +60,7 @@ impl fmt::Display for Diagnostic {
 }
 
 /// An append-only collection of findings.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Diagnostics {
     items: Vec<Diagnostic>,
 }
@@ -244,13 +245,14 @@ impl Diagnostics {
         Ok(out)
     }
 
-    /// Renders the findings as a JSON array (one object per line), e.g.
+    /// Renders the findings as a JSON array, one object per line.
     ///
-    /// ```json
-    /// [
-    ///   {"code":"L001","severity":"warning","func":"f","message":"…","span":{"start":12,"end":20}}
-    /// ]
-    /// ```
+    /// `matc` itself renders findings with the root crate's
+    /// `stats::audit_json`, which writes the same bytes from a `Json`
+    /// tree and pins them against this copy. This one stays only
+    /// because the stand-alone benchmark package (`perfbench/`) times
+    /// it in its layer replay; it goes when that package moves to
+    /// `stats::audit_json`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
         for (i, d) in self.items.iter().enumerate() {
@@ -384,7 +386,7 @@ mod tests {
         let wire = d.to_wire();
         let back = Diagnostics::from_wire(&wire).unwrap();
         assert_eq!(back.len(), 2);
-        assert_eq!(back.to_json(), d.to_json(), "roundtrip is lossless");
+        assert_eq!(back, d, "roundtrip is lossless");
         assert_eq!(back.to_wire(), wire, "re-encoding is stable");
         assert_eq!(Diagnostics::from_wire("").unwrap().len(), 0);
     }

@@ -23,7 +23,7 @@
 //! trace against [`AuditFlow`]'s static liveness, and S105 closes the
 //! loop on the paper's Equation 2 memory accounting: the time-weighted
 //! average heap recomputed from the logged piecewise-constant heap
-//! levels must agree with [`matc_runtime::mem::MemRecorder`]'s own
+//! levels must agree with `matc_runtime::mem::MemRecorder`'s own
 //! integral (the log carries `(clock, level)` after every heap event,
 //! so the reconstruction is exact in integer arithmetic).
 //!
@@ -150,7 +150,7 @@ impl ShadowLog {
     /// Equation 2's time-weighted average heap level, reconstructed
     /// from the logged piecewise-constant `(clock, level)` samples over
     /// `elapsed` logical ticks. Exact integer integration, mirroring
-    /// [`matc_runtime::mem::MemRecorder::avg_heap`].
+    /// `matc_runtime::mem::MemRecorder::avg_heap`.
     pub fn avg_heap(&self, elapsed: u64) -> f64 {
         if elapsed == 0 {
             return self.heap_events.last().map_or(0.0, |&(_, l)| l as f64);

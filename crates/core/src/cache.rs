@@ -736,7 +736,7 @@ pub struct CacheStats {
 /// advisory cross-process lease (module docs have the full layout).
 ///
 /// Disk-write failures are retried with a short backoff; if a write
-/// still fails after [`WRITE_ATTEMPTS`] tries (read-only cache dir,
+/// still fails after `WRITE_ATTEMPTS` tries (read-only cache dir,
 /// full disk), the disk layer is disabled for the rest of the run and
 /// the cache degrades to memory-only. The degradation is recorded once
 /// — drivers surface it to the user via

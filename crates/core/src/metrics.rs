@@ -4,13 +4,13 @@
 //! caller that opts in) carries a [`UnitMetrics`] record: wall time per
 //! [`Phase`], IR and AST sizes, interference-graph node/edge counts,
 //! plan statistics and the cache outcome. [`BatchReport`] aggregates
-//! unit records into the machine-readable JSON emitted by
-//! `matc batch --stats` and the human summary table.
+//! unit records into the human summary table `matc batch` prints; the
+//! root crate's `stats` module renders the same records as the
+//! `matc batch --stats` JSON document.
 //!
 //! The module is deliberately dependency-free: timings come from
-//! [`std::time::Instant`], JSON is emitted by hand with deterministic
-//! key order, and recording a phase is a single array store — cheap
-//! enough to leave on in production builds.
+//! [`std::time::Instant`], and recording a phase is a single array
+//! store — cheap enough to leave on in production builds.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -124,19 +124,6 @@ pub struct DegradationEvent {
     pub reason: String,
 }
 
-impl DegradationEvent {
-    /// The event's JSON object (an element of a unit's `degradations`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"unit\":{},\"func\":{},\"stage\":{},\"reason\":{}}}",
-            json_string(&self.unit),
-            json_string(&self.func),
-            json_string(self.stage),
-            json_string(&self.reason)
-        )
-    }
-}
-
 /// A phase budget (fuel or wall-clock) having tripped during a unit's
 /// compile; paired with a [`DegradationEvent`] when the trip was
 /// recovered by the ladder.
@@ -146,18 +133,6 @@ pub struct BudgetEvent {
     pub phase: String,
     /// `"fuel"` or `"wall-clock"`.
     pub kind: String,
-}
-
-impl BudgetEvent {
-    /// The event's JSON object (an element of a unit's
-    /// `budget_exceeded`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"phase\":{},\"kind\":{}}}",
-            json_string(&self.phase),
-            json_string(&self.kind)
-        )
-    }
 }
 
 /// A running wall-clock timer for one phase.
@@ -323,101 +298,16 @@ impl UnitMetrics {
         !self.degradations.is_empty()
     }
 
-    /// The unit's JSON object (one element of the report's `units`
-    /// array; see DESIGN.md §6 for the schema).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push('{');
-        let _ = write!(s, "\"unit\":{}", json_string(&self.unit));
-        let status = if !self.ok() {
+    /// The unit's status: `"error"` when it failed, `"degraded"` when
+    /// a degradation-ladder rung fired, `"ok"` otherwise.
+    pub fn status(&self) -> &'static str {
+        if !self.ok() {
             "error"
         } else if self.degraded() {
             "degraded"
         } else {
             "ok"
-        };
-        let _ = write!(s, ",\"status\":{}", json_string(status));
-        if let Some(e) = &self.error {
-            let _ = write!(s, ",\"error\":{}", json_string(e));
         }
-        s.push_str(",\"degradations\":[");
-        for (i, d) in self.degradations.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&d.to_json());
-        }
-        s.push(']');
-        s.push_str(",\"budget_exceeded\":[");
-        for (i, b) in self.budget_exceeded.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&b.to_json());
-        }
-        s.push(']');
-        let _ = write!(s, ",\"cache\":{}", json_string(self.cache.name()));
-        s.push_str(",\"phases_micros\":{");
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", p.name(), self.phase_micros(*p));
-        }
-        s.push('}');
-        let _ = write!(
-            s,
-            ",\"ast\":{{\"functions\":{},\"statements\":{},\"expressions\":{}}}",
-            self.ast_functions, self.ast_statements, self.ast_expressions
-        );
-        let _ = write!(
-            s,
-            ",\"ir\":{{\"functions\":{},\"blocks\":{},\"instrs\":{},\"vars\":{}}}",
-            self.ir_functions, self.ir_blocks, self.ir_instrs, self.ir_vars
-        );
-        let _ = write!(s, ",\"opt\":{{\"rewrites\":{}}}", self.opt_removed);
-        let _ = write!(
-            s,
-            ",\"typeinf\":{{\"facts\":{},\"scalars\":{}}}",
-            self.typeinf_facts, self.typeinf_scalars
-        );
-        let _ = write!(
-            s,
-            ",\"interference\":{{\"nodes\":{},\"edges\":{},\"dataflow_iters\":{},\
-             \"peak_live_words\":{},\"dataflow_micros\":{}}}",
-            self.interference_nodes,
-            self.interference_edges,
-            self.dataflow_iters,
-            self.peak_live_words,
-            self.dataflow_nanos / 1_000
-        );
-        let _ = write!(
-            s,
-            ",\"plan\":{{\"original_vars\":{},\"static_subsumed\":{},\"dynamic_subsumed\":{},\
-             \"stack_bytes_saved\":{},\"stack_bytes_total\":{},\"colors\":{},\
-             \"coalesced_phis\":{},\"op_conflicts\":{},\"slots\":{}}}",
-            self.plan.original_vars,
-            self.plan.static_subsumed,
-            self.plan.dynamic_subsumed,
-            self.plan.stack_bytes_saved,
-            self.plan.stack_bytes_total,
-            self.plan.colors,
-            self.plan.coalesced_phis,
-            self.plan.op_conflicts,
-            self.plan.slots
-        );
-        let _ = write!(
-            s,
-            ",\"audit\":{{\"errors\":{},\"warnings\":{},\"edges\":{}}}",
-            self.audit_errors, self.audit_warnings, self.audit_edges
-        );
-        let _ = write!(
-            s,
-            ",\"c\":{{\"bytes\":{},\"lines\":{}}}",
-            self.c_bytes, self.c_lines
-        );
-        s.push('}');
-        s
     }
 }
 
@@ -459,82 +349,6 @@ impl BatchReport {
     /// Units that compiled but only via the degradation ladder.
     pub fn degraded(&self) -> usize {
         self.units.iter().filter(|u| u.ok() && u.degraded()).count()
-    }
-
-    /// The stats document's schema version (`"schema"` in the JSON).
-    /// Bumped from 1 (PR 2) to 2 when per-unit `degradations` and
-    /// `budget_exceeded` arrays and the `"degraded"` status were added;
-    /// from 2 to 3 when the bitset dataflow engine's `dataflow_iters`,
-    /// `peak_live_words` and `dataflow_micros` fields joined each
-    /// unit's `interference` object (PR 4); from 3 to 4 when the
-    /// `"kind"` discriminator (`"batch"` vs `"serve"`) was added so the
-    /// `matc serve` daemon can emit the same document shape extended
-    /// with a `server` object (DESIGN.md §9); from 4 to 5 when the
-    /// bitset audit engine's `edges` counter joined each unit's
-    /// `audit` object (PR 6); from 5 to 6 when `matc shadow --stats`
-    /// began emitting the same document shape with `"kind":"shadow"`
-    /// and a top-level `shadow` object carrying the plan-vs-reality
-    /// replay counters (PR 7, [`ShadowStats`]); from 6 to 7 when the
-    /// crash-safe artifact store's counters (`partial_hits`,
-    /// `frag_misses`, `quarantined`) joined the top-level `cache`
-    /// object and the per-unit `cache` value gained `"partial"`
-    /// (PR 8, function-granular incremental compilation); from 7 to 8
-    /// when the event-driven serve reactor's counters (`backend`,
-    /// `conns_accepted`, `conns_open`, `frames_in`, `responses_out`,
-    /// `pipelined_peak`, `write_overflow_disconnects`, `wakeups`)
-    /// joined the `server` object as a nested `reactor` object
-    /// (PR 9, epoll readiness loop + request pipelining); from 8 to 9
-    /// when `accept_errors` (transient `accept()` failures absorbed by
-    /// the one-tick backoff) joined the server `reactor` object and
-    /// `swept` (stale `.tmp` debris removed on store open) joined the
-    /// server `cache` object (PR 10, deterministic simulation testing).
-    pub const SCHEMA_VERSION: u32 = 9;
-
-    /// The full stats document (`matc batch --stats`), `"kind":"batch"`.
-    pub fn to_json(&self) -> String {
-        self.to_json_with_kind("batch", "")
-    }
-
-    /// The stats document with an explicit `"kind"` and, when
-    /// `extra` is non-empty, additional top-level members spliced in
-    /// verbatim right after the kind (the serve daemon passes its
-    /// `"server":{…}` object here). `extra` must be either empty or a
-    /// comma-led fragment of valid JSON members.
-    pub fn to_json_with_kind(&self, kind: &str, extra: &str) -> String {
-        let mut s = String::new();
-        s.push('{');
-        let _ = write!(s, "\"schema\":{}", Self::SCHEMA_VERSION);
-        let _ = write!(s, ",\"kind\":{}", json_string(kind));
-        s.push_str(extra);
-        let _ = write!(s, ",\"jobs\":{}", self.jobs);
-        let _ = write!(s, ",\"wall_micros\":{}", self.wall_micros);
-        let _ = write!(
-            s,
-            ",\"cache\":{{\"hits\":{},\"misses\":{},\"partial_hits\":{},\
-             \"frag_misses\":{},\"quarantined\":{}}}",
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_partial_hits,
-            self.cache_frag_misses,
-            self.cache_quarantined
-        );
-        s.push_str(",\"phase_totals_micros\":{");
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", p.name(), self.phase_total_micros(*p));
-        }
-        s.push('}');
-        s.push_str(",\"units\":[");
-        for (i, u) in self.units.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&u.to_json());
-        }
-        s.push_str("]}");
-        s
     }
 
     /// The human summary table printed by `matc batch`.
@@ -627,50 +441,6 @@ pub struct ShadowStats {
     pub s100: usize,
 }
 
-impl ShadowStats {
-    /// The `"shadow":{…}` JSON member, deterministic key order.
-    pub fn to_json(&self) -> String {
-        format!(
-            "\"shadow\":{{\"units\":{},\"frames\":{},\"defs\":{},\"reads\":{},\
-             \"heap_events\":{},\"plan_violations\":{},\"s100\":{},\"s101\":{},\
-             \"s102\":{},\"s103\":{},\"s104\":{},\"s105\":{}}}",
-            self.units,
-            self.frames,
-            self.defs,
-            self.reads,
-            self.heap_events,
-            self.plan_violations,
-            self.s100,
-            self.s101,
-            self.s102,
-            self.s103,
-            self.s104,
-            self.s105
-        )
-    }
-}
-
-/// Escapes `s` as a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -698,18 +468,11 @@ mod tests {
     }
 
     #[test]
-    fn json_has_expected_fields() {
+    fn table_lists_each_unit() {
         let mut m = UnitMetrics::new("fiff");
         m.cache = CacheOutcome::Hit;
         m.c_bytes = 10;
-        let j = m.to_json();
-        assert!(j.contains("\"unit\":\"fiff\""), "{j}");
-        assert!(j.contains("\"cache\":\"hit\""), "{j}");
-        assert!(j.contains("\"phases_micros\""), "{j}");
-        assert!(j.contains("\"interference\""), "{j}");
-        assert!(j.contains("\"dataflow_iters\":0"), "{j}");
-        assert!(j.contains("\"peak_live_words\":0"), "{j}");
-        assert!(j.contains("\"dataflow_micros\":0"), "{j}");
+        assert_eq!(m.status(), "ok");
         let report = BatchReport {
             jobs: 2,
             wall_micros: 5,
@@ -720,20 +483,14 @@ mod tests {
             cache_quarantined: 2,
             units: vec![m],
         };
-        let j = report.to_json();
-        assert!(j.contains("\"jobs\":2"), "{j}");
-        assert!(j.contains("\"phase_totals_micros\""), "{j}");
-        assert!(report.render_table().contains("fiff"));
+        let table = report.render_table();
+        assert!(table.contains("fiff"), "{table}");
+        assert!(table.contains("3 per-function fragment(s)"), "{table}");
+        assert!(table.contains("2 corrupt store file(s)"), "{table}");
     }
 
     #[test]
-    fn json_strings_escape_controls() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn schema_carries_degradations_and_budget_events() {
+    fn degradations_mark_the_unit_degraded() {
         let mut m = UnitMetrics::new("wobbly");
         m.degradations.push(DegradationEvent {
             unit: "wobbly".to_string(),
@@ -746,18 +503,9 @@ mod tests {
             kind: "fuel".to_string(),
         });
         assert!(m.ok() && m.degraded());
-        let j = m.to_json();
-        assert!(j.contains("\"status\":\"degraded\""), "{j}");
-        assert!(j.contains("\"degradations\":[{\"unit\":\"wobbly\""), "{j}");
-        assert!(j.contains("\"stage\":\"audit\""), "{j}");
-        assert!(
-            j.contains("\"budget_exceeded\":[{\"phase\":\"coloring\",\"kind\":\"fuel\"}]"),
-            "{j}"
-        );
+        assert_eq!(m.status(), "degraded");
         let clean = UnitMetrics::new("clean");
-        let cj = clean.to_json();
-        assert!(cj.contains("\"degradations\":[]"), "{cj}");
-        assert!(cj.contains("\"budget_exceeded\":[]"), "{cj}");
+        assert_eq!(clean.status(), "ok");
         let report = BatchReport {
             jobs: 1,
             wall_micros: 0,
@@ -770,13 +518,6 @@ mod tests {
         };
         assert_eq!(report.degraded(), 1);
         assert_eq!(report.failed(), 0);
-        let j = report.to_json();
-        assert!(j.starts_with("{\"schema\":9,\"kind\":\"batch\","), "{j}");
-        let served = report.to_json_with_kind("serve", ",\"server\":{\"queue_depth\":0}");
-        assert!(
-            served.starts_with("{\"schema\":9,\"kind\":\"serve\",\"server\":{\"queue_depth\":0},"),
-            "{served}"
-        );
         assert!(report.render_table().contains("degraded (1 event(s))"));
         assert!(report
             .render_table()
@@ -788,7 +529,7 @@ mod tests {
         let mut m = UnitMetrics::new("bad");
         m.error = Some("parse error".to_string());
         assert!(!m.ok());
-        assert!(m.to_json().contains("\"status\":\"error\""));
+        assert_eq!(m.status(), "error");
         let report = BatchReport {
             jobs: 1,
             wall_micros: 0,

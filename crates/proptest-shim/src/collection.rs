@@ -3,7 +3,7 @@
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// Length specifications accepted by [`vec`]: an exact length, a
+/// Length specifications accepted by [`vec()`]: an exact length, a
 /// half-open range, or an inclusive range.
 pub trait IntoSizeRange {
     /// Inclusive lower bound, exclusive upper bound.

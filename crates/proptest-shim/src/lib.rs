@@ -3,8 +3,8 @@
 //! The build environment has no network access to crates.io, so the
 //! workspace aliases `proptest` to this shim (see the root
 //! `Cargo.toml`). It implements exactly the API surface our property
-//! tests use: the [`Strategy`] trait with `prop_map` / `prop_flat_map`
-//! / `boxed`, integer and float range strategies, tuples, [`Just`],
+//! tests use: the [`Strategy`](strategy::Strategy) trait with `prop_map` / `prop_flat_map`
+//! / `boxed`, integer and float range strategies, tuples, [`Just`](strategy::Just),
 //! `any::<T>()`, `prop_oneof!`, `collection::vec`, and the
 //! [`proptest!`] test macro with `ProptestConfig { cases, .. }`.
 //!

@@ -1,7 +1,7 @@
 //! Array indexing: `subsref`, `subsasgn` (with §2.3.3 growth semantics)
 //! and range construction.
 //!
-//! Both indexing operations build one [`IndexPlan`] per call and walk it
+//! Both indexing operations build one `IndexPlan` per call and walk it
 //! (DESIGN.md §17): per subscripted dimension, a progression of element
 //! offsets or an explicit index list, validated once before any element
 //! moves, then walked column by column with unit-step runs copied whole.

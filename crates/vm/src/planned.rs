@@ -23,7 +23,7 @@
 //! run with a hard error once output is collected. Under
 //! [`PlannedVm::with_shadow`] the VM instead *observes*: every slot
 //! definition, read and heap event is appended to a
-//! [`ShadowLog`](matc_analysis::ShadowLog) for the plan-vs-reality
+//! [`ShadowLog`] for the plan-vs-reality
 //! replay (`matc shadow`), and violations are reported, not fatal.
 
 use crate::compile::Compiled;

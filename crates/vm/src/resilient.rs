@@ -1,4 +1,4 @@
-//! Fault-tolerant variant of the [`crate::compile`] pipeline.
+//! Fault-tolerant variant of the [`crate::compile()`] pipeline.
 //!
 //! [`compile_resilient`] produces exactly the same artifacts as
 //! [`crate::compile::compile_audited`] when nothing goes wrong, but
@@ -6,7 +6,7 @@
 //! instead of crashing or emitting an unaudited plan:
 //!
 //! 1. **Planner panics.** Each function's GCTD plan is computed under
-//!    [`isolate`]; a panic becomes a per-function fallback to the
+//!    [`isolate()`]; a panic becomes a per-function fallback to the
 //!    conservative all-heap (mcc-style) plan, re-audited before use.
 //! 2. **Phase budget trips** ([`BudgetError`]). A fuel or wall-clock
 //!    trip inside planning degrades that function like a panic does; a
@@ -146,7 +146,7 @@ fn degrade(rec: &mut UnitMetrics, func: &str, stage: &'static str, reason: Strin
 ///
 /// Injected `PhasePanic` faults at the optimizer and type-inference
 /// probes deliberately panic out of this function (the batch driver's
-/// unit-level [`isolate`] turns them into structured unit failures);
+/// unit-level [`isolate()`] turns them into structured unit failures);
 /// planner panics are caught here and degraded instead.
 pub fn compile_resilient(
     ast: &Program,
@@ -564,7 +564,7 @@ mod tests {
             compile_audited(&ast, GctdOptions::default(), Some(&mut m_ref)).unwrap();
         let (res, m) = run(&ast, &Budget::unlimited(), FaultPlan::quiet(0));
         let (compiled, diags) = res.unwrap();
-        assert_eq!(diags.to_json(), ref_diags.to_json());
+        assert_eq!(diags, ref_diags);
         assert!(m.degradations.is_empty());
         assert!(m.budget_exceeded.is_empty());
         // Identical plans ⇒ identical slots text and stats.

@@ -1,16 +1,22 @@
 # Development gates for the matc workspace. `just check` is the full
-# pre-merge bar: formatting, clippy-clean (warnings are errors), every
-# test, and a clean audit of the benchmark suite.
+# pre-merge bar: formatting, clippy-clean (warnings are errors),
+# warning-free rustdoc, every test, and a clean audit of the benchmark
+# suite.
 
 default: check
 
-check: fmt clippy test paper-scale bench-test audit-bench batch-bench fault-bench sim-bench perf-bench shadow-bench cache-bench
+check: fmt clippy doc test paper-scale bench-test audit-bench batch-bench fault-bench sim-bench perf-bench shadow-bench cache-bench
 
 fmt:
     cargo fmt --all -- --check
 
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
+
+# Every crate's docs build without warnings: no broken intra-doc
+# links, no public docs linking to private items.
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 test:
     cargo test --workspace -q

@@ -16,6 +16,7 @@
 //! and the test suite: it proves parallel, sequential, per-unit and
 //! warm-cache compilations all produce byte-identical artifacts.
 
+use crate::stats;
 use matc_analysis::{lint_program, Diagnostics};
 use matc_codegen::{emit_function_unit, emit_unit_epilogue, emit_unit_prologue};
 use matc_frontend::parse_program;
@@ -346,7 +347,7 @@ pub fn compile_unit(
 }
 
 /// Compiles one unit under the full fault-tolerance machinery: the
-/// entire pipeline runs inside [`isolate`] (a panic anywhere — real or
+/// entire pipeline runs inside [`isolate()`] (a panic anywhere — real or
 /// injected — becomes a structured unit error instead of poisoning the
 /// worker pool), phase budgets from `config` feed the degradation
 /// ladder of [`compile_front`]/[`compile_function`], and fault probes
@@ -547,7 +548,7 @@ pub fn compile_unit_with(
             Arc::new(Artifact {
                 c_code,
                 plan_text,
-                audit_json: diags.to_json(),
+                audit_json: stats::audit_json(&diags),
                 meta: meta_from_metrics(&m),
             }),
             frags,

@@ -249,7 +249,7 @@ fn batch_cli(args: &[String]) -> ExitCode {
         }
     }
     if let Some(p) = &stats_path {
-        if let Err(e) = std::fs::write(p, last.report.to_json()) {
+        if let Err(e) = std::fs::write(p, matc::stats::batch_document(&last.report)) {
             eprintln!("matc: cannot write {p}: {e}");
             return ExitCode::FAILURE;
         }
@@ -738,7 +738,7 @@ fn audit_sources(
 /// `audit` exit policy: warnings inform, errors fail.
 fn report_findings(diags: &Diagnostics, json: bool) -> ExitCode {
     if json {
-        println!("{}", diags.to_json());
+        println!("{}", matc::stats::audit_json(diags));
     } else if diags.is_empty() {
         println!("no findings");
     } else {
@@ -833,7 +833,7 @@ fn audit_bench() -> ExitCode {
 /// The `matc shadow` subcommand: unit specs are comma-separated file
 /// groups like `batch`'s, `--bench` adds the benchsuite.
 fn shadow_cli(args: &[String]) -> ExitCode {
-    use matc::shadow::{shadow_unit, stats_document};
+    use matc::shadow::shadow_unit;
     let mut bench = false;
     let mut no_gctd = false;
     let mut json = false;
@@ -907,7 +907,7 @@ fn shadow_cli(args: &[String]) -> ExitCode {
         stats.plan_violations
     );
 
-    let doc = stats_document(&stats);
+    let doc = matc::stats::shadow_document(&stats);
     if json {
         println!("{doc}");
     }

@@ -1,9 +1,10 @@
-//! A minimal JSON value type for the `matc serve` wire protocol.
+//! A minimal JSON value type: the one JSON model of `matc`.
 //!
-//! The daemon speaks newline-delimited JSON (one object per line in
-//! each direction), so it needs a *parser* as well as the hand-rolled
-//! emission the stats documents already use. Like the in-tree SHA-256,
-//! this is deliberately dependency-free: a small recursive-descent
+//! The `matc serve` daemon speaks newline-delimited JSON (one object
+//! per line in each direction) through it, and [`crate::stats`] builds
+//! every stats document and audit report as a [`Json`] tree rendered
+//! here. Like the in-tree SHA-256, this is deliberately
+//! dependency-free: a small recursive-descent
 //! parser over the full JSON grammar (RFC 8259), a deterministic
 //! renderer, and the handful of typed accessors the protocol handlers
 //! use. Numbers are kept as `f64` — protocol payloads carry counts and
@@ -21,7 +22,7 @@
 //!
 //! The three byte loops on that path — frame scanning, string
 //! escaping and string parsing — test eight bytes at a time
-//! ([`find_flagged`]) and copy whole runs of ordinary bytes, not one
+//! (`find_flagged`) and copy whole runs of ordinary bytes, not one
 //! `char` at a time.
 
 use std::fmt::Write as _;
@@ -232,6 +233,17 @@ impl Json {
             Json::Arr(a) => Some(a),
             _ => None,
         }
+    }
+
+    /// Convenience `Json::Obj` constructor from `(key, value)` pairs,
+    /// keys kept in the given order.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
     /// Convenience `Json::Str` constructor from any `Into<String>`.
@@ -567,6 +579,8 @@ mod tests {
         let v = Json::str("line\nquote\" tab\t back\\ \u{1} done");
         let r = v.render();
         assert_eq!(Json::parse(&r).unwrap(), v);
+        assert_eq!(Json::str("a\"b\\c\nd").render(), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(Json::str("\u{1}").render(), "\"\\u0001\"");
         assert_eq!(
             Json::parse(r#""😀""#).unwrap(),
             Json::str("\u{1f600}"),

@@ -21,10 +21,11 @@
 //! per-phase metrics — the engine behind `matc batch`. [`serve`] wraps
 //! the same machinery in a resilient TCP daemon (`matc serve`) with
 //! admission control, request deadlines, circuit breakers and graceful
-//! draining; [`json`] is the dependency-free JSON layer its
-//! newline-delimited protocol speaks. [`shadow`] runs a unit through
-//! both executors and diffs observed storage behaviour against the
-//! static plan — the engine behind `matc shadow`. [`cache_bench`] is
+//! draining. [`json`] is the one dependency-free JSON model: the
+//! daemon's newline-delimited protocol speaks it, and [`stats`] builds
+//! every stats document and audit report with it. [`shadow`] runs a
+//! unit through both executors and diffs observed storage behaviour
+//! against the static plan — the engine behind `matc shadow`. [`cache_bench`] is
 //! the incremental-compilation gate behind `matc cache-bench`: edit one
 //! function of a multi-function unit and prove every other function's
 //! fragment is reused from the store. [`sim`] runs the *real* serve
@@ -53,6 +54,7 @@ pub mod perf;
 pub mod serve;
 pub mod shadow;
 pub mod sim;
+pub mod stats;
 pub mod sys;
 
 pub use matc_analysis as analysis;

@@ -164,8 +164,12 @@ impl BenchDoc {
 
     /// Parses a document previously written by [`BenchDoc::to_json`].
     pub fn from_json(doc: &str) -> Result<BenchDoc, String> {
-        let get =
-            |key: &str| json_u64(doc, key).ok_or_else(|| format!("baseline is missing \"{key}\""));
+        let doc = Json::parse(doc).map_err(|e| format!("baseline is not JSON: {e}"))?;
+        let get = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("baseline is missing \"{key}\""))
+        };
         let schema = get("schema")?;
         if schema != BENCH_SCHEMA {
             return Err(format!(
@@ -199,15 +203,6 @@ impl BenchDoc {
     fn phase(&self, phase: Phase) -> u64 {
         self.phase_micros[Phase::ALL.iter().position(|p| *p == phase).unwrap()]
     }
-}
-
-/// Scans `doc` for `"key": <integer>` (whitespace-tolerant).
-fn json_u64(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\"");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start().strip_prefix(':')?.trim_start();
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
 }
 
 /// The unit list the gate compiles: all paper benchmarks (Test preset)
@@ -349,11 +344,11 @@ fn measure_serve(samples: usize) -> Result<(u64, u64, u64), String> {
     let frames: Vec<String> = units
         .iter()
         .map(|unit| {
-            Json::Obj(vec![
-                ("op".to_string(), Json::str("compile")),
-                ("name".to_string(), Json::str(unit.name.as_str())),
+            Json::obj([
+                ("op", Json::str("compile")),
+                ("name", Json::str(unit.name.as_str())),
                 (
-                    "sources".to_string(),
+                    "sources",
                     Json::Arr(unit.sources.iter().map(Json::str).collect()),
                 ),
             ])

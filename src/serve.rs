@@ -38,7 +38,7 @@
 //!   hash quarantines units that repeatedly panic or get their plan
 //!   audit-rejected, with a half-open probe after a cooldown;
 //! * **panic isolation** — per request via the pipeline's
-//!   [`matc_gctd::isolate`], and per connection in the reactor's event
+//!   [`matc_gctd::isolate()`], and per connection in the reactor's event
 //!   dispatch; a panicking unit (or conversation) is a structured
 //!   error, never a dead daemon;
 //! * **graceful shutdown** — SIGTERM/SIGINT (or a `shutdown` request)
@@ -56,6 +56,7 @@
 
 use crate::batch::{compile_unit_with, BatchConfig, Unit, UnitOutcome};
 use crate::json::{self, Json};
+use crate::stats;
 use crate::sys::{
     Accepted, Clock, ConnIo, ConnObs, Event, NetSource, Poller, RealNet, WakePipe, EV_READ,
     EV_WRITE,
@@ -226,7 +227,6 @@ pub(crate) struct Job {
     unit: Unit,
     config: BatchConfig,
     breaker_key: String,
-    probe: bool,
     /// `true` for the `audit` op (embeds findings in the response).
     audit: bool,
     emit: bool,
@@ -346,6 +346,11 @@ impl Shared {
         self.cfg.clock.now()
     }
 
+    /// Time since the server started, on its clock.
+    fn uptime(&self) -> Duration {
+        self.now().saturating_duration_since(self.started)
+    }
+
     fn faults_now(&self) -> FaultPlan {
         *lock_recover(&self.faults)
     }
@@ -377,52 +382,62 @@ impl Shared {
         }
     }
 
-    /// The `"server"` object spliced into the schema-v9 stats document
-    /// (v8 added the `reactor{}` counters; v9 added
-    /// `reactor.accept_errors` and `cache.swept`).
-    fn server_json(&self) -> String {
+    /// The `server` member of the serve stats document.
+    fn server_json(&self) -> Json {
         let (closed, open, half_open) = self.breakers.counts();
         let store = self.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
-        let (hits, misses, partial, quarantined, swept) = (
-            store.hits,
-            store.misses,
-            store.partial_hits,
-            store.quarantined,
-            store.swept,
-        );
-        format!(
-            ",\"server\":{{\"draining\":{},\"queue_depth\":{},\"active\":{},\"admitted\":{},\
-             \"completed\":{},\"shed\":{},\"load_degraded\":{},\"breaker_rejected\":{},\
-             \"shutdown_rejected\":{},\"net_faults_fired\":{},\
-             \"reactor\":{{\"backend\":\"{}\",\"conns_accepted\":{},\"conns_open\":{},\
-             \"frames_in\":{},\"responses_out\":{},\"pipelined_peak\":{},\
-             \"write_overflow_disconnects\":{},\"wakeups\":{},\"accept_errors\":{}}},\
-             \"breakers\":{{\"closed\":{closed},\"open\":{open},\"half_open\":{half_open}}},\
-             \"cache\":{{\"hits\":{hits},\"misses\":{misses},\"partial_hits\":{partial},\
-             \"quarantined\":{quarantined},\"swept\":{swept}}},\"uptime_ms\":{}}}",
-            self.stop.load(Ordering::Relaxed),
-            self.pool.depth(),
-            self.pool.active.load(Ordering::SeqCst),
-            self.admitted.load(Ordering::Relaxed),
-            self.completed.load(Ordering::Relaxed),
-            self.shed.load(Ordering::Relaxed),
-            self.load_degraded.load(Ordering::Relaxed),
-            self.breaker_rejected.load(Ordering::Relaxed),
-            self.shutdown_rejected.load(Ordering::Relaxed),
-            self.net_faults_fired.load(Ordering::Relaxed),
-            self.backend,
-            self.conns_accepted.load(Ordering::Relaxed),
-            self.conns_open.load(Ordering::Relaxed),
-            self.frames_in.load(Ordering::Relaxed),
-            self.responses_out.load(Ordering::Relaxed),
-            self.pipelined_peak.load(Ordering::Relaxed),
-            self.write_overflow_disconnects.load(Ordering::Relaxed),
-            self.wakeups.load(Ordering::Relaxed),
-            self.accept_errors.load(Ordering::Relaxed),
-            self.now()
-                .saturating_duration_since(self.started)
-                .as_millis(),
-        )
+        let n = |c: &AtomicU64| Json::num(c.load(Ordering::Relaxed));
+        Json::obj([
+            ("draining", Json::Bool(self.stop.load(Ordering::Relaxed))),
+            ("queue_depth", Json::num(self.pool.depth() as u64)),
+            (
+                "active",
+                Json::num(self.pool.active.load(Ordering::SeqCst) as u64),
+            ),
+            ("admitted", n(&self.admitted)),
+            ("completed", n(&self.completed)),
+            ("shed", n(&self.shed)),
+            ("load_degraded", n(&self.load_degraded)),
+            ("breaker_rejected", n(&self.breaker_rejected)),
+            ("shutdown_rejected", n(&self.shutdown_rejected)),
+            ("net_faults_fired", n(&self.net_faults_fired)),
+            (
+                "reactor",
+                Json::obj([
+                    ("backend", Json::str(self.backend)),
+                    ("conns_accepted", n(&self.conns_accepted)),
+                    ("conns_open", n(&self.conns_open)),
+                    ("frames_in", n(&self.frames_in)),
+                    ("responses_out", n(&self.responses_out)),
+                    ("pipelined_peak", n(&self.pipelined_peak)),
+                    (
+                        "write_overflow_disconnects",
+                        n(&self.write_overflow_disconnects),
+                    ),
+                    ("wakeups", n(&self.wakeups)),
+                    ("accept_errors", n(&self.accept_errors)),
+                ]),
+            ),
+            (
+                "breakers",
+                Json::obj([
+                    ("closed", Json::num(closed as u64)),
+                    ("open", Json::num(open as u64)),
+                    ("half_open", Json::num(half_open as u64)),
+                ]),
+            ),
+            (
+                "cache",
+                Json::obj([
+                    ("hits", Json::num(store.hits)),
+                    ("misses", Json::num(store.misses)),
+                    ("partial_hits", Json::num(store.partial_hits)),
+                    ("quarantined", Json::num(store.quarantined)),
+                    ("swept", Json::num(store.swept)),
+                ]),
+            ),
+            ("uptime_ms", Json::num(self.uptime().as_millis() as u64)),
+        ])
     }
 }
 
@@ -623,10 +638,6 @@ pub(crate) fn run_job(shared: &Shared, job: Job) {
     } else {
         shared.breakers.record_success(&job.breaker_key);
     }
-    if job.probe && m.error.is_none() && !audit_rejected {
-        // Half-open probe succeeded; nothing extra to do — the
-        // success above already closed the breaker.
-    }
     shared.completed.fetch_add(1, Ordering::Relaxed);
     shared.note_metrics(outcome.metrics.clone());
     let line = render_outcome(&job, &outcome);
@@ -671,17 +682,10 @@ fn render_outcome(job: &Job, outcome: &UnitOutcome) -> String {
 /// order.
 fn outcome_members(job: &Job, outcome: &UnitOutcome) -> Vec<(String, Json)> {
     let m = &outcome.metrics;
-    let status = if m.error.is_some() {
-        "error"
-    } else if !m.degradations.is_empty() || !m.budget_exceeded.is_empty() {
-        "degraded"
-    } else {
-        "ok"
-    };
     let mut members: Vec<(String, Json)> = vec![
         ("ok".to_string(), Json::Bool(true)),
         ("unit".to_string(), Json::str(&job.name)),
-        ("status".to_string(), Json::str(status)),
+        ("status".to_string(), Json::str(m.status())),
         (
             "cached".to_string(),
             Json::str(match m.cache {
@@ -1402,10 +1406,10 @@ impl<N: NetSource> Reactor<N> {
 
 /// A structured rejection (`ok:false` + machine-readable code).
 fn reject(code: &str, msg: &str) -> Json {
-    Json::Obj(vec![
-        ("ok".to_string(), Json::Bool(false)),
-        ("code".to_string(), Json::str(code)),
-        ("error".to_string(), Json::str(msg)),
+    Json::obj([
+        ("ok", Json::Bool(false)),
+        ("code", Json::str(code)),
+        ("error", Json::str(msg)),
     ])
 }
 
@@ -1425,25 +1429,14 @@ fn dispatch(shared: &Shared, frame: &[u8], dest: ConnRef, fate: RespFate) -> Dis
         "healthz" => {
             let draining = shared.stop.load(Ordering::SeqCst);
             Dispatch::Immediate(
-                Json::Obj(vec![
-                    ("ok".to_string(), Json::Bool(true)),
+                Json::obj([
+                    ("ok", Json::Bool(true)),
                     (
-                        "status".to_string(),
+                        "status",
                         Json::str(if draining { "draining" } else { "ok" }),
                     ),
-                    (
-                        "queue_depth".to_string(),
-                        Json::num(shared.pool.depth() as u64),
-                    ),
-                    (
-                        "uptime_ms".to_string(),
-                        Json::num(
-                            shared
-                                .now()
-                                .saturating_duration_since(shared.started)
-                                .as_millis() as u64,
-                        ),
-                    ),
+                    ("queue_depth", Json::num(shared.pool.depth() as u64)),
+                    ("uptime_ms", Json::num(shared.uptime().as_millis() as u64)),
                 ])
                 .render(),
             )
@@ -1453,13 +1446,7 @@ fn dispatch(shared: &Shared, frame: &[u8], dest: ConnRef, fate: RespFate) -> Dis
             let store = shared.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
             let report = BatchReport {
                 jobs: shared.cfg.jobs,
-                wall_micros: u64::try_from(
-                    shared
-                        .now()
-                        .saturating_duration_since(shared.started)
-                        .as_micros(),
-                )
-                .unwrap_or(u64::MAX),
+                wall_micros: u64::try_from(shared.uptime().as_micros()).unwrap_or(u64::MAX),
                 cache_hits: store.hits,
                 cache_misses: store.misses,
                 cache_partial_hits: store.partial_hits,
@@ -1467,17 +1454,13 @@ fn dispatch(shared: &Shared, frame: &[u8], dest: ConnRef, fate: RespFate) -> Dis
                 cache_quarantined: store.quarantined,
                 units: recent.iter().cloned().collect(),
             };
-            Dispatch::Immediate(report.to_json_with_kind("serve", &shared.server_json()))
+            Dispatch::Immediate(stats::serve_document(&report, shared.server_json()))
         }
         "shutdown" => {
             shared.stop.store(true, Ordering::SeqCst);
             shared.pool.cv.notify_all();
             Dispatch::Immediate(
-                Json::Obj(vec![
-                    ("ok".to_string(), Json::Bool(true)),
-                    ("draining".to_string(), Json::Bool(true)),
-                ])
-                .render(),
+                Json::obj([("ok", Json::Bool(true)), ("draining", Json::Bool(true))]).render(),
             )
         }
         "set_faults" => {
@@ -1493,9 +1476,9 @@ fn dispatch(shared: &Shared, frame: &[u8], dest: ConnRef, fate: RespFate) -> Dis
             Dispatch::Immediate(match plan {
                 Ok(p) => {
                     *lock_recover(&shared.faults) = p;
-                    Json::Obj(vec![
-                        ("ok".to_string(), Json::Bool(true)),
-                        ("faults".to_string(), Json::str(p.to_string())),
+                    Json::obj([
+                        ("ok", Json::Bool(true)),
+                        ("faults", Json::str(p.to_string())),
                     ])
                     .render()
                 }
@@ -1547,21 +1530,17 @@ fn compile_dispatch(
     // excluded: a unit that panics the planner panics it under any
     // option set worth protecting the pool from).
     let breaker_key = CacheKey::compute(sources.iter().map(|s| s.as_str()), "breaker-v1").hex();
-    let probe = match shared.breakers.check(&breaker_key, shared.now()) {
-        BreakerDecision::Allow => false,
-        BreakerDecision::AllowProbe => true,
-        BreakerDecision::Reject => {
-            shared.breaker_rejected.fetch_add(1, Ordering::Relaxed);
-            let mut o = reject(
-                "quarantined",
-                "unit is circuit-broken; retry after cooldown",
-            );
-            if let Json::Obj(m) = &mut o {
-                m.push(("breaker".to_string(), Json::str("open")));
-            }
-            return Dispatch::Immediate(o.render());
+    if shared.breakers.check(&breaker_key, shared.now()) == BreakerDecision::Reject {
+        shared.breaker_rejected.fetch_add(1, Ordering::Relaxed);
+        let mut o = reject(
+            "quarantined",
+            "unit is circuit-broken; retry after cooldown",
+        );
+        if let Json::Obj(m) = &mut o {
+            m.push(("breaker".to_string(), Json::str("open")));
         }
-    };
+        return Dispatch::Immediate(o.render());
+    }
 
     // Admission: shed past the cap, degrade past the high-water mark.
     let depth = shared.pool.depth();
@@ -1598,7 +1577,6 @@ fn compile_dispatch(
         unit: Unit::new(name.clone(), sources),
         config,
         breaker_key,
-        probe,
         audit: op == "audit",
         emit: req.get("emit").and_then(Json::as_bool) == Some(true),
         name,
@@ -1916,7 +1894,6 @@ mod tests {
             unit: unit.clone(),
             config: BatchConfig::default(),
             breaker_key: String::new(),
-            probe: false,
             audit,
             emit,
             name: unit.name.clone(),
@@ -1941,6 +1918,80 @@ mod tests {
         assert_eq!(order, ["u0", "u1", "u2", "u3", "u4"]);
         assert_eq!(pool.depth(), 0);
         assert_eq!(pool.active.load(Ordering::SeqCst), 5);
+    }
+
+    #[test]
+    fn stats_op_keeps_the_server_key_order() {
+        let handle = start(ServeConfig::default()).unwrap();
+        let line = send_once(
+            &handle.addr().to_string(),
+            r#"{"op":"stats"}"#,
+            Duration::from_secs(20),
+        )
+        .unwrap();
+        handle.shutdown();
+        let doc = Json::parse(&line).unwrap();
+        fn keys(v: Option<&Json>) -> Vec<&str> {
+            match v {
+                Some(Json::Obj(m)) => m.iter().map(|(k, _)| k.as_str()).collect(),
+                other => panic!("not an object: {other:?}"),
+            }
+        }
+        let server = doc.get("server");
+        assert_eq!(
+            keys(Some(&doc)),
+            [
+                "schema",
+                "kind",
+                "server",
+                "jobs",
+                "wall_micros",
+                "cache",
+                "phase_totals_micros",
+                "units"
+            ]
+        );
+        assert_eq!(
+            keys(server),
+            [
+                "draining",
+                "queue_depth",
+                "active",
+                "admitted",
+                "completed",
+                "shed",
+                "load_degraded",
+                "breaker_rejected",
+                "shutdown_rejected",
+                "net_faults_fired",
+                "reactor",
+                "breakers",
+                "cache",
+                "uptime_ms"
+            ]
+        );
+        assert_eq!(
+            keys(server.and_then(|s| s.get("reactor"))),
+            [
+                "backend",
+                "conns_accepted",
+                "conns_open",
+                "frames_in",
+                "responses_out",
+                "pipelined_peak",
+                "write_overflow_disconnects",
+                "wakeups",
+                "accept_errors"
+            ]
+        );
+        assert_eq!(
+            keys(server.and_then(|s| s.get("breakers"))),
+            ["closed", "open", "half_open"]
+        );
+        assert_eq!(
+            keys(server.and_then(|s| s.get("cache"))),
+            ["hits", "misses", "partial_hits", "quarantined", "swept"]
+        );
     }
 
     #[test]

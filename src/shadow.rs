@@ -7,13 +7,14 @@
 //!
 //! 1. `compile_traced` keeps the optimized SSA snapshot the planner
 //!    (and auditor) reasoned about, alongside the executable IR;
-//! 2. the planned VM runs under [`ShadowLog`] observation, recording
-//!    every slot definition, read and heap event;
+//! 2. the planned VM runs under [`ShadowLog`](matc_analysis::ShadowLog)
+//!    observation, recording every slot definition, read and heap
+//!    event;
 //! 3. [`matc_analysis::shadow::replay`] classifies plan-vs-reality
 //!    diffs (S101–S105), and the orchestrator adds S100 when the two
 //!    executors' outputs diverge;
 //! 4. counters aggregate into [`ShadowStats`] — the `shadow{}` object
-//!    of the schema-v9 stats document.
+//!    of the schema-v9 stats document ([`crate::stats::shadow_document`]).
 //!
 //! The corruption tests drive [`shadow_compiled`] directly with
 //! deliberately mutated plans to prove each S-code fires.
@@ -200,16 +201,6 @@ pub fn shadow_unit(
     shadow_compiled(name, &ast, &compiled, &ssa, seed)
 }
 
-/// The schema-v9 stats document of a shadow run:
-/// `{"schema":8,"kind":"shadow","shadow":{…}}`.
-pub fn stats_document(stats: &ShadowStats) -> String {
-    format!(
-        "{{\"schema\":{},\"kind\":\"shadow\",{}}}",
-        matc_gctd::BatchReport::SCHEMA_VERSION,
-        stats.to_json()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,7 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_document_carries_schema_v8_prefix() {
+    fn stats_document_carries_schema_v9_prefix() {
         let mut stats = ShadowStats::default();
         let u = shadow_unit(
             "unit",
@@ -238,7 +229,7 @@ mod tests {
             None,
         );
         u.accumulate(&mut stats);
-        let doc = stats_document(&stats);
+        let doc = crate::stats::shadow_document(&stats);
         assert!(
             doc.starts_with("{\"schema\":9,\"kind\":\"shadow\",\"shadow\":{\"units\":1,"),
             "{doc}"

@@ -4,13 +4,13 @@
 //! The *real* reactor code runs here: the same [`crate::serve`] state
 //! machines, the same zero-copy framing, the same breaker, admission
 //! and drain logic that production traffic exercises. What changes is
-//! the world around it. The [`NetSource`] seam (`src/sys.rs`) is
-//! implemented by [`SimNet`], an in-memory network of duplex byte
+//! the world around it. The `NetSource` seam (`src/sys.rs`) is
+//! implemented by `SimNet`, an in-memory network of duplex byte
 //! pipes with seeded partial reads/writes, bounded capacity and fixed
 //! per-link latency; the [`Clock`] seam runs on a virtual timeline
 //! that advances only when the simulation decides nothing else can
 //! happen first. Compile jobs do not fan onto the thread pool —
-//! [`SimNet`] pops them from the reactor's own queue and executes them
+//! `SimNet` pops them from the reactor's own queue and executes them
 //! inline at deterministically scheduled virtual instants. The result
 //! is a single-threaded, sleep-free run in which every byte movement,
 //! timer expiry and job completion is a pure function of the seed.
@@ -389,7 +389,7 @@ struct Reg {
     interest: u32,
 }
 
-/// The deterministic in-memory [`NetSource`]. Because the reactor's
+/// The deterministic in-memory `NetSource`. Because the reactor's
 /// `run` loop owns the calling thread, everything else in the
 /// simulation — virtual time, byte delivery, the scripted clients,
 /// inline job execution, invariant checks, trace recording — happens
@@ -443,22 +443,19 @@ impl SimNet {
             let mut kinds = Vec::new();
             for ri in 0..w.reqs {
                 if w.reqs >= 3 && ri == w.reqs / 2 {
-                    frames.push(Json::Obj(vec![("op".to_string(), Json::str("healthz"))]).render());
+                    frames.push(Json::obj([("op", Json::str("healthz"))]).render());
                     names.push(String::new());
                     kinds.push(ReqKind::Healthz);
                 } else {
                     let uidx = comp.below(CORPUS as u64) as usize;
                     let name = format!("cu{uidx}-c{ci}r{ri}");
                     frames.push(
-                        Json::Obj(vec![
-                            ("op".to_string(), Json::str("compile")),
-                            ("name".to_string(), Json::str(&name)),
-                            (
-                                "sources".to_string(),
-                                Json::Arr(vec![Json::str(unit_source(uidx))]),
-                            ),
-                            ("deadline_ms".to_string(), Json::num(30_000)),
-                            ("emit".to_string(), Json::Bool(true)),
+                        Json::obj([
+                            ("op", Json::str("compile")),
+                            ("name", Json::str(&name)),
+                            ("sources", Json::Arr(vec![Json::str(unit_source(uidx))])),
+                            ("deadline_ms", Json::num(30_000)),
+                            ("emit", Json::Bool(true)),
                         ])
                         .render(),
                     );
@@ -480,7 +477,7 @@ impl SimNet {
         if w.shutdown_mid {
             clients.push(Client {
                 id: w.clients,
-                frames: vec![Json::Obj(vec![("op".to_string(), Json::str("shutdown"))]).render()],
+                frames: vec![Json::obj([("op", Json::str("shutdown"))]).render()],
                 names: vec![String::new()],
                 kinds: vec![ReqKind::Shutdown],
                 state: ClientState::Waiting(u64::MAX),

@@ -17,7 +17,7 @@
 //! registered fd ready each tick; the nonblocking sockets above turn
 //! that into correct (if unfashionable) polling behaviour.
 //!
-//! [`WakePipe`] is the reactor's cross-thread doorbell: compile
+//! `WakePipe` is the reactor's cross-thread doorbell: compile
 //! workers finishing a job ring it (one byte), the reactor's poller
 //! sees the read end become readable and acks it (drain, then reopen
 //! the gate). Its atomic "already rung" gate keeps the nonblocking pipe
@@ -25,10 +25,10 @@
 //!
 //! Two seams on top of the raw pollers make the reactor simulable
 //! (DESIGN.md §14): [`Clock`] abstracts monotonic time (system in
-//! production, virtual under `matc simulate`), and [`NetSource`] +
-//! [`ConnIo`] abstract the listener/poller/socket surface the reactor
-//! touches. [`RealNet`] is the production implementation over
-//! [`Poller`] and a nonblocking `TcpListener`; `src/sim.rs` provides
+//! production, virtual under `matc simulate`), and `NetSource` +
+//! `ConnIo` abstract the listener/poller/socket surface the reactor
+//! touches. `RealNet` is the production implementation over
+//! `Poller` and a nonblocking `TcpListener`; `src/sim.rs` provides
 //! the deterministic in-memory one.
 
 use std::io;
@@ -701,7 +701,7 @@ pub(crate) struct ConnObs {
 
 /// Everything the reactor needs from "the network": readiness
 /// notification, the listener, and per-connection registration. The
-/// production implementation is [`RealNet`]; the simulation provides
+/// production implementation is `RealNet`; the simulation provides
 /// an in-memory deterministic one, and the reactor itself is generic
 /// over this trait so both run the identical state machines.
 pub(crate) trait NetSource {
@@ -757,7 +757,7 @@ fn fd_of_stream(_s: &TcpStream) -> RawFd {
     0
 }
 
-/// The production [`NetSource`]: a [`Poller`] plus a nonblocking
+/// The production `NetSource`: a `Poller` plus a nonblocking
 /// `TcpListener`, with new sockets switched to nonblocking +
 /// `TCP_NODELAY` and optionally a shrunken `SO_SNDBUF` before the
 /// reactor sees them.

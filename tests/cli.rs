@@ -579,7 +579,7 @@ fn shadow_failing_unit_exits_one() {
 }
 
 #[test]
-fn shadow_stats_documents_are_schema_v8() {
+fn shadow_stats_documents_are_schema_v9() {
     let p = write_temp("shadow3.m", "function f\nfprintf('%d\\n', 2 + 2);\n");
     let stats_path = std::env::temp_dir()
         .join("matc-cli-tests")

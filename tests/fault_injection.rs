@@ -105,7 +105,7 @@ fn fifty_seed_matrix_degrades_or_fails_but_never_lies() {
                 );
             } else {
                 // Degradations must be visible in the stats document.
-                let j = m.to_json();
+                let j = matc::stats::unit_json(m).render();
                 assert!(
                     j.contains("\"status\":\"degraded\"") || !m.budget_exceeded.is_empty(),
                     "seed {seed}/{}: degradation invisible in JSON: {j}",
@@ -113,7 +113,7 @@ fn fifty_seed_matrix_degrades_or_fails_but_never_lies() {
                 );
             }
         }
-        let report_json = res.report.to_json();
+        let report_json = matc::stats::batch_document(&res.report);
         assert!(
             report_json.starts_with("{\"schema\":9,\"kind\":\"batch\","),
             "seed {seed}: stats schema drifted"

@@ -248,12 +248,7 @@ fn parallel_audit_is_byte_identical_across_jobs() {
         let (serial, s_stats) = audit_program_jobs(&ir, &types, &plans, 1);
         for jobs in [2, 4, 8] {
             let (par, p_stats) = audit_program_jobs(&ir, &types, &plans, jobs);
-            assert_eq!(
-                serial.to_json(),
-                par.to_json(),
-                "{} diverged at jobs={jobs}",
-                bench.name
-            );
+            assert_eq!(serial, par, "{} diverged at jobs={jobs}", bench.name);
             assert_eq!(s_stats.cfg_edges, p_stats.cfg_edges, "{}", bench.name);
         }
     }
@@ -322,11 +317,7 @@ fn parallel_audit_orders_findings_like_serial() {
     );
     for jobs in [2, 3, 8] {
         let (par, _) = audit_program_jobs(&ir, &types, &plans, jobs);
-        assert_eq!(
-            serial.to_json(),
-            par.to_json(),
-            "finding order diverged at jobs={jobs}"
-        );
+        assert_eq!(serial, par, "finding order diverged at jobs={jobs}");
     }
 }
 
@@ -422,7 +413,7 @@ fn findings_render_as_json() {
     let b = var_named(&ir, "b", 1);
     merge_into_slot(&mut plans, b, a);
     let d = audit_program(&ir, &mut types, &plans);
-    let json = d.to_json();
+    let json = matc::stats::audit_json(&d);
     assert!(json.contains("\"code\":\"A101\""), "{json}");
     assert!(json.contains("\"severity\":\"error\""), "{json}");
     assert!(json.contains("\"span\":"), "{json}");
