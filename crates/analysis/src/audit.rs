@@ -77,56 +77,19 @@ impl AuditStats {
 }
 
 /// Audits every function's plan; returns all findings.
-///
-/// `types` is taken mutably because symbolic size comparisons intern new
-/// expressions in the shared [`matc_typeinf::ExprCtx`].
-pub fn audit_program(
-    prog: &IrProgram,
-    types: &mut ProgramTypes,
-    plans: &ProgramPlan,
-) -> Diagnostics {
-    audit_program_with_stats(prog, types, plans).0
+pub fn audit_program(prog: &IrProgram, types: &ProgramTypes, plans: &ProgramPlan) -> Diagnostics {
+    audit_program_jobs(prog, types, plans, 1).0
 }
 
-/// [`audit_program`] returning the work counters alongside the findings.
-pub fn audit_program_with_stats(
-    prog: &IrProgram,
-    types: &mut ProgramTypes,
-    plans: &ProgramPlan,
-) -> (Diagnostics, AuditStats) {
-    let mut diags = Diagnostics::new();
-    let mut stats = AuditStats::default();
-    for i in 0..prog.functions.len() {
-        let fid = FuncId::new(i);
-        let func = prog.func(fid);
-        let preds = func.predecessors();
-        let budget = Budget::unlimited();
-        let s = audit_function_budgeted(
-            func,
-            fid,
-            types,
-            plans.plan(fid),
-            plans.options,
-            &preds,
-            &budget,
-            &mut diags,
-        )
-        .expect("unlimited budget cannot trip");
-        stats.absorb(s);
-    }
-    (diags, stats)
-}
-
-/// [`audit_program_with_stats`] with per-function audits fanned across
-/// `jobs` worker threads, each taking the next unaudited function from
-/// a shared cursor (the batch driver's [`par_map`]).
+/// Audits every function's plan on `jobs` worker threads, each taking
+/// the next unaudited function from a shared cursor (the batch driver's
+/// [`par_map`]), and returns the findings with the work counters.
 ///
 /// Diagnostics are collected into per-function slots and merged in
-/// `FuncId` order, so the output is byte-identical to the serial audit
-/// regardless of `jobs` or scheduling. Each worker audits against its
-/// own clone of `types` (interning during symbolic comparisons is a
-/// cache, not an input), so the caller's context is left untouched on
-/// this path.
+/// `FuncId` order, so the output is byte-identical for every `jobs`
+/// value and every schedule. Each worker audits against its own clone
+/// of `types` (symbolic size comparisons intern new expressions, a
+/// cache rather than an input), so the caller's context is untouched.
 pub fn audit_program_jobs(
     prog: &IrProgram,
     types: &ProgramTypes,
@@ -134,12 +97,7 @@ pub fn audit_program_jobs(
     jobs: usize,
 ) -> (Diagnostics, AuditStats) {
     let n = prog.functions.len();
-    let jobs = jobs.max(1).min(n.max(1));
-    if jobs <= 1 || n <= 1 {
-        let mut local = types.clone();
-        return audit_program_with_stats(prog, &mut local, plans);
-    }
-
+    let jobs = jobs.clamp(1, n.max(1));
     let states = (0..jobs).map(|_| types.clone()).collect();
     let audited = par_map(n, states, |local_types, i| {
         let fid = FuncId::new(i);
@@ -171,31 +129,12 @@ pub fn audit_program_jobs(
     (diags, stats)
 }
 
-/// Audits one function's plan, appending findings to `diags`.
-///
-/// # Panics
-///
-/// Panics if `func` is not in SSA form — plans are built on SSA, so
-/// auditing anything else would be meaningless.
-pub fn audit_function(
-    func: &FuncIr,
-    fid: FuncId,
-    types: &mut ProgramTypes,
-    plan: &StoragePlan,
-    options: GctdOptions,
-    diags: &mut Diagnostics,
-) {
-    let preds = func.predecessors();
-    let budget = Budget::unlimited();
-    audit_function_budgeted(func, fid, types, plan, options, &preds, &budget, diags)
-        .expect("unlimited budget cannot trip");
-}
-
-/// [`audit_function`] with the predecessor lists supplied by the caller
-/// (computed once per function, shared by every analysis the audit
-/// runs — the audit dataflow, the production engine behind A401/A5xx —
-/// instead of once per check group) and a [`Budget`] charged with the
-/// same shape as the production pipeline's analysis phases.
+/// Audits one function's plan, appending findings to `diags`. The
+/// predecessor lists are supplied by the caller (computed once per
+/// function, shared by every analysis the audit runs — the audit
+/// dataflow, the production engine behind A401/A5xx — instead of once
+/// per check group), and the [`Budget`] is charged with the same shape
+/// as the production pipeline's analysis phases.
 ///
 /// Returns the work counters on success; on a budget trip the partial
 /// findings appended so far must be discarded by the caller along with
@@ -1055,44 +994,6 @@ mod tests {
         let mut d = Diagnostics::new();
         check_engine_agreement(f, &flow, &prod, plans.plan(FuncId::new(0)), &mut d);
         assert!(d.is_empty(), "{}", d.render());
-    }
-
-    #[test]
-    fn preds_threaded_entry_matches_plain_entry() {
-        // The satellite contract: computing `predecessors()` once and
-        // passing it through must not change a single diagnostic.
-        let src =
-            "function f(n)\na = rand(n, n);\nb = a + 1;\nfor i = 1:n\nb = b * 2;\nend\ndisp(b);\n";
-        let (ir, mut types, plans) = prep(src);
-        let fid = FuncId::new(0);
-        let func = ir.func(fid);
-
-        let mut plain = Diagnostics::new();
-        audit_function(
-            func,
-            fid,
-            &mut types,
-            plans.plan(fid),
-            plans.options,
-            &mut plain,
-        );
-
-        let preds = func.predecessors();
-        let budget = Budget::unlimited();
-        let mut threaded = Diagnostics::new();
-        let stats = audit_function_budgeted(
-            func,
-            fid,
-            &mut types,
-            plans.plan(fid),
-            plans.options,
-            &preds,
-            &budget,
-            &mut threaded,
-        )
-        .unwrap();
-        assert_eq!(plain, threaded);
-        assert!(stats.cfg_edges > 0, "loops have edges");
     }
 
     #[test]

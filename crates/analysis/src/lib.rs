@@ -13,8 +13,9 @@
 //! own dataflow engine ([`dataflow::AuditFlow`]) and its own sizing
 //! walk, so planner bugs and auditor bugs do not correlate.
 //!
-//! `matc audit <file.m>` runs both the auditor and the lints; the VM
-//! compile path re-audits every plan under `debug_assertions`.
+//! `matc audit <file.m>` runs both the auditor and the lints; every
+//! compile (`matc_vm::compile`, the batch driver, `matc serve`) audits
+//! each plan before SSA inversion, in every build.
 //!
 //! ## Example
 //!
@@ -32,7 +33,7 @@
 //! let mut types = infer_program(&ir);
 //! let plans = plan_program(&ir, &mut types, GctdOptions::default());
 //!
-//! let audit = audit_program(&ir, &mut types, &plans);
+//! let audit = audit_program(&ir, &types, &plans);
 //! assert!(audit.is_empty(), "{}", audit.render());
 //! assert!(lint_program(&ast).is_empty());
 //! ```
@@ -45,10 +46,7 @@ pub mod diagnostics;
 pub mod lint;
 pub mod shadow;
 
-pub use audit::{
-    audit_function, audit_function_budgeted, audit_program, audit_program_jobs,
-    audit_program_with_stats, AuditStats,
-};
+pub use audit::{audit_function_budgeted, audit_program, audit_program_jobs, AuditStats};
 pub use dataflow::AuditFlow;
 pub use diagnostics::{Diagnostic, Diagnostics, Severity};
 pub use lint::lint_program;

@@ -296,26 +296,18 @@ impl Artifact {
     /// length-prefixed sections (`section <name> <bytes>`), with the
     /// metadata map as `key value` lines in the `meta` section.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut meta = String::new();
-        for (k, v) in &self.meta {
-            meta.push_str(k);
-            meta.push(' ');
-            meta.push_str(&v.to_string());
-            meta.push('\n');
-        }
         let mut out = Vec::new();
         out.extend_from_slice(ARTIFACT_MAGIC.as_bytes());
         out.push(b'\n');
-        for (name, body) in [
-            ("c", self.c_code.as_str()),
-            ("plan", self.plan_text.as_str()),
-            ("audit", self.audit_json.as_str()),
-            ("meta", meta.as_str()),
-        ] {
-            out.extend_from_slice(format!("section {name} {}\n", body.len()).as_bytes());
-            out.extend_from_slice(body.as_bytes());
-            out.push(b'\n');
-        }
+        write_sections(
+            &mut out,
+            [
+                ("c", self.c_code.as_str()),
+                ("plan", self.plan_text.as_str()),
+                ("audit", self.audit_json.as_str()),
+            ],
+            &self.meta,
+        );
         out
     }
 
@@ -327,39 +319,7 @@ impl Artifact {
         if magic != ARTIFACT_MAGIC.as_bytes() {
             return Err("bad magic".to_string());
         }
-        let mut sections: BTreeMap<String, String> = BTreeMap::new();
-        while !rest.is_empty() {
-            let header = take_line(&mut rest).ok_or("truncated section header")?;
-            let header = std::str::from_utf8(header).map_err(|_| "non-utf8 header")?;
-            let mut parts = header.split(' ');
-            let (kw, name, len) = (parts.next(), parts.next(), parts.next());
-            if kw != Some("section") || parts.next().is_some() {
-                return Err(format!("bad section header: {header}"));
-            }
-            let name = name.ok_or("missing section name")?;
-            let len: usize = len
-                .and_then(|l| l.parse().ok())
-                .ok_or("bad section length")?;
-            // `<= len` rather than `< len + 1`: a crafted length of
-            // usize::MAX must read as truncation, not overflow.
-            if rest.len() <= len || rest[len] != b'\n' {
-                return Err(format!("truncated section {name}"));
-            }
-            let body = std::str::from_utf8(&rest[..len]).map_err(|_| "non-utf8 section")?;
-            sections.insert(name.to_string(), body.to_string());
-            rest = &rest[len + 1..];
-        }
-        let mut get = |k: &str| sections.remove(k).ok_or(format!("missing section {k}"));
-        let c_code = get("c")?;
-        let plan_text = get("plan")?;
-        let audit_json = get("audit")?;
-        let meta_text = get("meta")?;
-        let mut meta = BTreeMap::new();
-        for line in meta_text.lines() {
-            let (k, v) = line.split_once(' ').ok_or("bad meta line")?;
-            let v: u64 = v.parse().map_err(|_| "bad meta value")?;
-            meta.insert(k.to_string(), v);
-        }
+        let ([c_code, plan_text, audit_json], meta) = read_sections(rest, ["c", "plan", "audit"])?;
         Ok(Artifact {
             c_code,
             plan_text,
@@ -367,6 +327,61 @@ impl Artifact {
             meta,
         })
     }
+}
+
+/// Appends the section payload artifacts and fragments share: one
+/// `section <name> <len>` block per text, then a `meta` section of
+/// `key value` lines.
+fn write_sections(out: &mut Vec<u8>, texts: [(&str, &str); 3], meta: &BTreeMap<String, u64>) {
+    let mut meta_text = String::new();
+    for (k, v) in meta {
+        meta_text.push_str(&format!("{k} {v}\n"));
+    }
+    for (name, body) in texts.into_iter().chain([("meta", meta_text.as_str())]) {
+        out.extend_from_slice(format!("section {name} {}\n", body.len()).as_bytes());
+        out.extend_from_slice(body.as_bytes());
+        out.push(b'\n');
+    }
+}
+
+/// Parses a [`write_sections`] payload, returning the texts named in
+/// `names` (in that order) and the `meta` map. Unknown sections are
+/// ignored; a missing one is an error.
+fn read_sections(
+    mut rest: &[u8],
+    names: [&str; 3],
+) -> Result<([String; 3], BTreeMap<String, u64>), String> {
+    let mut sections: BTreeMap<String, String> = BTreeMap::new();
+    while !rest.is_empty() {
+        let header = take_line(&mut rest).ok_or("truncated section header")?;
+        let header = std::str::from_utf8(header).map_err(|_| "non-utf8 header")?;
+        let mut parts = header.split(' ');
+        let (kw, name, len) = (parts.next(), parts.next(), parts.next());
+        if kw != Some("section") || parts.next().is_some() {
+            return Err(format!("bad section header: {header}"));
+        }
+        let name = name.ok_or("missing section name")?;
+        let len: usize = len
+            .and_then(|l| l.parse().ok())
+            .ok_or("bad section length")?;
+        // `<= len` rather than `< len + 1`: a crafted length of
+        // usize::MAX must read as truncation, not overflow.
+        if rest.len() <= len || rest[len] != b'\n' {
+            return Err(format!("truncated section {name}"));
+        }
+        let body = std::str::from_utf8(&rest[..len]).map_err(|_| "non-utf8 section")?;
+        sections.insert(name.to_string(), body.to_string());
+        rest = &rest[len + 1..];
+    }
+    let mut get = |k: &str| sections.remove(k).ok_or(format!("missing section {k}"));
+    let texts = [get(names[0])?, get(names[1])?, get(names[2])?];
+    let mut meta = BTreeMap::new();
+    for line in get("meta")?.lines() {
+        let (k, v) = line.split_once(' ').ok_or("bad meta line")?;
+        let v: u64 = v.parse().map_err(|_| "bad meta value")?;
+        meta.insert(k.to_string(), v);
+    }
+    Ok((texts, meta))
 }
 
 fn take_line<'a>(rest: &mut &'a [u8]) -> Option<&'a [u8]> {
@@ -405,71 +420,29 @@ const FRAGMENT_MAGIC: &str = "matc-frag v1";
 const MANIFEST_MAGIC: &str = "matc-manifest v1";
 
 impl Fragment {
-    /// Serializes the fragment payload (sections, like [`Artifact`]).
-    fn payload(&self) -> Vec<u8> {
-        let mut meta = String::new();
-        for (k, v) in &self.meta {
-            meta.push_str(k);
-            meta.push(' ');
-            meta.push_str(&v.to_string());
-            meta.push('\n');
-        }
-        let mut out = Vec::new();
-        for (name, body) in [
-            ("body", self.body.as_str()),
-            ("plan", self.plan_text.as_str()),
-            ("findings", self.findings.as_str()),
-            ("meta", meta.as_str()),
-        ] {
-            out.extend_from_slice(format!("section {name} {}\n", body.len()).as_bytes());
-            out.extend_from_slice(body.as_bytes());
-            out.push(b'\n');
-        }
-        out
-    }
-
     /// Serializes to the on-disk format: magic line, embedded SHA-256
-    /// over the payload, then the payload sections.
+    /// over the payload, then the payload sections (like [`Artifact`]'s).
     pub fn to_bytes(&self) -> Vec<u8> {
-        seal(FRAGMENT_MAGIC, &self.payload())
+        let mut payload = Vec::new();
+        write_sections(
+            &mut payload,
+            [
+                ("body", self.body.as_str()),
+                ("plan", self.plan_text.as_str()),
+                ("findings", self.findings.as_str()),
+            ],
+            &self.meta,
+        );
+        seal(FRAGMENT_MAGIC, &payload)
     }
 
     /// Parses and integrity-verifies the on-disk format; any structural
     /// defect or digest mismatch is an error (the store quarantines the
     /// file).
     pub fn from_bytes(bytes: &[u8]) -> Result<Fragment, String> {
-        let mut rest = unseal(FRAGMENT_MAGIC, bytes)?;
-        let mut sections: BTreeMap<String, String> = BTreeMap::new();
-        while !rest.is_empty() {
-            let header = take_line(&mut rest).ok_or("truncated section header")?;
-            let header = std::str::from_utf8(header).map_err(|_| "non-utf8 header")?;
-            let mut parts = header.split(' ');
-            let (kw, name, len) = (parts.next(), parts.next(), parts.next());
-            if kw != Some("section") || parts.next().is_some() {
-                return Err(format!("bad section header: {header}"));
-            }
-            let name = name.ok_or("missing section name")?;
-            let len: usize = len
-                .and_then(|l| l.parse().ok())
-                .ok_or("bad section length")?;
-            if rest.len() <= len || rest[len] != b'\n' {
-                return Err(format!("truncated section {name}"));
-            }
-            let body = std::str::from_utf8(&rest[..len]).map_err(|_| "non-utf8 section")?;
-            sections.insert(name.to_string(), body.to_string());
-            rest = &rest[len + 1..];
-        }
-        let mut get = |k: &str| sections.remove(k).ok_or(format!("missing section {k}"));
-        let body = get("body")?;
-        let plan_text = get("plan")?;
-        let findings = get("findings")?;
-        let meta_text = get("meta")?;
-        let mut meta = BTreeMap::new();
-        for line in meta_text.lines() {
-            let (k, v) = line.split_once(' ').ok_or("bad meta line")?;
-            let v: u64 = v.parse().map_err(|_| "bad meta value")?;
-            meta.insert(k.to_string(), v);
-        }
+        let rest = unseal(FRAGMENT_MAGIC, bytes)?;
+        let ([body, plan_text, findings], meta) =
+            read_sections(rest, ["body", "plan", "findings"])?;
         Ok(Fragment {
             body,
             plan_text,
@@ -1320,6 +1293,40 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(b.meta_value("c_bytes"), 42);
         assert_eq!(b.meta_value("absent"), 0);
+    }
+
+    #[test]
+    fn artifact_and_fragment_bytes_are_pinned() {
+        // The on-disk formats, byte for byte: stores written by older
+        // builds must keep reading back.
+        let a = Artifact {
+            c_code: "int x;\n".to_string(),
+            plan_text: "p\n".to_string(),
+            audit_json: "[]".to_string(),
+            meta: BTreeMap::from([("a".to_string(), 1), ("b".to_string(), 22)]),
+        };
+        let a_bytes = "matc-artifact v1\n\
+                       section c 7\nint x;\n\n\
+                       section plan 2\np\n\n\
+                       section audit 2\n[]\n\
+                       section meta 9\na 1\nb 22\n\n";
+        assert_eq!(String::from_utf8(a.to_bytes()).unwrap(), a_bytes);
+        assert_eq!(Artifact::from_bytes(a_bytes.as_bytes()).unwrap(), a);
+
+        let f = Fragment {
+            body: "f\n".to_string(),
+            plan_text: "g:\n".to_string(),
+            findings: String::new(),
+            meta: BTreeMap::from([("plan_slots".to_string(), 1)]),
+        };
+        let f_bytes = "matc-frag v1\n\
+                       sha256 8be60360adc7a0b83924054d49fcbcaccd85a84f32d9009fd2452f43a65c6b1d\n\
+                       section body 2\nf\n\n\
+                       section plan 3\ng:\n\n\
+                       section findings 0\n\n\
+                       section meta 13\nplan_slots 1\n\n";
+        assert_eq!(String::from_utf8(f.to_bytes()).unwrap(), f_bytes);
+        assert_eq!(Fragment::from_bytes(f_bytes.as_bytes()).unwrap(), f);
     }
 
     #[test]

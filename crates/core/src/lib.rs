@@ -65,8 +65,8 @@ pub use metrics::{
 };
 pub use order::{decompose_color_class, IndexGroup, SizeClass, Sizing};
 pub use plan::{
-    plan_function, plan_function_budgeted, plan_program, plan_program_with, GctdOptions, PlanStats,
-    ProgramPlan, ResizeKind, SlotInfo, SlotKind, StoragePlan,
+    plan_function, plan_function_budgeted, plan_program, GctdOptions, PlanStats, ProgramPlan,
+    ResizeKind, SlotInfo, SlotKind, StoragePlan,
 };
 
 #[cfg(test)]

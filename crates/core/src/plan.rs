@@ -197,33 +197,6 @@ pub fn plan_program(
     ProgramPlan { plans, options }
 }
 
-/// [`plan_program`] with phase observability: per-phase wall times
-/// (interference build, coloring, decomposition) and interference-graph
-/// node/edge totals accumulate into `rec`. Produces exactly the same
-/// plan as the unrecorded entry point.
-pub fn plan_program_with(
-    prog: &IrProgram,
-    types: &mut ProgramTypes,
-    options: GctdOptions,
-    rec: &mut UnitMetrics,
-) -> ProgramPlan {
-    let budget = Budget::unlimited();
-    let plans = (0..prog.functions.len())
-        .map(|i| {
-            plan_function_budgeted(
-                prog.func(FuncId::new(i)),
-                FuncId::new(i),
-                types,
-                options,
-                &budget,
-                Some(rec),
-            )
-            .expect("unlimited budget cannot trip")
-        })
-        .collect();
-    ProgramPlan { plans, options }
-}
-
 /// Node-level sizing facts for a coalesced interference class.
 struct NodeFacts {
     members: Vec<VarId>,
@@ -248,9 +221,10 @@ pub fn plan_function(
         .expect("unlimited budget cannot trip")
 }
 
-/// [`plan_function`] under a [`Budget`] with optional phase recording
-/// (see [`plan_program_with`]; the `rec: None` path takes no
-/// timestamps). The budget's fuel charges cover the dataflow fixpoints,
+/// [`plan_function`] under a [`Budget`] with optional phase recording:
+/// per-phase wall times (interference build, coloring, decomposition)
+/// and interference-graph node/edge totals accumulate into `rec`, and
+/// the plan is the same either way. The budget's fuel charges cover the dataflow fixpoints,
 /// the interference-graph backward scan, and the coloring search — the
 /// three input-dependent parts of GCTD — under the phase names
 /// `"interference"`, `"coloring"` and `"decompose"`.

@@ -1,15 +1,17 @@
-//! The full `mat2c`-style compilation pipeline, producing executable IR
-//! plus GCTD storage plans.
+//! The `mat2c`-style compile entry points, producing executable IR plus
+//! audited GCTD storage plans. Both run the one pipeline of
+//! [`crate::resilient`] with no budget and no injected faults.
 
-use matc_analysis::{audit_program_with_stats, lint_program, Diagnostics};
+use crate::resilient::{
+    assemble_compiled, compile_front, compile_resilient, plan_functions, ResilientError,
+};
 use matc_frontend::ast::Program;
-use matc_gctd::{plan_program, plan_program_with, GctdOptions, Phase, ProgramPlan, UnitMetrics};
+use matc_gctd::{FaultPlan, GctdOptions, ProgramPlan, UnitMetrics};
 use matc_ir::ids::FuncId;
 use matc_ir::lower::LowerError;
-use matc_ir::{build_ssa, ssa_destruct, IrProgram};
-use matc_passes::{optimize_program, OptStats};
-use matc_typeinf::{infer_program, ProgramTypes};
-use std::time::Instant;
+use matc_ir::{build_ssa, ssa_destruct, Budget, IrProgram};
+use matc_passes::OptStats;
+use matc_typeinf::ProgramTypes;
 
 /// A compiled program: out-of-SSA IR whose φs were replaced by copies
 /// filtered through the storage plan (coalesced copies vanish, §2.2.1).
@@ -28,28 +30,28 @@ pub struct Compiled {
 /// Runs the mat2c pipeline: lower → SSA → classic passes → type
 /// inference → GCTD → SSA inversion.
 ///
+/// This is [`compile_resilient`] with no budget and no injected faults,
+/// so every plan is audited before SSA inversion bakes it into the IR.
+///
 /// # Errors
 ///
 /// Returns lowering errors (undefined names, unsupported constructs).
+///
+/// # Panics
+///
+/// Panics, in every build, when a plan failed its audit or the planner
+/// panicked: with no budget and no faults, those are the only ways the
+/// degradation ladder can fire, and both are planner bugs.
 pub fn compile(ast: &Program, options: GctdOptions) -> Result<Compiled, LowerError> {
-    compile_with(ast, options, None)
-}
-
-/// [`compile`] with phase observability: per-phase wall times (SSA
-/// build, optimization, inference, planning sub-phases, inversion) and
-/// AST/IR/plan sizes accumulate into `rec` when given. Produces exactly
-/// the same program as the unrecorded entry point.
-///
-/// # Errors
-///
-/// Returns lowering errors (undefined names, unsupported constructs).
-pub fn compile_with(
-    ast: &Program,
-    options: GctdOptions,
-    rec: Option<&mut UnitMetrics>,
-) -> Result<Compiled, LowerError> {
-    let (compiled, _, _) = compile_inner(ast, options, rec, false, false)?;
-    Ok(compiled)
+    let mut rec = UnitMetrics::new("compile");
+    let compiled = compile_resilient(
+        ast,
+        options,
+        &Budget::unlimited(),
+        FaultPlan::quiet(0),
+        &mut rec,
+    );
+    Ok(expect_clean(compiled, &rec)?.0)
 }
 
 /// [`compile`] that also returns the optimized SSA program exactly as
@@ -62,144 +64,40 @@ pub fn compile_with(
 /// # Errors
 ///
 /// Returns lowering errors (undefined names, unsupported constructs).
+///
+/// # Panics
+///
+/// Panics where [`compile`] does.
 pub fn compile_traced(
     ast: &Program,
     options: GctdOptions,
 ) -> Result<(Compiled, IrProgram), LowerError> {
-    let (compiled, _, ssa) = compile_inner(ast, options, None, false, true)?;
-    Ok((
-        compiled,
-        ssa.expect("traced pipeline captures the SSA program"),
-    ))
+    let (budget, faults) = (Budget::unlimited(), FaultPlan::quiet(0));
+    let mut rec = UnitMetrics::new("compile");
+    let traced = compile_front(ast, options, &budget, &faults, &mut rec).and_then(|mut front| {
+        let (plans, audit) = plan_functions(&mut front, &budget, &faults, &mut rec)?;
+        let ssa = front.ir.clone();
+        let (compiled, _) = assemble_compiled(ast, front, plans, audit, &mut rec);
+        Ok((compiled, ssa))
+    });
+    expect_clean(traced, &rec)
 }
 
-/// [`compile_with`] plus the independent checkers: AST lints and the
-/// storage-plan audit, run *before* SSA inversion bakes the sharing
-/// decisions into the IR (the auditor needs φs and live SSA names).
-/// The returned [`Diagnostics`] merge both; compilation proceeds even
-/// when the audit errors, so callers can report findings alongside the
-/// artifacts they describe.
-///
-/// # Errors
-///
-/// Returns lowering errors (undefined names, unsupported constructs).
-pub fn compile_audited(
-    ast: &Program,
-    options: GctdOptions,
-    rec: Option<&mut UnitMetrics>,
-) -> Result<(Compiled, Diagnostics), LowerError> {
-    let (compiled, diags, _) = compile_inner(ast, options, rec, true, false)?;
-    Ok((
-        compiled,
-        diags.expect("audited pipeline produces diagnostics"),
-    ))
-}
-
-#[allow(clippy::type_complexity)]
-fn compile_inner(
-    ast: &Program,
-    options: GctdOptions,
-    mut rec: Option<&mut UnitMetrics>,
-    want_audit: bool,
-    want_ssa: bool,
-) -> Result<(Compiled, Option<Diagnostics>, Option<IrProgram>), LowerError> {
-    if let Some(r) = rec.as_deref_mut() {
-        let s = ast.stats();
-        r.ast_functions = s.functions;
-        r.ast_statements = s.statements;
-        r.ast_expressions = s.expressions;
-    }
-
-    let t = Instant::now();
-    let mut ir = build_ssa(ast)?;
-    if let Some(r) = rec.as_deref_mut() {
-        r.record(Phase::SsaBuild, t.elapsed());
-    }
-
-    let t = Instant::now();
-    let opt_stats = optimize_program(&mut ir);
-    if let Some(r) = rec.as_deref_mut() {
-        r.record(Phase::Optimize, t.elapsed());
-        r.opt_removed = opt_stats.total();
-        r.ir_functions = ir.functions.len();
-        r.ir_blocks = ir.functions.iter().map(|f| f.blocks.len()).sum();
-        r.ir_instrs = ir
-            .functions
-            .iter()
-            .flat_map(|f| f.blocks.iter())
-            .map(|b| b.instrs.len())
-            .sum();
-        r.ir_vars = ir.functions.iter().map(|f| f.vars.len()).sum();
-    }
-
-    let t = Instant::now();
-    let mut types = infer_program(&ir);
-    if let Some(r) = rec.as_deref_mut() {
-        r.record(Phase::TypeInfer, t.elapsed());
-        let s = types.summary();
-        r.typeinf_facts = s.facts;
-        r.typeinf_scalars = s.scalars;
-    }
-
-    let plans = match rec.as_deref_mut() {
-        Some(r) => {
-            let p = plan_program_with(&ir, &mut types, options, r);
-            r.plan = p.total_stats();
-            p
-        }
-        None => plan_program(&ir, &mut types, options),
+/// Unwraps a ladder run that had no budget and no faults: lowering
+/// errors pass through, anything else the ladder did is a planner bug.
+fn expect_clean<T>(result: Result<T, ResilientError>, rec: &UnitMetrics) -> Result<T, LowerError> {
+    let value = match result {
+        Ok(v) => v,
+        Err(ResilientError::Lower(e)) => return Err(e),
+        Err(e) => panic!("storage planning failed: {e}"),
     };
-
-    let diags = if want_audit {
-        let t = Instant::now();
-        let mut diags = lint_program(ast);
-        let (findings, stats) = audit_program_with_stats(&ir, &mut types, &plans);
-        diags.merge(findings);
-        if let Some(r) = rec.as_deref_mut() {
-            r.record(Phase::Audit, t.elapsed());
-            r.audit_errors = diags.error_count();
-            r.audit_warnings = diags.warning_count();
-            r.audit_edges = stats.cfg_edges;
-        }
-        Some(diags)
-    } else {
-        // Debug builds re-audit every plan with the independent checker
-        // before SSA inversion bakes the sharing decisions into the IR.
-        // Same preds-threaded entry as the audited path, so both hooks
-        // exercise identical code.
-        #[cfg(debug_assertions)]
-        {
-            let (findings, _stats) = audit_program_with_stats(&ir, &mut types, &plans);
-            assert!(
-                !findings.has_errors(),
-                "storage plan failed its audit:\n{}",
-                findings.render()
-            );
-        }
-        None
-    };
-
-    let ssa_snapshot = want_ssa.then(|| ir.clone());
-
-    let t = Instant::now();
-    for (i, f) in ir.functions.iter_mut().enumerate() {
-        let plan = &plans.plans[i];
-        ssa_destruct(f, |dst, src| plan.share_storage(dst, src));
+    if let Some(d) = rec.degradations.first() {
+        panic!(
+            "storage plan for `{}` rejected ({}): {}",
+            d.func, d.stage, d.reason
+        );
     }
-    if let Some(r) = rec {
-        r.record(Phase::SsaInvert, t.elapsed());
-    }
-
-    Ok((
-        Compiled {
-            ir,
-            plans,
-            types,
-            opt_stats,
-        },
-        diags,
-        ssa_snapshot,
-    ))
+    Ok(value)
 }
 
 /// Lowers without optimization or planning — the execution substrate for
@@ -271,5 +169,23 @@ mod tests {
             count_copies(&with_plan.ir),
             count_copies(&without)
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "storage plan for `f` rejected (audit)")]
+    fn a_rejected_plan_panics_in_every_build() {
+        // No planner bug is at hand, so reject the plan by injection;
+        // `compile` sees exactly this ladder outcome on a real one.
+        let ast = parse_program(["function f()\na = rand(3, 3);\ndisp(a * a);\n"]).unwrap();
+        let mut rec = UnitMetrics::new("t");
+        let faults = FaultPlan::quiet(5).audit_violations(100);
+        let compiled = compile_resilient(
+            &ast,
+            GctdOptions::default(),
+            &Budget::unlimited(),
+            faults,
+            &mut rec,
+        );
+        let _ = expect_clean(compiled, &rec);
     }
 }

@@ -15,6 +15,14 @@
 //! All three share one operation dispatcher ([`dispatch`]) and one
 //! seeded RNG stream, so outputs are bitwise comparable.
 //!
+//! The crate also holds the one compile pipeline ([`resilient`]): lower
+//! → SSA → passes → type inference → GCTD → audit → SSA inversion.
+//! [`compile()`] runs it with no budget and no injected faults and
+//! panics on a plan the auditor rejects, so no executor ever runs an
+//! unaudited plan. The batch driver and `matc serve` drive its two
+//! public halves, [`compile_front`] and [`compile_function`], under
+//! phase budgets and fault plans.
+//!
 //! ## Example
 //!
 //! ```
@@ -40,11 +48,10 @@ pub mod mcc;
 pub mod planned;
 pub mod resilient;
 
-pub use compile::{compile, compile_audited, compile_with, lower_for_mcc, Compiled};
+pub use compile::{compile, lower_for_mcc, Compiled};
 pub use interp::Interp;
 pub use mcc::{MccVm, MX_HEADER};
 pub use planned::PlannedVm;
 pub use resilient::{
-    assemble_compiled, compile_front, compile_function, compile_resilient, FrontHalf,
-    ResilientError,
+    compile_front, compile_function, compile_resilient, FrontHalf, ResilientError,
 };

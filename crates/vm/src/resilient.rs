@@ -1,9 +1,14 @@
-//! Fault-tolerant variant of the [`crate::compile()`] pipeline.
+//! The compile pipeline, with its degradation ladder.
 //!
-//! [`compile_resilient`] produces exactly the same artifacts as
-//! [`crate::compile::compile_audited`] when nothing goes wrong, but
-//! survives three classes of failure by walking a *degradation ladder*
-//! instead of crashing or emitting an unaudited plan:
+//! There is one pipeline: [`compile_front`] (SSA build, optimizer, type
+//! inference), [`compile_function`] per function (plan, then audit),
+//! then lints and SSA inversion. [`compile_resilient`] runs all of it;
+//! [`crate::compile()`] and [`crate::compile::compile_traced`] run it
+//! with no budget and no injected faults, and the batch driver and
+//! `matc serve` drive the two public halves themselves. Every plan is
+//! audited before any executor sees it. The pipeline survives three
+//! classes of failure by walking a *degradation ladder* instead of
+//! crashing or emitting an unaudited plan:
 //!
 //! 1. **Planner panics.** Each function's GCTD plan is computed under
 //!    [`isolate()`]; a panic becomes a per-function fallback to the
@@ -125,10 +130,12 @@ fn degrade(rec: &mut UnitMetrics, func: &str, stage: &'static str, reason: Strin
     });
 }
 
-/// The [`crate::compile::compile_audited`] pipeline with the
-/// degradation ladder, phase budgets and fault-injection probes (see
-/// the module docs). With an unlimited budget and a quiet fault plan
-/// the output is byte-identical to the non-resilient pipeline.
+/// The whole pipeline — [`compile_front`], [`compile_function`] for
+/// every function, lints, SSA inversion — with the degradation ladder,
+/// phase budgets and fault-injection probes (see the module docs).
+/// With an unlimited budget and a quiet fault plan, a rung fires only
+/// when the planner panics or a plan fails its audit; [`crate::compile()`]
+/// treats either as a bug.
 ///
 /// Degradations and budget trips are recorded in `rec`; the returned
 /// [`Diagnostics`] always describe the plans actually emitted (a
@@ -156,14 +163,26 @@ pub fn compile_resilient(
     rec: &mut UnitMetrics,
 ) -> Result<(Compiled, Diagnostics), ResilientError> {
     let mut front = compile_front(ast, options, budget, &faults, rec)?;
-    let mut plans_vec: Vec<StoragePlan> = Vec::with_capacity(front.ir.functions.len());
-    let mut audit_diags = Diagnostics::new();
+    let (plans, audit) = plan_functions(&mut front, budget, &faults, rec)?;
+    Ok(assemble_compiled(ast, front, plans, audit, rec))
+}
+
+/// Runs [`compile_function`] over every function in `FuncId` order,
+/// returning the emitted plans and their merged audit findings.
+pub(crate) fn plan_functions(
+    front: &mut FrontHalf,
+    budget: &Budget,
+    faults: &FaultPlan,
+    rec: &mut UnitMetrics,
+) -> Result<(Vec<StoragePlan>, Diagnostics), ResilientError> {
+    let mut plans = Vec::with_capacity(front.ir.functions.len());
+    let mut audit = Diagnostics::new();
     for i in 0..front.ir.functions.len() {
-        let (plan, fd) = compile_function(&mut front, FuncId::new(i), budget, &faults, rec)?;
-        audit_diags.merge(fd);
-        plans_vec.push(plan);
+        let (plan, fd) = compile_function(front, FuncId::new(i), budget, faults, rec)?;
+        audit.merge(fd);
+        plans.push(plan);
     }
-    Ok(assemble_compiled(ast, front, plans_vec, audit_diags, rec))
+    Ok((plans, audit))
 }
 
 /// The unit-level half of the pipeline, everything that runs *before*
@@ -484,10 +503,9 @@ pub fn compile_function(
 /// The back half of [`compile_resilient`]: lints, merges the
 /// per-function audit findings, records the plan totals, destroys SSA
 /// form under the plans' sharing relation, and packages the
-/// [`Compiled`] unit. The incremental batch driver only reaches this
-/// point on full recompiles; composed partial hits stitch cached
-/// fragments instead.
-pub fn assemble_compiled(
+/// [`Compiled`] unit. The batch driver stitches its artifacts from
+/// per-function pieces instead and never reaches this point.
+pub(crate) fn assemble_compiled(
     ast: &Program,
     front: FrontHalf,
     plans_vec: Vec<StoragePlan>,
@@ -535,7 +553,8 @@ pub fn assemble_compiled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_audited;
+    use crate::compile::compile_traced;
+    use matc_analysis::audit_program;
     use matc_frontend::parser::parse_program;
     use std::time::Duration;
 
@@ -557,20 +576,26 @@ mod tests {
     }
 
     #[test]
-    fn clean_run_matches_compile_audited() {
-        let ast = sample();
-        let mut m_ref = UnitMetrics::new("t");
-        let (reference, ref_diags) =
-            compile_audited(&ast, GctdOptions::default(), Some(&mut m_ref)).unwrap();
+    fn clean_run_reports_the_lints_and_audit_of_its_plans() {
+        // An unused variable (L001) and in-loop growth (L003), so the
+        // comparison has findings to compare.
+        let ast = parse_program([
+            "function f()\nu = 3;\nx = [];\nfor i = 1:10\nx(i) = i;\nend\ndisp(x);\n",
+        ])
+        .unwrap();
         let (res, m) = run(&ast, &Budget::unlimited(), FaultPlan::quiet(0));
         let (compiled, diags) = res.unwrap();
-        assert_eq!(diags, ref_diags);
         assert!(m.degradations.is_empty());
         assert!(m.budget_exceeded.is_empty());
-        // Identical plans ⇒ identical slots text and stats.
-        assert_eq!(compiled.plans.total_stats(), reference.plans.total_stats());
-        assert_eq!(m.plan, m_ref.plan);
-        assert_eq!(m.ir_instrs, m_ref.ir_instrs);
+        // The findings are exactly the lints plus an independent audit
+        // of the plans over the SSA program they were built on.
+        let (traced, ssa) = compile_traced(&ast, GctdOptions::default()).unwrap();
+        let mut want = lint_program(&ast);
+        want.merge(audit_program(&ssa, &traced.types, &traced.plans));
+        assert!(!want.is_empty());
+        assert_eq!(diags, want);
+        assert_eq!(compiled.plans.total_stats(), traced.plans.total_stats());
+        assert_eq!(m.plan, traced.plans.total_stats());
     }
 
     #[test]

@@ -30,7 +30,7 @@ use matc::batch::{bench_units, run_batch, selfcheck, BatchConfig, Unit};
 use matc::cache_bench::CacheBenchOptions;
 use matc::frontend::parse_program;
 use matc::gctd::plan_program;
-use matc::gctd::{ArtifactCache, FaultPlan, GctdOptions, ResizeKind, SlotKind};
+use matc::gctd::{ArtifactCache, FaultPlan, GctdOptions};
 use matc::json::Json;
 use matc::perf::PerfOptions;
 use matc::serve::{RequestOptions, ServeConfig};
@@ -707,10 +707,11 @@ fn request_cli(args: &[String]) -> ExitCode {
     }
 }
 
-/// Lints the AST and re-audits the storage plan the planner just built,
-/// returning the merged findings (plan build is independent of `compile`
-/// so corrupted plans can't hide behind the VM's own debug hook). The
-/// boolean is false when lowering failed and no plan could be audited.
+/// Lints the AST and audits the storage plan built for it, returning
+/// the merged findings. `compile` audits every plan too, but panics on
+/// a rejected one; this path plans without the degradation ladder and
+/// reports what the auditor found instead. The boolean is false when
+/// lowering failed and no plan could be audited.
 /// Per-function audits fan out over `jobs` worker threads; the
 /// merged findings are byte-identical for every jobs value.
 fn audit_sources(
@@ -1083,33 +1084,7 @@ fn main() -> ExitCode {
         },
         "plan" => match compile(&ast, options) {
             Ok(c) => {
-                for (i, func) in c.ir.functions.iter().enumerate() {
-                    let plan = c.plans.plan(matc::ir::FuncId::new(i));
-                    println!("function {}:", func.name);
-                    for (si, slot) in plan.slots.iter().enumerate() {
-                        let kind = match slot.kind {
-                            SlotKind::Stack { bytes } => format!("stack {bytes}B"),
-                            SlotKind::Heap => "heap".to_string(),
-                        };
-                        let members: Vec<String> = slot
-                            .members
-                            .iter()
-                            .map(|v| {
-                                let ann = match plan.resize_of(*v) {
-                                    ResizeKind::NoResize => "",
-                                    ResizeKind::Grow => "+",
-                                    ResizeKind::Resize => "±",
-                                };
-                                format!("{}{}", func.vars.display_name(*v), ann)
-                            })
-                            .collect();
-                        println!(
-                            "  slot {si:3} [{kind}, {:?}] {}",
-                            slot.intrinsic,
-                            members.join(", ")
-                        );
-                    }
-                }
+                print!("{}", matc::batch::render_plan(&c));
                 ExitCode::SUCCESS
             }
             Err(e) => {

@@ -1442,7 +1442,9 @@ fn dispatch(shared: &Shared, frame: &[u8], dest: ConnRef, fate: RespFate) -> Dis
             )
         }
         "stats" => {
-            let recent = lock_recover(&shared.recent);
+            // Clone the records out so workers finishing jobs
+            // (`note_metrics`) never wait on a stats render.
+            let units = lock_recover(&shared.recent).iter().cloned().collect();
             let store = shared.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
             let report = BatchReport {
                 jobs: shared.cfg.jobs,
@@ -1452,7 +1454,7 @@ fn dispatch(shared: &Shared, frame: &[u8], dest: ConnRef, fate: RespFate) -> Dis
                 cache_partial_hits: store.partial_hits,
                 cache_frag_misses: store.frag_misses,
                 cache_quarantined: store.quarantined,
-                units: recent.iter().cloned().collect(),
+                units,
             };
             Dispatch::Immediate(stats::serve_document(&report, shared.server_json()))
         }

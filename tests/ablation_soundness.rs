@@ -270,7 +270,7 @@ fn every_ablation_audits_clean_on_benchmarks() {
         for opts in &variants {
             let mut types = infer_program(&ir);
             let plans = plan_program(&ir, &mut types, *opts);
-            let d = audit_program(&ir, &mut types, &plans);
+            let d = audit_program(&ir, &types, &plans);
             assert!(
                 d.is_empty(),
                 "{} under {opts:?} produced findings:\n{}",

@@ -76,6 +76,34 @@ fn emit_c_and_plan_and_stats() {
 }
 
 #[test]
+fn plan_prints_a_benchmarks_golden_plan() {
+    // `matc plan` (the whole-unit `compile`) and the batch artifact's
+    // plan text (the per-function pipeline behind `tests/golden`) must
+    // render the same plan, byte for byte.
+    let unit = matc::batch::bench_units(matc::benchsuite::Preset::Test)
+        .into_iter()
+        .find(|u| u.name == "capr")
+        .expect("capr is a benchsuite program");
+    let files: Vec<_> = unit
+        .sources
+        .iter()
+        .enumerate()
+        .map(|(i, s)| write_temp(&format!("plan_capr{i}.m"), s))
+        .collect();
+    let out = matc().arg("plan").args(&files).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let golden = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/capr.plan"),
+    )
+    .unwrap();
+    assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
+}
+
+#[test]
 fn parse_errors_are_reported_with_position() {
     let p = write_temp("bad.m", "function f\nx = (1 + ;\n");
     let out = matc().args(["run"]).arg(&p).output().unwrap();

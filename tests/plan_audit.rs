@@ -40,8 +40,8 @@ fn codes(d: &Diagnostics) -> Vec<&'static str> {
 #[test]
 fn benchsuite_audits_clean_under_default_options() {
     for bench in benchsuite::all() {
-        let (ir, mut types, plans) = pipeline(&bench.sources(Preset::Test), GctdOptions::default());
-        let d = audit_program(&ir, &mut types, &plans);
+        let (ir, types, plans) = pipeline(&bench.sources(Preset::Test), GctdOptions::default());
+        let d = audit_program(&ir, &types, &plans);
         assert!(
             d.is_empty(),
             "{} produced findings:\n{}",
@@ -111,7 +111,7 @@ fn merge_into_slot(plans: &mut ProgramPlan, v: VarId, target: VarId) {
 
 #[test]
 fn corrupt_merging_live_vars_is_a101() {
-    let (ir, mut types, mut plans) = audit_src(OVERLAP, GctdOptions::default());
+    let (ir, types, mut plans) = audit_src(OVERLAP, GctdOptions::default());
     let a = var_named(&ir, "a", 1);
     let b = var_named(&ir, "b", 1);
     assert!(
@@ -119,7 +119,7 @@ fn corrupt_merging_live_vars_is_a101() {
         "planner keeps them apart"
     );
     merge_into_slot(&mut plans, b, a);
-    let d = audit_program(&ir, &mut types, &plans);
+    let d = audit_program(&ir, &types, &plans);
     assert!(
         codes(&d).contains(&"A101"),
         "expected A101:\n{}",
@@ -132,12 +132,12 @@ fn corrupt_merging_live_vars_is_a101() {
 fn corrupt_inplace_matmul_is_a201() {
     // c = a * b cannot run in place in a (§2.3); force them to share.
     let src = "function f()\na = rand(3, 3);\nb = rand(3, 3);\nc = a * b;\ndisp(c);\n";
-    let (ir, mut types, mut plans) = audit_src(src, GctdOptions::default());
+    let (ir, types, mut plans) = audit_src(src, GctdOptions::default());
     let a = var_named(&ir, "a", 1);
     let c = var_named(&ir, "c", 1);
     assert!(!plans.plans[0].share_storage(a, c));
     merge_into_slot(&mut plans, a, c);
-    let d = audit_program(&ir, &mut types, &plans);
+    let d = audit_program(&ir, &types, &plans);
     assert!(
         codes(&d).contains(&"A201"),
         "expected A201:\n{}",
@@ -150,13 +150,13 @@ fn corrupt_noresize_annotation_is_a301() {
     // `a = rand(n, n)` lands in a heap slot with `±`; flipping it to `∘`
     // claims the slot is already the right size with no witness.
     let src = "function f(n)\na = rand(n, n);\ndisp(a);\n";
-    let (ir, mut types, mut plans) = audit_src(src, GctdOptions::default());
+    let (ir, types, mut plans) = audit_src(src, GctdOptions::default());
     let a = var_named(&ir, "a", 1);
     let plan = &mut plans.plans[0];
     let slot = plan.var_slot[&a];
     assert!(matches!(plan.slots[slot].kind, SlotKind::Heap), "{plan:?}");
     plan.resize.insert(a, ResizeKind::NoResize);
-    let d = audit_program(&ir, &mut types, &plans);
+    let d = audit_program(&ir, &types, &plans);
     assert_eq!(codes(&d), vec!["A301"], "{}", d.render());
 }
 
@@ -165,10 +165,10 @@ fn corrupt_grow_annotation_is_a302() {
     // `+` on a rand definition: nothing guarantees content-preserving
     // growth there.
     let src = "function f(n)\na = rand(n, n);\ndisp(a);\n";
-    let (ir, mut types, mut plans) = audit_src(src, GctdOptions::default());
+    let (ir, types, mut plans) = audit_src(src, GctdOptions::default());
     let a = var_named(&ir, "a", 1);
     plans.plans[0].resize.insert(a, ResizeKind::Grow);
-    let d = audit_program(&ir, &mut types, &plans);
+    let d = audit_program(&ir, &types, &plans);
     assert_eq!(codes(&d), vec!["A302"], "{}", d.render());
 }
 
@@ -176,7 +176,7 @@ fn corrupt_grow_annotation_is_a302() {
 fn corrupt_stack_bytes_is_a304() {
     // Shrink the 3x3 REAL stack slot (72 bytes) to 8: overflow.
     let src = "function f()\na = rand(3, 3);\ndisp(a);\n";
-    let (ir, mut types, mut plans) = audit_src(src, GctdOptions::default());
+    let (ir, types, mut plans) = audit_src(src, GctdOptions::default());
     let a = var_named(&ir, "a", 1);
     let plan = &mut plans.plans[0];
     let slot = plan.var_slot[&a];
@@ -187,19 +187,19 @@ fn corrupt_stack_bytes_is_a304() {
         }
         k => panic!("expected stack slot, got {k:?}"),
     }
-    let d = audit_program(&ir, &mut types, &plans);
+    let d = audit_program(&ir, &types, &plans);
     assert_eq!(codes(&d), vec!["A304"], "{}", d.render());
 }
 
 #[test]
 fn corrupt_var_slot_table_is_a102() {
-    let (ir, mut types, mut plans) = audit_src(OVERLAP, GctdOptions::default());
+    let (ir, types, mut plans) = audit_src(OVERLAP, GctdOptions::default());
     let a = var_named(&ir, "a", 1);
     // Point `a` at a slot whose member list doesn't contain it.
     let plan = &mut plans.plans[0];
     let other = (plan.var_slot[&a] + 1) % plan.slots.len();
     plan.var_slot.insert(a, other);
-    let d = audit_program(&ir, &mut types, &plans);
+    let d = audit_program(&ir, &types, &plans);
     assert!(
         codes(&d).contains(&"A102"),
         "expected A102:\n{}",
@@ -215,7 +215,7 @@ fn dead_resize_annotation_is_l004() {
     // trigger: a dead annotation, reported as warning L004 (never an
     // error).
     let src = "function f(n)\na = rand(n, n);\nb = a + 1;\ndisp(b);\n";
-    let (ir, mut types, mut plans) = audit_src(src, GctdOptions::default());
+    let (ir, types, mut plans) = audit_src(src, GctdOptions::default());
     let b = var_named(&ir, "b", 1);
     let plan = &mut plans.plans[0];
     let slot = plan.var_slot[&b];
@@ -226,7 +226,7 @@ fn dead_resize_annotation_is_l004() {
         "b must share a slot for the witness to exist: {plan:?}"
     );
     plan.resize.insert(b, ResizeKind::Resize);
-    let d = audit_program(&ir, &mut types, &plans);
+    let d = audit_program(&ir, &types, &plans);
     assert_eq!(codes(&d), vec!["L004"], "{}", d.render());
     assert!(!d.has_errors(), "L004 is a lint, not an error");
 }
@@ -408,11 +408,11 @@ fn cached_plans_audit_clean_under_every_ablation() {
 
 #[test]
 fn findings_render_as_json() {
-    let (ir, mut types, mut plans) = audit_src(OVERLAP, GctdOptions::default());
+    let (ir, types, mut plans) = audit_src(OVERLAP, GctdOptions::default());
     let a = var_named(&ir, "a", 1);
     let b = var_named(&ir, "b", 1);
     merge_into_slot(&mut plans, b, a);
-    let d = audit_program(&ir, &mut types, &plans);
+    let d = audit_program(&ir, &types, &plans);
     let json = matc::stats::audit_json(&d);
     assert!(json.contains("\"code\":\"A101\""), "{json}");
     assert!(json.contains("\"severity\":\"error\""), "{json}");

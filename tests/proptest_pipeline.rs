@@ -211,7 +211,7 @@ fn check_program(src: &str) {
         matc::passes::optimize_program(&mut ir);
         let mut types = matc::typeinf::infer_program(&ir);
         let plans = matc::gctd::plan_program(&ir, &mut types, GctdOptions::default());
-        let d = matc::analysis::audit_program(&ir, &mut types, &plans);
+        let d = matc::analysis::audit_program(&ir, &types, &plans);
         assert!(d.is_empty(), "auditor findings on:\n{src}\n{}", d.render());
     }
 
