@@ -85,7 +85,8 @@ pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// land in per-index `OnceLock` slots: there is no mutex to poison and
 /// no lock ordering to get wrong. `f` returns `None` to leave an index
 /// without a result (the batch driver's fail-fast skip). With no
-/// states, no thread runs and every slot is `None`.
+/// states, no thread runs and every slot is `None`; with one, the
+/// indices run in order on the calling thread and nothing is spawned.
 pub fn par_map<S: Send, T: Send + Sync>(
     n: usize,
     states: Vec<S>,
@@ -93,20 +94,25 @@ pub fn par_map<S: Send, T: Send + Sync>(
 ) -> Vec<Option<T>> {
     let cursor = AtomicUsize::new(0);
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
-    std::thread::scope(|s| {
-        for mut state in states {
-            let (cursor, slots, f) = (&cursor, &slots, &f);
-            s.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                if let Some(v) = f(&mut state, i) {
-                    let _ = slots[i].set(v);
-                }
-            });
+    let work = |mut state: S| loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
-    });
+        if let Some(v) = f(&mut state, i) {
+            let _ = slots[i].set(v);
+        }
+    };
+    if states.len() == 1 {
+        states.into_iter().for_each(work);
+    } else {
+        std::thread::scope(|s| {
+            for state in states {
+                let work = &work;
+                s.spawn(move || work(state));
+            }
+        });
+    }
     slots.into_iter().map(OnceLock::into_inner).collect()
 }
 
@@ -144,6 +150,15 @@ mod tests {
             assert_eq!(out, (0..n).map(Some).collect::<Vec<_>>(), "n={n}");
             assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "n={n}");
         }
+    }
+
+    #[test]
+    fn par_map_with_one_state_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let out = par_map(3, vec![()], |(), i| {
+            Some((i, std::thread::current().id() == caller))
+        });
+        assert_eq!(out, vec![Some((0, true)), Some((1, true)), Some((2, true))]);
     }
 
     #[test]

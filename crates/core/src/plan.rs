@@ -110,6 +110,22 @@ pub struct PlanStats {
     pub slots: usize,
 }
 
+impl PlanStats {
+    /// Adds `s` into `self` field by field (Table 2 rows sum
+    /// functions).
+    pub fn absorb(&mut self, s: &PlanStats) {
+        self.original_vars += s.original_vars;
+        self.static_subsumed += s.static_subsumed;
+        self.dynamic_subsumed += s.dynamic_subsumed;
+        self.stack_bytes_saved += s.stack_bytes_saved;
+        self.stack_bytes_total += s.stack_bytes_total;
+        self.colors += s.colors;
+        self.coalesced_phis += s.coalesced_phis;
+        self.op_conflicts += s.op_conflicts;
+        self.slots += s.slots;
+    }
+}
+
 /// The storage plan of one function.
 #[derive(Debug, Clone)]
 pub struct StoragePlan {
@@ -171,15 +187,7 @@ impl ProgramPlan {
     pub fn total_stats(&self) -> PlanStats {
         let mut t = PlanStats::default();
         for p in &self.plans {
-            t.original_vars += p.stats.original_vars;
-            t.static_subsumed += p.stats.static_subsumed;
-            t.dynamic_subsumed += p.stats.dynamic_subsumed;
-            t.stack_bytes_saved += p.stats.stack_bytes_saved;
-            t.stack_bytes_total += p.stats.stack_bytes_total;
-            t.colors += p.stats.colors;
-            t.coalesced_phis += p.stats.coalesced_phis;
-            t.op_conflicts += p.stats.op_conflicts;
-            t.slots += p.stats.slots;
+            t.absorb(&p.stats);
         }
         t
     }

@@ -35,9 +35,8 @@ bench-test:
     cargo test --release --manifest-path perfbench/Cargo.toml
 
 # Run the independent storage-plan auditor + lints over all 11
-# benchsuite programs and print the reference-vs-worklist dataflow
-# engine before/after timing table (DESIGN.md §10); fails on any
-# error-severity finding.
+# benchsuite programs and print each one's findings (DESIGN.md §10);
+# fails on any error-severity finding or lowering failure.
 audit-bench:
     cargo run -q --bin matc -- audit-bench
 

@@ -277,34 +277,17 @@ fn apply_frag_meta(meta: &BTreeMap<String, u64>, m: &mut UnitMetrics, plan_total
     m.dataflow_iters += g("dataflow_iters");
     m.peak_live_words = m.peak_live_words.max(g("peak_live_words"));
     m.audit_edges += g("audit_edges");
-    absorb_plan_stats(
-        plan_total,
-        &PlanStats {
-            original_vars: g("plan_original_vars") as usize,
-            static_subsumed: g("plan_static_subsumed") as usize,
-            dynamic_subsumed: g("plan_dynamic_subsumed") as usize,
-            stack_bytes_saved: g("plan_stack_bytes_saved"),
-            stack_bytes_total: g("plan_stack_bytes_total"),
-            colors: g("plan_colors") as u32,
-            coalesced_phis: g("plan_coalesced_phis") as usize,
-            op_conflicts: g("plan_op_conflicts") as usize,
-            slots: g("plan_slots") as usize,
-        },
-    );
-}
-
-/// Sums one function's plan stats into the unit total, exactly like
-/// [`matc_gctd::ProgramPlan::total_stats`] does.
-fn absorb_plan_stats(t: &mut PlanStats, s: &PlanStats) {
-    t.original_vars += s.original_vars;
-    t.static_subsumed += s.static_subsumed;
-    t.dynamic_subsumed += s.dynamic_subsumed;
-    t.stack_bytes_saved += s.stack_bytes_saved;
-    t.stack_bytes_total += s.stack_bytes_total;
-    t.colors += s.colors;
-    t.coalesced_phis += s.coalesced_phis;
-    t.op_conflicts += s.op_conflicts;
-    t.slots += s.slots;
+    plan_total.absorb(&PlanStats {
+        original_vars: g("plan_original_vars") as usize,
+        static_subsumed: g("plan_static_subsumed") as usize,
+        dynamic_subsumed: g("plan_dynamic_subsumed") as usize,
+        stack_bytes_saved: g("plan_stack_bytes_saved"),
+        stack_bytes_total: g("plan_stack_bytes_total"),
+        colors: g("plan_colors") as u32,
+        coalesced_phis: g("plan_coalesced_phis") as usize,
+        op_conflicts: g("plan_op_conflicts") as usize,
+        slots: g("plan_slots") as usize,
+    });
 }
 
 /// Merges the scratch metrics of one function's compile into the unit
@@ -510,7 +493,7 @@ pub fn compile_unit_with(
             fm.record(Phase::Codegen, t.elapsed());
             let fplan_text = render_func_plan(func, &plan);
 
-            absorb_plan_stats(&mut plan_total, &plan.stats);
+            plan_total.absorb(&plan.stats);
             bodies.push_str(&body);
             plan_text.push_str(&fplan_text);
             if let Some(k) = fkey {

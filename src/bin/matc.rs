@@ -25,22 +25,24 @@
 //! `batch` units are `driver.m[,helper.m...]` groups (or `--bench` for
 //! the benchsuite); see `usage()` below for its flags.
 
-use matc::analysis::{audit_program_jobs, lint_program, AuditFlow, Diagnostics};
+use matc::analysis::{audit_program_jobs, lint_program, Diagnostics};
 use matc::batch::{bench_units, run_batch, selfcheck, BatchConfig, Unit};
 use matc::cache_bench::CacheBenchOptions;
 use matc::frontend::parse_program;
 use matc::gctd::plan_program;
-use matc::gctd::{ArtifactCache, FaultPlan, GctdOptions};
+use matc::gctd::{ArtifactCache, FaultPlan, GctdOptions, UnitMetrics};
+use matc::ir::Budget;
 use matc::json::Json;
 use matc::perf::PerfOptions;
 use matc::serve::{RequestOptions, ServeConfig};
 use matc::vm::compile::{compile, lower_for_mcc};
+use matc::vm::compile_front;
 use matc::vm::{Interp, MccVm, PlannedVm};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: matc <run|emit-c|plan|stats|audit> [--no-gctd] [--seed N] [--mcc|--interp] [--json] [--jobs N] file.m [more.m ...]\n       matc audit [--jobs N] file.m [...]\n                            lint + independently re-check the storage plan:\n                            liveness/sizing checks (A1xx-A4xx), production-\n                            vs-auditor engine agreement (A5xx), and dead\n                            resize-annotation lints (L004); --jobs fans\n                            per-function audits over N worker threads\n                            with byte-identical findings for every N\n       matc audit-bench     audit every benchsuite program's plan and print\n                            a reference-vs-worklist dataflow engine timing\n                            table with per-benchmark speedups\n       matc shadow [--bench] [--seed N] [--no-gctd] [--json] [--stats FILE]\n                  [file.m[,helper.m...] ...]\n                            plan-validating shadow run: execute each unit\n                            under both the reference interpreter and the\n                            probed planned VM, replay the probe log against\n                            the storage plan, and report plan-vs-reality\n                            diffs (S100 output divergence, S101 `o` resize,\n                            S102 stack overflow — errors; S103 `+-` never\n                            resized — warning; S104 read outside liveness,\n                            S105 Equation-2 mismatch — errors); --stats\n                            writes the schema-v9 shadow{{}} stats document\n       shadow exit codes: 0 clean (warnings allowed), 1 diff or failure,\n                          2 usage\n       matc runtime <dir>   write the mrt C support runtime (mrt.h, mrt.c)\n       matc batch [--jobs N] [--cache-dir DIR] [--stats FILE] [--emit-dir DIR]\n                  [--no-gctd] [--repeat N] [--bench] [--selfcheck]\n                  [--keep-going|--fail-fast] [--phase-timeout-ms N] [--fuel N]\n                  [--faults SPEC] [driver.m[,helper.m...] ...]\n                            compile many programs in parallel with caching;\n                            --selfcheck proves parallel/sequential/cached runs\n                            byte-identical and reports the speedup;\n                            --faults takes a seeded fault-injection spec\n                            (also read from MATC_FAULTS), e.g.\n                            seed=7,read=10,write=30,panic=0,audit=100,transient=2\n       batch exit codes: 0 all units clean, 1 unit(s) failed, 2 usage,\n                         3 all compiled but some degraded to the\n                         conservative plan\n       matc serve [--addr HOST:PORT] [--jobs N] [--queue-cap N] [--high-water N]\n                  [--drain-ms N] [--idle-timeout-ms N] [--cache-dir DIR]\n                  [--breaker-threshold N] [--breaker-cooldown-ms N]\n                  [--phase-timeout-ms N] [--fuel N] [--faults SPEC] [--no-gctd]\n                  [--max-write-buf BYTES] [--poll-backend]\n                            newline-delimited-JSON compile daemon (DESIGN.md §9,\n                            §13): a single epoll/poll reactor thread drives\n                            every pipelined connection, with bounded admission\n                            (shed at --queue-cap, degrade to the conservative\n                            plan at --high-water), per-request deadlines,\n                            per-unit circuit breakers, write-buffer\n                            backpressure (--max-write-buf) and graceful\n                            SIGTERM/SIGINT draining; --poll-backend forces the\n                            portable poll(2) loop (also MATC_SERVE_BACKEND=poll);\n                            --faults also accepts the network-chaos keys\n                            accept=,disconnect=,stall=,torn= and the\n                            store-degradation key storefull=\n       serve exit codes: 0 drained cleanly, 1 bind/drain failure, 2 usage\n       matc simulate [--seeds N] [--seed-file FILE] [--replay SEED] [--faults SPEC]\n                            deterministic simulation of the serve reactor\n                            (DESIGN.md \u{a7}14): the real reactor state machines\n                            run against an in-memory seeded network on a\n                            virtual clock; each seed derives a workload and\n                            fault schedule, runs twice, and must produce\n                            byte-identical traces while holding the five\n                            invariants (no wedge, in-order pipelining,\n                            write-buffer cap, clean drain, no cache\n                            poisoning); failures print the seed, a greedily\n                            shrunk failing configuration and the replayable\n                            trace; --replay reruns one seed and prints it\n       simulate exit codes: 0 all seeds clean, 1 violation or replay\n                            mismatch, 2 usage\n       matc request [--addr HOST:PORT] [--op compile|audit|healthz|stats|shutdown]\n                  [--name NAME] [--deadline-ms N] [--retries N] [--emit]\n                  [--pipeline N] [driver.m[,helper.m...]]\n                            one request against a running daemon, with capped\n                            jittered exponential backoff and deadline\n                            propagation; prints the response JSON;\n                            --pipeline N sends N copies down one persistent\n                            connection before reading, printing the responses\n                            in request order (no retries)\n       request exit codes: 0 server replied ok:true, 1 rejected/error, 2 usage\n       matc perf-bench [--samples N] [--warmup N] [--baseline FILE] [--bless]\n                            compile the benchsuite + paper_scale, record\n                            median phase times / fixpoint iterations /\n                            interference edges per second in BENCH_gctd.json,\n                            and fail on >25% regression vs the committed\n                            baseline (tolerance via MATC_PERF_TOLERANCE;\n                            --bless rewrites the baseline)\n       matc cache-bench [--stages N] [--cache-dir DIR]\n                            incremental-compilation gate: cold-compile the\n                            multi-function paper_scale unit, edit one\n                            function, and prove the warm recompile re-plans\n                            only that function, reuses every other cached\n                            fragment, and stitches a byte-identical artifact"
+        "usage: matc <run|emit-c|plan|stats|audit> [--no-gctd] [--seed N] [--mcc|--interp] [--json] [--jobs N] file.m [more.m ...]\n       matc audit [--jobs N] file.m [...]\n                            lint + independently re-check the storage plan:\n                            liveness/sizing checks (A1xx-A4xx), production-\n                            vs-auditor engine agreement (A5xx), and dead\n                            resize-annotation lints (L004); --jobs fans\n                            per-function audits over N worker threads\n                            with byte-identical findings for every N\n       matc audit-bench     audit every benchsuite program's plan and print\n                            its findings; exit 1 on any error finding or\n                            lowering failure\n       matc shadow [--bench] [--seed N] [--no-gctd] [--json] [--stats FILE]\n                  [file.m[,helper.m...] ...]\n                            plan-validating shadow run: execute each unit\n                            under both the reference interpreter and the\n                            probed planned VM, replay the probe log against\n                            the storage plan, and report plan-vs-reality\n                            diffs (S100 output divergence, S101 `o` resize,\n                            S102 stack overflow — errors; S103 `+-` never\n                            resized — warning; S104 read outside liveness,\n                            S105 Equation-2 mismatch — errors); --stats\n                            writes the schema-v9 shadow{{}} stats document\n       shadow exit codes: 0 clean (warnings allowed), 1 diff or failure,\n                          2 usage\n       matc runtime <dir>   write the mrt C support runtime (mrt.h, mrt.c)\n       matc batch [--jobs N] [--cache-dir DIR] [--stats FILE] [--emit-dir DIR]\n                  [--no-gctd] [--repeat N] [--bench] [--selfcheck]\n                  [--keep-going|--fail-fast] [--phase-timeout-ms N] [--fuel N]\n                  [--faults SPEC] [driver.m[,helper.m...] ...]\n                            compile many programs in parallel with caching;\n                            --selfcheck proves parallel/sequential/cached runs\n                            byte-identical and reports the speedup;\n                            --faults takes a seeded fault-injection spec\n                            (also read from MATC_FAULTS), e.g.\n                            seed=7,read=10,write=30,panic=0,audit=100,transient=2\n       batch exit codes: 0 all units clean, 1 unit(s) failed, 2 usage,\n                         3 all compiled but some degraded to the\n                         conservative plan\n       matc serve [--addr HOST:PORT] [--jobs N] [--queue-cap N] [--high-water N]\n                  [--drain-ms N] [--idle-timeout-ms N] [--cache-dir DIR]\n                  [--breaker-threshold N] [--breaker-cooldown-ms N]\n                  [--phase-timeout-ms N] [--fuel N] [--faults SPEC] [--no-gctd]\n                  [--max-write-buf BYTES]\n                            newline-delimited-JSON compile daemon (DESIGN.md §9,\n                            §13): a single poll(2) reactor thread drives\n                            every pipelined connection, with bounded admission\n                            (shed at --queue-cap, degrade to the conservative\n                            plan at --high-water), per-request deadlines,\n                            per-unit circuit breakers, write-buffer\n                            backpressure (--max-write-buf) and graceful\n                            SIGTERM/SIGINT draining; --faults also accepts the\n                            network-chaos keys accept=,disconnect=,stall=,\n                            torn= and the store-degradation key storefull=\n       serve exit codes: 0 drained cleanly, 1 bind/drain failure, 2 usage\n       matc simulate [--seeds N] [--seed-file FILE] [--replay SEED] [--faults SPEC]\n                            deterministic simulation of the serve reactor\n                            (DESIGN.md \u{a7}14): the real reactor state machines\n                            run against an in-memory seeded network on a\n                            virtual clock; each seed derives a workload and\n                            fault schedule, runs twice, and must produce\n                            byte-identical traces while holding the five\n                            invariants (no wedge, in-order pipelining,\n                            write-buffer cap, clean drain, no cache\n                            poisoning); failures print the seed, a greedily\n                            shrunk failing configuration and the replayable\n                            trace; --replay reruns one seed and prints it\n       simulate exit codes: 0 all seeds clean, 1 violation or replay\n                            mismatch, 2 usage\n       matc request [--addr HOST:PORT] [--op compile|audit|healthz|stats|shutdown]\n                  [--name NAME] [--deadline-ms N] [--retries N] [--emit]\n                  [--pipeline N] [driver.m[,helper.m...]]\n                            one request against a running daemon, with capped\n                            jittered exponential backoff and deadline\n                            propagation; prints the response JSON;\n                            --pipeline N sends N copies down one persistent\n                            connection before reading, printing the responses\n                            in request order (no retries)\n       request exit codes: 0 server replied ok:true, 1 rejected/error, 2 usage\n       matc perf-bench [--samples N] [--warmup N] [--baseline FILE] [--bless]\n                            compile the benchsuite + paper_scale, record\n                            median phase times / fixpoint iterations /\n                            interference edges per second in BENCH_gctd.json,\n                            and fail on >25% regression vs the committed\n                            baseline (tolerance via MATC_PERF_TOLERANCE;\n                            --bless rewrites the baseline)\n       matc cache-bench [--stages N] [--cache-dir DIR]\n                            incremental-compilation gate: cold-compile the\n                            multi-function paper_scale unit, edit one\n                            function, and prove the warm recompile re-plans\n                            only that function, reuses every other cached\n                            fragment, and stitches a byte-identical artifact"
     );
     ExitCode::from(2)
 }
@@ -390,7 +392,6 @@ fn serve_cli(args: &[String]) -> ExitCode {
                 Some(n) if n >= 1 => cfg.max_write_buf = n,
                 _ => return usage(),
             },
-            "--poll-backend" => cfg.force_poll = true,
             "--faults" => match it.next() {
                 Some(v) => faults_spec = Some(v.clone()),
                 None => return usage(),
@@ -720,12 +721,12 @@ fn audit_sources(
     jobs: usize,
 ) -> (Diagnostics, bool) {
     let mut diags = lint_program(ast);
-    match matc::ir::build_ssa(ast) {
-        Ok(mut ir) => {
-            matc::passes::optimize_program(&mut ir);
-            let mut types = matc::typeinf::infer_program(&ir);
-            let plans = plan_program(&ir, &mut types, options);
-            let (findings, _stats) = audit_program_jobs(&ir, &types, &plans, jobs);
+    let mut rec = UnitMetrics::new("audit");
+    let (budget, faults) = (Budget::unlimited(), FaultPlan::quiet(0));
+    match compile_front(ast, options, &budget, &faults, &mut rec) {
+        Ok(mut front) => {
+            let plans = plan_program(&front.ir, &mut front.types, front.plan_options);
+            let (findings, _stats) = audit_program_jobs(&front.ir, &front.types, &plans, jobs);
             diags.merge(findings);
             (diags, true)
         }
@@ -754,14 +755,7 @@ fn report_findings(diags: &Diagnostics, json: bool) -> ExitCode {
 
 fn audit_bench() -> ExitCode {
     use matc::benchsuite::{all, Preset};
-    use std::time::Instant;
     let mut failed = false;
-    let mut ref_total = 0u128;
-    let mut fast_total = 0u128;
-    println!(
-        "{:10} {:>12} {:>12} {:>8}  findings",
-        "benchmark", "reference", "worklist", "speedup"
-    );
     for bench in all() {
         let sources = bench.sources(Preset::Test);
         let refs: Vec<&str> = sources.iter().map(|s| s.as_str()).collect();
@@ -778,27 +772,6 @@ fn audit_bench() -> ExitCode {
             }
         };
         let (diags, built) = audit_sources(&ast, GctdOptions::default(), 1);
-        // Before/after engine comparison: run the quadratic reference
-        // engine and the dense worklist engine over the same SSA IR.
-        let (ref_us, fast_us) = match matc::ir::build_ssa(&ast) {
-            Ok(mut ir) => {
-                matc::passes::optimize_program(&mut ir);
-                let t = Instant::now();
-                for func in &ir.functions {
-                    let _ = AuditFlow::compute_reference(func);
-                }
-                let ref_us = t.elapsed().as_micros();
-                let t = Instant::now();
-                for func in &ir.functions {
-                    let _ = AuditFlow::compute(func);
-                }
-                (ref_us, t.elapsed().as_micros())
-            }
-            Err(_) => (0, 0),
-        };
-        ref_total += ref_us;
-        fast_total += fast_us;
-        let speedup = ref_us as f64 / (fast_us.max(1)) as f64;
         let findings = if diags.is_empty() {
             "clean".to_string()
         } else {
@@ -808,22 +781,12 @@ fn audit_bench() -> ExitCode {
                 diags.warning_count()
             )
         };
-        println!(
-            "{:10} {:>10}us {:>10}us {:>7.1}x  {}",
-            bench.name, ref_us, fast_us, speedup, findings
-        );
+        println!("{:10} {}", bench.name, findings);
         if !diags.is_empty() {
             print!("{}", diags.render());
         }
         failed |= !built || diags.has_errors();
     }
-    println!(
-        "{:10} {:>10}us {:>10}us {:>7.1}x",
-        "total",
-        ref_total,
-        fast_total,
-        ref_total as f64 / (fast_total.max(1)) as f64
-    );
     if failed {
         ExitCode::FAILURE
     } else {

@@ -3,9 +3,9 @@
 //!
 //! Since the event-driven rewrite the daemon is a single-threaded
 //! **reactor**: one thread drives every connection through a
-//! level-triggered readiness loop (`src/sys.rs` — epoll on Linux, a
-//! portable `poll(2)` fallback elsewhere), with per-connection state
-//! machines over growable read/write buffers. Framing is zero-copy:
+//! level-triggered `poll(2)` readiness loop (`src/sys.rs`), with
+//! per-connection state machines over growable read/write buffers.
+//! Framing is zero-copy:
 //! [`crate::json::scan_frame`] finds newline terminators over the
 //! connection buffer (resuming where the last scan stopped) and
 //! [`Json::parse_bytes`] parses each frame in place — no per-request
@@ -89,7 +89,7 @@ const RECENT_CAP: usize = 256;
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Reads serviced per readable event before yielding to other
-/// connections (level-triggered epoll re-reports leftovers).
+/// connections (level-triggered `poll(2)` re-reports leftovers).
 const READ_ROUNDS: usize = 8;
 
 /// Consumed-prefix length past which a connection buffer is compacted.
@@ -139,9 +139,6 @@ pub struct ServeConfig {
     /// whose unsent responses exceed this is disconnected with a
     /// structured warning instead of growing server memory.
     pub max_write_buf: usize,
-    /// Force the portable `poll(2)` backend even where epoll is
-    /// available (also selectable via `MATC_SERVE_BACKEND=poll`).
-    pub force_poll: bool,
     /// Test hook: shrink accepted sockets' kernel send buffer
     /// (`SO_SNDBUF`) so backpressure tests jam with kilobytes.
     pub sndbuf: Option<usize>,
@@ -167,7 +164,6 @@ impl Default for ServeConfig {
             phase_timeout_ms: None,
             fuel: None,
             max_write_buf: 32 * 1024 * 1024,
-            force_poll: false,
             sndbuf: None,
             clock: Clock::system(),
         }
@@ -536,18 +532,14 @@ pub(crate) fn make_shared(cfg: ServeConfig, backend: &'static str) -> io::Result
 ///
 /// # Errors
 ///
-/// Returns the bind/configuration error (including poller or wake-pipe
-/// setup failures).
+/// Returns the bind/configuration error (including wake-pipe setup
+/// failures).
 pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
-    let force_poll = cfg.force_poll
-        || std::env::var("MATC_SERVE_BACKEND")
-            .map(|v| v == "poll")
-            .unwrap_or(false);
-    let poller = Poller::new(force_poll)?;
+    let poller = Poller::default();
     let backend = poller.backend();
     let sndbuf = cfg.sndbuf;
     let shared = make_shared(cfg, backend)?;

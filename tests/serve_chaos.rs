@@ -622,15 +622,10 @@ fn stalled_reader_is_disconnected_at_the_write_buffer_cap() {
 fn poll_backend_serves_pipelined_requests_end_to_end() {
     use matc::serve::send_pipelined;
 
-    // The portable poll(2) fallback must speak the same protocol,
-    // ordering and census as the epoll fast path.
+    // The default daemon runs on poll(2): pipelined responses come back
+    // in request order and the census names the backend.
     let units = chaos_units();
-    let handle = start(ServeConfig {
-        jobs: 2,
-        force_poll: true,
-        ..ServeConfig::default()
-    })
-    .unwrap();
+    let handle = start(ServeConfig::default()).unwrap();
     let addr = handle.addr().to_string();
     let frames: Vec<String> = units.iter().map(|u| compile_frame(u, false)).collect();
     let lines = send_pipelined(&addr, &frames, Duration::from_secs(30)).unwrap();
