@@ -12,6 +12,12 @@
 //! recompile after a single-function edit reuses every untouched
 //! fragment instead of recompiling the whole unit.
 //!
+//! The memory tier also keeps one front-half memo per unit (its type,
+//! `matc_vm::FrontMemo`, belongs to the compile pipeline): each
+//! function's optimized SSA IR from the last compile, which the next
+//! compile of the unit reuses for every function whose inputs did not
+//! change. It is never written to disk.
+//!
 //! The store is two-level: an in-memory map shared by the batch
 //! workers, and an optional on-disk layer (`--cache-dir`) that multiple
 //! OS processes (`matc batch` runs, `matc serve` daemons) may share:
@@ -40,6 +46,7 @@
 //! standard test vectors), because the build environment is offline and
 //! the workspace takes no external dependencies.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -213,19 +220,25 @@ impl CacheKey {
     }
 
     /// Derives a key in a caller-chosen domain: a digest over the
-    /// domain tag and a length-prefixed stream of `parts`. Used for
-    /// per-function fragment keys (domain `"matc-frag-v1"`), where the
-    /// parts are the option fingerprint plus canonical renderings of
-    /// the function's optimized IR and inference facts. Domain
-    /// separation keeps fragment keys from ever colliding with unit
-    /// keys.
-    pub fn compute_parts<'a>(domain: &str, parts: impl IntoIterator<Item = &'a str>) -> CacheKey {
+    /// domain tag and a length-prefixed stream of `parts`. Per-function
+    /// fragment keys use domain `"matc-frag-v2"`, where the parts are
+    /// the option fingerprint, the probes flag and one byte stream
+    /// holding the canonical walk of the function's optimized IR
+    /// (`FuncIr::encode_canonical`) followed by the canonical walk of
+    /// its inference facts (`ProgramTypes::encode_canonical_facts`).
+    /// Domain separation keeps fragment keys from ever colliding with
+    /// unit keys.
+    pub fn compute_parts<P: AsRef<[u8]>>(
+        domain: &str,
+        parts: impl IntoIterator<Item = P>,
+    ) -> CacheKey {
         let mut h = Sha256::new();
         h.update(domain.as_bytes());
         h.update(&[0]);
         for p in parts {
+            let p = p.as_ref();
             h.update(&(p.len() as u64).to_le_bytes());
-            h.update(p.as_bytes());
+            h.update(p);
         }
         CacheKey(h.finish())
     }
@@ -398,7 +411,7 @@ fn take_line<'a>(rest: &mut &'a [u8]) -> Option<&'a [u8]> {
 /// One function's share of a unit artifact: everything a warm recompile
 /// needs to skip that function's plan / audit / SSA-inversion / codegen
 /// work entirely. Fragments are content-addressed by a digest over the
-/// option fingerprint and canonical renderings of the function's
+/// option fingerprint and the canonical walks of the function's
 /// optimized IR and inference facts ([`CacheKey::compute_parts`]), so
 /// equal keys imply equal pipeline inputs — and therefore equal
 /// outputs, which is what makes reuse sound.
@@ -719,6 +732,9 @@ pub struct ArtifactCache {
     dir: Option<PathBuf>,
     mem: Mutex<BTreeMap<CacheKey, Arc<Artifact>>>,
     frag_mem: Mutex<BTreeMap<CacheKey, Arc<Fragment>>>,
+    /// One front-half memo per unit name, memory only; its type is the
+    /// compile pipeline's (`matc_vm::FrontMemo`).
+    front: Mutex<BTreeMap<String, Arc<dyn Any + Send + Sync>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     partial_hits: AtomicU64,
@@ -741,6 +757,7 @@ impl ArtifactCache {
             dir: None,
             mem: Mutex::new(BTreeMap::new()),
             frag_mem: Mutex::new(BTreeMap::new()),
+            front: Mutex::new(BTreeMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             partial_hits: AtomicU64::new(0),
@@ -870,6 +887,20 @@ impl ArtifactCache {
         }
         self.frag_misses.fetch_add(1, Ordering::Relaxed);
         None
+    }
+
+    /// The front-half memo the last budget-free compile of `unit` left,
+    /// if it is a `T` (the pipeline's `matc_vm::FrontMemo`). It lives
+    /// in memory only.
+    pub fn front_memo<T: Any + Send + Sync>(&self, unit: &str) -> Option<Arc<T>> {
+        let memo = lock_recover(&self.front).get(unit).cloned()?;
+        memo.downcast().ok()
+    }
+
+    /// Replaces `unit`'s front-half memo: one memo per unit name, so
+    /// edits replace it, they never add to the store.
+    pub fn put_front_memo<T: Any + Send + Sync>(&self, unit: &str, memo: T) {
+        lock_recover(&self.front).insert(unit.to_string(), Arc::new(memo));
     }
 
     /// Stores `artifact` under `key` in memory and (atomically, with

@@ -40,7 +40,7 @@ impl VarInfo {
 /// The variable table of one function.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VarTable {
-    infos: Vec<VarInfo>,
+    pub(crate) infos: Vec<VarInfo>,
 }
 
 impl VarTable {

@@ -31,6 +31,7 @@
 pub mod bitset;
 pub mod budget;
 pub mod builtins;
+pub mod canon;
 pub mod cfg;
 pub mod dom;
 pub mod ids;
@@ -46,7 +47,7 @@ pub use builtins::Builtin;
 pub use cfg::{Block, FuncIr, IrProgram, VarInfo, VarTable};
 pub use ids::{BlockId, FuncId, VarId};
 pub use instr::{Const, Instr, InstrKind, Op, Operand, Terminator};
-pub use lower::{lower_program, LowerError};
+pub use lower::{lower_function, lower_program, LowerError, Signatures};
 pub use ssa::{ssa_construct, ssa_construct_program};
 pub use ssa_out::ssa_destruct;
 pub use verify::{verify_func, verify_program, VerifyError};
@@ -63,10 +64,36 @@ pub use verify::{verify_func, verify_program, VerifyError};
 ///
 /// Panics if the produced SSA fails verification (a compiler bug).
 pub fn build_ssa(ast: &matc_frontend::ast::Program) -> Result<IrProgram, LowerError> {
-    let mut prog = lower_program(ast)?;
-    ssa_construct_program(&mut prog);
-    if let Err(e) = verify_program(&prog) {
-        panic!("internal error: generated invalid SSA: {e}");
+    let signatures = lower::signatures(ast);
+    let mut prog = IrProgram::default();
+    for f in &ast.functions {
+        prog.add(build_func_ssa(f, &signatures)?);
     }
+    prog.entry = prog.by_name.get(&ast.entry).copied();
     Ok(prog)
+}
+
+/// [`build_ssa`] for one function: lowers it against its unit's
+/// signature table, converts it to SSA and verifies it.
+///
+/// # Errors
+///
+/// Returns the function's lowering error.
+///
+/// # Panics
+///
+/// Panics if the produced SSA fails verification (a compiler bug).
+pub fn build_func_ssa(
+    f: &matc_frontend::ast::Function,
+    signatures: &Signatures,
+) -> Result<FuncIr, LowerError> {
+    let mut func = lower_function(f, signatures)?;
+    ssa_construct(&mut func);
+    if let Err(e) = verify_func(&func) {
+        panic!(
+            "internal error: generated invalid SSA: in `{}`: {e}",
+            func.name
+        );
+    }
+    Ok(func)
 }

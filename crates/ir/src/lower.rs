@@ -69,17 +69,37 @@ impl std::error::Error for LowerError {}
 /// # Ok::<(), matc_ir::lower::LowerError>(())
 /// ```
 pub fn lower_program(ast: &Program) -> Result<IrProgram, LowerError> {
-    let mut signatures = HashMap::new();
-    for f in &ast.functions {
-        signatures.insert(f.name.clone(), (f.params.len(), f.outs.len()));
-    }
+    let signatures = signatures(ast);
     let mut prog = IrProgram::default();
     for f in &ast.functions {
-        let ir = FunctionLowerer::new(f, &signatures).lower()?;
-        prog.add(ir);
+        prog.add(lower_function(f, &signatures)?);
     }
     prog.entry = prog.by_name.get(&ast.entry).copied();
     Ok(prog)
+}
+
+/// Every user function's `(parameter count, output count)` by name:
+/// all that lowering one function reads of the others.
+pub type Signatures = HashMap<String, (usize, usize)>;
+
+/// The signature table of `ast` (a later duplicate name wins; adding
+/// the duplicate to an [`IrProgram`] panics anyway).
+pub fn signatures(ast: &Program) -> Signatures {
+    ast.functions
+        .iter()
+        .map(|f| (f.name.clone(), (f.params.len(), f.outs.len())))
+        .collect()
+}
+
+/// Lowers one function against its unit's signature table. The result
+/// depends on nothing else, which is what lets a compile reuse an
+/// unchanged function's IR from an earlier compile of its unit.
+///
+/// # Errors
+///
+/// Fails as [`lower_program`] does, for this function's body.
+pub fn lower_function(f: &Function, signatures: &Signatures) -> Result<FuncIr, LowerError> {
+    FunctionLowerer::new(f, signatures).lower()
 }
 
 /// Tracks the array and dimension position that `end` refers to.
@@ -96,7 +116,7 @@ struct LoopCtx {
 
 struct FunctionLowerer<'a> {
     ast: &'a Function,
-    signatures: &'a HashMap<String, (usize, usize)>,
+    signatures: &'a Signatures,
     func: FuncIr,
     vars: HashMap<String, VarId>,
     /// Names assigned anywhere in this function (so `n(i)` is indexing).
@@ -110,7 +130,7 @@ struct FunctionLowerer<'a> {
 }
 
 impl<'a> FunctionLowerer<'a> {
-    fn new(ast: &'a Function, signatures: &'a HashMap<String, (usize, usize)>) -> Self {
+    fn new(ast: &'a Function, signatures: &'a Signatures) -> Self {
         let mut func = FuncIr::new(ast.name.clone());
         let exit_block = func.add_block();
         func.block_mut(exit_block).term = Terminator::Return;

@@ -30,7 +30,7 @@ pub use copy_prop::copy_propagate;
 pub use cse::eliminate_common_subexpressions;
 pub use dce::eliminate_dead_code;
 
-use matc_ir::{Budget, BudgetError, IrProgram};
+use matc_ir::{Budget, BudgetError, FuncIr, IrProgram};
 
 /// Aggregate statistics from one [`optimize_program`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,6 +45,23 @@ pub struct OptStats {
     pub cse_replaced: usize,
     /// Instructions removed by DCE.
     pub dead_removed: usize,
+}
+
+impl std::ops::AddAssign for OptStats {
+    fn add_assign(&mut self, other: OptStats) {
+        let OptStats {
+            copies_propagated,
+            constants_folded,
+            branches_folded,
+            cse_replaced,
+            dead_removed,
+        } = other;
+        self.copies_propagated += copies_propagated;
+        self.constants_folded += constants_folded;
+        self.branches_folded += branches_folded;
+        self.cse_replaced += cse_replaced;
+        self.dead_removed += dead_removed;
+    }
 }
 
 impl OptStats {
@@ -67,45 +84,48 @@ impl OptStats {
 /// named, rather than surfacing later as a planner or auditor failure.
 pub fn optimize_program(prog: &mut IrProgram) -> OptStats {
     let budget = Budget::unlimited();
-    optimize_program_budgeted(prog, &budget).expect("unlimited budget cannot trip")
+    let mut stats = OptStats::default();
+    for f in &mut prog.functions {
+        stats += optimize_function_budgeted(f, &budget).expect("unlimited budget cannot trip");
+    }
+    stats
 }
 
-/// [`optimize_program`] under a [`Budget`]: each optimization round
-/// charges fuel proportional to the function's current instruction
-/// count, and the phase wall-clock deadline (armed under the phase name
-/// `"optimize"`) is observed between rounds.
+/// One function's share of [`optimize_program`], under a [`Budget`]:
+/// each optimization round charges fuel proportional to the function's
+/// current instruction count, and the phase wall-clock deadline (which
+/// the caller arms under the phase name `"optimize"`) is observed
+/// between rounds. A function's optimized IR and statistics depend on
+/// that function alone.
 ///
 /// # Errors
 ///
-/// Returns the [`BudgetError`] that tripped. The program may have been
+/// Returns the [`BudgetError`] that tripped. The function may have been
 /// partially rewritten when this happens, but every individual pass ran
 /// to completion, so the IR is always left in a valid (merely
 /// less-optimized) state; callers nevertheless restart from a fresh
 /// lowering on the conservative path to keep artifacts deterministic.
-pub fn optimize_program_budgeted(
-    prog: &mut IrProgram,
+pub fn optimize_function_budgeted(
+    f: &mut FuncIr,
     budget: &Budget,
 ) -> Result<OptStats, BudgetError> {
-    budget.enter_phase("optimize");
     let mut stats = OptStats::default();
-    for f in &mut prog.functions {
-        for _ in 0..4 {
-            let cost: usize = f.blocks.iter().map(|b| b.instrs.len()).sum();
-            budget.spend(cost as u64 + 1)?;
-            let mut round = 0;
-            round += add(&mut stats.constants_folded, fold_constants(f));
-            verify_after(f, "fold_constants");
-            round += add(&mut stats.branches_folded, fold_branches(f));
-            verify_after(f, "fold_branches");
-            round += add(&mut stats.cse_replaced, eliminate_common_subexpressions(f));
-            verify_after(f, "eliminate_common_subexpressions");
-            round += add(&mut stats.copies_propagated, copy_propagate(f));
-            verify_after(f, "copy_propagate");
-            round += add(&mut stats.dead_removed, eliminate_dead_code(f));
-            verify_after(f, "eliminate_dead_code");
-            if round == 0 {
-                break;
-            }
+    for _ in 0..4 {
+        let cost: usize = f.blocks.iter().map(|b| b.instrs.len()).sum();
+        budget.spend(cost as u64 + 1)?;
+        let mut round = 0;
+        round += add(&mut stats.constants_folded, fold_constants(f));
+        verify_after(f, "fold_constants");
+        round += add(&mut stats.branches_folded, fold_branches(f));
+        verify_after(f, "fold_branches");
+        round += add(&mut stats.cse_replaced, eliminate_common_subexpressions(f));
+        verify_after(f, "eliminate_common_subexpressions");
+        round += add(&mut stats.copies_propagated, copy_propagate(f));
+        verify_after(f, "copy_propagate");
+        round += add(&mut stats.dead_removed, eliminate_dead_code(f));
+        verify_after(f, "eliminate_dead_code");
+        if round == 0 {
+            break;
         }
     }
     Ok(stats)
@@ -118,7 +138,7 @@ fn add(slot: &mut usize, n: usize) -> usize {
 
 /// Debug-only invariant check, attributing any breakage to `pass`.
 #[inline]
-fn verify_after(f: &matc_ir::FuncIr, pass: &str) {
+fn verify_after(f: &FuncIr, pass: &str) {
     if cfg!(debug_assertions) {
         if let Err(e) = matc_ir::verify_func(f) {
             panic!("pass `{pass}` broke `{}`: {e}\n{f}", f.name);

@@ -18,6 +18,7 @@
 //! admissible assignment) but incomplete, matching the conservative
 //! flavor of the paper.
 
+use crate::infer::FactStep;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -488,49 +489,42 @@ impl ExprCtx {
         }
     }
 
-    /// Renders `id` canonically and **arena-independently**: symbols
-    /// are numbered by first occurrence in the walk (`renumber` is
-    /// shared by the caller across every expression of one function)
-    /// and annotated with their debug name and sign flag instead of
-    /// their global arena index. Two fact sets that render identically
+    /// Walks `id` canonically and **arena-independently** in prefix
+    /// order: symbols are numbered by first occurrence in the walk
+    /// (`renumber` is shared by the caller across every expression of
+    /// one function) and carry their debug name and sign flag instead
+    /// of their global arena index. Two fact sets that walk identically
     /// are isomorphic under a symbol renaming preserving names and
     /// nonnegativity — the equivalence the incremental store's
-    /// per-function fragment keys are built on (equal rendering ⇒
-    /// equal planning/audit behavior).
-    pub fn render_canonical(
+    /// per-function fragment keys are built on (equal walks ⇒ equal
+    /// planning/audit behavior).
+    pub fn walk_canonical(
         &self,
         id: ExprId,
         renumber: &mut HashMap<SymId, usize>,
-        out: &mut String,
+        visit: &mut impl FnMut(FactStep<'_>),
     ) {
-        use std::fmt::Write as _;
         match self.node(id) {
-            ExprNode::Const(v) => {
-                let _ = write!(out, "{v}");
-            }
+            ExprNode::Const(v) => visit(FactStep::Const(*v)),
             ExprNode::Sym(s) => {
                 let next = renumber.len();
-                let n = *renumber.entry(*s).or_insert(next);
-                let flag = if self.sym_nonneg[s.0 as usize] {
-                    '+'
-                } else {
-                    '?'
-                };
-                let _ = write!(out, "s{n}{flag}{}", self.sym_names[s.0 as usize]);
+                visit(FactStep::Sym {
+                    n: *renumber.entry(*s).or_insert(next),
+                    nonneg: self.sym_nonneg[s.0 as usize],
+                    name: &self.sym_names[s.0 as usize],
+                });
             }
             ExprNode::Add(ops) | ExprNode::Mul(ops) | ExprNode::Max(ops) => {
-                out.push_str(match self.node(id) {
-                    ExprNode::Add(_) => "add(",
-                    ExprNode::Mul(_) => "mul(",
-                    _ => "max(",
-                });
-                for (i, op) in ops.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    self.render_canonical(*op, renumber, out);
+                let kind = match self.node(id) {
+                    ExprNode::Add(_) => "add",
+                    ExprNode::Mul(_) => "mul",
+                    _ => "max",
+                };
+                visit(FactStep::Node(kind, ops.len()));
+                for op in ops {
+                    self.walk_canonical(*op, renumber, visit);
                 }
-                out.push(')');
+                visit(FactStep::Close);
             }
         }
     }

@@ -25,6 +25,7 @@ use crate::intrinsic::Intrinsic;
 use crate::range::Range;
 use crate::shape::Shape;
 use matc_frontend::ast::{BinOp, UnOp};
+use matc_ir::canon::{put_f64, put_int, put_len, put_str, put_uint};
 use matc_ir::ids::{FuncId, VarId};
 use matc_ir::instr::{Const, InstrKind, Op, Operand};
 use matc_ir::{Budget, BudgetError, Builtin, FuncIr, IrProgram};
@@ -161,54 +162,195 @@ impl ProgramTypes {
         s
     }
 
-    /// Canonical, arena-independent rendering of one function's
-    /// inference facts (see [`ExprCtx::render_canonical`]): every
-    /// variable's intrinsic, shape, range and symbolic value/bound,
-    /// with symbols renumbered by first occurrence *within this
-    /// function*. Two functions rendering identically plan, audit and
-    /// emit identically — this string is a fragment-key ingredient of
-    /// the incremental artifact store.
+    /// The canonical, arena-independent walk of one function's
+    /// inference facts: every variable's intrinsic, shape, range and
+    /// symbolic value/bound, in variable order, with symbols renumbered
+    /// by first occurrence *within this function* (see
+    /// [`ExprCtx::walk_canonical`]). Two functions that walk
+    /// identically plan, audit and emit identically.
+    /// [`ProgramTypes::encode_canonical_facts`] (a fragment-key
+    /// ingredient of the incremental artifact store) and
+    /// [`ProgramTypes::canonical_func_facts`] are its two renderings.
+    pub fn walk_func_facts(&self, f: FuncId, visit: &mut impl FnMut(FactStep<'_>)) {
+        let mut renumber = HashMap::new();
+        let Some(ft) = self.funcs.get(f.index()) else {
+            return;
+        };
+        for (v, facts) in ft.iter() {
+            let VarFacts {
+                intrinsic,
+                shape,
+                range,
+                value,
+                maxval,
+            } = facts;
+            visit(FactStep::Var(v, *intrinsic));
+            let dims: &[ExprId] = match shape {
+                Shape::Tuple(dims) => {
+                    visit(FactStep::Tuple(dims.len()));
+                    dims
+                }
+                Shape::Any(e) => {
+                    visit(FactStep::Any);
+                    std::slice::from_ref(e)
+                }
+            };
+            for d in dims {
+                self.ctx.walk_canonical(*d, &mut renumber, visit);
+            }
+            visit(FactStep::Close);
+            visit(FactStep::Range(*range));
+            visit(FactStep::Value(value.is_some()));
+            if let Some(e) = value {
+                self.ctx.walk_canonical(*e, &mut renumber, visit);
+            }
+            visit(FactStep::MaxVal(maxval.is_some()));
+            if let Some(e) = maxval {
+                self.ctx.walk_canonical(*e, &mut renumber, visit);
+            }
+        }
+    }
+
+    /// Appends the byte rendering of [`ProgramTypes::walk_func_facts`]
+    /// to `out`, in the `matc_ir::canon` encoding. Arities make the
+    /// stream self-delimiting, so closing steps write nothing.
+    pub fn encode_canonical_facts(&self, f: FuncId, out: &mut Vec<u8>) {
+        self.walk_func_facts(f, &mut |step| match step {
+            FactStep::Var(v, t) => {
+                out.push(0);
+                put_uint(out, u64::from(v.0));
+                out.push(match t {
+                    Intrinsic::Bool => 0,
+                    Intrinsic::Byte => 1,
+                    Intrinsic::Int => 2,
+                    Intrinsic::Real => 3,
+                    Intrinsic::Complex => 4,
+                    Intrinsic::Illegal => 5,
+                });
+            }
+            FactStep::Tuple(n) => {
+                out.push(1);
+                put_len(out, n);
+            }
+            FactStep::Any => out.push(2),
+            FactStep::Range(Range { lo, hi, integral }) => {
+                out.push(3);
+                put_f64(out, lo);
+                put_f64(out, hi);
+                out.push(u8::from(integral));
+            }
+            FactStep::Value(some) => out.push(4 + u8::from(some)),
+            FactStep::MaxVal(some) => out.push(6 + u8::from(some)),
+            FactStep::Const(c) => {
+                out.push(8);
+                put_int(out, c);
+            }
+            FactStep::Sym { n, nonneg, name } => {
+                out.push(9);
+                put_len(out, n);
+                out.push(u8::from(nonneg));
+                put_str(out, name);
+            }
+            FactStep::Node(kind, n) => {
+                out.push(10);
+                put_str(out, kind);
+                put_len(out, n);
+            }
+            FactStep::Close => {}
+        });
+    }
+
+    /// The text rendering of [`ProgramTypes::walk_func_facts`], one
+    /// line per variable:
+    /// `v3: t=Real shape=(1,add(s0+n,1)) range=… value=- maxval=-`.
     pub fn canonical_func_facts(&self, f: FuncId) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let mut renumber = HashMap::new();
-        let Some(ft) = self.funcs.get(f.index()) else {
-            return out;
-        };
-        for (v, facts) in ft.iter() {
-            let _ = write!(out, "v{}: t={:?} shape=", v.index(), facts.intrinsic);
-            match &facts.shape {
-                Shape::Tuple(dims) => {
-                    out.push('(');
-                    for (i, d) in dims.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        self.ctx.render_canonical(*d, &mut renumber, &mut out);
+        // Per open list: its closing delimiter and whether it already
+        // holds an item (so the next one needs a comma).
+        let mut open: Vec<(char, bool)> = Vec::new();
+        self.walk_func_facts(f, &mut |step| {
+            if matches!(
+                step,
+                FactStep::Const(_) | FactStep::Sym { .. } | FactStep::Node(..)
+            ) {
+                if let Some((_, seen)) = open.last_mut() {
+                    if *seen {
+                        out.push(',');
                     }
-                    out.push(')');
-                }
-                Shape::Any(e) => {
-                    out.push_str("any[");
-                    self.ctx.render_canonical(*e, &mut renumber, &mut out);
-                    out.push(']');
+                    *seen = true;
                 }
             }
-            let _ = write!(out, " range={:?}", facts.range);
-            out.push_str(" value=");
-            match facts.value {
-                Some(e) => self.ctx.render_canonical(e, &mut renumber, &mut out),
-                None => out.push('-'),
-            }
-            out.push_str(" maxval=");
-            match facts.maxval {
-                Some(e) => self.ctx.render_canonical(e, &mut renumber, &mut out),
-                None => out.push('-'),
-            }
+            let _ = match step {
+                FactStep::Var(v, t) => {
+                    if !out.is_empty() {
+                        out.push('\n');
+                    }
+                    write!(out, "v{}: t={t:?} shape=", v.index())
+                }
+                FactStep::Tuple(_) => {
+                    open.push((')', false));
+                    write!(out, "(")
+                }
+                FactStep::Any => {
+                    open.push((']', false));
+                    write!(out, "any[")
+                }
+                FactStep::Node(kind, _) => {
+                    open.push((')', false));
+                    write!(out, "{kind}(")
+                }
+                FactStep::Close => write!(out, "{}", open.pop().map_or(')', |(c, _)| c)),
+                FactStep::Range(r) => write!(out, " range={r:?}"),
+                FactStep::Value(some) => write!(out, " value={}", if some { "" } else { "-" }),
+                FactStep::MaxVal(some) => write!(out, " maxval={}", if some { "" } else { "-" }),
+                FactStep::Const(c) => write!(out, "{c}"),
+                FactStep::Sym { n, nonneg, name } => {
+                    write!(out, "s{n}{}{name}", if nonneg { '+' } else { '?' })
+                }
+            };
+        });
+        if !out.is_empty() {
             out.push('\n');
         }
         out
     }
+}
+
+/// One step of [`ProgramTypes::walk_func_facts`]. Expressions come in
+/// prefix order: a [`FactStep::Node`] announces its operand count and
+/// [`FactStep::Close`] ends it, as it ends a shape.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FactStep<'a> {
+    /// A variable's facts begin, with its intrinsic type; its shape
+    /// follows.
+    Var(VarId, Intrinsic),
+    /// A known-rank shape with this many extent expressions.
+    Tuple(usize),
+    /// An unknown-rank shape: one element-count expression.
+    Any,
+    /// The variable's value range.
+    Range(Range),
+    /// Whether a symbolic value expression follows.
+    Value(bool),
+    /// Whether a symbolic upper-bound expression follows.
+    MaxVal(bool),
+    /// An integer constant.
+    Const(i64),
+    /// A symbol, numbered by first occurrence within the function.
+    Sym {
+        /// The symbol's canonical number.
+        n: usize,
+        /// Whether the symbol is known nonnegative.
+        nonneg: bool,
+        /// Its debug name.
+        name: &'a str,
+    },
+    /// A sum (`"add"`), product (`"mul"`) or maximum (`"max"`) with
+    /// this many operands.
+    Node(&'static str, usize),
+    /// Ends the innermost shape or node.
+    Close,
 }
 
 /// Aggregate inference counters (see [`ProgramTypes::summary`]).

@@ -37,7 +37,7 @@ pub mod shape;
 
 pub use exprs::{ExprCtx, ExprId};
 pub use infer::{
-    infer_program, infer_program_budgeted, FuncTypes, ProgramTypes, TypeSummary, VarFacts,
+    infer_program, infer_program_budgeted, FactStep, FuncTypes, ProgramTypes, TypeSummary, VarFacts,
 };
 pub use intrinsic::Intrinsic;
 pub use range::Range;

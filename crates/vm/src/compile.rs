@@ -74,12 +74,13 @@ pub fn compile_traced(
 ) -> Result<(Compiled, IrProgram), LowerError> {
     let (budget, faults) = (Budget::unlimited(), FaultPlan::quiet(0));
     let mut rec = UnitMetrics::new("compile");
-    let traced = compile_front(ast, options, &budget, &faults, &mut rec).and_then(|mut front| {
-        let (plans, audit) = plan_functions(&mut front, &budget, &faults, &mut rec)?;
-        let ssa = front.ir.clone();
-        let (compiled, _) = assemble_compiled(ast, front, plans, audit, &mut rec);
-        Ok((compiled, ssa))
-    });
+    let traced =
+        compile_front(ast, options, &budget, &faults, &mut rec, None).and_then(|mut front| {
+            let (plans, audit) = plan_functions(&mut front, &budget, &faults, &mut rec)?;
+            let ssa = front.ir.clone();
+            let (compiled, _) = assemble_compiled(ast, front, plans, audit, &mut rec);
+            Ok((compiled, ssa))
+        });
     expect_clean(traced, &rec)
 }
 

@@ -53,5 +53,6 @@ pub use interp::Interp;
 pub use mcc::{MccVm, MX_HEADER};
 pub use planned::PlannedVm;
 pub use resilient::{
-    compile_front, compile_function, compile_resilient, FrontHalf, ResilientError,
+    compile_front, compile_function, compile_resilient, FrontFunc, FrontHalf, FrontMemo,
+    ResilientError,
 };

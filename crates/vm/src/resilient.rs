@@ -33,17 +33,20 @@
 
 use crate::compile::Compiled;
 use matc_analysis::{audit_function_budgeted, lint_program, Diagnostics, Severity};
-use matc_frontend::ast::Program;
+use matc_frontend::ast::{Function, Program};
 use matc_gctd::{
-    isolate, plan_function_budgeted, BudgetEvent, DegradationEvent, FaultPlan, FaultSite,
-    GctdOptions, Phase, ProgramPlan, StoragePlan, UnitMetrics,
+    isolate, plan_function_budgeted, ArtifactCache, BudgetEvent, DegradationEvent, FaultPlan,
+    FaultSite, GctdOptions, Phase, ProgramPlan, StoragePlan, UnitMetrics,
 };
 use matc_ir::ids::FuncId;
 use matc_ir::lower::LowerError;
-use matc_ir::{build_ssa, ssa_destruct, Budget, BudgetError, IrProgram};
-use matc_passes::{optimize_program_budgeted, OptStats};
+use matc_ir::{
+    build_func_ssa, build_ssa, ssa_destruct, Budget, BudgetError, FuncIr, IrProgram, Signatures,
+};
+use matc_passes::{optimize_function_budgeted, OptStats};
 use matc_typeinf::{infer_program_budgeted, ProgramTypes};
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Why a unit could not be compiled even with every ladder rung taken.
@@ -162,7 +165,7 @@ pub fn compile_resilient(
     faults: FaultPlan,
     rec: &mut UnitMetrics,
 ) -> Result<(Compiled, Diagnostics), ResilientError> {
-    let mut front = compile_front(ast, options, budget, &faults, rec)?;
+    let mut front = compile_front(ast, options, budget, &faults, rec, None)?;
     let (plans, audit) = plan_functions(&mut front, budget, &faults, rec)?;
     Ok(assemble_compiled(ast, front, plans, audit, rec))
 }
@@ -188,8 +191,8 @@ pub(crate) fn plan_functions(
 /// The unit-level half of the pipeline, everything that runs *before*
 /// per-function planning: SSA build, the optimizer, and type inference,
 /// with the unit-level rungs of the degradation ladder applied. The
-/// incremental batch driver runs this half unconditionally (it is what
-/// fragment cache keys are computed from), then compiles only the
+/// incremental batch driver runs this half on every unit miss (it is
+/// what fragment cache keys are computed from), then compiles only the
 /// functions whose fragments miss.
 pub struct FrontHalf {
     /// The optimized (or, in conservative mode, freshly re-lowered)
@@ -212,7 +215,45 @@ pub struct FrontHalf {
     unit: String,
 }
 
+/// One function's front half as an earlier compile of its unit left it:
+/// lowered, in SSA form and optimized.
+#[derive(Debug)]
+pub struct FrontFunc {
+    /// The function's AST, the input the entry was built from.
+    pub ast: Function,
+    /// The optimized SSA IR.
+    pub ir: FuncIr,
+    /// What the optimizer rewrote in this function.
+    pub opt: OptStats,
+}
+
+/// The front-half memo of one unit, kept in an [`ArtifactCache`]'s
+/// memory tier: the signature table its functions were lowered against
+/// and one [`FrontFunc`] per function position. A function's IR
+/// depends only on its AST and the signature table, so a later compile
+/// of the unit reuses the entry at a position when both are equal and
+/// rebuilds it otherwise.
+#[derive(Debug)]
+pub struct FrontMemo {
+    /// The unit's signature table.
+    pub signatures: Signatures,
+    /// One entry per function, in program order.
+    pub funcs: Vec<Arc<FrontFunc>>,
+}
+
 /// Runs the front half of [`compile_resilient`] (see [`FrontHalf`]).
+///
+/// With `memo` given, SSA build and optimization are memoized per
+/// function in that cache's [`FrontMemo`] for the unit `rec` names: a
+/// function whose AST and unit signature table equal the last compile's
+/// takes a copy of that compile's optimized IR and [`OptStats`] — the
+/// exact result rebuilding it would give, since lowering, SSA
+/// construction and the passes read nothing else — and only the others
+/// are built, then the memo is replaced. Type inference always runs
+/// over the whole unit, so facts still flow between functions. Pass a
+/// memo only with a budget that has no fuel, phase timeout or deadline:
+/// a budgeted build charges fuel per function, and skipping that work
+/// would move where the budget trips.
 ///
 /// # Errors
 ///
@@ -225,6 +266,7 @@ pub fn compile_front(
     budget: &Budget,
     faults: &FaultPlan,
     rec: &mut UnitMetrics,
+    memo: Option<&ArtifactCache>,
 ) -> Result<FrontHalf, ResilientError> {
     // A request whose deadline already passed (queue wait under load)
     // fails fast before any phase runs: the ladder cannot buy time back.
@@ -244,7 +286,25 @@ pub fn compile_front(
     rec.ast_expressions = s.expressions;
 
     let t = Instant::now();
-    let mut ir = build_ssa(ast)?;
+    let signatures = matc_ir::lower::signatures(ast);
+    let prev = memo
+        .and_then(|c| c.front_memo::<FrontMemo>(&unit))
+        .filter(|m| m.signatures == signatures);
+    // Per function: the memo entry it reuses, if any.
+    let mut reused: Vec<Option<Arc<FrontFunc>>> = Vec::with_capacity(ast.functions.len());
+    let mut ir = IrProgram::default();
+    for (i, f) in ast.functions.iter().enumerate() {
+        let hit = prev
+            .as_ref()
+            .and_then(|m| m.funcs.get(i))
+            .filter(|e| e.ast == *f);
+        ir.add(match hit {
+            Some(e) => e.ir.clone(),
+            None => build_func_ssa(f, &signatures)?,
+        });
+        reused.push(hit.cloned());
+    }
+    ir.entry = ir.by_name.get(&ast.entry).copied();
     rec.record(Phase::SsaBuild, t.elapsed());
 
     // Unit-level conservative mode: entered when the optimizer or type
@@ -255,8 +315,41 @@ pub fn compile_front(
 
     let t = Instant::now();
     maybe_panic(faults, &format!("{unit}/optimize"));
-    let opt_stats = match optimize_program_budgeted(&mut ir, budget) {
-        Ok(s) => s,
+    budget.enter_phase("optimize");
+    let optimized: Result<Vec<OptStats>, BudgetError> = ir
+        .functions
+        .iter_mut()
+        .zip(&reused)
+        .map(|(f, hit)| match hit {
+            Some(e) => Ok(e.opt),
+            None => optimize_function_budgeted(f, budget),
+        })
+        .collect();
+    let mut opt_stats = OptStats::default();
+    match optimized {
+        Ok(per_func) => {
+            for s in &per_func {
+                opt_stats += *s;
+            }
+            if let Some(cache) = memo {
+                let funcs = ast
+                    .functions
+                    .iter()
+                    .zip(&ir.functions)
+                    .zip(reused.into_iter().zip(per_func))
+                    .map(|((f, func), (hit, opt))| {
+                        hit.unwrap_or_else(|| {
+                            Arc::new(FrontFunc {
+                                ast: f.clone(),
+                                ir: func.clone(),
+                                opt,
+                            })
+                        })
+                    })
+                    .collect();
+                cache.put_front_memo(&unit, FrontMemo { signatures, funcs });
+            }
+        }
         Err(be) => {
             note_budget(rec, &be);
             if be.kind == matc_ir::BudgetKind::Deadline {
@@ -267,9 +360,8 @@ pub fn compile_front(
             }
             degrade(rec, "", "optimize_budget", be.to_string());
             conservative = true;
-            OptStats::default()
         }
-    };
+    }
     if conservative {
         // Discard the partially-optimized IR: the conservative path
         // compiles what the programmer wrote, not a half-transformed

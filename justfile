@@ -46,14 +46,6 @@ audit-bench:
 batch-bench:
     cargo run -q --release --bin matc -- batch --bench --selfcheck --jobs 8
 
-# The fault-tolerance gate (DESIGN.md §7): the 50-seed fault-injection
-# matrix (the forced-fallback differential property runs with the rest
-# of the proptests under `just test`), then two CLI smokes — the
-# benchsuite under 100% injected audit violations must
-# fully compile on the conservative plan (exit 3, not a failure), and
-# a persistently unwritable cache (simulated via write faults, the
-# portable stand-in for a read-only cache dir) must degrade to
-# memory-only caching without failing the batch (exit 0).
 # The tracked performance gate (DESIGN.md §8): compile the benchsuite
 # plus the paper_scale stress unit, record median phase times / dataflow
 # fixpoint iterations / interference edges per second, drive the serve
@@ -97,6 +89,14 @@ sim-bench:
     cargo run -q --release --bin matc -- simulate --seeds 1000 \
         --seed-file tests/sim_seeds.txt
 
+# The fault-tolerance gate (DESIGN.md §7): the 50-seed fault-injection
+# matrix (the forced-fallback differential property runs with the rest
+# of the proptests under `just test`), then two CLI smokes — the
+# benchsuite under 100% injected audit violations must
+# fully compile on the conservative plan (exit 3, not a failure), and
+# a persistently unwritable cache (simulated via write faults, the
+# portable stand-in for a read-only cache dir) must degrade to
+# memory-only caching without failing the batch (exit 0).
 fault-bench:
     cargo test -q --test fault_injection
     cargo run -q --release --bin matc -- batch --bench --jobs 4 \

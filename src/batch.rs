@@ -27,7 +27,7 @@ use matc_gctd::{
 };
 use matc_ir::{ssa_destruct, Budget, FuncId, FuncIr};
 use matc_vm::Compiled;
-use matc_vm::{compile_front, compile_function};
+use matc_vm::{compile_front, compile_function, FrontHalf};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -312,6 +312,32 @@ fn merge_func_metrics(m: &mut UnitMetrics, fm: &UnitMetrics) {
     m.budget_exceeded.extend(fm.budget_exceeded.iter().cloned());
 }
 
+/// The key of one function's fragment: a digest over the option
+/// fingerprint, the probes flag and the canonical walks of the
+/// function's optimized IR and of its inference facts
+/// (`FuncIr::encode_canonical`, `ProgramTypes::encode_canonical_facts`),
+/// in domain `matc-frag-v2`. Equal keys ⇒ equal optimized IR, equal
+/// facts (canonically renumbered) and equal options ⇒ identical plan,
+/// audit and emitted body. `buf` is scratch space, reused across calls.
+pub fn fragment_key(
+    fingerprint: &str,
+    front: &FrontHalf,
+    fid: FuncId,
+    buf: &mut Vec<u8>,
+) -> CacheKey {
+    buf.clear();
+    front.ir.func(fid).encode_canonical(buf);
+    front.types.encode_canonical_facts(fid, buf);
+    CacheKey::compute_parts(
+        "matc-frag-v2",
+        [
+            fingerprint.as_bytes(),
+            b"probes=0".as_slice(),
+            buf.as_slice(),
+        ],
+    )
+}
+
 /// Compiles one unit, consulting (and filling) the cache when given.
 ///
 /// Equivalent to [`compile_unit_with`] under a default configuration
@@ -341,10 +367,14 @@ pub fn compile_unit(
 /// audited, destructed and emitted on its own, and the unit artifact is
 /// stitched from the per-function pieces (byte-identical to whole-unit
 /// emission — `matc-codegen` proves the concatenation identity). With a
-/// cache attached and no budget limits in play, each function is first
-/// looked up as a *fragment* keyed by its optimized IR and inference
-/// facts, so editing one function of a unit recompiles only that
-/// function ([`CacheOutcome::Partial`]).
+/// cache attached and no budget limits in play, the front half reuses
+/// the optimized IR of every function unchanged since the unit's last
+/// compile (the cache's front-half memo, see [`compile_front`]), and
+/// each function is first looked up as a *fragment* keyed by its
+/// optimized IR and inference facts ([`fragment_key`]), so editing one
+/// function of a unit rebuilds and recompiles only that function
+/// ([`CacheOutcome::Partial`]) — type inference and the fragment keys
+/// still cover the whole unit.
 ///
 /// Artifacts of units that degraded, tripped a budget, or failed are
 /// **never** written to the cache (whole or fragments): the cache key
@@ -400,7 +430,15 @@ pub fn compile_unit_with(
         if let Some(d) = config.deadline {
             budget = budget.with_deadline(d);
         }
-        let mut front = match compile_front(&ast, options, &budget, &faults, &mut m) {
+        // The front-half memo and the fragments are only consulted
+        // (and later written) when the compile is fully budget-free: a
+        // budgeted run may degrade per function, and serving clean
+        // work where the budget would have bitten must not change what
+        // a budgeted compile produces.
+        let budget_free =
+            config.fuel.is_none() && config.phase_timeout_ms.is_none() && config.deadline.is_none();
+        let memo = cache.filter(|_| budget_free);
+        let mut front = match compile_front(&ast, options, &budget, &faults, &mut m, memo) {
             Ok(f) => f,
             Err(e) => {
                 m.error = Some(e.to_string());
@@ -412,17 +450,11 @@ pub fn compile_unit_with(
             panic!("injected fault: panic at `{}/codegen`", unit.name);
         }
 
-        // Fragments are only consulted (and later written) when the
-        // compile is fully budget-free and the front half stayed on the
-        // configured path: a budgeted run may degrade per function, and
-        // serving a clean fragment where the budget would have bitten
-        // must not change what a budgeted compile produces.
-        let incremental = cache.is_some()
-            && config.fuel.is_none()
-            && config.phase_timeout_ms.is_none()
-            && config.deadline.is_none()
-            && !front.conservative;
+        // Fragments also need the front half to have stayed on the
+        // configured path.
+        let incremental = memo.is_some() && !front.conservative;
         let fingerprint = options_fingerprint(&options);
+        let mut key_bytes = Vec::new();
 
         let n = front.ir.functions.len();
         let mut frags: Vec<(CacheKey, Arc<Fragment>)> = Vec::with_capacity(n);
@@ -436,24 +468,7 @@ pub fn compile_unit_with(
 
         for i in 0..n {
             let fid = FuncId::new(i);
-            let fkey = if incremental {
-                // Equal fragment keys ⇒ equal optimized IR, equal
-                // inference facts (canonically renumbered) and equal
-                // options ⇒ identical plan, audit and emitted body.
-                let ir_text = format!("{:?}", front.ir.func(fid));
-                let facts = front.types.canonical_func_facts(fid);
-                Some(CacheKey::compute_parts(
-                    "matc-frag-v1",
-                    [
-                        fingerprint.as_str(),
-                        "probes=0",
-                        ir_text.as_str(),
-                        facts.as_str(),
-                    ],
-                ))
-            } else {
-                None
-            };
+            let fkey = incremental.then(|| fragment_key(&fingerprint, &front, fid, &mut key_bytes));
 
             if let Some(k) = &fkey {
                 if let Some(frag) = cache.expect("incremental implies cache").get_fragment(k) {

@@ -723,7 +723,7 @@ fn audit_sources(
     let mut diags = lint_program(ast);
     let mut rec = UnitMetrics::new("audit");
     let (budget, faults) = (Budget::unlimited(), FaultPlan::quiet(0));
-    match compile_front(ast, options, &budget, &faults, &mut rec) {
+    match compile_front(ast, options, &budget, &faults, &mut rec, None) {
         Ok(mut front) => {
             let plans = plan_program(&front.ir, &mut front.types, front.plan_options);
             let (findings, _stats) = audit_program_jobs(&front.ir, &front.types, &plans, jobs);
