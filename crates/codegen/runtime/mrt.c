@@ -215,15 +215,6 @@ static void assign(mrt_val *dst, const mrt_val *src) {
     dst->is_char = src->is_char;
 }
 
-/* Moves a scratch result into dst, freeing the scratch buffers. */
-static void commit(mrt_val *dst, mrt_val *scr) {
-    if (dst) {
-        assign(dst, scr);
-    }
-    free(scr->re);
-    free(scr->im);
-}
-
 /* Drops an all-zero imaginary part (the Rust `normalized`). */
 static void normalize(mrt_val *v) {
     if (!v->im) return;
@@ -311,83 +302,6 @@ static double next_rand(void) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Operation table                                                     */
-/* ------------------------------------------------------------------ */
-
-/* Every operation name mrt_opv accepts, with its dispatch id. */
-#define MRT_OPS(X) \
-    X(FPRINTF, "fprintf") X(DISP, "disp") X(ERROR, "error") \
-    X(SUBSASGN, "subsasgn") X(COPY, "copy") X(CONCAT, "concat") \
-    X(ADD, "bin_add") X(SUB, "bin_sub") X(TIMES, "bin_times") \
-    X(MTIMES, "bin_mtimes") X(RDIVIDE, "bin_rdivide") \
-    X(LDIVIDE, "bin_ldivide") X(MRDIVIDE, "bin_mrdivide") \
-    X(MLDIVIDE, "bin_mldivide") X(POWER, "bin_power") \
-    X(MPOWER, "bin_mpower") X(EQ, "bin_eq") X(NE, "bin_ne") \
-    X(LT, "bin_lt") X(LE, "bin_le") X(GT, "bin_gt") X(GE, "bin_ge") \
-    X(AND, "bin_and") X(OR, "bin_or") X(UMINUS, "un_uminus") \
-    X(UPLUS, "un_uplus") X(NOT, "un_not") X(TRANSPOSE, "un_transpose") \
-    X(CTRANSPOSE, "un_ctranspose") X(SUBSREF, "subsref") \
-    X(RANGE, "range") X(RANGE3, "range3") X(ZEROS, "zeros") \
-    X(ONES, "ones") X(EYE, "eye") X(RAND, "rand") X(SIZE, "size") \
-    X(NUMEL, "numel") X(LENGTH, "length") X(NDIMS, "ndims") \
-    X(ISEMPTY, "isempty") X(ISTRUE, "istrue") \
-    X(RANGE_COUNT, "range_count") X(LOOP_INDEX, "loop_index") \
-    X(SQRT, "sqrt") X(ABS, "abs") X(SIN, "sin") X(COS, "cos") \
-    X(TAN, "tan") X(ATAN, "atan") X(EXP, "exp") X(LOG, "log") \
-    X(FLOOR, "floor") X(CEIL, "ceil") X(ROUND, "round") X(FIX, "fix") \
-    X(REAL, "real") X(IMAG, "imag") X(CONJ, "conj") X(SIGN, "sign") \
-    X(SUM, "sum") X(MEAN, "mean") X(MAX, "max") X(MIN, "min") \
-    X(MOD, "mod") X(REM, "rem") X(ATAN2, "atan2") \
-    X(LINSPACE, "linspace") X(NORM, "norm") X(PI, "pi") X(INF, "Inf") \
-    X(EPS, "eps") X(PROD, "prod") X(ANY, "any") X(ALL, "all")
-
-enum {
-#define X(id, name) OP_##id,
-    MRT_OPS(X)
-#undef X
-    OP_COUNT
-};
-
-static const char *const op_names[OP_COUNT] = {
-#define X(id, name) name,
-    MRT_OPS(X)
-#undef X
-};
-
-/* Open-addressed name -> id + 1 table (0 = empty), built at first use;
- * a power of two at least twice OP_COUNT, so probes stay short. */
-#define OP_HASH_SIZE 256
-static unsigned char op_hash[OP_HASH_SIZE];
-
-/* FNV-1a over the first len bytes of name. */
-static size_t op_hash_of(const char *name, size_t len) {
-    uint32_t h = 2166136261u;
-    for (size_t i = 0; i < len; i++) h = (h ^ (unsigned char)name[i]) * 16777619u;
-    return h & (OP_HASH_SIZE - 1);
-}
-
-/* The dispatch id of an op name; `concat:<rows>` keys on "concat".
- * Unknown names are fatal. */
-static int op_id(const char *op) {
-    static int ready = 0;
-    if (!ready) {
-        for (int id = 0; id < OP_COUNT; id++) {
-            size_t h = op_hash_of(op_names[id], strlen(op_names[id]));
-            while (op_hash[h]) h = (h + 1) & (OP_HASH_SIZE - 1);
-            op_hash[h] = (unsigned char)(id + 1);
-        }
-        ready = 1;
-    }
-    size_t len = strcspn(op, ":");
-    for (size_t h = op_hash_of(op, len); op_hash[h]; h = (h + 1) & (OP_HASH_SIZE - 1)) {
-        const char *name = op_names[op_hash[h] - 1];
-        if (!strncmp(name, op, len) && name[len] == '\0') return op_hash[h] - 1;
-    }
-    fprintf(stderr, "mrt: unimplemented operation `%s`\n", op);
-    exit(70);
-}
-
-/* ------------------------------------------------------------------ */
 /* Elementwise and matrix arithmetic                                   */
 /* ------------------------------------------------------------------ */
 
@@ -438,9 +352,10 @@ static void k_pow(double ar, double ai, double br, double bi, double *cr, double
 /* Real elementwise ops on the real parts of a and b (a scalar operand
  * broadcasts), the expression chosen once, outside the element loop.
  * Arithmetic is bit-identical to the complex kernels' real part with
- * zero imaginary parts: `./` keeps k_div's `+ 0*0` terms (they decide
- * the sign of zero quotients and make x./0 NaN), k_mul's `x*y - 0*0`
- * is exactly x*y, and `.^` comes here only when pow_is_real holds. */
+ * zero imaginary parts: `./` is mrt_rdiv (k_div's real part), k_mul's
+ * `x*y - 0*0` is exactly x*y, and `.^` comes here only when
+ * pow_is_real holds. The scalar kernels are mrt.h's, which typed
+ * scalars in the generated C call too. */
 static void ew_real(mrt_val *out, const mrt_val *a, const mrt_val *b, int id) {
     int d0, d1, d2;
     ew_dims(a, b, &d0, &d1, &d2);
@@ -455,33 +370,33 @@ static void ew_real(mrt_val *out, const mrt_val *a, const mrt_val *b, int id) {
         o[i] = (expr);                                 \
     }
     switch (id) {
-    case OP_ADD: EW_LOOP(x + y); break;
-    case OP_SUB: EW_LOOP(x - y); break;
-    case OP_TIMES: EW_LOOP(x * y); break;
-    case OP_RDIVIDE: EW_LOOP((x * y + 0.0) / (y * y + 0.0)); break;
-    case OP_EQ: EW_LOOP(x == y); break;
-    case OP_NE: EW_LOOP(x != y); break;
-    case OP_LT: EW_LOOP(x < y); break;
-    case OP_LE: EW_LOOP(x <= y); break;
-    case OP_GT: EW_LOOP(x > y); break;
-    case OP_GE: EW_LOOP(x >= y); break;
-    case OP_AND: EW_LOOP(x != 0.0 && y != 0.0); break;
-    case OP_OR: EW_LOOP(x != 0.0 || y != 0.0); break;
-    case OP_MAX: EW_LOOP((x > y || isnan(y)) ? x : y); break;
-    case OP_MIN: EW_LOOP((x < y || isnan(y)) ? x : y); break;
-    case OP_MOD: EW_LOOP(y == 0.0 ? x : x - y * floor(x / y)); break;
-    case OP_REM: EW_LOOP(y == 0.0 ? (0.0 / 0.0) : x - y * trunc(x / y)); break;
-    case OP_ATAN2: EW_LOOP(atan2(x, y)); break;
-    case OP_POWER: EW_LOOP(pow(x, y)); break;
+    case MRT_OP_ADD: EW_LOOP(x + y); break;
+    case MRT_OP_SUB: EW_LOOP(x - y); break;
+    case MRT_OP_TIMES: EW_LOOP(x * y); break;
+    case MRT_OP_RDIVIDE: EW_LOOP(mrt_rdiv(x, y)); break;
+    case MRT_OP_EQ: EW_LOOP(x == y); break;
+    case MRT_OP_NE: EW_LOOP(x != y); break;
+    case MRT_OP_LT: EW_LOOP(x < y); break;
+    case MRT_OP_LE: EW_LOOP(x <= y); break;
+    case MRT_OP_GT: EW_LOOP(x > y); break;
+    case MRT_OP_GE: EW_LOOP(x >= y); break;
+    case MRT_OP_AND: EW_LOOP(x != 0.0 && y != 0.0); break;
+    case MRT_OP_OR: EW_LOOP(x != 0.0 || y != 0.0); break;
+    case MRT_OP_MAX: EW_LOOP(mrt_max2(x, y)); break;
+    case MRT_OP_MIN: EW_LOOP(mrt_min2(x, y)); break;
+    case MRT_OP_MOD: EW_LOOP(mrt_mod(x, y)); break;
+    case MRT_OP_REM: EW_LOOP(mrt_rem(x, y)); break;
+    case MRT_OP_ATAN2: EW_LOOP(atan2(x, y)); break;
+    case MRT_OP_POWER: EW_LOOP(pow(x, y)); break;
     default: die("not a real elementwise operation");
     }
 #undef EW_LOOP
     set_dims(out, d0, d1, d2);
 }
 
-static const ckernel ew_kernels[OP_COUNT] = {
-    [OP_ADD] = k_add, [OP_SUB] = k_sub, [OP_TIMES] = k_mul,
-    [OP_RDIVIDE] = k_div, [OP_POWER] = k_pow,
+static const ckernel ew_kernels[MRT_OP_COUNT] = {
+    [MRT_OP_ADD] = k_add, [MRT_OP_SUB] = k_sub, [MRT_OP_TIMES] = k_mul,
+    [MRT_OP_RDIVIDE] = k_div, [MRT_OP_POWER] = k_pow,
 };
 
 /* Whether every element pair of a real `.^` takes k_pow's real branch
@@ -498,10 +413,10 @@ static int pow_is_real(const mrt_val *a, const mrt_val *b) {
     return 1;
 }
 
-/* Elementwise arithmetic: id is OP_ADD, OP_SUB, OP_TIMES, OP_RDIVIDE
- * or OP_POWER. */
+/* Elementwise arithmetic: id is MRT_OP_ADD, MRT_OP_SUB, MRT_OP_TIMES, MRT_OP_RDIVIDE
+ * or MRT_OP_POWER. */
 static void ew_op(mrt_val *out, const mrt_val *a, const mrt_val *b, int id) {
-    if (!a->im && !b->im && (id != OP_POWER || pow_is_real(a, b))) {
+    if (!a->im && !b->im && (id != MRT_OP_POWER || pow_is_real(a, b))) {
         ew_real(out, a, b, id);
         return;
     }
@@ -545,12 +460,12 @@ static int c_or(double ar, double ai, double br, double bi) {
     return (ar != 0.0 || ai != 0.0) || (br != 0.0 || bi != 0.0);
 }
 
-static const cmpkernel cmp_kernels[OP_COUNT] = {
-    [OP_EQ] = c_eq, [OP_NE] = c_ne, [OP_LT] = c_lt, [OP_LE] = c_le,
-    [OP_GT] = c_gt, [OP_GE] = c_ge, [OP_AND] = c_and, [OP_OR] = c_or,
+static const cmpkernel cmp_kernels[MRT_OP_COUNT] = {
+    [MRT_OP_EQ] = c_eq, [MRT_OP_NE] = c_ne, [MRT_OP_LT] = c_lt, [MRT_OP_LE] = c_le,
+    [MRT_OP_GT] = c_gt, [MRT_OP_GE] = c_ge, [MRT_OP_AND] = c_and, [MRT_OP_OR] = c_or,
 };
 
-/* Comparisons and logical and/or: id is OP_EQ .. OP_OR. */
+/* Comparisons and logical and/or: id is MRT_OP_EQ .. MRT_OP_OR. */
 static void cmp_op(mrt_val *out, const mrt_val *a, const mrt_val *b, int id) {
     if (!a->im && !b->im) {
         ew_real(out, a, b, id);
@@ -569,8 +484,37 @@ static void cmp_op(mrt_val *out, const mrt_val *a, const mrt_val *b, int id) {
     set_dims(out, d0, d1, d2);
 }
 
+/* matmul's column updates: o[0..m) += x[0..m) * s, and the same for
+ * four columns in one pass, which per element does the four passes'
+ * multiplies and adds in the same order but loads and stores o once.
+ * The result never shares storage with an operand (mrt_opv hands
+ * aliased ops a spare); saying so, and stepping two elements at a
+ * time, lets `cc -O2` use vector instructions. */
+static void axpy1(double *restrict o, const double *restrict x, double s, int m) {
+    int i = 0;
+    for (; i + 2 <= m; i += 2) {
+        o[i] += x[i] * s;
+        o[i + 1] += x[i + 1] * s;
+    }
+    for (; i < m; i++) o[i] += x[i] * s;
+}
+
+static void axpy4(double *restrict o, const double *const *x, const double *s, int m) {
+    const double *restrict x0 = x[0], *restrict x1 = x[1], *restrict x2 = x[2],
+                 *restrict x3 = x[3];
+    double s0 = s[0], s1 = s[1], s2 = s[2], s3 = s[3];
+#define AXPY4(k) o[k] = o[k] + x0[k] * s0 + x1[k] * s1 + x2[k] * s2 + x3[k] * s3
+    int i = 0;
+    for (; i + 2 <= m; i += 2) {
+        AXPY4(i);
+        AXPY4(i + 1);
+    }
+    for (; i < m; i++) AXPY4(i);
+#undef AXPY4
+}
+
 static void matmul(mrt_val *out, const mrt_val *a, const mrt_val *b) {
-    if (is_scalar(a) || is_scalar(b)) { ew_op(out, a, b, OP_TIMES); return; }
+    if (is_scalar(a) || is_scalar(b)) { ew_op(out, a, b, MRT_OP_TIMES); return; }
     if (a->d2 != 1 || b->d2 != 1) die("matmul of N-D arrays");
     int m = a->d0, kk = a->d1, k2 = b->d0, n = b->d1;
     if (kk != k2) die("inner matrix dimensions must agree");
@@ -581,15 +525,24 @@ static void matmul(mrt_val *out, const mrt_val *a, const mrt_val *b) {
         out->re[i] = 0.0;
         if (complex) out->im[i] = 0.0;
     }
-    /* Same loop order (and zero skip) as the Rust runtime. */
+    /* Same loop order (and zero skip) as the Rust runtime. A real
+     * product gathers up to four nonzero columns per pass. */
     for (int j = 0; j < n; j++) {
+        const double *xs[4];
+        double ss[4];
+        int pending = 0;
         for (int l = 0; l < kk; l++) {
             double br = b->re[l + (size_t)kk * j], bi = elem_im(b, l + (size_t)kk * j);
             if (br == 0.0 && bi == 0.0) continue;
             double *oc = out->re + (size_t)m * j;
             const double *ac = a->re + (size_t)m * l;
             if (!complex) { /* ar*br - 0*0 is exactly ar*br */
-                for (int i = 0; i < m; i++) oc[i] += ac[i] * br;
+                xs[pending] = ac;
+                ss[pending++] = br;
+                if (pending == 4) {
+                    axpy4(oc, xs, ss, m);
+                    pending = 0;
+                }
                 continue;
             }
             for (int i = 0; i < m; i++) {
@@ -599,6 +552,7 @@ static void matmul(mrt_val *out, const mrt_val *a, const mrt_val *b) {
                 out->im[io] += ac[i] * bi + ai * br;
             }
         }
+        for (int p = 0; p < pending; p++) axpy1(out->re + (size_t)m * j, xs[p], ss[p], m);
     }
     set_dims(out, m, n, 1);
     normalize(out);
@@ -774,28 +728,23 @@ static void ix_scatter(double *dst, const double *vals, int scalar, const ix_pla
 }
 
 /* The offset of the element that one to three in-range scalar
- * subscripts select in an array of extents dims, or -1 when the index
- * plan must run (it owns every error). Like the planned VM's
- * dispatch::scalar_index, this spares scalar indexing the plan. */
-static ptrdiff_t scalar_offset(int nsubs, const mrt_val *const *subs, const int *dims) {
-    size_t off = 0, stride = 1;
+ * subscripts select in a, or -1 when the index plan must run (it owns
+ * every error). Like the planned VM's dispatch::scalar_index, this
+ * spares scalar indexing the plan. */
+static ptrdiff_t scalar_offset(const mrt_val *a, int nsubs, const mrt_val *const *subs) {
+    double s[3] = {0.0, 0.0, 0.0};
     if (nsubs < 1 || nsubs > 3) return -1;
     for (int k = 0; k < nsubs; k++) {
         if (!subs[k] || numel(subs[k]) != 1) return -1;
-        double v = subs[k]->re[0];
-        if (!(v >= 1.0 && v <= (double)dims[k]) || v != floor(v)) return -1;
-        off += ((size_t)v - 1) * stride;
-        stride *= (size_t)dims[k];
+        s[k] = subs[k]->re[0];
     }
-    return (ptrdiff_t)off;
+    return mrt_offset(a, nsubs, s[0], s[1], s[2]);
 }
 
 static void subsref(mrt_val *out, const mrt_val *a, int nsubs,
                     const mrt_val *const *subs) {
     if (nsubs == 0) { assign(out, a); return; }
-    int dims[3] = {1, 1, 1};
-    effective_dims(a, nsubs, dims);
-    ptrdiff_t at = scalar_offset(nsubs, subs, dims);
+    ptrdiff_t at = scalar_offset(a, nsubs, subs);
     if (at >= 0) {
         ensure(out, 1, a->im != NULL);
         out->re[0] = a->re[at];
@@ -805,6 +754,8 @@ static void subsref(mrt_val *out, const mrt_val *a, int nsubs,
         if (out->im) normalize(out);
         return;
     }
+    int dims[3] = {1, 1, 1};
+    effective_dims(a, nsubs, dims);
     ix_plan p;
     size_t total = ix_build(&p, nsubs, subs, dims);
     for (int k = 0; k < nsubs; k++)
@@ -875,15 +826,15 @@ static void subsasgn(mrt_val *dst, const mrt_val *a, const mrt_val *r,
     /* Work on dst holding a's value (callers pass dst == slot of a when
      * the plan coalesced them; otherwise copy a in first). */
     if (dst->re != a->re) assign(dst, a);
-    int cur[3] = {1, 1, 1};
-    effective_dims(dst, nsubs, cur);
-    ptrdiff_t at = is_scalar(r) ? scalar_offset(nsubs, subs, cur) : -1;
+    ptrdiff_t at = is_scalar(r) ? scalar_offset(dst, nsubs, subs) : -1;
     if (at >= 0) {
         if (r->im) ensure(dst, numel(dst), 1);
         dst->re[at] = r->re[0];
         if (dst->im) dst->im[at] = r->im ? r->im[0] : 0.0;
         return;
     }
+    int cur[3] = {1, 1, 1};
+    effective_dims(dst, nsubs, cur);
     ix_plan p;
     size_t total = ix_build(&p, nsubs, subs, cur);
     int rs = is_scalar(r);
@@ -1298,46 +1249,38 @@ static void vcat_into(mrt_val *out, const mrt_val *const *parts, int n) {
     if (out->im) normalize(out);
 }
 
-/* "concat:<r1>,<r2>,...": the generated op name carries the grid's row
- * lengths. Empty operands are skipped per row; all rows empty yields
- * the 0x0 empty (the Rust matrix_build). */
-static void do_concat(mrt_val *scr, const char *spec, const mrt_val *const *a, int argc) {
-    /* Sized by argc — mrt_opv accepts arbitrarily wide literals. */
-    mrt_val *rows = (mrt_val *)malloc((size_t)argc * sizeof(mrt_val));
+/* Row k of the literal holds rows[k] operands. Empty operands are
+ * skipped per row; all rows empty yields the 0x0 empty (the Rust
+ * matrix_build). */
+static void do_concat(mrt_val *scr, int nrows, const int *rows, const mrt_val *const *a,
+                      int argc) {
+    /* Sized by argc — the literal may be arbitrarily wide. */
+    mrt_val *built = (mrt_val *)malloc((size_t)argc * sizeof(mrt_val));
     const mrt_val **rowrefs = (const mrt_val **)malloc((size_t)argc * sizeof(mrt_val *));
     const mrt_val **parts = (const mrt_val **)malloc((size_t)argc * sizeof(mrt_val *));
-    if ((!rows || !rowrefs || !parts) && argc) die("out of memory");
-    int nrows = 0, k = 0;
-    const char *p = spec;
-    while (k < argc) {
-        int len;
-        if (*p) {
-            len = 0;
-            while (*p >= '0' && *p <= '9') len = len * 10 + (*p++ - '0');
-            if (*p == ',') p++;
-        } else {
-            len = argc - k; /* no spec: a single row */
-        }
+    if ((!built || !rowrefs || !parts) && argc) die("out of memory");
+    int nbuilt = 0, k = 0;
+    for (int r = 0; r < nrows && k < argc; r++) {
         int np = 0;
-        for (int i = 0; i < len && k < argc; i++, k++)
+        for (int i = 0; i < rows[r] && k < argc; i++, k++)
             if (numel(a[k]) > 0) parts[np++] = a[k];
         if (np == 0) continue;
-        scratch_init(&rows[nrows]);
-        hcat_into(&rows[nrows], parts, np);
-        rowrefs[nrows] = &rows[nrows];
-        nrows++;
+        scratch_init(&built[nbuilt]);
+        hcat_into(&built[nbuilt], parts, np);
+        rowrefs[nbuilt] = &built[nbuilt];
+        nbuilt++;
     }
-    if (nrows == 0) {
+    if (nbuilt == 0) {
         ensure(scr, 1, 0);
         set_dims(scr, 0, 0, 1);
     } else {
-        vcat_into(scr, rowrefs, nrows);
-        for (int i = 0; i < nrows; i++) {
-            free(rows[i].re);
-            free(rows[i].im);
+        vcat_into(scr, rowrefs, nbuilt);
+        for (int i = 0; i < nbuilt; i++) {
+            free(built[i].re);
+            free(built[i].im);
         }
     }
-    free(rows);
+    free(built);
     free(rowrefs);
     free(parts);
 }
@@ -1403,8 +1346,8 @@ static void m_log(double r, double i, double *or_, double *oi) {
 static void m_floor(double r, double i, double *or_, double *oi) { *or_ = floor(r); *oi = floor(i); }
 static void m_ceil(double r, double i, double *or_, double *oi) { *or_ = ceil(r); *oi = ceil(i); }
 static void m_round(double r, double i, double *or_, double *oi) {
-    *or_ = r >= 0.0 ? floor(r + 0.5) : ceil(r - 0.5);
-    *oi = i >= 0.0 ? floor(i + 0.5) : ceil(i - 0.5);
+    *or_ = mrt_round(r);
+    *oi = mrt_round(i);
 }
 static void m_fix(double r, double i, double *or_, double *oi) { *or_ = trunc(r); *oi = trunc(i); }
 static void m_atan(double r, double i, double *or_, double *oi) { (void)i; *or_ = atan(r); *oi = 0.0; }
@@ -1414,7 +1357,7 @@ static void m_conj(double r, double i, double *or_, double *oi) { *or_ = r; *oi 
 /* MATLAB sign: z / |z| for complex, the usual -1/0/1 for real. */
 static void m_sign(double r, double i, double *or_, double *oi) {
     if (i == 0.0) {
-        *or_ = r > 0.0 ? 1.0 : (r < 0.0 ? -1.0 : 0.0);
+        *or_ = mrt_sign(r);
         *oi = 0.0;
     } else {
         double m = sqrt(r * r + i * i);
@@ -1453,58 +1396,57 @@ static void set_scalar(mrt_val *out, double x) {
     set_dims(out, 1, 1, 1);
 }
 
-/* Computes op `id` (named `op`) of a[0..argc) into out, which holds no
- * value yet (real, non-char, 0x0) and shares no storage with a. */
-static void dispatch(mrt_val *out, int id, const char *op, const mrt_val *const *a, int argc) {
+/* Computes op `id` of a[0..argc) into out, which holds no value yet
+ * (real, non-char, 0x0) and shares no storage with a. */
+static void dispatch(mrt_val *out, int id, const mrt_val *const *a, int argc) {
     switch (id) {
-    case OP_COPY: case OP_UPLUS: assign(out, a[0]); return;
-    case OP_CONCAT: do_concat(out, op[6] == ':' ? op + 7 : "", a, argc); return;
-    case OP_ADD: case OP_SUB: case OP_TIMES: case OP_RDIVIDE: case OP_POWER:
+    case MRT_OP_COPY: case MRT_OP_UPLUS: assign(out, a[0]); return;
+    case MRT_OP_ADD: case MRT_OP_SUB: case MRT_OP_TIMES: case MRT_OP_RDIVIDE: case MRT_OP_POWER:
         ew_op(out, a[0], a[1], id);
         return;
-    case OP_MTIMES: matmul(out, a[0], a[1]); return;
-    case OP_LDIVIDE: ew_op(out, a[1], a[0], OP_RDIVIDE); return;
-    case OP_MRDIVIDE:
+    case MRT_OP_MTIMES: matmul(out, a[0], a[1]); return;
+    case MRT_OP_LDIVIDE: ew_op(out, a[1], a[0], MRT_OP_RDIVIDE); return;
+    case MRT_OP_MRDIVIDE:
         if (!is_scalar(a[1])) die("matrix right division needs a scalar divisor (runtime)");
-        ew_op(out, a[0], a[1], OP_RDIVIDE);
+        ew_op(out, a[0], a[1], MRT_OP_RDIVIDE);
         return;
-    case OP_MLDIVIDE:
+    case MRT_OP_MLDIVIDE:
         if (!is_scalar(a[0])) die("matrix left division unsupported in the C runtime");
-        ew_op(out, a[1], a[0], OP_RDIVIDE);
+        ew_op(out, a[1], a[0], MRT_OP_RDIVIDE);
         return;
-    case OP_MPOWER:
+    case MRT_OP_MPOWER:
         if (!is_scalar(a[0]) || !is_scalar(a[1]))
             die("matrix power unsupported in the C runtime");
-        ew_op(out, a[0], a[1], OP_POWER);
+        ew_op(out, a[0], a[1], MRT_OP_POWER);
         return;
-    case OP_EQ: case OP_NE: case OP_LT: case OP_LE:
-    case OP_GT: case OP_GE: case OP_AND: case OP_OR:
+    case MRT_OP_EQ: case MRT_OP_NE: case MRT_OP_LT: case MRT_OP_LE:
+    case MRT_OP_GT: case MRT_OP_GE: case MRT_OP_AND: case MRT_OP_OR:
         cmp_op(out, a[0], a[1], id);
         return;
-    case OP_UMINUS: ew_op(out, mrt_wrap(mrt_numv(0.0)), a[0], OP_SUB); return;
-    case OP_NOT: cmp_op(out, a[0], mrt_wrap(mrt_numv(0.0)), OP_EQ); return;
-    case OP_TRANSPOSE: transpose(out, a[0], 0); return;
-    case OP_CTRANSPOSE: transpose(out, a[0], 1); return;
-    case OP_SUBSREF: subsref(out, a[0], argc - 1, &a[1]); return;
-    case OP_RANGE: range_op(out, mrt_scalar(a[0]), 1.0, mrt_scalar(a[1])); return;
-    case OP_RANGE3:
+    case MRT_OP_UMINUS: ew_op(out, mrt_wrap(mrt_numv(0.0)), a[0], MRT_OP_SUB); return;
+    case MRT_OP_NOT: cmp_op(out, a[0], mrt_wrap(mrt_numv(0.0)), MRT_OP_EQ); return;
+    case MRT_OP_TRANSPOSE: transpose(out, a[0], 0); return;
+    case MRT_OP_CTRANSPOSE: transpose(out, a[0], 1); return;
+    case MRT_OP_SUBSREF: subsref(out, a[0], argc - 1, &a[1]); return;
+    case MRT_OP_RANGE: range_op(out, mrt_scalar(a[0]), 1.0, mrt_scalar(a[1])); return;
+    case MRT_OP_RANGE3:
         range_op(out, mrt_scalar(a[0]), mrt_scalar(a[1]), mrt_scalar(a[2]));
         return;
-    case OP_ZEROS: fill_like(out, a, argc, 0.0); return;
-    case OP_ONES: fill_like(out, a, argc, 1.0); return;
-    case OP_EYE: {
+    case MRT_OP_ZEROS: fill_like(out, a, argc, 0.0); return;
+    case MRT_OP_ONES: fill_like(out, a, argc, 1.0); return;
+    case MRT_OP_EYE: {
         fill_like(out, a, argc, 0.0);
         int m = out->d0 < out->d1 ? out->d0 : out->d1;
         for (int i = 0; i < m; i++) out->re[i + (size_t)out->d0 * i] = 1.0;
         return;
     }
-    case OP_RAND: {
+    case MRT_OP_RAND: {
         fill_like(out, a, argc, 0.0);
         size_t n = numel(out);
         for (size_t i = 0; i < n; i++) out->re[i] = next_rand();
         return;
     }
-    case OP_SIZE:
+    case MRT_OP_SIZE:
         if (argc >= 2) {
             int k = (int)mrt_scalar(a[1]);
             int d = k == 1 ? a[0]->d0 : (k == 2 ? a[0]->d1 : (k == 3 ? a[0]->d2 : 1));
@@ -1518,54 +1460,48 @@ static void dispatch(mrt_val *out, int id, const char *op, const mrt_val *const 
             set_dims(out, 1, rank, 1);
         }
         return;
-    case OP_NUMEL: set_scalar(out, (double)numel(a[0])); return;
-    case OP_LENGTH: {
+    case MRT_OP_NUMEL: set_scalar(out, (double)numel(a[0])); return;
+    case MRT_OP_LENGTH: {
         int m = a[0]->d0;
         if (a[0]->d1 > m) m = a[0]->d1;
         if (a[0]->d2 > m) m = a[0]->d2;
         set_scalar(out, numel(a[0]) == 0 ? 0.0 : (double)m);
         return;
     }
-    case OP_NDIMS: set_scalar(out, a[0]->d2 > 1 ? 3.0 : 2.0); return;
-    case OP_ISEMPTY: set_scalar(out, numel(a[0]) == 0 ? 1.0 : 0.0); return;
-    case OP_ISTRUE: set_scalar(out, mrt_istrue(a[0]) ? 1.0 : 0.0); return;
-    case OP_RANGE_COUNT: {
-        double x = mrt_scalar(a[0]), s = mrt_scalar(a[1]), y = mrt_scalar(a[2]);
-        if (s == 0.0) die("invalid for-loop range");
-        double c = floor((y - x) / s) + 1.0;
-        set_scalar(out, c > 0.0 ? c : 0.0);
+    case MRT_OP_NDIMS: set_scalar(out, a[0]->d2 > 1 ? 3.0 : 2.0); return;
+    case MRT_OP_ISEMPTY: set_scalar(out, numel(a[0]) == 0 ? 1.0 : 0.0); return;
+    case MRT_OP_ISTRUE: set_scalar(out, mrt_istrue(a[0]) ? 1.0 : 0.0); return;
+    case MRT_OP_RANGE_COUNT:
+        set_scalar(out, mrt_range_count(mrt_scalar(a[0]), mrt_scalar(a[1]), mrt_scalar(a[2])));
         return;
-    }
-    case OP_LOOP_INDEX: {
-        double st = mrt_scalar(a[0]), sp = mrt_scalar(a[1]), k = mrt_scalar(a[3]);
-        set_scalar(out, st + sp * (k - 1.0));
+    case MRT_OP_LOOP_INDEX:
+        set_scalar(out, mrt_loop_index(mrt_scalar(a[0]), mrt_scalar(a[1]), mrt_scalar(a[3])));
         return;
-    }
-    case OP_SQRT: apply_map(out, a[0], m_sqrt, 0); return;
-    case OP_ABS: apply_map(out, a[0], m_abs, 1); return;
-    case OP_SIN: apply_map(out, a[0], m_sin, 0); return;
-    case OP_COS: apply_map(out, a[0], m_cos, 0); return;
-    case OP_TAN: apply_map(out, a[0], m_tan, 0); return;
-    case OP_ATAN: apply_map(out, a[0], m_atan, 1); return;
-    case OP_EXP: apply_map(out, a[0], m_exp, 0); return;
-    case OP_LOG: apply_map(out, a[0], m_log, 0); return;
-    case OP_FLOOR: apply_map(out, a[0], m_floor, 0); return;
-    case OP_CEIL: apply_map(out, a[0], m_ceil, 0); return;
-    case OP_ROUND: apply_map(out, a[0], m_round, 0); return;
-    case OP_FIX: apply_map(out, a[0], m_fix, 0); return;
-    case OP_REAL: apply_map(out, a[0], m_real, 1); return;
-    case OP_IMAG: apply_map(out, a[0], m_imag, 1); return;
-    case OP_CONJ: apply_map(out, a[0], m_conj, 0); return;
-    case OP_SIGN: apply_map(out, a[0], m_sign, 0); return;
-    case OP_SUM: sum_op(out, a[0], 0); return;
-    case OP_MEAN: sum_op(out, a[0], 1); return;
-    case OP_MAX: case OP_MIN:
+    case MRT_OP_SQRT: apply_map(out, a[0], m_sqrt, 0); return;
+    case MRT_OP_ABS: apply_map(out, a[0], m_abs, 1); return;
+    case MRT_OP_SIN: apply_map(out, a[0], m_sin, 0); return;
+    case MRT_OP_COS: apply_map(out, a[0], m_cos, 0); return;
+    case MRT_OP_TAN: apply_map(out, a[0], m_tan, 0); return;
+    case MRT_OP_ATAN: apply_map(out, a[0], m_atan, 1); return;
+    case MRT_OP_EXP: apply_map(out, a[0], m_exp, 0); return;
+    case MRT_OP_LOG: apply_map(out, a[0], m_log, 0); return;
+    case MRT_OP_FLOOR: apply_map(out, a[0], m_floor, 0); return;
+    case MRT_OP_CEIL: apply_map(out, a[0], m_ceil, 0); return;
+    case MRT_OP_ROUND: apply_map(out, a[0], m_round, 0); return;
+    case MRT_OP_FIX: apply_map(out, a[0], m_fix, 0); return;
+    case MRT_OP_REAL: apply_map(out, a[0], m_real, 1); return;
+    case MRT_OP_IMAG: apply_map(out, a[0], m_imag, 1); return;
+    case MRT_OP_CONJ: apply_map(out, a[0], m_conj, 0); return;
+    case MRT_OP_SIGN: apply_map(out, a[0], m_sign, 0); return;
+    case MRT_OP_SUM: sum_op(out, a[0], 0); return;
+    case MRT_OP_MEAN: sum_op(out, a[0], 1); return;
+    case MRT_OP_MAX: case MRT_OP_MIN:
         if (argc >= 2) ew_real(out, a[0], a[1], id);
-        else minmax1(out, NULL, a[0], id == OP_MAX);
+        else minmax1(out, NULL, a[0], id == MRT_OP_MAX);
         return;
     /* Real parts only, whatever the operands hold. */
-    case OP_MOD: case OP_REM: case OP_ATAN2: ew_real(out, a[0], a[1], id); return;
-    case OP_LINSPACE: {
+    case MRT_OP_MOD: case MRT_OP_REM: case MRT_OP_ATAN2: ew_real(out, a[0], a[1], id); return;
+    case MRT_OP_LINSPACE: {
         double lo = mrt_scalar(a[0]), hi = mrt_scalar(a[1]);
         size_t n = argc >= 3 ? (size_t)mrt_scalar(a[2]) : 100;
         ensure(out, n ? n : 1, 0);
@@ -1576,7 +1512,7 @@ static void dispatch(mrt_val *out, int id, const char *op, const mrt_val *const 
         set_dims(out, 1, (int)n, 1);
         return;
     }
-    case OP_NORM: {
+    case MRT_OP_NORM: {
         double acc = 0.0;
         size_t n = numel(a[0]);
         for (size_t i = 0; i < n; i++) {
@@ -1586,10 +1522,11 @@ static void dispatch(mrt_val *out, int id, const char *op, const mrt_val *const 
         set_scalar(out, sqrt(acc));
         return;
     }
-    case OP_PI: set_scalar(out, 3.14159265358979323846); return;
-    case OP_INF: set_scalar(out, 1.0 / 0.0); return;
-    case OP_EPS: set_scalar(out, 2.220446049250313e-16); return;
-    case OP_PROD: {
+    case MRT_OP_PI: set_scalar(out, 3.14159265358979323846); return;
+    case MRT_OP_INF: set_scalar(out, 1.0 / 0.0); return;
+    case MRT_OP_NAN: set_scalar(out, 0.0 / 0.0); return;
+    case MRT_OP_EPS: set_scalar(out, 2.220446049250313e-16); return;
+    case MRT_OP_PROD: {
         size_t cols, len;
         reduce_geometry(a[0], &cols, &len);
         ensure(out, cols ? cols : 1, 0);
@@ -1601,8 +1538,8 @@ static void dispatch(mrt_val *out, int id, const char *op, const mrt_val *const 
         set_dims(out, 1, (int)cols, 1);
         return;
     }
-    case OP_ANY: case OP_ALL: {
-        int want_all = id == OP_ALL;
+    case MRT_OP_ANY: case MRT_OP_ALL: {
+        int want_all = id == MRT_OP_ALL;
         size_t cols, len;
         reduce_geometry(a[0], &cols, &len);
         ensure(out, cols ? cols : 1, 0);
@@ -1634,7 +1571,7 @@ static int aliases(const mrt_val *dst, const mrt_val *const *args, int argc) {
     return 0;
 }
 
-void mrt_op(mrt_val *dst, const char *op, int argc, ...) {
+void mrt_op(mrt_val *dst, int op, int argc, ...) {
     const mrt_val *args[MAXARGS];
     if (argc > MAXARGS) die("too many varargs operands (codegen should emit mrt_opv)");
     va_list ap;
@@ -1645,38 +1582,76 @@ void mrt_op(mrt_val *dst, const char *op, int argc, ...) {
     mrt_opv(dst, op, argc, args);
 }
 
-void mrt_opv(mrt_val *dst, const char *op, int argc, const mrt_val *const *args) {
-    int id = op_id(op);
-    mrt_val scr;
-    scratch_init(&scr);
-    switch (id) {
-    case OP_FPRINTF: do_fprintf(args, argc); return;
-    case OP_DISP:
-        if (argc >= 1) display_body(args[0]);
-        return;
-    case OP_ERROR:
-        fprintf(stderr, "error raised\n");
-        exit(69);
-    case OP_SUBSASGN:
-        /* Grows in place within dst's own buffer when the plan
-         * coalesced base and result. */
-        subsasgn(dst ? dst : &scr, args[0], args[1], argc - 2, &args[2]);
-        if (!dst) { free(scr.re); free(scr.im); }
-        return;
-    }
-    /* The result goes straight into dst's planned storage; only a
-     * missing dst or one sharing storage with an operand takes a
-     * scratch result that is then copied in. */
-    if (dst && !aliases(dst, args, argc)) {
-        reset(dst);
-        dispatch(dst, id, op, args, argc);
-        return;
-    }
-    dispatch(&scr, id, op, args, argc);
-    commit(dst, &scr);
+/* Runtime-owned scratch results, for a dst that aliases an operand and
+ * for multi-output calls: each grows as needed and is reused, so no
+ * call pays an allocation once it has reached its size. */
+static mrt_val spare[2];
+
+/* Takes spare[k] for a fresh result (real, non-char, 0x0). */
+static mrt_val *take_spare(int k) {
+    reset(&spare[k]);
+    return &spare[k];
 }
 
-void mrt_multi(const char *op, int argc, ...) {
+void mrt_opv(mrt_val *dst, int op, int argc, const mrt_val *const *args) {
+    switch (op) {
+    case MRT_OP_FPRINTF: do_fprintf(args, argc); return;
+    case MRT_OP_DISP:
+        if (argc >= 1) display_body(args[0]);
+        return;
+    case MRT_OP_ERROR:
+        fprintf(stderr, "error raised\n");
+        exit(69);
+    case MRT_OP_SUBSASGN:
+        /* Grows in place within dst's own buffer when the plan
+         * coalesced base and result. */
+        subsasgn(dst ? dst : take_spare(0), args[0], args[1], argc - 2, &args[2]);
+        return;
+    }
+    if (op < 0 || op >= MRT_OP_COUNT) {
+        fprintf(stderr, "mrt: unimplemented operation #%d\n", op);
+        exit(70);
+    }
+    /* The result goes straight into dst's planned storage; only a
+     * missing dst or one sharing storage with an operand takes the
+     * spare result, which is then copied in. */
+    if (dst && !aliases(dst, args, argc)) {
+        reset(dst);
+        dispatch(dst, op, args, argc);
+        return;
+    }
+    mrt_val *scr = take_spare(0);
+    dispatch(scr, op, args, argc);
+    if (dst) assign(dst, scr);
+}
+
+void mrt_concat(mrt_val *dst, int nrows, const int *rows, int argc,
+                const mrt_val *const *args) {
+    mrt_val *out = aliases(dst, args, argc) ? take_spare(0) : dst;
+    if (out == dst) reset(dst);
+    do_concat(out, nrows, rows, args, argc);
+    if (out != dst) assign(dst, out);
+}
+
+double mrt_range_count(double x, double s, double y) {
+    if (s == 0.0) die("invalid for-loop range");
+    double c = floor((y - x) / s) + 1.0;
+    return c > 0.0 ? c : 0.0;
+}
+
+void mrt_index_error(const mrt_val *a, int n, double i, double j, double k) {
+    mrt_val subs[3], *out = take_spare(0);
+    const mrt_val *refs[3] = {&subs[0], &subs[1], &subs[2]};
+    double at[3] = {i, j, k};
+    for (int d = 0; d < n && d < 3; d++) {
+        mrt_bind(&subs[d], &at[d], 1);
+        set_dims(&subs[d], 1, 1, 1);
+    }
+    subsref(out, a, n, refs); /* raises the error */
+    die("scalar subscript selected no element");
+}
+
+void mrt_multi(int op, int argc, ...) {
     const mrt_val *args[MAXARGS];
     mrt_val *outs[MAXARGS];
     if (argc > MAXARGS) die("too many operands (raise MAXARGS)");
@@ -1689,34 +1664,26 @@ void mrt_multi(const char *op, int argc, ...) {
         outs[i] = va_arg(ap, mrt_val *);
     va_end(ap);
 
-    if (!strcmp(op, "size")) {
+    if (op == MRT_OP_SIZE) {
+        /* Extents are read before any output (which may be the
+         * operand) is written. */
         int d[3] = {args[0]->d0, args[0]->d1, args[0]->d2};
         for (int k = 0; k < noutc; k++) {
-            mrt_val scr;
-            scratch_init(&scr);
-            ensure(&scr, 1, 0);
-            if (k + 1 < noutc) {
-                scr.re[0] = k < 3 ? (double)d[k] : 1.0;
-            } else {
-                double rest = 1.0;
-                for (int j = k; j < 3; j++) rest *= (double)d[j];
-                scr.re[0] = rest;
-            }
-            set_dims(&scr, 1, 1, 1);
-            commit(outs[k], &scr);
+            double x = k < 3 ? (double)d[k] : 1.0;
+            if (k + 1 == noutc)
+                for (int j = k + 1; j < 3; j++) x *= (double)d[j];
+            reset(outs[k]);
+            set_scalar(outs[k], x);
         }
         return;
     }
-    if (!strcmp(op, "max") || !strcmp(op, "min")) {
-        mrt_val vals, idxs;
-        scratch_init(&vals);
-        scratch_init(&idxs);
-        minmax1(&vals, &idxs, args[0], op[1] == 'a');
-        commit(outs[0], &vals);
-        if (noutc > 1) commit(outs[1], &idxs);
-        else { free(idxs.re); free(idxs.im); }
+    if (op == MRT_OP_MAX || op == MRT_OP_MIN) {
+        mrt_val *vals = take_spare(0), *idxs = take_spare(1);
+        minmax1(vals, idxs, args[0], op == MRT_OP_MAX);
+        assign(outs[0], vals);
+        if (noutc > 1) assign(outs[1], idxs);
         return;
     }
-    fprintf(stderr, "mrt: unimplemented multi-output `%s`\n", op);
+    fprintf(stderr, "mrt: unimplemented multi-output operation #%d\n", op);
     exit(70);
 }

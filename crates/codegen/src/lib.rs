@@ -12,6 +12,20 @@
 //! frame, shared by all its variables; resize checks appear only where
 //! the plan's `±`/`+` annotations require them.
 //!
+//! **Typed scalars.** A variable is *typed* when the plan lists it in
+//! [`StoragePlan::scalars`]: it lives in a real stack slot, inference
+//! gives it a real, integer or boolean intrinsic, and every value it can
+//! hold is exactly 1×1 by construction (inferred shapes are upper bounds,
+//! so a φ of `[]` and a scalar does not qualify). A typed variable stays
+//! in its slot: its value is `slotN[0]`, and each definition updates the
+//! slot's `mrt_val` handle through `mrt_put`, so generic ops, probes and
+//! Equation 2 see the same storage. Constants, arithmetic, comparisons,
+//! branch tests, loop counters and the scalar operand of Figure 1 over
+//! typed values and literals are plain C over `double`s, using `mrt.h`'s
+//! scalar kernels; scalar subscripts become `mrt_elem_get` /
+//! `mrt_elem_set`, which keep the runtime's checks and errors. Every
+//! other op passes its `MRT_OP_*` id, resolved here at emit time.
+//!
 //! ```
 //! use matc_frontend::parser::parse_program;
 //! use matc_gctd::GctdOptions;
@@ -32,7 +46,7 @@ use matc_frontend::ast::{BinOp, UnOp};
 use matc_gctd::{ResizeKind, SlotKind, StoragePlan};
 use matc_ir::ids::{FuncId, VarId};
 use matc_ir::instr::{Const, InstrKind, Op, Operand, Terminator};
-use matc_ir::FuncIr;
+use matc_ir::{Builtin, FuncIr};
 use matc_typeinf::Intrinsic;
 use matc_vm::compile::Compiled;
 use std::fmt::Write as _;
@@ -123,7 +137,9 @@ pub fn emit_unit_prologue(functions: &[FuncIr]) -> String {
 /// One function's body (definition plus trailing blank line) as it
 /// appears inside [`emit_program_with`]. `probe_fi` is `Some(function
 /// index)` when shadow probes are on — probe calls embed the index, so
-/// probed fragments are position-dependent.
+/// probed fragments are position-dependent. The function's type facts
+/// arrive through the plan ([`StoragePlan::scalars`], derived from the
+/// inference facts the fragment keys hash).
 pub fn emit_function_unit(f: &FuncIr, plan: &StoragePlan, probe_fi: Option<usize>) -> String {
     let mut out = String::new();
     emit_function(&mut out, f, plan, probe_fi);
@@ -267,7 +283,7 @@ fn emit_function(out: &mut String, f: &FuncIr, plan: &StoragePlan, probe_fi: Opt
         if let Some(s) = plan.slot_of(*p) {
             let _ = writeln!(
                 out,
-                "    mrt_op(&v_{}, \"copy\", 1, arg_{});",
+                "    mrt_op(&v_{}, MRT_OP_COPY, 1, arg_{});",
                 slot_name(s),
                 p.0
             );
@@ -277,10 +293,11 @@ fn emit_function(out: &mut String, f: &FuncIr, plan: &StoragePlan, probe_fi: Opt
     // ------------------------------------------------------------------
     // Body: blocks become labels; instructions become statements.
     // ------------------------------------------------------------------
+    let em = Emitter::new(f, plan);
     for b in f.block_ids() {
         let _ = writeln!(out, "bb{}: ;", b.index());
         for instr in &f.block(b).instrs {
-            emit_instr(out, f, plan, instr);
+            em.instr(out, instr);
             if let Some(fi) = probe_fi {
                 for dst in instr_dsts(instr) {
                     if let Some(s) = plan.slot_of(dst) {
@@ -308,10 +325,13 @@ fn emit_function(out: &mut String, f: &FuncIr, plan: &StoragePlan, probe_fi: Opt
                 then_bb,
                 else_bb,
             } => {
+                let test = match em.scalar(&Operand::Var(*cond)) {
+                    Some(x) => format!("{x} != 0.0"),
+                    None => format!("mrt_istrue(&{})", var_ref(f, plan, *cond)),
+                };
                 let _ = writeln!(
                     out,
-                    "    if (mrt_istrue(&{})) goto bb{}; else goto bb{};",
-                    var_ref(f, plan, *cond),
+                    "    if ({test}) goto bb{}; else goto bb{};",
                     then_bb.index(),
                     else_bb.index()
                 );
@@ -322,7 +342,7 @@ fn emit_function(out: &mut String, f: &FuncIr, plan: &StoragePlan, probe_fi: Opt
                     if plan.slot_of(*o).is_some() {
                         let _ = writeln!(
                             out,
-                            "    mrt_op(out_{k}, \"copy\", 1, &{});",
+                            "    mrt_op(out_{k}, MRT_OP_COPY, 1, &{});",
                             var_ref(f, plan, *o)
                         );
                     }
@@ -395,112 +415,311 @@ fn operand_ref(f: &FuncIr, plan: &StoragePlan, o: &Operand) -> String {
     }
 }
 
-fn emit_instr(out: &mut String, f: &FuncIr, plan: &StoragePlan, instr: &matc_ir::Instr) {
-    match &instr.kind {
-        InstrKind::Const { dst, value } => {
-            // Immediates become C literals bound to scalar locals.
-            let text = match value {
-                Const::Num(v) => format!("mrt_numv({})", c_f64(*v)),
-                Const::Bool(b) => format!("mrt_numv({}.0)", *b as u8),
-                Const::Imag(v) => format!("mrt_imagv({})", c_f64(*v)),
-                Const::Str(s) => format!("mrt_strv(\"{}\")", s.escape_default()),
-                Const::Empty => "mrt_emptyv()".to_string(),
-            };
-            if plan.slot_of(*dst).is_none() {
-                let _ = writeln!(out, "    const mrt_imm imm_{} = {text};", dst.0);
-            } else {
+/// One function's emission context: its IR and plan, and per variable
+/// (by [`VarId`] index) its slot when it is a typed scalar and its value
+/// when it is an unplanned numeric immediate (the literal typed code
+/// uses in place of `mrt_wrap(imm_N)`).
+struct Emitter<'a> {
+    f: &'a FuncIr,
+    plan: &'a StoragePlan,
+    typed: Vec<Option<usize>>,
+    lits: Vec<Option<f64>>,
+}
+
+impl<'a> Emitter<'a> {
+    fn new(f: &'a FuncIr, plan: &'a StoragePlan) -> Self {
+        let n = f.vars.len();
+        let mut typed = vec![None; n];
+        for v in plan.scalars.iter().filter(|v| v.index() < n) {
+            typed[v.index()] = plan.slot_of(*v);
+        }
+        let mut lits = vec![None; n];
+        for b in f.block_ids() {
+            for instr in &f.block(b).instrs {
+                if let InstrKind::Const { dst, value } = &instr.kind {
+                    if plan.slot_of(*dst).is_none() && dst.index() < n {
+                        lits[dst.index()] = numeric(value);
+                    }
+                }
+            }
+        }
+        Emitter {
+            f,
+            plan,
+            typed,
+            lits,
+        }
+    }
+
+    fn var(&self, v: VarId) -> String {
+        var_ref(self.f, self.plan, v)
+    }
+
+    fn operand(&self, o: &Operand) -> String {
+        operand_ref(self.f, self.plan, o)
+    }
+
+    /// The slot of a typed scalar: a variable the plan proves to be a
+    /// real 1×1 scalar in a stack slot (`StoragePlan::scalars`).
+    fn typed(&self, v: VarId) -> Option<usize> {
+        self.typed.get(v.index()).copied().flatten()
+    }
+
+    fn lit(&self, v: VarId) -> Option<f64> {
+        self.lits.get(v.index()).copied().flatten()
+    }
+
+    /// `o` as a C `double` expression: element 0 of a typed scalar's
+    /// slot, or a numeric literal.
+    fn scalar(&self, o: &Operand) -> Option<String> {
+        let Operand::Var(v) = o else { return None };
+        match self.typed(*v) {
+            Some(s) => Some(format!("{}[0]", slot_name(s))),
+            None => self.lit(*v).map(c_f64),
+        }
+    }
+
+    /// `n, i, j, k` for one to three scalar subscripts (`0.0` pads).
+    fn subscripts(&self, subs: &[Operand]) -> Option<String> {
+        if !(1..=3).contains(&subs.len()) {
+            return None;
+        }
+        let mut parts = vec![subs.len().to_string()];
+        for s in subs {
+            parts.push(self.scalar(s)?);
+        }
+        parts.resize(4, "0.0".to_string());
+        Some(parts.join(", "))
+    }
+
+    fn instr(&self, out: &mut String, instr: &matc_ir::Instr) {
+        match &instr.kind {
+            InstrKind::Const { dst, value } => {
+                // Immediates become C literals bound to scalar locals.
+                let text = match value {
+                    Const::Num(v) => format!("mrt_numv({})", c_f64(*v)),
+                    Const::Bool(b) => format!("mrt_numv({}.0)", *b as u8),
+                    Const::Imag(v) => format!("mrt_imagv({})", c_f64(*v)),
+                    Const::Str(s) => format!("mrt_strv(\"{}\")", s.escape_default()),
+                    Const::Empty => "mrt_emptyv()".to_string(),
+                };
+                let d = self.var(*dst);
+                if self.plan.slot_of(*dst).is_none() {
+                    let _ = writeln!(out, "    const mrt_imm imm_{} = {text};", dst.0);
+                } else if let (Some(_), Some(x)) = (self.typed(*dst), numeric(value)) {
+                    let _ = writeln!(out, "    mrt_put(&{d}, {});", c_f64(x));
+                } else {
+                    let _ = writeln!(out, "    mrt_op(&{d}, MRT_OP_COPY, 1, mrt_wrap({text}));");
+                }
+            }
+            InstrKind::Copy { dst, src } => {
+                let d = self.var(*dst);
+                let from = self.operand(&Operand::Var(*src));
+                if self.typed(*dst).is_some() && self.typed(*src).is_some() {
+                    let _ = writeln!(out, "    mrt_copy1(&{d}, {from});");
+                } else if let (Some(_), Some(x)) = (self.typed(*dst), self.lit(*src)) {
+                    let _ = writeln!(out, "    mrt_put(&{d}, {});", c_f64(x));
+                } else {
+                    let _ = writeln!(out, "    mrt_op(&{d}, MRT_OP_COPY, 1, {from});");
+                }
+            }
+            InstrKind::Compute { dst, op, args } => {
+                emit_resize_guard(out, self.plan, *dst, "MRT_NEEDED");
+                if !self.typed_compute(out, *dst, op, args) && !self.in_place(out, *dst, op, args) {
+                    self.library_call(out, *dst, op, args);
+                }
+            }
+            InstrKind::Phi { .. } => {
+                out.push_str("    /* unreachable: phi survives SSA inversion */\n");
+            }
+            InstrKind::CallMulti { dsts, func, args } => {
+                let argl: Vec<String> = args.iter().map(|a| self.operand(a)).collect();
+                let outl: Vec<String> = dsts.iter().map(|d| format!("&{}", self.var(*d))).collect();
+                match Builtin::from_name(func) {
+                    Some(bi) => {
+                        // Multi-output library call ([m, i] = max(a), size, ...).
+                        let _ = writeln!(
+                            out,
+                            "    mrt_multi(MRT_OP_{}, {}, {}{}{}, {});",
+                            builtin_id(bi),
+                            argl.len(),
+                            argl.join(", "),
+                            if argl.is_empty() { "" } else { ", " },
+                            outl.len(),
+                            outl.join(", ")
+                        );
+                    }
+                    None => {
+                        let mut all = argl;
+                        all.extend(outl);
+                        let _ = writeln!(out, "    f_{func}({});", all.join(", "));
+                    }
+                }
+            }
+            InstrKind::Display { value, label } => {
+                // operand_ref wraps plan-less immediates in mrt_wrap.
                 let _ = writeln!(
                     out,
-                    "    mrt_op(&{}, \"copy\", 1, mrt_wrap({text}));",
-                    var_ref(f, plan, *dst)
+                    "    mrt_display(\"{label}\", {});",
+                    self.operand(&Operand::Var(*value))
+                );
+            }
+            InstrKind::Effect { builtin, args } => {
+                let argl: Vec<String> = args.iter().map(|a| self.operand(a)).collect();
+                let _ = writeln!(
+                    out,
+                    "    mrt_op(NULL, MRT_OP_{}, {}{}{});",
+                    builtin_id(*builtin),
+                    argl.len(),
+                    if argl.is_empty() { "" } else { ", " },
+                    argl.join(", ")
                 );
             }
         }
-        InstrKind::Copy { dst, src } => {
-            let _ = writeln!(
-                out,
-                "    mrt_op(&{}, \"copy\", 1, {});",
-                var_ref(f, plan, *dst),
-                operand_ref(f, plan, &Operand::Var(*src))
-            );
-        }
-        InstrKind::Compute { dst, op, args } => {
-            emit_resize_guard(out, plan, *dst, "MRT_NEEDED");
-            // Elementwise ops whose destination shares an operand's slot
-            // are emitted as Figure-1 style in-place loops.
-            if let (Op::Bin(b), [Operand::Var(a0), a1]) = (op, args.as_slice()) {
-                let inplace = plan.slot_of(*dst).is_some()
-                    && plan.slot_of(*dst) == plan.slot_of(*a0)
-                    // Real data only: the specialized loops ignore the
-                    // imaginary parts.
-                    && !plan.slots[plan.slot_of(*dst).unwrap()]
-                        .intrinsic
-                        .is_complex();
-                let sym = match b {
-                    BinOp::Add => Some("+"),
-                    BinOp::Sub => Some("-"),
-                    BinOp::ElemMul => Some("*"),
-                    BinOp::ElemDiv => Some("/"),
-                    _ => None,
+    }
+
+    /// Emits `dst = op(args)` as plain C over doubles when the result
+    /// is a typed scalar and every operand is one (or a literal), and
+    /// scalar subscripts into a real value as one element access.
+    /// Returns whether it emitted anything.
+    fn typed_compute(&self, out: &mut String, dst: VarId, op: &Op, args: &[Operand]) -> bool {
+        let d = || self.var(dst);
+        let line = match (op, args) {
+            // In place: the base is the destination's own slot.
+            (Op::Subsasgn, [Operand::Var(base), value, subs @ ..])
+                if self.plan.slot_of(dst).is_some()
+                    && self.plan.slot_of(dst) == self.plan.slot_of(*base) =>
+            {
+                let (Some(x), Some(idx)) = (self.scalar(value), self.subscripts(subs)) else {
+                    return false;
                 };
-                if let (true, Some(sym)) = (inplace, sym) {
-                    let d = var_ref(f, plan, *dst);
-                    let rhs = operand_ref(f, plan, a1);
-                    let _ = writeln!(out, "    {{ /* in-place {sym} (Figure 1) */");
-                    let _ = writeln!(out, "      size_t i, n = MRT_NUMEL({d});");
-                    let _ = writeln!(
-                        out,
-                        "      if (MRT_NUMEL(*({rhs})) == 1) {{ /* scalar operand */"
-                    );
-                    let _ = writeln!(
-                        out,
-                        "        for (i = 0; i < n; i++) {d}.re[i] = {d}.re[i] {sym} ({rhs})->re[0];"
-                    );
-                    let _ = writeln!(out, "      }} else {{ /* identical shapes */");
-                    let _ = writeln!(
-                        out,
-                        "        for (i = 0; i < n; i++) {d}.re[i] = {d}.re[i] {sym} ({rhs})->re[i];"
-                    );
-                    let _ = writeln!(out, "      }}");
-                    let _ = writeln!(out, "    }}");
-                    return;
-                }
+                let mut fallback = String::new();
+                self.library_call(&mut fallback, dst, op, args);
+                format!(
+                    "    if (!mrt_elem_set(&{}, {idx}, {x}))\n    {fallback}",
+                    d()
+                )
             }
-            // Library-call fallback.
-            let opname = match op {
-                Op::Bin(b) => format!("bin_{}", bin_name(*b)),
-                Op::Un(u) => format!("un_{}", un_name(*u)),
-                Op::Subsref => "subsref".to_string(),
-                Op::Subsasgn => "subsasgn".to_string(),
-                Op::Range2 => "range".to_string(),
-                Op::Range3 => "range3".to_string(),
-                Op::MatrixBuild { rows } => {
-                    // Row lengths ride along in the op name so the C
-                    // runtime can rebuild the grid: "concat:2,2".
-                    let lens: Vec<String> = rows.iter().map(|r| r.to_string()).collect();
-                    format!("concat:{}", lens.join(","))
-                }
-                Op::Builtin(bi) => bi.name().to_string(),
-                Op::Call(name) => {
-                    let argl: Vec<String> = args.iter().map(|a| operand_ref(f, plan, a)).collect();
-                    let mut all = argl;
-                    all.push(format!("&{}", var_ref(f, plan, *dst)));
-                    let _ = writeln!(out, "    f_{name}({});", all.join(", "));
+            (Op::Subsref, [array, subs @ ..]) if self.typed(dst).is_some() => {
+                let Some(idx) = self.subscripts(subs) else {
+                    return false;
+                };
+                format!(
+                    "    mrt_elem_get(&{}, {}, {idx});\n",
+                    d(),
+                    self.operand(array)
+                )
+            }
+            _ if self.typed(dst).is_some() => {
+                // A loop index does not read the loop's stop value.
+                let unread = |k: usize| k == 2 && *op == Op::Builtin(Builtin::LoopIndex);
+                let xs: Option<Vec<String>> = (args.iter().enumerate())
+                    .map(|(k, a)| match unread(k) {
+                        true => Some(String::new()),
+                        false => self.scalar(a),
+                    })
+                    .collect();
+                let Some(e) = xs.and_then(|xs| scalar_expr(op, &xs)) else {
+                    return false;
+                };
+                format!("    mrt_put(&{}, {e});\n", d())
+            }
+            _ => return false,
+        };
+        out.push_str(&line);
+        true
+    }
+
+    /// Figure 1: an elementwise `+ - .* ./` whose destination shares
+    /// operand 0's real slot runs as a loop over the slot, specialized
+    /// on whether the other operand is a scalar (statically, when it is
+    /// a typed scalar or a literal). Returns whether it emitted one.
+    fn in_place(&self, out: &mut String, dst: VarId, op: &Op, args: &[Operand]) -> bool {
+        let (Op::Bin(b), [Operand::Var(a0), a1]) = (op, args) else {
+            return false;
+        };
+        let Some(slot) = self.plan.slot_of(dst) else {
+            return false;
+        };
+        // Real data only: the specialized loops ignore the imaginary
+        // parts.
+        let sym = match b {
+            BinOp::Add => "+",
+            BinOp::Sub => "-",
+            BinOp::ElemMul => "*",
+            BinOp::ElemDiv => "/",
+            _ => return false,
+        };
+        if self.plan.slot_of(*a0) != Some(slot) || self.plan.slots[slot].intrinsic.is_complex() {
+            return false;
+        }
+        let elem = "d->re[i]";
+        let _ = writeln!(out, "    {{ /* in-place {sym} (Figure 1) */");
+        let _ = writeln!(out, "      mrt_val *d = &{};", self.var(dst));
+        match self.scalar(a1) {
+            Some(s) => {
+                let e = scalar_bin(*b, elem, "s").expect("Figure-1 operator");
+                let _ = writeln!(out, "      size_t i, n = MRT_NUMEL(*d);");
+                let _ = writeln!(out, "      double s = {s}; /* scalar operand */");
+                let _ = writeln!(out, "      for (i = 0; i < n; i++) {elem} = {e};");
+            }
+            None => {
+                let scalar = scalar_bin(*b, elem, "r->re[0]").expect("Figure-1 operator");
+                let same = scalar_bin(*b, elem, "r->re[i]").expect("Figure-1 operator");
+                let _ = writeln!(out, "      const mrt_val *r = {};", self.operand(a1));
+                let _ = writeln!(out, "      size_t i, n = MRT_NUMEL(*d);");
+                let _ = writeln!(out, "      if (MRT_NUMEL(*r) == 1) {{ /* scalar operand */");
+                let _ = writeln!(out, "        for (i = 0; i < n; i++) {elem} = {scalar};");
+                let _ = writeln!(
+                    out,
+                    "      }} else if (r->d0 == d->d0 && r->d1 == d->d1 && r->d2 == d->d2) {{ \
+                     /* identical shapes */"
+                );
+                let _ = writeln!(out, "        for (i = 0; i < n; i++) {elem} = {same};");
+                // Operand 0 shares the destination's slot, so `d` is
+                // its handle too.
+                let _ = writeln!(out, "      }} else {{ /* broadcasts or raises */");
+                let _ = writeln!(out, "        mrt_op(d, MRT_OP_{}, 2, d, r);", bin_id(*b));
+                let _ = writeln!(out, "      }}");
+            }
+        }
+        let _ = writeln!(out, "    }}");
+        true
+    }
+
+    /// The `mrt_op` call (or user function call, or `mrt_concat`) that
+    /// computes `dst = op(args)` in the runtime.
+    fn library_call(&self, out: &mut String, dst: VarId, op: &Op, args: &[Operand]) {
+        let d = format!("&{}", self.var(dst));
+        let argl: Vec<String> = args.iter().map(|a| self.operand(a)).collect();
+        // The C runtime's immediate pool bounds how many wrapped
+        // literals may be live in a single call.
+        assert!(
+            argl.len() <= 4096,
+            "operation with {} operands exceeds the C runtime's immediate pool",
+            argl.len()
+        );
+        let id = match op {
+            Op::Bin(b) => bin_id(*b).to_string(),
+            Op::Un(u) => un_id(*u).to_string(),
+            Op::Subsref => "SUBSREF".to_string(),
+            Op::Subsasgn => "SUBSASGN".to_string(),
+            Op::Range2 => "RANGE".to_string(),
+            Op::Range3 => "RANGE3".to_string(),
+            Op::Builtin(bi) => builtin_id(*bi),
+            Op::MatrixBuild { rows } => {
+                // The row lengths ride along as an int array.
+                if argl.is_empty() {
+                    let _ = writeln!(out, "    mrt_concat({d}, 0, NULL, 0, NULL);");
                     return;
                 }
-            };
-            let argl: Vec<String> = args.iter().map(|a| operand_ref(f, plan, a)).collect();
-            // The C runtime's immediate pool bounds how many wrapped
-            // literals may be live in a single call.
-            assert!(
-                argl.len() <= 4096,
-                "operation with {} operands exceeds the C runtime's immediate pool",
-                argl.len()
-            );
-            if argl.len() > 60 {
-                // Wide operand lists (large matrix literals) exceed the
-                // portable varargs call width; use the array form.
+                let lens: Vec<String> = rows.iter().map(|r| r.to_string()).collect();
                 let _ = writeln!(out, "    {{");
+                let _ = writeln!(
+                    out,
+                    "        static const int rows[] = {{ {} }};",
+                    lens.join(", ")
+                );
                 let _ = writeln!(
                     out,
                     "        const mrt_val *cargs[] = {{ {} }};",
@@ -508,62 +727,39 @@ fn emit_instr(out: &mut String, f: &FuncIr, plan: &StoragePlan, instr: &matc_ir:
                 );
                 let _ = writeln!(
                     out,
-                    "        mrt_opv(&{}, \"{opname}\", {}, cargs);",
-                    var_ref(f, plan, *dst),
+                    "        mrt_concat({d}, {}, rows, {}, cargs);",
+                    lens.len(),
                     argl.len()
                 );
                 let _ = writeln!(out, "    }}");
-            } else {
-                let _ = writeln!(
-                    out,
-                    "    mrt_op(&{}, \"{opname}\", {}{}{});",
-                    var_ref(f, plan, *dst),
-                    argl.len(),
-                    if argl.is_empty() { "" } else { ", " },
-                    argl.join(", ")
-                );
+                return;
             }
-        }
-        InstrKind::Phi { .. } => {
-            out.push_str("    /* unreachable: phi survives SSA inversion */\n");
-        }
-        InstrKind::CallMulti { dsts, func, args } => {
-            let argl: Vec<String> = args.iter().map(|a| operand_ref(f, plan, a)).collect();
-            let outl: Vec<String> = dsts
-                .iter()
-                .map(|d| format!("&{}", var_ref(f, plan, *d)))
-                .collect();
-            if matc_ir::Builtin::from_name(func).is_some() {
-                // Multi-output library call ([m, i] = max(a), size, ...).
-                let _ = writeln!(
-                    out,
-                    "    mrt_multi(\"{func}\", {}, {}{}{}, {});",
-                    argl.len(),
-                    argl.join(", "),
-                    if argl.is_empty() { "" } else { ", " },
-                    outl.len(),
-                    outl.join(", ")
-                );
-            } else {
+            Op::Call(name) => {
                 let mut all = argl;
-                all.extend(outl);
-                let _ = writeln!(out, "    f_{func}({});", all.join(", "));
+                all.push(d);
+                let _ = writeln!(out, "    f_{name}({});", all.join(", "));
+                return;
             }
-        }
-        InstrKind::Display { value, label } => {
-            // operand_ref wraps plan-less immediates in mrt_wrap.
+        };
+        if argl.len() > 60 {
+            // Wide operand lists exceed the portable varargs call
+            // width; use the array form.
+            let _ = writeln!(out, "    {{");
             let _ = writeln!(
                 out,
-                "    mrt_display(\"{label}\", {});",
-                operand_ref(f, plan, &Operand::Var(*value))
+                "        const mrt_val *cargs[] = {{ {} }};",
+                argl.join(", ")
             );
-        }
-        InstrKind::Effect { builtin, args } => {
-            let argl: Vec<String> = args.iter().map(|a| operand_ref(f, plan, a)).collect();
             let _ = writeln!(
                 out,
-                "    mrt_op(NULL, \"{}\", {}{}{});",
-                builtin.name(),
+                "        mrt_opv({d}, MRT_OP_{id}, {}, cargs);",
+                argl.len()
+            );
+            let _ = writeln!(out, "    }}");
+        } else {
+            let _ = writeln!(
+                out,
+                "    mrt_op({d}, MRT_OP_{id}, {}{}{});",
                 argl.len(),
                 if argl.is_empty() { "" } else { ", " },
                 argl.join(", ")
@@ -572,39 +768,129 @@ fn emit_instr(out: &mut String, f: &FuncIr, plan: &StoragePlan, instr: &matc_ir:
     }
 }
 
-fn bin_name(b: BinOp) -> &'static str {
-    match b {
-        BinOp::Add => "add",
-        BinOp::Sub => "sub",
-        BinOp::MatMul => "mtimes",
-        BinOp::ElemMul => "times",
-        BinOp::MatDiv => "mrdivide",
-        BinOp::ElemDiv => "rdivide",
-        BinOp::MatLeftDiv => "mldivide",
-        BinOp::ElemLeftDiv => "ldivide",
-        BinOp::MatPow => "mpower",
-        BinOp::ElemPow => "power",
-        BinOp::Eq => "eq",
-        BinOp::Ne => "ne",
-        BinOp::Lt => "lt",
-        BinOp::Le => "le",
-        BinOp::Gt => "gt",
-        BinOp::Ge => "ge",
-        BinOp::And => "and",
-        BinOp::Or => "or",
-        BinOp::ShortAnd => "sc_and",
-        BinOp::ShortOr => "sc_or",
+/// The value of a numeric or logical constant.
+fn numeric(c: &Const) -> Option<f64> {
+    match c {
+        Const::Num(v) => Some(*v),
+        Const::Bool(b) => Some(f64::from(u8::from(*b))),
+        _ => None,
     }
 }
 
-fn un_name(u: UnOp) -> &'static str {
-    match u {
-        UnOp::Neg => "uminus",
-        UnOp::Plus => "uplus",
-        UnOp::Not => "not",
-        UnOp::Transpose => "transpose",
-        UnOp::CTranspose => "ctranspose",
+/// `op` over scalar operand expressions `x`, as a C `double`
+/// expression computing what the runtime computes for real 1×1
+/// operands (mrt.h's scalar kernels), or `None` for ops that have no
+/// scalar form.
+fn scalar_expr(op: &Op, x: &[String]) -> Option<String> {
+    match (op, x) {
+        (Op::Bin(b), [a, c]) => scalar_bin(*b, a, c),
+        (Op::Un(UnOp::Neg), [a]) => Some(format!("(0.0 - {a})")),
+        (Op::Un(UnOp::Not), [a]) => Some(format!("(double)({a} == 0.0)")),
+        (Op::Un(UnOp::Transpose | UnOp::CTranspose), [a]) => Some(a.clone()),
+        (Op::Builtin(bi), _) => scalar_builtin(*bi, x),
+        _ => None,
     }
+}
+
+fn scalar_bin(b: BinOp, x: &str, y: &str) -> Option<String> {
+    let infix = |sym: &str| format!("({x} {sym} {y})");
+    let test = |sym: &str| format!("(double)({x} {sym} {y})");
+    Some(match b {
+        BinOp::Add => infix("+"),
+        BinOp::Sub => infix("-"),
+        BinOp::ElemMul | BinOp::MatMul => infix("*"),
+        BinOp::ElemDiv | BinOp::MatDiv => format!("mrt_rdiv({x}, {y})"),
+        BinOp::ElemLeftDiv | BinOp::MatLeftDiv => format!("mrt_rdiv({y}, {x})"),
+        // Typing proves the real branch: a base that is not negative or
+        // an integral exponent.
+        BinOp::ElemPow | BinOp::MatPow => format!("pow({x}, {y})"),
+        BinOp::Eq => test("=="),
+        BinOp::Ne => test("!="),
+        BinOp::Lt => test("<"),
+        BinOp::Le => test("<="),
+        BinOp::Gt => test(">"),
+        BinOp::Ge => test(">="),
+        BinOp::And => format!("(double)({x} != 0.0 && {y} != 0.0)"),
+        BinOp::Or => format!("(double)({x} != 0.0 || {y} != 0.0)"),
+        BinOp::ShortAnd | BinOp::ShortOr => return None,
+    })
+}
+
+fn scalar_builtin(bi: Builtin, x: &[String]) -> Option<String> {
+    let call = |f: &str| Some(format!("{f}({})", x.join(", ")));
+    match (bi, x) {
+        (Builtin::Abs, [_]) => call("fabs"),
+        (Builtin::Sqrt, [_]) => call("sqrt"),
+        (Builtin::Sin, [_]) => call("sin"),
+        (Builtin::Cos, [_]) => call("cos"),
+        (Builtin::Tan, [_]) => call("tan"),
+        (Builtin::Atan, [_]) => call("atan"),
+        (Builtin::Exp, [_]) => call("exp"),
+        (Builtin::Log, [_]) => call("log"),
+        (Builtin::Floor, [_]) => call("floor"),
+        (Builtin::Ceil, [_]) => call("ceil"),
+        (Builtin::Round, [_]) => call("mrt_round"),
+        (Builtin::Fix, [_]) => call("trunc"),
+        (Builtin::Sign, [_]) => call("mrt_sign"),
+        (Builtin::Real | Builtin::Conj | Builtin::Max | Builtin::Min, [a]) => Some(a.clone()),
+        (Builtin::Imag, [_]) => Some("0.0".to_string()),
+        (Builtin::Mod, [_, _]) => call("mrt_mod"),
+        (Builtin::Rem, [_, _]) => call("mrt_rem"),
+        (Builtin::Atan2, [_, _]) => call("atan2"),
+        (Builtin::Max, [_, _]) => call("mrt_max2"),
+        (Builtin::Min, [_, _]) => call("mrt_min2"),
+        (Builtin::IsTrue, [a]) => Some(format!("(double)({a} != 0.0)")),
+        (Builtin::RangeCount, [_, _, _]) => call("mrt_range_count"),
+        (Builtin::LoopIndex, [st, sp, _, k]) => Some(format!("mrt_loop_index({st}, {sp}, {k})")),
+        (Builtin::Pi, []) => Some(c_f64(std::f64::consts::PI)),
+        (Builtin::Inf, []) => Some(c_f64(f64::INFINITY)),
+        (Builtin::NaN, []) => Some(c_f64(f64::NAN)),
+        (Builtin::Eps, []) => Some(c_f64(f64::EPSILON)),
+        _ => None,
+    }
+}
+
+/// The `MRT_OP_*` id (without prefix) of a binary operator.
+fn bin_id(b: BinOp) -> &'static str {
+    match b {
+        BinOp::Add => "ADD",
+        BinOp::Sub => "SUB",
+        BinOp::MatMul => "MTIMES",
+        BinOp::ElemMul => "TIMES",
+        BinOp::MatDiv => "MRDIVIDE",
+        BinOp::ElemDiv => "RDIVIDE",
+        BinOp::MatLeftDiv => "MLDIVIDE",
+        BinOp::ElemLeftDiv => "LDIVIDE",
+        BinOp::MatPow => "MPOWER",
+        BinOp::ElemPow => "POWER",
+        BinOp::Eq => "EQ",
+        BinOp::Ne => "NE",
+        BinOp::Lt => "LT",
+        BinOp::Le => "LE",
+        BinOp::Gt => "GT",
+        BinOp::Ge => "GE",
+        // `&&`/`||` are lowered to branches over `istrue`; their
+        // elementwise forms are the same on scalars.
+        BinOp::And | BinOp::ShortAnd => "AND",
+        BinOp::Or | BinOp::ShortOr => "OR",
+    }
+}
+
+/// The `MRT_OP_*` id (without prefix) of a unary operator.
+fn un_id(u: UnOp) -> &'static str {
+    match u {
+        UnOp::Neg => "UMINUS",
+        UnOp::Plus => "UPLUS",
+        UnOp::Not => "NOT",
+        UnOp::Transpose => "TRANSPOSE",
+        UnOp::CTranspose => "CTRANSPOSE",
+    }
+}
+
+/// The `MRT_OP_*` id (without prefix) of a builtin: its name in upper
+/// case (`range_count` → `RANGE_COUNT`, `Inf` → `INF`).
+fn builtin_id(bi: Builtin) -> String {
+    bi.name().to_ascii_uppercase()
 }
 
 fn emit_main(out: &mut String, entry_name: &str, probes: bool) {
@@ -684,7 +970,84 @@ mod tests {
         let c =
             emit(&["function f()\ns = 0;\nfor i = 1:10\ns = s + i;\nend\nfprintf('%d\\n', s);\n"]);
         assert!(c.contains("goto bb"), "{c}");
-        assert!(c.contains("mrt_istrue"), "{c}");
+        // The loop test is a typed scalar: a plain C comparison.
+        assert!(c.contains("[0] != 0.0) goto bb"), "{c}");
+    }
+
+    #[test]
+    fn proven_scalars_become_c_doubles() {
+        // `s` and the loop counter are real scalars: their arithmetic is
+        // C over slot element 0, the handle kept current by mrt_put.
+        let c =
+            emit(&["function f()\ns = 0;\nfor i = 1:10\ns = s + i;\nend\nfprintf('%d\\n', s);\n"]);
+        assert!(c.contains("mrt_put(&v_slot"), "{c}");
+        assert!(c.contains("mrt_loop_index("), "{c}");
+        assert!(
+            !c.contains("MRT_OP_ADD"),
+            "scalar add went through the runtime\n{c}"
+        );
+        // A value that is 1x1 on one path and 1x3 on the other is not.
+        let c = emit(&[
+            "function f()\nx = 1;\nif rand(1, 1) > 0.5\n  x = [1 2 3];\nend\ny = x + 1;\ndisp(y);\n",
+        ]);
+        let typed = |v: &str| c.lines().any(|l| l.contains("mrt_put(") && l.contains(v));
+        assert!(!typed("/*x.3*/") && !typed("/*y.1*/"), "{c}");
+        assert!(typed("/*%t17.1*/"), "the test of rand(1, 1) is typed\n{c}");
+    }
+
+    #[test]
+    fn every_emitted_op_id_is_declared_in_mrt_h() {
+        let mut ids: Vec<String> = "COPY SUBSREF SUBSASGN RANGE RANGE3"
+            .split(' ')
+            .map(String::from)
+            .collect();
+        use BinOp::*;
+        let bins = [
+            Add,
+            Sub,
+            MatMul,
+            ElemMul,
+            MatDiv,
+            ElemDiv,
+            MatLeftDiv,
+            ElemLeftDiv,
+            MatPow,
+            ElemPow,
+            Eq,
+            Ne,
+            Lt,
+            Le,
+            Gt,
+            Ge,
+            And,
+            Or,
+            ShortAnd,
+            ShortOr,
+        ];
+        ids.extend(bins.iter().map(|b| bin_id(*b).to_string()));
+        let uns = [
+            UnOp::Neg,
+            UnOp::Plus,
+            UnOp::Not,
+            UnOp::Transpose,
+            UnOp::CTranspose,
+        ];
+        ids.extend(uns.iter().map(|u| un_id(*u).to_string()));
+        let names = "zeros ones eye rand size length numel ndims disp fprintf sqrt abs sin cos \
+                     tan atan atan2 exp log floor ceil round fix mod rem max min sum prod mean \
+                     norm real imag conj isempty any all sign linspace pi Inf eps NaN error";
+        let mut builtins: Vec<Builtin> = names
+            .split_whitespace()
+            .map(|n| Builtin::from_name(n).unwrap_or_else(|| panic!("{n}")))
+            .collect();
+        builtins.extend([Builtin::RangeCount, Builtin::IsTrue, Builtin::LoopIndex]);
+        ids.extend(builtins.into_iter().map(builtin_id));
+        for id in ids {
+            assert!(
+                MRT_H.contains(&format!("MRT_OP_{id},")),
+                "mrt.h lacks MRT_OP_{id}"
+            );
+        }
     }
 
     #[test]

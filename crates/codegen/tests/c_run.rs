@@ -219,7 +219,10 @@ fn generated_c_is_clean_under_sanitizers() {
 /// fixed) equal results computed in place over operand 0 (same handle
 /// or same buffer); a dst that held a complex or char value gets a
 /// clean real result; the real fast paths compute the complex kernels'
-/// real parts bit for bit; `concat:` names dispatch; index plans
+/// real parts bit for bit; `mrt_concat` row lengths shape a literal;
+/// aliased results (`r = r*r`, `x = x(idx)`) through the reused
+/// scratch equal distinct-dst results; mrt.h's scalar kernels and
+/// element accessors equal the ops they stand for; index plans
 /// (DESIGN.md §17) gather and scatter the hand-computed elements for
 /// colons, ranges of every step, repeated, permuted and empty
 /// subscripts, 3-D and partial indexing, growth and an overlapping
@@ -250,7 +253,7 @@ fn runtime_contract_holds() {
 
     for (mode, message) in [
         ("plan", "storage plan violation"),
-        ("unknown", "mrt: unimplemented operation `frobnicate`"),
+        ("unknown", "mrt: unimplemented operation #"),
         ("order", "mrt: subscript must be a positive integer"),
         ("asgnorder", "mrt: subscript must be a positive integer"),
         ("extent", "mrt: index exceeds array extent"),
@@ -347,6 +350,58 @@ fn generated_c_matches_display_and_concat_paths() {
     }
 }
 
+/// Values a typed slot must not hold, against the interpreter byte for
+/// byte: a variable that is 1x1 on one path and 1x3 on the other, a
+/// square root that goes complex, `[]` in a slot sized for a scalar,
+/// and a loop counter read after its loop (the φ of its `[]` start and
+/// the counter). Inferred shapes join to `1 x 1` in some of these, so
+/// the C must stay on the runtime's generic path for them.
+#[test]
+fn generated_c_keeps_values_that_are_not_real_scalars_generic() {
+    let Some(cc) = find_cc() else {
+        eprintln!("no C compiler found; skipping");
+        return;
+    };
+    let dir = runtime_dir("matc-c-run-untyped");
+    let programs: &[(&str, &str, &[&str])] = &[
+        (
+            "scalar_or_row",
+            "for t = 1:2\n  if t == 1\n    x = 5;\n  else\n    x = [1 2 3];\n  end\n  y = x + 1;\n  disp(y);\n  disp(x(1) * 2);\nend\n",
+            &["/*y.", "/*x.3*/"],
+        ),
+        (
+            "goes_complex",
+            "r = sqrt(-1);\ndisp(r);\ns = r * 2;\ndisp(s);\ndisp(abs(s) + 1);\n",
+            &["/*r.", "/*s."],
+        ),
+        (
+            "empty_in_scalar_slot",
+            "for t = 1:2\n  z = [];\n  if t == 2\n    z = 3;\n  end\n  disp(isempty(z));\n  disp(z);\n  disp(numel(z));\nend\n",
+            &["/*z.5*/"],
+        ),
+        (
+            "counter_after_loop",
+            "for i = 1:3\nend\ndisp(i);\nk = i + 1;\ndisp(k);\n",
+            &["/*i.2*/", "/*k."],
+        ),
+    ];
+    for (name, src, untyped) in programs {
+        let (want, code) = interp_and_c(&[&format!("function f()\n{src}")]);
+        for var in *untyped {
+            assert!(code.contains(var), "{name}: no {var}\n{code}");
+            assert!(
+                !code.lines().any(
+                    |l| l.contains(var) && (l.contains("mrt_put(") || l.contains("mrt_copy1("))
+                ),
+                "{name}: {var} was typed as a real scalar\n{code}"
+            );
+        }
+        let exe = build_c(cc, &dir, name, &code, &[]);
+        let got = String::from_utf8_lossy(&run_ok(&exe).stdout).into_owned();
+        assert_eq!(got, want, "{name}: C output diverged");
+    }
+}
+
 /// The `--no-gctd` baseline emits all-heap C (every variable its own
 /// slot); it must still reproduce the interpreter bit for bit on
 /// representative benchmarks (Figure 6's baseline is *correct*, just
@@ -380,8 +435,8 @@ fn generated_c_without_gctd_matches_interpreter() {
     }
 }
 
-/// Matrix literals wider than the varargs convenience limit emit the
-/// `mrt_opv` array form; the wrapped-immediate pool must hold every
+/// Matrix literals pass their operands to `mrt_concat` as an array, so
+/// width is no limit; the wrapped-immediate pool must hold every
 /// element of the widest row simultaneously.
 #[test]
 fn generated_c_handles_wide_matrix_literals() {
@@ -406,8 +461,8 @@ fn generated_c_handles_wide_matrix_literals() {
 
     let (want, code) = interp_and_c(&[src.as_str()]);
     assert!(
-        code.contains("mrt_opv"),
-        "wide literal not emitted via mrt_opv"
+        code.contains("mrt_concat("),
+        "wide literal not emitted via mrt_concat"
     );
     let exe = build_c(cc, &dir, "wide", &code, &[]);
     assert_eq!(String::from_utf8_lossy(&run_ok(&exe).stdout), want);

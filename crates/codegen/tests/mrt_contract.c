@@ -21,6 +21,7 @@
  */
 #include "mrt.h"
 
+#include <math.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
@@ -83,41 +84,50 @@ static void check(const char *what, const char *how, const mrt_val *want, const 
     check_parts(what, how, want, got, 0);
 }
 
+/* A one-row matrix literal [args...], run through differential as if
+ * it were an op id. */
+#define CONCAT_ROW (-1)
+
+static void apply(mrt_val *dst, int op, int argc, const mrt_val *const *args) {
+    if (op == CONCAT_ROW) mrt_concat(dst, 1, &argc, argc, args);
+    else mrt_opv(dst, op, argc, args);
+}
+
 /* Runs op on args four ways (see the header) and compares. */
-static void differential(const char *op, int argc, const mrt_val *const *args) {
+static void differential(const char *name, int op, int argc, const mrt_val *const *args) {
     const mrt_val *aliased[8];
     mrt_val want, fixed, self, other, view;
     double fixed_buf[CAP], self_buf[CAP];
 
     mrt_bind(&want, NULL, 0);
-    mrt_opv(&want, op, argc, args);
+    apply(&want, op, argc, args);
 
     mrt_bind(&fixed, fixed_buf, CAP);
-    mrt_opv(&fixed, op, argc, args);
-    check(op, "distinct fixed dst", &want, &fixed);
+    apply(&fixed, op, argc, args);
+    check(name, "distinct fixed dst", &want, &fixed);
 
     memcpy(aliased, args, (size_t)argc * sizeof(*args));
     mrt_bind(&self, NULL, 0);
-    mrt_op(&self, "copy", 1, args[0]);
+    mrt_op(&self, MRT_OP_COPY, 1, args[0]);
     aliased[0] = &self;
-    mrt_opv(&self, op, argc, aliased);
-    check(op, "dst is operand 0", &want, &self);
+    apply(&self, op, argc, aliased);
+    check(name, "dst is operand 0", &want, &self);
 
     mrt_bind(&other, self_buf, CAP);
-    mrt_op(&other, "copy", 1, args[0]);
+    mrt_op(&other, MRT_OP_COPY, 1, args[0]);
     mrt_bind(&view, self_buf, CAP);
     aliased[0] = &other;
-    mrt_opv(&view, op, argc, aliased);
-    check(op, "dst shares operand 0's buffer", &want, &view);
+    apply(&view, op, argc, aliased);
+    check(name, "dst shares operand 0's buffer", &want, &view);
 
     mrt_free(&want);
     mrt_free(&self);
 }
 
-#define RUN(op, ...)                                                   \
-    do {                                                               \
-        const mrt_val *args_[] = {__VA_ARGS__};                        \
-        differential(op, (int)(sizeof args_ / sizeof *args_), args_);  \
+#define RUN(op, ...)                                                          \
+    do {                                                                      \
+        const mrt_val *args_[] = {__VA_ARGS__};                               \
+        differential(#op, op, (int)(sizeof args_ / sizeof *args_), args_);    \
     } while (0)
 
 /* Checks that got holds exactly the real d0 x d1 x d2 value re. */
@@ -135,9 +145,9 @@ static void expect(const char *what, const mrt_val *got, int d0, int d1, int d2,
         const mrt_val *args_[] = {__VA_ARGS__};                         \
         int argc_ = (int)(sizeof args_ / sizeof *args_);                \
         mrt_val got_;                                                   \
-        differential("subsref", argc_, args_);                          \
+        differential(what, MRT_OP_SUBSREF, argc_, args_);               \
         mrt_bind(&got_, NULL, 0);                                       \
-        mrt_opv(&got_, "subsref", argc_, args_);                        \
+        mrt_opv(&got_, MRT_OP_SUBSREF, argc_, args_);                   \
         expect(what, &got_, d0, d1, d2, want);                          \
         mrt_free(&got_);                                                \
     } while (0)
@@ -164,7 +174,7 @@ int main(int argc, char **argv) {
         double small[2];
         mrt_val d;
         mrt_bind(&d, small, 2);
-        mrt_op(&d, "zeros", 2, two, two);
+        mrt_op(&d, MRT_OP_ZEROS, 2, two, two);
         printf("a 2x2 result fit a 2-element fixed slot\n");
         return 0;
     }
@@ -174,65 +184,65 @@ int main(int argc, char **argv) {
     if (argc > 1 && !strcmp(argv[1], "order")) {
         mrt_val d;
         mrt_bind(&d, NULL, 0);
-        mrt_op(&d, "zeros", 2, two, two);
-        mrt_op(&d, "subsref", 3, &d, mrt_wrap(mrt_numv(5.0)), half);
+        mrt_op(&d, MRT_OP_ZEROS, 2, two, two);
+        mrt_op(&d, MRT_OP_SUBSREF, 3, &d, mrt_wrap(mrt_numv(5.0)), half);
         printf("a(5, 0.5) returned\n");
         return 0;
     }
     if (argc > 1 && !strcmp(argv[1], "asgnorder")) {
         mrt_val d;
         mrt_bind(&d, NULL, 0);
-        mrt_op(&d, "zeros", 2, two, two);
-        mrt_op(&d, "subsasgn", 4, &d, &i1, half, &i2);
+        mrt_op(&d, MRT_OP_ZEROS, 2, two, two);
+        mrt_op(&d, MRT_OP_SUBSASGN, 4, &d, &i1, half, &i2);
         printf("a(0.5, [2 1]) = 4 values returned\n");
         return 0;
     }
     if (argc > 1 && !strcmp(argv[1], "extent")) {
         mrt_val d;
         mrt_bind(&d, NULL, 0);
-        mrt_op(&d, "zeros", 2, two, two);
-        mrt_op(&d, "subsref", 3, &d, mrt_wrap(mrt_numv(5.0)), mrt_wrap(mrt_numv(1.0)));
+        mrt_op(&d, MRT_OP_ZEROS, 2, two, two);
+        mrt_op(&d, MRT_OP_SUBSREF, 3, &d, mrt_wrap(mrt_numv(5.0)), mrt_wrap(mrt_numv(1.0)));
         printf("a(5, 1) returned\n");
         return 0;
     }
     if (argc > 1 && !strcmp(argv[1], "unknown")) {
         mrt_val d;
         mrt_bind(&d, NULL, 0);
-        mrt_op(&d, "frobnicate", 1, &a);
+        mrt_op(&d, MRT_OP_COUNT, 1, &a);
         printf("an unknown op returned\n");
         return 0;
     }
 
-    RUN("bin_add", &a, &b);
-    RUN("bin_add", &a, two);
-    RUN("bin_add", &z, &a);
-    RUN("bin_sub", &a, &b);
-    RUN("bin_times", &a, &b);
-    RUN("bin_times", &z, &z);
-    RUN("bin_rdivide", &a, &b);
-    RUN("bin_rdivide", &z, &a);
-    RUN("bin_power", &a, half);
-    RUN("bin_power", &a, two);
-    RUN("bin_lt", &a, &b);
-    RUN("bin_eq", &z, &z);
-    RUN("bin_mtimes", &a, &c);
-    RUN("bin_mtimes", &z, &c);
-    RUN("bin_mtimes", two, &a);
-    RUN("un_transpose", &a);
-    RUN("un_ctranspose", &z);
-    RUN("subsref", &a, &i1);
-    RUN("subsref", &a, &i2, MRT_COLON);
-    RUN("subsref", &z, MRT_COLON, &i2);
-    RUN("subsref", &s, &i2);
-    RUN("copy", &s);
-    RUN("copy", &z);
-    RUN("sum", &a);
-    RUN("sum", &z);
-    RUN("max", &a);
-    RUN("max", &a, &b);
-    RUN("mod", &a, &b);
-    RUN("sqrt", &a);
-    RUN("concat:2", &a, &b);
+    RUN(MRT_OP_ADD, &a, &b);
+    RUN(MRT_OP_ADD, &a, two);
+    RUN(MRT_OP_ADD, &z, &a);
+    RUN(MRT_OP_SUB, &a, &b);
+    RUN(MRT_OP_TIMES, &a, &b);
+    RUN(MRT_OP_TIMES, &z, &z);
+    RUN(MRT_OP_RDIVIDE, &a, &b);
+    RUN(MRT_OP_RDIVIDE, &z, &a);
+    RUN(MRT_OP_POWER, &a, half);
+    RUN(MRT_OP_POWER, &a, two);
+    RUN(MRT_OP_LT, &a, &b);
+    RUN(MRT_OP_EQ, &z, &z);
+    RUN(MRT_OP_MTIMES, &a, &c);
+    RUN(MRT_OP_MTIMES, &z, &c);
+    RUN(MRT_OP_MTIMES, two, &a);
+    RUN(MRT_OP_TRANSPOSE, &a);
+    RUN(MRT_OP_CTRANSPOSE, &z);
+    RUN(MRT_OP_SUBSREF, &a, &i1);
+    RUN(MRT_OP_SUBSREF, &a, &i2, MRT_COLON);
+    RUN(MRT_OP_SUBSREF, &z, MRT_COLON, &i2);
+    RUN(MRT_OP_SUBSREF, &s, &i2);
+    RUN(MRT_OP_COPY, &s);
+    RUN(MRT_OP_COPY, &z);
+    RUN(MRT_OP_SUM, &a);
+    RUN(MRT_OP_SUM, &z);
+    RUN(MRT_OP_MAX, &a);
+    RUN(MRT_OP_MAX, &a, &b);
+    RUN(MRT_OP_MOD, &a, &b);
+    RUN(MRT_OP_SQRT, &a);
+    RUN(CONCAT_ROW, &a, &b);
 
     /* Index plans (DESIGN.md §17) on m = reshape(1:12, 3, 4) and
      * q = reshape(1:12, 2, 3, 2). */
@@ -277,13 +287,13 @@ int main(int argc, char **argv) {
         static const double vre[] = {4, 0, 0, 2.5, -9, 3}, vim[] = {0, 1, 0, 0, 0, 0};
         mrt_val elem = make(1, 1, zr, zi, 0), wz = make(2, 3, wre, wim, 0);
         mrt_val va = make(2, 3, vre, vim, 0), w;
-        RUN("subsref", &z, one, two);
+        RUN(MRT_OP_SUBSREF, &z, one, two);
         mrt_bind(&w, NULL, 0);
-        mrt_op(&w, "subsref", 3, &z, one, two);
+        mrt_op(&w, MRT_OP_SUBSREF, 3, &z, one, two);
         check("scalar subsref", "complex element", &elem, &w);
-        mrt_op(&w, "subsasgn", 4, &z, two, one, two);
+        mrt_op(&w, MRT_OP_SUBSASGN, 4, &z, two, one, two);
         check("scalar subsasgn", "real into complex", &wz, &w);
-        mrt_op(&w, "subsasgn", 4, &a, mrt_wrap(mrt_imagv(1.0)), two, one);
+        mrt_op(&w, MRT_OP_SUBSASGN, 4, &a, mrt_wrap(mrt_imagv(1.0)), two, one);
         check("scalar subsasgn", "imaginary into real", &va, &w);
         mrt_val *tmp[] = {&elem, &wz, &va, &w};
         for (size_t k = 0; k < sizeof tmp / sizeof *tmp; k++) mrt_free(tmp[k]);
@@ -301,13 +311,13 @@ int main(int argc, char **argv) {
         mrt_val g = make(2, 2, g22, NULL, 0), r = make(1, 3, vals, NULL, 0);
         mrt_val s45 = make(1, 2, r45, NULL, 0);
         mrt_val v = make(1, 2, row, NULL, 0), s12 = make(1, 2, r12, NULL, 0), t;
-        mrt_op(&g, "subsasgn", 4, &g, &r, &s123, mrt_wrap(mrt_numv(3.0)));
+        mrt_op(&g, MRT_OP_SUBSASGN, 4, &g, &r, &s123, mrt_wrap(mrt_numv(3.0)));
         expect("growth through a range", &g, 3, 3, 1, grown);
-        mrt_op(&v, "subsasgn", 3, &v, mrt_wrap(mrt_numv(9.0)), &s45);
+        mrt_op(&v, MRT_OP_SUBSASGN, 3, &v, mrt_wrap(mrt_numv(9.0)), &s45);
         expect("linear growth through a range", &v, 1, 5, 1, appended);
         mrt_bind(&t, NULL, 0);
-        mrt_op(&t, "subsref", 3, &m, &s12, MRT_COLON);
-        mrt_op(&m, "subsasgn", 4, &m, &t, &s23, MRT_COLON);
+        mrt_op(&t, MRT_OP_SUBSREF, 3, &m, &s12, MRT_COLON);
+        mrt_op(&m, MRT_OP_SUBSASGN, 4, &m, &t, &s23, MRT_COLON);
         expect("self-overlapping shift", &m, 3, 4, 1, shifted);
         mrt_val *tmp[] = {&g, &r, &s45, &v, &s12, &t};
         for (size_t k = 0; k < sizeof tmp / sizeof *tmp; k++) mrt_free(tmp[k]);
@@ -320,48 +330,68 @@ int main(int argc, char **argv) {
     mrt_val want, d;
     double buf[CAP];
     mrt_bind(&want, NULL, 0);
-    mrt_op(&want, "bin_add", 2, &a, &b);
+    mrt_op(&want, MRT_OP_ADD, 2, &a, &b);
     const mrt_val *held[] = {&z, &s};
     for (int k = 0; k < 2; k++) {
         mrt_bind(&d, NULL, 0);
-        mrt_op(&d, "copy", 1, held[k]);
-        mrt_op(&d, "bin_add", 2, &a, &b);
+        mrt_op(&d, MRT_OP_COPY, 1, held[k]);
+        mrt_op(&d, MRT_OP_ADD, 2, &a, &b);
         check("reset", k ? "heap dst held a char" : "heap dst held a complex", &want, &d);
         mrt_free(&d);
         mrt_bind(&d, buf, CAP);
-        mrt_op(&d, "copy", 1, held[k]);
-        mrt_op(&d, "bin_add", 2, &a, &b);
+        mrt_op(&d, MRT_OP_COPY, 1, held[k]);
+        mrt_op(&d, MRT_OP_ADD, 2, &a, &b);
         check("reset", k ? "fixed dst held a char" : "fixed dst held a complex", &want, &d);
     }
 
-    /* A concat:<rows> name still dispatches: [1 2; 3 4]. */
+    /* Row lengths shape the literal: [1 2; 3 4]. */
     static const double grid[] = {1, 3, 2, 4};
+    static const int rows22[] = {2, 2};
     mrt_val g = make(2, 2, grid, NULL, 0);
-    mrt_op(&d, "concat:2,2", 4, mrt_wrap(mrt_numv(1)), mrt_wrap(mrt_numv(2)),
-           mrt_wrap(mrt_numv(3)), mrt_wrap(mrt_numv(4)));
-    check("concat:2,2", "grid literal", &g, &d);
+    const mrt_val *cells[] = {mrt_wrap(mrt_numv(1)), mrt_wrap(mrt_numv(2)),
+                              mrt_wrap(mrt_numv(3)), mrt_wrap(mrt_numv(4))};
+    mrt_concat(&d, 2, rows22, 4, cells);
+    check("mrt_concat", "grid literal", &g, &d);
 
     /* The real fast paths compute the complex kernels' real parts bit
      * for bit when the imaginary parts are all zero (a complex x./0 also
      * has a NaN imaginary part, which the real path never had). */
     static const double none[6] = {0};
-    static const char *const kernels[] = {
-        "bin_add", "bin_sub", "bin_times", "bin_rdivide", "bin_eq", "bin_ne",
-        "bin_lt", "bin_le", "bin_gt", "bin_ge", "bin_and", "bin_or",
+    static const int kernels[] = {
+        MRT_OP_ADD, MRT_OP_SUB, MRT_OP_TIMES, MRT_OP_RDIVIDE, MRT_OP_EQ, MRT_OP_NE,
+        MRT_OP_LT, MRT_OP_LE, MRT_OP_GT, MRT_OP_GE, MRT_OP_AND, MRT_OP_OR,
+    };
+    static const char *const kernel_names[] = {
+        "add", "sub", "times", "rdivide", "eq", "ne", "lt", "le", "gt", "ge", "and", "or",
     };
     mrt_val bz = make(2, 3, bre, none, 0), cz = make(3, 2, cre, none, 0), got;
     mrt_bind(&got, NULL, 0);
     for (size_t k = 0; k < sizeof kernels / sizeof *kernels; k++) {
         mrt_op(&want, kernels[k], 2, &a, &b);
         mrt_op(&got, kernels[k], 2, &a, &bz);
-        check_parts(kernels[k], "real vs complex kernel", &want, &got, 1);
+        check_parts(kernel_names[k], "real vs complex kernel", &want, &got, 1);
         mrt_op(&want, kernels[k], 2, &b, &a);
         mrt_op(&got, kernels[k], 2, &bz, &a);
-        check_parts(kernels[k], "real vs complex kernel, swapped", &want, &got, 1);
+        check_parts(kernel_names[k], "real vs complex kernel, swapped", &want, &got, 1);
     }
-    mrt_op(&want, "bin_mtimes", 2, &a, &c);
-    mrt_op(&got, "bin_mtimes", 2, &a, &cz);
-    check_parts("bin_mtimes", "real vs complex kernel", &want, &got, 1);
+    mrt_op(&want, MRT_OP_MTIMES, 2, &a, &c);
+    mrt_op(&got, MRT_OP_MTIMES, 2, &a, &cz);
+    check_parts("mtimes", "real vs complex kernel", &want, &got, 1);
+    {
+        /* Inner dimension 11 with zeros: the real product's four-column
+         * passes and its leftover columns, against the complex kernel. */
+        double lre[7 * 11], rre[11 * 5], zero[11 * 5] = {0};
+        for (int k = 0; k < 7 * 11; k++) lre[k] = (k % 13) * 0.37 - 1.9;
+        for (int k = 0; k < 11 * 5; k++) rre[k] = k % 4 == 1 ? 0.0 : (k % 7) * 1.13 - 2.2;
+        mrt_val l = make(7, 11, lre, NULL, 0), r = make(11, 5, rre, NULL, 0);
+        mrt_val rz = make(11, 5, rre, zero, 0);
+        mrt_op(&want, MRT_OP_MTIMES, 2, &l, &r);
+        mrt_op(&got, MRT_OP_MTIMES, 2, &l, &rz);
+        check_parts("mtimes", "real vs complex kernel, 7x11 * 11x5", &want, &got, 1);
+        mrt_free(&l);
+        mrt_free(&r);
+        mrt_free(&rz);
+    }
 
     /* Real `.^` runs the real loop when no negative base meets a
      * fractional exponent (b .^ a, a .^ b) and the complex kernel
@@ -371,13 +401,98 @@ int main(int argc, char **argv) {
     const mrt_val *pow_pairs[][2] = {{&b, &a}, {&a, &b}, {&a, half}};
     const mrt_val *pow_zero[][2] = {{&bz, &a}, {&az, &b}, {&az, half}};
     for (int k = 0; k < 3; k++) {
-        mrt_op(&want, "bin_power", 2, pow_zero[k][0], pow_zero[k][1]);
-        mrt_op(&got, "bin_power", 2, pow_pairs[k][0], pow_pairs[k][1]);
-        check("bin_power", k < 2 ? "real loop vs complex kernel" : "complex result", &want, &got);
+        mrt_op(&want, MRT_OP_POWER, 2, pow_zero[k][0], pow_zero[k][1]);
+        mrt_op(&got, MRT_OP_POWER, 2, pow_pairs[k][0], pow_pairs[k][1]);
+        check("power", k < 2 ? "real loop vs complex kernel" : "complex result", &want, &got);
     }
     if (!got.im) {
         failures++;
         printf("FAIL bin_power (a .^ 0.5): no imaginary part\n");
+    }
+
+    /* Aliased results go through the runtime's reused scratch: r = r*r
+     * and the gather x = x(idx) (both in dst == operand 0's handle),
+     * repeated while the values grow and shrink, must equal the same op
+     * into a distinct dst every time. */
+    {
+        static const double seed[] = {0.5, -1, 2, 0.25, 1.5, -0.75, 3, 1, -2};
+        static const double pick[] = {3, 1, 2, 2};
+        mrt_val r, x, ref, idx = make(1, 4, pick, NULL, 0);
+        mrt_bind(&r, NULL, 0);
+        mrt_bind(&x, NULL, 0);
+        mrt_bind(&ref, NULL, 0);
+        for (int k = 0; k < 200; k++) {
+            int n = 1 + k % 3;
+            mrt_val sq = make(n, n, seed, NULL, 0), row = make(1, 3 + k % 4, seed, NULL, 0);
+            mrt_op(&r, MRT_OP_COPY, 1, &sq);
+            mrt_op(&ref, MRT_OP_MTIMES, 2, &r, &r);
+            mrt_op(&r, MRT_OP_MTIMES, 2, &r, &r);
+            check("aliased r = r*r", "equals a distinct dst", &ref, &r);
+            mrt_op(&x, MRT_OP_COPY, 1, &row);
+            mrt_op(&ref, MRT_OP_SUBSREF, 2, &x, &idx);
+            mrt_op(&x, MRT_OP_SUBSREF, 2, &x, &idx);
+            check("aliased x = x(idx)", "equals a distinct dst", &ref, &x);
+            mrt_free(&sq);
+            mrt_free(&row);
+        }
+        mrt_val *tmp[] = {&r, &x, &ref, &idx};
+        for (size_t k = 0; k < sizeof tmp / sizeof *tmp; k++) mrt_free(tmp[k]);
+    }
+
+    /* Typed scalar code: mrt.h's scalar kernels give the bits the
+     * runtime's ops give on 1x1 operands, and mrt_elem_get/_set agree
+     * with subsref/subsasgn where they apply (and decline elsewhere). */
+    {
+        static const double xs[] = {7, -7, 0, -0.0, 2.5, -3.5, 1e300, 0.0 / 0.0};
+        static const int ops[] = {MRT_OP_RDIVIDE, MRT_OP_MOD, MRT_OP_REM, MRT_OP_MAX,
+                                  MRT_OP_MIN, MRT_OP_ATAN2};
+        mrt_val r, one_elem;
+        double cell[1];
+        mrt_bind(&r, NULL, 0);
+        mrt_bind(&one_elem, cell, 1);
+        for (size_t u = 0; u < sizeof xs / sizeof *xs; u++)
+            for (size_t v = 0; v < sizeof xs / sizeof *xs; v++) {
+                double x = xs[u], y = xs[v];
+                double typed[] = {mrt_rdiv(x, y), mrt_mod(x, y), mrt_rem(x, y),
+                                  mrt_max2(x, y), mrt_min2(x, y), atan2(x, y)};
+                for (size_t o = 0; o < sizeof ops / sizeof *ops; o++) {
+                    mrt_op(&r, ops[o], 2, mrt_wrap(mrt_numv(x)), mrt_wrap(mrt_numv(y)));
+                    mrt_put(&one_elem, typed[o]);
+                    check("scalar kernel", "equals the runtime op", &r, &one_elem);
+                }
+            }
+        static const double m23[] = {1, 2, 3, 4, 5, 6};
+        static const double subs[][2] = {{1, 1}, {2, 3}, {6, 0}, {7, 0}, {0, 1},
+                                         {1.5, 1}, {2, 4}, {3, 1}};
+        mrt_val m = make(2, 3, m23, NULL, 0);
+        for (size_t t = 0; t < sizeof subs / sizeof *subs; t++)
+            for (int n = 1; n <= 2; n++) {
+                double i = subs[t][0], j = subs[t][1];
+                int in = n == 1 ? (i >= 1 && i <= 6 && i == floor(i))
+                                : (i >= 1 && i <= 2 && i == floor(i) && j >= 1 && j <= 3);
+                ptrdiff_t at = mrt_offset(&m, n, i, j, 0.0);
+                cases++;
+                if ((at >= 0) != in) {
+                    failures++;
+                    printf("FAIL mrt_offset(%g, %g) with %d subscript(s): %ld\n", i, j, n,
+                           (long)at);
+                }
+                if (!in) continue;
+                mrt_op(&r, MRT_OP_SUBSREF, n + 1, &m, mrt_wrap(mrt_numv(i)), mrt_wrap(mrt_numv(j)));
+                mrt_elem_get(&one_elem, &m, n, i, j, 0.0);
+                check("mrt_elem_get", "equals subsref", &r, &one_elem);
+                mrt_op(&r, MRT_OP_SUBSASGN, n + 2, &m, mrt_wrap(mrt_numv(-1)),
+                       mrt_wrap(mrt_numv(i)), mrt_wrap(mrt_numv(j)));
+                mrt_val e = make(2, 3, m23, NULL, 0);
+                if (!mrt_elem_set(&e, n, i, j, 0.0, -1)) {
+                    failures++;
+                    printf("FAIL mrt_elem_set(%g, %g) declined an element\n", i, j);
+                }
+                check("mrt_elem_set", "equals subsasgn", &r, &e);
+                mrt_free(&e);
+            }
+        mrt_free(&r);
+        mrt_free(&m);
     }
 
     mrt_val *owned[] = {&a, &b, &c, &z, &s, &i1, &i2, &g, &want, &bz, &cz, &az, &got};

@@ -206,10 +206,14 @@ impl CacheKey {
     /// Derives the key of a compilation unit: a digest over a versioned,
     /// length-prefixed stream of the option fingerprint and every source
     /// file. Length prefixes make the encoding injective — no two
-    /// distinct `(fingerprint, sources)` inputs share a stream.
+    /// distinct `(fingerprint, sources)` inputs share a stream. The
+    /// version tag (`matc-cache-v2`) names the emitted C's interface
+    /// to the `mrt` runtime: a store written under `v1` holds C that
+    /// dispatches ops by name string, which no longer links against
+    /// `mrt.h`, so those entries must miss.
     pub fn compute<'a>(sources: impl IntoIterator<Item = &'a str>, fingerprint: &str) -> CacheKey {
         let mut h = Sha256::new();
-        h.update(b"matc-cache-v1\0");
+        h.update(b"matc-cache-v2\0");
         h.update(&(fingerprint.len() as u64).to_le_bytes());
         h.update(fingerprint.as_bytes());
         for src in sources {
@@ -221,7 +225,7 @@ impl CacheKey {
 
     /// Derives a key in a caller-chosen domain: a digest over the
     /// domain tag and a length-prefixed stream of `parts`. Per-function
-    /// fragment keys use domain `"matc-frag-v2"`, where the parts are
+    /// fragment keys use domain `"matc-frag-v3"`, where the parts are
     /// the option fingerprint, the probes flag and one byte stream
     /// holding the canonical walk of the function's optimized IR
     /// (`FuncIr::encode_canonical`) followed by the canonical walk of
@@ -1221,6 +1225,16 @@ mod tests {
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn unit_keys_are_pinned() {
+        // Changing the key stream orphans every persisted store: bump
+        // the version tag on purpose, then re-pin.
+        assert_eq!(
+            CacheKey::compute(["function f()\n"], "fp").hex(),
+            "927ec5ad4a2c14df1ada8e2065ab45b503a27fcd21296b1701d052e9f7826c33"
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use matc_ir::ids::{FuncId, VarId};
 use matc_ir::instr::{InstrKind, Op, Operand};
 use matc_ir::{Budget, BudgetError, FuncIr, IrProgram};
 use matc_typeinf::{ExprId, Intrinsic, ProgramTypes};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
 /// Options for a GCTD run (ablations and the Figure 6 baseline).
@@ -137,6 +137,11 @@ pub struct StoragePlan {
     pub var_slot: BTreeMap<VarId, usize>,
     /// Resize annotation per (SSA) definition of heap-slot variables.
     pub resize: BTreeMap<VarId, ResizeKind>,
+    /// Members of real (not complex) stack slots whose intrinsic is
+    /// real, integer or boolean and whose every value is exactly 1×1
+    /// (`FuncTypes::is_exact_scalar`). The C backend computes them as
+    /// plain `double`s in element 0 of their slot.
+    pub scalars: BTreeSet<VarId>,
     /// Statistics.
     pub stats: PlanStats,
 }
@@ -521,6 +526,17 @@ pub fn plan_function_budgeted(
         }
     }
 
+    let ftypes = &types.funcs[fid.index()];
+    let scalars = slots
+        .iter()
+        .filter(|s| matches!(s.kind, SlotKind::Stack { .. }) && !s.intrinsic.is_complex())
+        .flat_map(|s| &s.members)
+        .copied()
+        .filter(|v| {
+            ftypes.is_exact_scalar(*v) && ftypes.get(*v).is_some_and(|f| !f.intrinsic.is_complex())
+        })
+        .collect();
+
     let stats = PlanStats {
         original_vars: graph.occurring_count(),
         static_subsumed,
@@ -540,6 +556,7 @@ pub fn plan_function_budgeted(
         slots,
         var_slot,
         resize,
+        scalars,
         stats,
     })
 }
@@ -588,6 +605,7 @@ fn plan_without_coalescing(
         slots,
         var_slot,
         resize: BTreeMap::new(),
+        scalars: BTreeSet::new(),
         stats,
     }
 }

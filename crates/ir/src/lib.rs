@@ -64,7 +64,7 @@ pub use verify::{verify_func, verify_program, VerifyError};
 ///
 /// Panics if the produced SSA fails verification (a compiler bug).
 pub fn build_ssa(ast: &matc_frontend::ast::Program) -> Result<IrProgram, LowerError> {
-    let signatures = lower::signatures(ast);
+    let signatures = lower::signatures(ast)?;
     let mut prog = IrProgram::default();
     for f in &ast.functions {
         prog.add(build_func_ssa(f, &signatures)?);

@@ -54,8 +54,9 @@ impl std::error::Error for LowerError {}
 ///
 /// # Errors
 ///
-/// Fails on undefined names, misplaced `end`/`:`, the unsupported
-/// shrinkage form `a(i) = []`, and arity mismatches on user calls.
+/// Fails on a function defined twice, undefined names, misplaced
+/// `end`/`:`, the unsupported shrinkage form `a(i) = []`, and arity
+/// mismatches on user calls.
 ///
 /// # Examples
 ///
@@ -69,7 +70,7 @@ impl std::error::Error for LowerError {}
 /// # Ok::<(), matc_ir::lower::LowerError>(())
 /// ```
 pub fn lower_program(ast: &Program) -> Result<IrProgram, LowerError> {
-    let signatures = signatures(ast);
+    let signatures = signatures(ast)?;
     let mut prog = IrProgram::default();
     for f in &ast.functions {
         prog.add(lower_function(f, &signatures)?);
@@ -82,13 +83,26 @@ pub fn lower_program(ast: &Program) -> Result<IrProgram, LowerError> {
 /// all that lowering one function reads of the others.
 pub type Signatures = HashMap<String, (usize, usize)>;
 
-/// The signature table of `ast` (a later duplicate name wins; adding
-/// the duplicate to an [`IrProgram`] panics anyway).
-pub fn signatures(ast: &Program) -> Signatures {
-    ast.functions
-        .iter()
-        .map(|f| (f.name.clone(), (f.params.len(), f.outs.len())))
-        .collect()
+/// The signature table of `ast`.
+///
+/// # Errors
+///
+/// Fails on a function defined twice (in one file or across files),
+/// naming it at the span of its second definition's header.
+pub fn signatures(ast: &Program) -> Result<Signatures, LowerError> {
+    let mut table = Signatures::new();
+    for f in &ast.functions {
+        if table
+            .insert(f.name.clone(), (f.params.len(), f.outs.len()))
+            .is_some()
+        {
+            return Err(LowerError::new(
+                format!("duplicate function `{}`", f.name),
+                f.span,
+            ));
+        }
+    }
+    Ok(table)
 }
 
 /// Lowers one function against its unit's signature table. The result

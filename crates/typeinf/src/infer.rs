@@ -100,9 +100,18 @@ impl VarFacts {
 #[derive(Debug, Clone, Default)]
 pub struct FuncTypes {
     facts: Vec<Option<VarFacts>>,
+    /// Whether each variable's every value is exactly 1×1
+    /// ([`crate::exact`]), by [`VarId`] index.
+    exact: Vec<bool>,
 }
 
 impl FuncTypes {
+    /// Whether every value of `v` is exactly 1×1 ([`crate::exact`]);
+    /// its shape fact alone is only an upper bound.
+    pub fn is_exact_scalar(&self, v: VarId) -> bool {
+        self.exact.get(v.index()).copied().unwrap_or(false)
+    }
+
     /// Facts for `v`, if inferred (undefined/unreachable variables have
     /// none).
     pub fn get(&self, v: VarId) -> Option<&VarFacts> {
@@ -163,8 +172,8 @@ impl ProgramTypes {
     }
 
     /// The canonical, arena-independent walk of one function's
-    /// inference facts: every variable's intrinsic, shape, range and
-    /// symbolic value/bound, in variable order, with symbols renumbered
+    /// inference facts: every variable's intrinsic, shape, range,
+    /// symbolic value/bound and exact-scalar bit, in variable order, with symbols renumbered
     /// by first occurrence *within this function* (see
     /// [`ExprCtx::walk_canonical`]). Two functions that walk
     /// identically plan, audit and emit identically.
@@ -208,6 +217,7 @@ impl ProgramTypes {
             if let Some(e) = maxval {
                 self.ctx.walk_canonical(*e, &mut renumber, visit);
             }
+            visit(FactStep::Exact(ft.is_exact_scalar(v)));
         }
     }
 
@@ -241,6 +251,7 @@ impl ProgramTypes {
             }
             FactStep::Value(some) => out.push(4 + u8::from(some)),
             FactStep::MaxVal(some) => out.push(6 + u8::from(some)),
+            FactStep::Exact(exact) => out.push(11 + u8::from(exact)),
             FactStep::Const(c) => {
                 out.push(8);
                 put_int(out, c);
@@ -304,6 +315,7 @@ impl ProgramTypes {
                 FactStep::Range(r) => write!(out, " range={r:?}"),
                 FactStep::Value(some) => write!(out, " value={}", if some { "" } else { "-" }),
                 FactStep::MaxVal(some) => write!(out, " maxval={}", if some { "" } else { "-" }),
+                FactStep::Exact(exact) => write!(out, "{}", if exact { " exact" } else { "" }),
                 FactStep::Const(c) => write!(out, "{c}"),
                 FactStep::Sym { n, nonneg, name } => {
                     write!(out, "s{n}{}{name}", if nonneg { '+' } else { '?' })
@@ -335,6 +347,8 @@ pub enum FactStep<'a> {
     Value(bool),
     /// Whether a symbolic upper-bound expression follows.
     MaxVal(bool),
+    /// Whether the variable is an exact scalar; ends its facts.
+    Exact(bool),
     /// An integer constant.
     Const(i64),
     /// A symbol, numbered by first occurrence within the function.
@@ -455,7 +469,11 @@ pub fn infer_program_budgeted(
         funcs: eng
             .summaries
             .into_iter()
-            .map(|s| s.types.unwrap_or_default())
+            .zip(crate::exact::exact_scalars(prog))
+            .map(|(s, exact)| FuncTypes {
+                exact,
+                ..s.types.unwrap_or_default()
+            })
             .collect(),
         ctx: eng.cx,
     })

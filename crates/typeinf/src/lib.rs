@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+pub mod exact;
 pub mod exprs;
 pub mod infer;
 pub mod intrinsic;

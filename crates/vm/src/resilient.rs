@@ -286,7 +286,7 @@ pub fn compile_front(
     rec.ast_expressions = s.expressions;
 
     let t = Instant::now();
-    let signatures = matc_ir::lower::signatures(ast);
+    let signatures = matc_ir::lower::signatures(ast).map_err(ResilientError::Lower)?;
     let prev = memo
         .and_then(|c| c.front_memo::<FrontMemo>(&unit))
         .filter(|m| m.signatures == signatures);

@@ -316,9 +316,13 @@ fn merge_func_metrics(m: &mut UnitMetrics, fm: &UnitMetrics) {
 /// fingerprint, the probes flag and the canonical walks of the
 /// function's optimized IR and of its inference facts
 /// (`FuncIr::encode_canonical`, `ProgramTypes::encode_canonical_facts`),
-/// in domain `matc-frag-v2`. Equal keys ⇒ equal optimized IR, equal
+/// in domain `matc-frag-v3`. Equal keys ⇒ equal optimized IR, equal
 /// facts (canonically renumbered) and equal options ⇒ identical plan,
-/// audit and emitted body. `buf` is scratch space, reused across calls.
+/// audit and emitted body (the facts decide which variables the body
+/// computes as typed scalars). The domain names the emitter's output
+/// form: `v3` is op-id dispatch with typed scalars, whose bodies do not
+/// link against the `v2` runtime interface. `buf` is scratch space,
+/// reused across calls.
 pub fn fragment_key(
     fingerprint: &str,
     front: &FrontHalf,
@@ -329,7 +333,7 @@ pub fn fragment_key(
     front.ir.func(fid).encode_canonical(buf);
     front.types.encode_canonical_facts(fid, buf);
     CacheKey::compute_parts(
-        "matc-frag-v2",
+        "matc-frag-v3",
         [
             fingerprint.as_bytes(),
             b"probes=0".as_slice(),

@@ -124,6 +124,30 @@ fn runtime_errors_exit_nonzero() {
 }
 
 #[test]
+fn a_function_defined_twice_is_a_lowering_error() {
+    // Two files defining `g`: a structured error naming the function
+    // and its second definition's header, not a panic.
+    let d = write_temp("dup_d1.m", "function d1()\ng();\n");
+    let g1 = write_temp("dup_d2.m", "function g()\ndisp(1);\n");
+    let g2 = write_temp("dup_d3.m", "function g()\ndisp(2);\n");
+    let out = matc().arg("run").args([&d, &g1, &g2]).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("duplicate function `g` at 0..13"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+
+    let unit = format!("{},{},{}", d.display(), g1.display(), g2.display());
+    let out = matc().args(["batch", &unit]).output().unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{text}");
+    assert!(
+        text.contains("error: duplicate function `g` at 0..13"),
+        "{text}"
+    );
+    assert!(!text.contains("panic"), "{text}");
+}
+
+#[test]
 fn multiple_files_form_one_program() {
     let d = write_temp("multi_driver.m", "function f\nfprintf('%d\\n', g(5));\n");
     let g = write_temp("multi_helper.m", "function y = g(x)\ny = x * x;\n");

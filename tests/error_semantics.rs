@@ -1,15 +1,20 @@
 //! Runtime-error parity: programs that fail must fail under the
-//! reference interpreter AND the planned VM (optimizations may not
-//! erase an *observable* error — design note 12 permits eliding only
-//! dead failing computations).
+//! reference interpreter, the planned VM, the mcc VM AND as native C
+//! (optimizations may not erase an *observable* error — design note
+//! 12 permits eliding only dead failing computations; a typed scalar
+//! fast path may not drop one either).
 
 use matc::frontend::parse_program;
 use matc::gctd::GctdOptions;
-use matc::vm::compile::compile;
+use matc::vm::compile::{compile, lower_for_mcc, Compiled};
 use matc::vm::{Interp, MccVm, PlannedVm};
+use std::fmt::Write as _;
+use std::process::{Command, Output};
 
-/// Runs under all three executors and asserts every one errors.
-fn assert_all_error(body: &str) {
+/// Runs `body` (as the entry function `f`) under the three Rust
+/// executors, asserts every one errors, and returns the compiled
+/// program.
+fn assert_vm_errors(body: &str) -> Compiled {
     let src = format!("function f()\n{body}\n");
     let ast = parse_program([src.as_str()]).unwrap_or_else(|e| panic!("{e}\n{src}"));
     let mut interp = Interp::new(&ast);
@@ -19,30 +24,140 @@ fn assert_all_error(body: &str) {
     let mut vm = PlannedVm::new(&compiled);
     let p = vm.run();
     assert!(p.is_err(), "planned VM succeeded on:\n{src}");
-    let mut mcc = MccVm::new(&compiled.ir);
-    let m = mcc.run();
+    // The mcc model runs the unplanned program (as `matc run --mcc`
+    // does): the planned IR leaves out the copies between coalesced
+    // variables, so under mcc a loop counter would never advance.
+    let unplanned = lower_for_mcc(&ast).unwrap();
+    let m = MccVm::new(&unplanned).run();
     assert!(m.is_err(), "mcc VM succeeded on:\n{src}");
+    compiled
+}
+
+fn find_cc() -> Option<&'static str> {
+    ["cc", "gcc", "clang"].into_iter().find(|cc| {
+        Command::new(cc)
+            .arg("--version")
+            .output()
+            .is_ok_and(|o| o.status.success())
+    })
+}
+
+/// Runs every program as native C, all built into one binary with one
+/// `cc` call: each program's functions and `main` are renamed by the
+/// preprocessor, and the binary's own `main` runs program `argv[1]`.
+/// Returns each run's output, or `None` without a C compiler.
+fn run_native(programs: &[Compiled]) -> Option<Vec<Output>> {
+    let Some(cc) = find_cc() else {
+        eprintln!("no C compiler found; skipping the native runs");
+        return None;
+    };
+    let mut code = String::from("#include <stdlib.h>\n");
+    for (k, compiled) in programs.iter().enumerate() {
+        let names: Vec<&str> = compiled
+            .ir
+            .functions
+            .iter()
+            .map(|f| f.name.as_str())
+            .collect();
+        for n in &names {
+            let _ = writeln!(code, "#define f_{n} p{k}_f_{n}");
+        }
+        let _ = writeln!(code, "#define main p{k}_main");
+        code.push_str(&matc::codegen::emit_program(compiled));
+        for n in &names {
+            let _ = writeln!(code, "#undef f_{n}");
+        }
+        code.push_str("#undef main\n");
+    }
+    code.push_str(
+        "int main(int argc, char **argv)\n{\n    switch (argc > 1 ? atoi(argv[1]) : -1) {\n",
+    );
+    for k in 0..programs.len() {
+        let _ = writeln!(code, "    case {k}: return p{k}_main();");
+    }
+    code.push_str("    }\n    return 2;\n}\n");
+
+    let dir = std::env::temp_dir().join(format!(
+        "matc-error-native-{}-{}",
+        std::process::id(),
+        programs.as_ptr() as usize
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("mrt.h"), matc::codegen::MRT_H).unwrap();
+    std::fs::write(dir.join("mrt.c"), matc::codegen::MRT_C).unwrap();
+    std::fs::write(dir.join("p.c"), &code).unwrap();
+    let exe = dir.join("p.exe");
+    let build = Command::new(cc)
+        .args(["-O1", "-std=c99", "-w", "-o"])
+        .arg(&exe)
+        .arg(dir.join("p.c"))
+        .arg(dir.join("mrt.c"))
+        .arg("-lm")
+        .output()
+        .unwrap();
+    assert!(
+        build.status.success(),
+        "{}",
+        String::from_utf8_lossy(&build.stderr)
+    );
+    let runs = (0..programs.len())
+        .map(|k| Command::new(&exe).arg(k.to_string()).output().unwrap())
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    Some(runs)
+}
+
+/// Asserts every body errors in every executor, native C included.
+fn assert_all_error(bodies: &[&str]) {
+    let programs: Vec<Compiled> = bodies.iter().map(|b| assert_vm_errors(b)).collect();
+    for (run, body) in run_native(&programs).into_iter().flatten().zip(bodies) {
+        assert!(
+            !run.status.success(),
+            "native C succeeded on:\n{body}\nstdout:\n{}",
+            String::from_utf8_lossy(&run.stdout)
+        );
+    }
 }
 
 #[test]
 fn out_of_bounds_read_errors() {
-    assert_all_error("a = [1 2 3];\ndisp(a(7));");
-    assert_all_error("a = zeros(2, 2);\ndisp(a(3, 1));");
-    assert_all_error("a = [1 2 3];\ndisp(a(0));");
+    assert_all_error(&[
+        "a = [1 2 3];\ndisp(a(7));",
+        "a = zeros(2, 2);\ndisp(a(3, 1));",
+        "a = [1 2 3];\ndisp(a(0));",
+    ]);
+}
+
+/// Scalar subscripts are where typed native code reads an element
+/// directly; its bounds and integer checks must still raise.
+#[test]
+fn scalar_index_errors() {
+    assert_all_error(&[
+        "a = [1 2 3];\nj = 0;\ndisp(a(j));",
+        "a = [1 2 3];\nk = 0;\nfor i = 1:7\n  k = k + a(i);\nend\ndisp(k);",
+        "a = [1 2 3];\nj = 1.5;\ndisp(a(j));",
+        "a = [1 2 3];\ndisp(a(1.5));",
+        "a = zeros(2, 3);\nk = 0;\nfor i = 1:3\n  k = k + a(i, i);\nend\ndisp(k);",
+        "a = [1 2 3];\nfor i = 0:1\n  a(i) = 5;\nend\ndisp(a);",
+    ]);
 }
 
 #[test]
 fn shape_mismatch_errors() {
-    assert_all_error("a = zeros(2, 3);\nb = zeros(3, 2);\ndisp(a + b);");
-    assert_all_error("a = zeros(2, 3);\nb = zeros(2, 3);\ndisp(a * b);");
-    assert_all_error("disp([1 2; 3 4 5]);");
-    assert_all_error("disp([zeros(2, 2) zeros(3, 3)]);");
+    assert_all_error(&[
+        "a = zeros(2, 3);\nb = zeros(3, 2);\ndisp(a + b);",
+        "a = zeros(2, 3);\nb = zeros(2, 3);\ndisp(a * b);",
+        "disp([1 2; 3 4 5]);",
+        "disp([zeros(2, 2) zeros(3, 3)]);",
+    ]);
 }
 
 #[test]
 fn explicit_error_builtin() {
-    assert_all_error("error('boom');");
-    assert_all_error("x = 1;\nif x > 0\n  error('conditional');\nend\ndisp(x);");
+    assert_all_error(&[
+        "error('boom');",
+        "x = 1;\nif x > 0\n  error('conditional');\nend\ndisp(x);",
+    ]);
 }
 
 #[test]
@@ -62,13 +177,15 @@ fn undefined_function_rejected_at_compile_time() {
 
 #[test]
 fn recursion_limit_errors() {
-    // MATLAB's RecursionLimit (100) in every executor. Debug-build
-    // native frames are large, so give the checker a roomy stack.
+    // MATLAB's RecursionLimit (100) in the three Rust executors; the
+    // emitted C has no recursion limit, so it is not run natively.
+    // Debug-build native frames are large, so give the checker a roomy
+    // stack.
     std::thread::Builder::new()
         .stack_size(64 * 1024 * 1024)
         .spawn(|| {
             let body = "disp(down(200));\n\nfunction r = down(k)\nif k <= 0\n  r = 0;\nelse\n  r = down(k - 1);\nend";
-            assert_all_error(body);
+            assert_vm_errors(body);
         })
         .unwrap()
         .join()
@@ -77,7 +194,7 @@ fn recursion_limit_errors() {
 
 #[test]
 fn transpose_of_nd_errors() {
-    assert_all_error("a = zeros(2, 2, 2);\ndisp(a');");
+    assert_all_error(&["a = zeros(2, 2, 2);\ndisp(a');"]);
 }
 
 #[test]
@@ -108,43 +225,17 @@ fn subscript_errors_check_every_subscript_before_extents() {
     let errors = [
         Interp::new(&ast).run().unwrap_err(),
         PlannedVm::new(&compiled).run().unwrap_err(),
-        MccVm::new(&compiled.ir).run().unwrap_err(),
+        MccVm::new(&lower_for_mcc(&ast).unwrap()).run().unwrap_err(),
     ];
     for e in errors {
         assert_eq!(e.message, want);
     }
 
     // Native C, when the host has a C compiler.
-    let Some(cc) = ["cc", "gcc", "clang"].into_iter().find(|cc| {
-        std::process::Command::new(cc)
-            .arg("--version")
-            .output()
-            .is_ok_and(|o| o.status.success())
-    }) else {
-        eprintln!("no C compiler found; skipping the native run");
+    let Some(runs) = run_native(&[compiled]) else {
         return;
     };
-    let dir = std::env::temp_dir().join(format!("matc-error-order-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("mrt.h"), matc::codegen::MRT_H).unwrap();
-    std::fs::write(dir.join("mrt.c"), matc::codegen::MRT_C).unwrap();
-    std::fs::write(dir.join("p.c"), matc::codegen::emit_program(&compiled)).unwrap();
-    let exe = dir.join("p.exe");
-    let build = std::process::Command::new(cc)
-        .args(["-O1", "-std=c99", "-w", "-o"])
-        .arg(&exe)
-        .arg(dir.join("p.c"))
-        .arg(dir.join("mrt.c"))
-        .arg("-lm")
-        .output()
-        .unwrap();
-    assert!(
-        build.status.success(),
-        "{}",
-        String::from_utf8_lossy(&build.stderr)
-    );
-    let run = std::process::Command::new(&exe).output().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
+    let run = &runs[0];
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert_eq!(run.status.code(), Some(70), "{stderr}");
     assert!(

@@ -24,6 +24,7 @@ fn benchsuite_c_matches_golden_snapshots() {
         std::fs::create_dir_all(&dir).unwrap();
     }
     let mut mismatches = Vec::new();
+    let mut library_calls = 0;
     for unit in bench_units(Preset::Test) {
         let out = compile_unit(&unit, GctdOptions::default(), None);
         let c = out
@@ -31,6 +32,7 @@ fn benchsuite_c_matches_golden_snapshots() {
             .unwrap_or_else(|| panic!("`{}` failed: {:?}", unit.name, out.metrics.error))
             .c_code
             .clone();
+        library_calls += c.matches("mrt_op(").count() + c.matches("mrt_opv(").count();
         let path = dir.join(format!("{}.c", unit.name));
         if bless {
             std::fs::write(&path, &c).unwrap();
@@ -60,6 +62,12 @@ fn benchsuite_c_matches_golden_snapshots() {
             )),
         }
     }
+    // Typed scalars are plain C: the 11 programs made 647 runtime op
+    // calls when every scalar operation went through `mrt_op`.
+    assert!(
+        library_calls < 647,
+        "{library_calls} mrt_op/mrt_opv calls in the goldens"
+    );
     assert!(
         mismatches.is_empty(),
         "golden C mismatch (rerun with BLESS=1 to accept):\n{}",

@@ -218,3 +218,84 @@ fn memoized_front_halves_compile_like_uncached_ones() {
         prev = now;
     }
 }
+
+/// The front half and key of every function of a one-file unit.
+fn keys_of(src: &str) -> Vec<(String, CacheKey)> {
+    let ast = parse_program([src]).unwrap();
+    let mut rec = UnitMetrics::new("k");
+    let front = compile_front(
+        &ast,
+        GctdOptions::default(),
+        &Budget::unlimited(),
+        &FaultPlan::quiet(0),
+        &mut rec,
+        None,
+    )
+    .unwrap();
+    let fingerprint = options_fingerprint(&GctdOptions::default());
+    let mut buf = Vec::new();
+    (0..front.ir.functions.len())
+        .map(|i| {
+            let fid = FuncId::new(i);
+            let name = front.ir.func(fid).name.clone();
+            (name, fragment_key(&fingerprint, &front, fid, &mut buf))
+        })
+        .collect()
+}
+
+#[test]
+fn fragment_keys_are_pinned() {
+    // A changed key stream (or domain, `matc-frag-v3`) orphans every
+    // persisted fragment: bump the domain on purpose, then re-pin.
+    let keys = keys_of("function f()\ndisp(1);\n");
+    assert_eq!(
+        keys[0].1.hex(),
+        "c727feebb6a224b87e6771dd0dcef68d3dd04b47cf34b7302e94f9a6f2587cc6"
+    );
+}
+
+/// The body of `g` in a unit's emitted C.
+fn body_of_g(c: &str) -> &str {
+    let start = c.find("/* ---- function g ---- */").expect("g is emitted");
+    &c[start..]
+}
+
+#[test]
+fn typed_fragments_follow_the_facts_they_are_keyed_on() {
+    // `g` lowers to the same IR in both units, but its argument is real
+    // in one and complex in the other, so `x(i)` and `k` are typed
+    // scalars only in the first. The facts are in the fragment key: the
+    // second unit must not be served the first's typed body.
+    let g = "function y = g(x)\nk = 0;\nfor i = 1:3\n  k = k + x(i);\nend\ny = k;\nend\n";
+    let real = format!("function a()\ndisp(g([1 2 3]));\nend\n{g}");
+    let complex = format!("function a()\ndisp(g([1i 2 3]));\nend\n{g}");
+    let key_of_g = |src: &str| {
+        keys_of(src)
+            .into_iter()
+            .find(|(n, _)| n == "g")
+            .expect("g is keyed")
+            .1
+    };
+    assert_ne!(key_of_g(&real), key_of_g(&complex));
+
+    let cache = ArtifactCache::in_memory();
+    let c_of = |src: &str, cache: Option<&ArtifactCache>| {
+        let out = compile_unit(
+            &Unit::new("u", vec![src.to_string()]),
+            GctdOptions::default(),
+            cache,
+        );
+        out.artifact.expect("compiles").c_code.clone()
+    };
+    let typed = c_of(&real, Some(&cache));
+    assert!(body_of_g(&typed).contains("mrt_elem_get("), "{typed}");
+    let served = c_of(&complex, Some(&cache));
+    assert_eq!(
+        served,
+        c_of(&complex, None),
+        "a cached fragment leaked across facts"
+    );
+    assert!(!body_of_g(&served).contains("mrt_elem_get("), "{served}");
+    // And back: the real unit still gets its typed body.
+    assert_eq!(c_of(&real, Some(&cache)), typed);
+}
