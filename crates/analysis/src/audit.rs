@@ -60,8 +60,8 @@ use matc_ir::{Budget, BudgetError, Builtin, FuncIr, IrProgram};
 use matc_typeinf::{ExprId, Intrinsic, ProgramTypes};
 use std::collections::BTreeMap;
 
-/// Work counters one function's audit produced, for the
-/// `audit_edges_per_sec` throughput metric.
+/// Work counters one function's audit produced (the `audit.edges`
+/// figure of the batch stats document).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuditStats {
     /// CFG edges the audited functions contain — the unit of audit

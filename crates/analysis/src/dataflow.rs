@@ -593,16 +593,6 @@ impl AuditFlow {
         self.live_out.get(b.index(), v.index())
     }
 
-    /// Whether `v` is possibly defined at entry to block `b`.
-    pub fn avail_in_contains(&self, b: BlockId, v: VarId) -> bool {
-        self.avail_in.get(b.index(), v.index())
-    }
-
-    /// Whether `v` is possibly defined at exit of block `b`.
-    pub fn avail_out_contains(&self, b: BlockId, v: VarId) -> bool {
-        self.avail_out.get(b.index(), v.index())
-    }
-
     /// Whether `v` is live right after instruction `i` of block `b`
     /// (the block's terminator use included).
     pub fn live_after_contains(&self, b: BlockId, i: usize, v: VarId) -> bool {
@@ -703,11 +693,6 @@ impl AuditFlow {
     /// Whether `v` is a function parameter.
     pub fn is_param(&self, v: VarId) -> bool {
         v.index() < self.n_vars && self.params.contains(v.index())
-    }
-
-    /// Number of blocks the facts cover.
-    pub fn num_blocks(&self) -> usize {
-        self.n_blocks
     }
 
     /// Total worklist visits the fixpoints performed (zero for

@@ -215,7 +215,7 @@ pub fn all() -> &'static [Benchmark] {
     BENCHMARKS
 }
 
-/// Stage count used by the `paper_scale` unit in the perf gate.
+/// Stage count used by the `paper_scale` unit in the benchmark corpus.
 pub const PAPER_SCALE_STAGES: usize = 80;
 
 /// Generates the `paper_scale` stress program: a single M-function whose
@@ -226,7 +226,7 @@ pub const PAPER_SCALE_STAGES: usize = 80;
 /// overlapping live ranges, so the liveness/interference phase dominates
 /// compile time the way the paper's Phase 1 does (§2).
 ///
-/// The output is deterministic in `stages` — the perf gate relies on the
+/// The output is deterministic in `stages` — the benchmark relies on the
 /// same text being regenerated run over run so timings are comparable.
 pub fn paper_scale_source(stages: usize) -> String {
     use std::fmt::Write as _;

@@ -1307,9 +1307,10 @@ static void fill_like(mrt_val *out, const mrt_val *const *args, int argc, double
 }
 
 typedef void (*map1)(double, double, double *, double *);
+/* A real NaN is not negative: sqrt and log keep it a real NaN. */
 static void m_sqrt(double r, double i, double *or_, double *oi) {
     if (i == 0.0) {
-        if (r >= 0.0) { *or_ = sqrt(r); *oi = 0.0; }
+        if (r >= 0.0 || isnan(r)) { *or_ = sqrt(r); *oi = 0.0; }
         else { *or_ = 0.0; *oi = sqrt(-r); }
         return;
     }
@@ -1339,7 +1340,7 @@ static void m_exp(double r, double i, double *or_, double *oi) {
     *or_ = m * cos(i); *oi = m * sin(i);
 }
 static void m_log(double r, double i, double *or_, double *oi) {
-    if (i == 0.0 && r > 0.0) { *or_ = log(r); *oi = 0.0; return; }
+    if (i == 0.0 && (r > 0.0 || isnan(r))) { *or_ = log(r); *oi = 0.0; return; }
     double m = sqrt(r * r + i * i);
     *or_ = log(m); *oi = atan2(i, r);
 }
@@ -1632,6 +1633,12 @@ void mrt_concat(mrt_val *dst, int nrows, const int *rows, int argc,
     do_concat(out, nrows, rows, args, argc);
     if (out != dst) assign(dst, out);
 }
+
+static int call_depth;
+void mrt_enter(void) {
+    if (++call_depth > 100) die("maximum recursion depth exceeded");
+}
+void mrt_leave(void) { call_depth--; }
 
 double mrt_range_count(double x, double s, double y) {
     if (s == 0.0) die("invalid for-loop range");

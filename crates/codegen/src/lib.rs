@@ -59,26 +59,6 @@ pub const MRT_H: &str = include_str!("../runtime/mrt.h");
 /// it with the generated file: `cc prog.c mrt.c -lm`).
 pub const MRT_C: &str = include_str!("../runtime/mrt.c");
 
-/// Size counters for one emitted translation unit (see
-/// [`emit_program_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CodegenStats {
-    /// Emitted C size in bytes.
-    pub bytes: usize,
-    /// Emitted C size in lines.
-    pub lines: usize,
-}
-
-/// [`emit_program`] plus the size counters the batch driver records.
-pub fn emit_program_stats(compiled: &Compiled) -> (String, CodegenStats) {
-    let out = emit_program(compiled);
-    let stats = CodegenStats {
-        bytes: out.len(),
-        lines: out.lines().count(),
-    };
-    (out, stats)
-}
-
 /// Options for [`emit_program_with`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EmitOptions {
@@ -229,6 +209,9 @@ fn emit_function(out: &mut String, f: &FuncIr, plan: &StoragePlan, probe_fi: Opt
     let sig = signature(f);
     let _ = writeln!(out, "static void f_{}({})", f.name, sig.join(", "));
     out.push_str("{\n");
+    if plan.recursive {
+        out.push_str("    mrt_enter();\n");
+    }
 
     // ------------------------------------------------------------------
     // Frame: one declaration per slot. Stack groups get fixed buffers at
@@ -354,6 +337,9 @@ fn emit_function(out: &mut String, f: &FuncIr, plan: &StoragePlan, probe_fi: Opt
                             let _ = writeln!(out, "    mrt_probe_free({fi}, {i});");
                         }
                     }
+                }
+                if plan.recursive {
+                    out.push_str("    mrt_leave();\n");
                 }
                 out.push_str("    return;\n");
             }

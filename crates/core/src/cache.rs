@@ -207,13 +207,14 @@ impl CacheKey {
     /// length-prefixed stream of the option fingerprint and every source
     /// file. Length prefixes make the encoding injective — no two
     /// distinct `(fingerprint, sources)` inputs share a stream. The
-    /// version tag (`matc-cache-v2`) names the emitted C's interface
+    /// version tag (`matc-cache-v3`) names the emitted C's interface
     /// to the `mrt` runtime: a store written under `v1` holds C that
     /// dispatches ops by name string, which no longer links against
-    /// `mrt.h`, so those entries must miss.
+    /// `mrt.h`, and one written under `v2` holds recursive functions
+    /// without their call-depth guard, so those entries must miss.
     pub fn compute<'a>(sources: impl IntoIterator<Item = &'a str>, fingerprint: &str) -> CacheKey {
         let mut h = Sha256::new();
-        h.update(b"matc-cache-v2\0");
+        h.update(b"matc-cache-v3\0");
         h.update(&(fingerprint.len() as u64).to_le_bytes());
         h.update(fingerprint.as_bytes());
         for src in sources {
@@ -1233,7 +1234,7 @@ mod tests {
         // the version tag on purpose, then re-pin.
         assert_eq!(
             CacheKey::compute(["function f()\n"], "fp").hex(),
-            "927ec5ad4a2c14df1ada8e2065ab45b503a27fcd21296b1701d052e9f7826c33"
+            "be85afacb68f952380badafbe33e2178691ae8f6367abb84dcb59738a8e680f2"
         );
     }
 

@@ -289,12 +289,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the mid-frame disconnect rate (builder style).
-    pub fn net_disconnects(mut self, pct: u8) -> FaultPlan {
-        self.net_disconnect_pct = pct.min(100);
-        self
-    }
-
     /// Sets the slow-loris read-stall rate (builder style).
     pub fn net_stalls(mut self, pct: u8) -> FaultPlan {
         self.net_stall_pct = pct.min(100);

@@ -492,7 +492,7 @@ impl Dataflow {
     }
 
     /// Width in `u64` words of one dense live-set row — the
-    /// "peak live-set words" figure reported by the perf gate.
+    /// `peak_live_words` figure of the batch stats document.
     pub fn live_set_words(&self) -> usize {
         words_for(self.live_out_bits.cols())
     }

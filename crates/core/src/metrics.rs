@@ -211,8 +211,7 @@ pub struct UnitMetrics {
     pub audit_errors: usize,
     /// Warning-severity audit findings (lints included).
     pub audit_warnings: usize,
-    /// CFG edges the auditor processed (the unit of audit throughput,
-    /// feeding the perf bench's `audit_edges_per_sec`).
+    /// CFG edges the auditor processed (the unit of audit throughput).
     pub audit_edges: u64,
     /// Emitted C size in bytes.
     pub c_bytes: usize,

@@ -129,8 +129,8 @@ pub fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)
 }
 
-/// The upper median of `samples` (sorts in place; `None` when empty).
-/// Shared by the bench reporter above and the `matc perf-bench` gate.
+/// The upper median of `samples` (sorts in place; `None` when empty):
+/// the figure the bench reporter above prints.
 pub fn median<T: Ord + Copy>(samples: &mut [T]) -> Option<T> {
     samples.sort_unstable();
     samples.get(samples.len() / 2).copied()

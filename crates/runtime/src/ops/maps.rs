@@ -1,6 +1,6 @@
 //! Elementwise maps: the transcendental and rounding builtins.
 
-use crate::value::{Class, Value};
+use crate::value::Value;
 
 fn map_real(a: &Value, k: fn(f64) -> f64) -> Value {
     let re = a.re().iter().map(|x| k(*x)).collect();
@@ -21,14 +21,15 @@ fn map_complex(a: &Value, k: fn((f64, f64)) -> (f64, f64)) -> Value {
 
 /// `sqrt(x)`, complex when any element is negative or complex. Uses the
 /// direct complex square root (`sqrt(-4)` is exactly `2i`, as in
-/// MATLAB, unlike `(-4)^0.5` which goes through the polar form).
+/// MATLAB, unlike `(-4)^0.5` which goes through the polar form). A real
+/// NaN is not negative: it stays a real NaN.
 pub fn sqrt(a: &Value) -> Value {
-    if !a.is_complex() && a.re().iter().all(|x| *x >= 0.0) {
+    if !a.is_complex() && a.re().iter().all(|x| *x >= 0.0 || x.is_nan()) {
         return map_real(a, f64::sqrt);
     }
     map_complex(a, |(re, im)| {
         if im == 0.0 {
-            if re >= 0.0 {
+            if re >= 0.0 || re.is_nan() {
                 (re.sqrt(), 0.0)
             } else {
                 (0.0, (-re).sqrt())
@@ -55,12 +56,15 @@ pub fn exp(a: &Value) -> Value {
     .normalized()
 }
 
-/// `log(x)`, complex for nonpositive input.
+/// `log(x)`, complex for nonpositive input; a real NaN stays a real NaN.
 pub fn log(a: &Value) -> Value {
-    if !a.is_complex() && a.re().iter().all(|x| *x > 0.0) {
+    if !a.is_complex() && a.re().iter().all(|x| *x > 0.0 || x.is_nan()) {
         return map_real(a, f64::ln);
     }
     map_complex(a, |(r, i)| {
+        if i == 0.0 && r.is_nan() {
+            return (r, 0.0);
+        }
         let mag = (r * r + i * i).sqrt();
         (mag.ln(), i.atan2(r))
     })
@@ -204,12 +208,6 @@ pub fn conj(a: &Value) -> Value {
         )
         .normalized(),
     }
-}
-
-/// Converts a logical/char value to double class (identity on doubles);
-/// used where MATLAB implicitly promotes.
-pub fn to_double(a: &Value) -> Value {
-    a.clone().with_class(Class::Double)
 }
 
 #[cfg(test)]

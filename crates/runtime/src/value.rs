@@ -355,15 +355,6 @@ impl Value {
         (self.dims, self.re, self.im, self.class)
     }
 
-    /// Rewrites the value in place from raw parts, reusing buffers where
-    /// capacity allows (the planned VM's resize-in-slot path).
-    pub fn assign_parts(&mut self, dims: Vec<usize>, re: Vec<f64>, im: Option<Vec<f64>>) {
-        self.dims = dims;
-        self.re = re;
-        self.im = im;
-        self.fix_rank();
-    }
-
     /// Rewrites the value in place, reusing its buffers. `fill` gets the
     /// cleared extents and real parts, plus the cleared imaginary parts
     /// when `complex`. The value is then tagged `class`, rank-fixed, and

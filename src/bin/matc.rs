@@ -33,7 +33,6 @@ use matc::gctd::plan_program;
 use matc::gctd::{ArtifactCache, FaultPlan, GctdOptions, UnitMetrics};
 use matc::ir::Budget;
 use matc::json::Json;
-use matc::perf::PerfOptions;
 use matc::serve::{RequestOptions, ServeConfig};
 use matc::vm::compile::{compile, lower_for_mcc};
 use matc::vm::compile_front;
@@ -42,7 +41,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: matc <run|emit-c|plan|stats|audit> [--no-gctd] [--seed N] [--mcc|--interp] [--json] [--jobs N] file.m [more.m ...]\n       matc audit [--jobs N] file.m [...]\n                            lint + independently re-check the storage plan:\n                            liveness/sizing checks (A1xx-A4xx), production-\n                            vs-auditor engine agreement (A5xx), and dead\n                            resize-annotation lints (L004); --jobs fans\n                            per-function audits over N worker threads\n                            with byte-identical findings for every N\n       matc audit-bench     audit every benchsuite program's plan and print\n                            its findings; exit 1 on any error finding or\n                            lowering failure\n       matc shadow [--bench] [--seed N] [--no-gctd] [--json] [--stats FILE]\n                  [file.m[,helper.m...] ...]\n                            plan-validating shadow run: execute each unit\n                            under both the reference interpreter and the\n                            probed planned VM, replay the probe log against\n                            the storage plan, and report plan-vs-reality\n                            diffs (S100 output divergence, S101 `o` resize,\n                            S102 stack overflow — errors; S103 `+-` never\n                            resized — warning; S104 read outside liveness,\n                            S105 Equation-2 mismatch — errors); --stats\n                            writes the schema-v9 shadow{{}} stats document\n       shadow exit codes: 0 clean (warnings allowed), 1 diff or failure,\n                          2 usage\n       matc runtime <dir>   write the mrt C support runtime (mrt.h, mrt.c)\n       matc batch [--jobs N] [--cache-dir DIR] [--stats FILE] [--emit-dir DIR]\n                  [--no-gctd] [--repeat N] [--bench] [--selfcheck]\n                  [--keep-going|--fail-fast] [--phase-timeout-ms N] [--fuel N]\n                  [--faults SPEC] [driver.m[,helper.m...] ...]\n                            compile many programs in parallel with caching;\n                            --selfcheck proves parallel/sequential/cached runs\n                            byte-identical and reports the speedup;\n                            --faults takes a seeded fault-injection spec\n                            (also read from MATC_FAULTS), e.g.\n                            seed=7,read=10,write=30,panic=0,audit=100,transient=2\n       batch exit codes: 0 all units clean, 1 unit(s) failed, 2 usage,\n                         3 all compiled but some degraded to the\n                         conservative plan\n       matc serve [--addr HOST:PORT] [--jobs N] [--queue-cap N] [--high-water N]\n                  [--drain-ms N] [--idle-timeout-ms N] [--cache-dir DIR]\n                  [--breaker-threshold N] [--breaker-cooldown-ms N]\n                  [--phase-timeout-ms N] [--fuel N] [--faults SPEC] [--no-gctd]\n                  [--max-write-buf BYTES]\n                            newline-delimited-JSON compile daemon (DESIGN.md §9,\n                            §13): a single poll(2) reactor thread drives\n                            every pipelined connection, with bounded admission\n                            (shed at --queue-cap, degrade to the conservative\n                            plan at --high-water), per-request deadlines,\n                            per-unit circuit breakers, write-buffer\n                            backpressure (--max-write-buf) and graceful\n                            SIGTERM/SIGINT draining; --faults also accepts the\n                            network-chaos keys accept=,disconnect=,stall=,\n                            torn= and the store-degradation key storefull=\n       serve exit codes: 0 drained cleanly, 1 bind/drain failure, 2 usage\n       matc simulate [--seeds N] [--seed-file FILE] [--replay SEED] [--faults SPEC]\n                            deterministic simulation of the serve reactor\n                            (DESIGN.md \u{a7}14): the real reactor state machines\n                            run against an in-memory seeded network on a\n                            virtual clock; each seed derives a workload and\n                            fault schedule, runs twice, and must produce\n                            byte-identical traces while holding the five\n                            invariants (no wedge, in-order pipelining,\n                            write-buffer cap, clean drain, no cache\n                            poisoning); failures print the seed, a greedily\n                            shrunk failing configuration and the replayable\n                            trace; --replay reruns one seed and prints it\n       simulate exit codes: 0 all seeds clean, 1 violation or replay\n                            mismatch, 2 usage\n       matc request [--addr HOST:PORT] [--op compile|audit|healthz|stats|shutdown]\n                  [--name NAME] [--deadline-ms N] [--retries N] [--emit]\n                  [--pipeline N] [driver.m[,helper.m...]]\n                            one request against a running daemon, with capped\n                            jittered exponential backoff and deadline\n                            propagation; prints the response JSON;\n                            --pipeline N sends N copies down one persistent\n                            connection before reading, printing the responses\n                            in request order (no retries)\n       request exit codes: 0 server replied ok:true, 1 rejected/error, 2 usage\n       matc perf-bench [--samples N] [--warmup N] [--baseline FILE] [--bless]\n                            compile the benchsuite + paper_scale, record\n                            median phase times / fixpoint iterations /\n                            interference edges per second in BENCH_gctd.json,\n                            and fail on >25% regression vs the committed\n                            baseline (tolerance via MATC_PERF_TOLERANCE;\n                            --bless rewrites the baseline)\n       matc cache-bench [--stages N] [--cache-dir DIR]\n                            incremental-compilation gate: cold-compile the\n                            multi-function paper_scale unit, edit one\n                            function, and prove the warm recompile re-plans\n                            only that function, reuses every other cached\n                            fragment, and stitches a byte-identical artifact"
+        "usage: matc <run|emit-c|plan|stats|audit> [--no-gctd] [--seed N] [--mcc|--interp] [--json] [--jobs N] file.m [more.m ...]\n       matc audit [--jobs N] file.m [...]\n                            lint + independently re-check the storage plan:\n                            liveness/sizing checks (A1xx-A4xx), production-\n                            vs-auditor engine agreement (A5xx), and dead\n                            resize-annotation lints (L004); --jobs fans\n                            per-function audits over N worker threads\n                            with byte-identical findings for every N\n       matc audit-bench     audit every benchsuite program's plan and print\n                            its findings; exit 1 on any error finding or\n                            lowering failure\n       matc shadow [--bench] [--seed N] [--no-gctd] [--json] [--stats FILE]\n                  [file.m[,helper.m...] ...]\n                            plan-validating shadow run: execute each unit\n                            under both the reference interpreter and the\n                            probed planned VM, replay the probe log against\n                            the storage plan, and report plan-vs-reality\n                            diffs (S100 output divergence, S101 `o` resize,\n                            S102 stack overflow — errors; S103 `+-` never\n                            resized — warning; S104 read outside liveness,\n                            S105 Equation-2 mismatch — errors); --stats\n                            writes the schema-v9 shadow{{}} stats document\n       shadow exit codes: 0 clean (warnings allowed), 1 diff or failure,\n                          2 usage\n       matc runtime <dir>   write the mrt C support runtime (mrt.h, mrt.c)\n       matc batch [--jobs N] [--cache-dir DIR] [--stats FILE] [--emit-dir DIR]\n                  [--no-gctd] [--repeat N] [--bench] [--selfcheck]\n                  [--keep-going|--fail-fast] [--phase-timeout-ms N] [--fuel N]\n                  [--faults SPEC] [driver.m[,helper.m...] ...]\n                            compile many programs in parallel with caching;\n                            --selfcheck proves parallel/sequential/cached runs\n                            byte-identical and reports the speedup;\n                            --faults takes a seeded fault-injection spec\n                            (also read from MATC_FAULTS), e.g.\n                            seed=7,read=10,write=30,panic=0,audit=100,transient=2\n       batch exit codes: 0 all units clean, 1 unit(s) failed, 2 usage,\n                         3 all compiled but some degraded to the\n                         conservative plan\n       matc serve [--addr HOST:PORT] [--jobs N] [--queue-cap N] [--high-water N]\n                  [--drain-ms N] [--idle-timeout-ms N] [--cache-dir DIR]\n                  [--breaker-threshold N] [--breaker-cooldown-ms N]\n                  [--phase-timeout-ms N] [--fuel N] [--faults SPEC] [--no-gctd]\n                  [--max-write-buf BYTES]\n                            newline-delimited-JSON compile daemon (DESIGN.md §9,\n                            §13): a single poll(2) reactor thread drives\n                            every pipelined connection, with bounded admission\n                            (shed at --queue-cap, degrade to the conservative\n                            plan at --high-water), per-request deadlines,\n                            per-unit circuit breakers, write-buffer\n                            backpressure (--max-write-buf) and graceful\n                            SIGTERM/SIGINT draining; --faults also accepts the\n                            network-chaos keys accept=,disconnect=,stall=,\n                            torn= and the store-degradation key storefull=\n       serve exit codes: 0 drained cleanly, 1 bind/drain failure, 2 usage\n       matc simulate [--seeds N] [--seed-file FILE] [--replay SEED] [--faults SPEC]\n                            deterministic simulation of the serve reactor\n                            (DESIGN.md \u{a7}14): the real reactor state machines\n                            run against an in-memory seeded network on a\n                            virtual clock; each seed derives a workload and\n                            fault schedule, runs twice, and must produce\n                            byte-identical traces while holding the five\n                            invariants (no wedge, in-order pipelining,\n                            write-buffer cap, clean drain, no cache\n                            poisoning); failures print the seed, a greedily\n                            shrunk failing configuration and the replayable\n                            trace; --replay reruns one seed and prints it\n       simulate exit codes: 0 all seeds clean, 1 violation or replay\n                            mismatch, 2 usage\n       matc request [--addr HOST:PORT] [--op compile|audit|healthz|stats|shutdown]\n                  [--name NAME] [--deadline-ms N] [--retries N] [--emit]\n                  [--pipeline N] [driver.m[,helper.m...]]\n                            one request against a running daemon, with capped\n                            jittered exponential backoff and deadline\n                            propagation; prints the response JSON;\n                            --pipeline N sends N copies down one persistent\n                            connection before reading, printing the responses\n                            in request order (no retries)\n       request exit codes: 0 server replied ok:true, 1 rejected/error, 2 usage\n       matc perf-bench [--bless]\n                            gate the benchmark's latest pass results\n                            (target/benchmark/, written by `just perf-bench`)\n                            against PERF_BASELINE.json: fail on a >25%\n                            regression (tolerance via MATC_PERF_TOLERANCE)\n                            or an incorrect pass; --bless rewrites the\n                            baseline\n       matc cache-bench [--stages N] [--cache-dir DIR]\n                            incremental-compilation gate: cold-compile the\n                            multi-function paper_scale unit, edit one\n                            function, and prove the warm recompile re-plans\n                            only that function, reuses every other cached\n                            fragment, and stitches a byte-identical artifact"
     );
     ExitCode::from(2)
 }
@@ -267,30 +266,15 @@ fn batch_cli(args: &[String]) -> ExitCode {
     }
 }
 
-/// The `matc perf-bench` subcommand: measure the tracked perf suite and
-/// bless or gate against the committed baseline (DESIGN.md §8).
+/// The `matc perf-bench` subcommand: gate the benchmark's latest pass
+/// results against the committed baseline, or bless it (DESIGN.md §8).
 fn perf_bench_cli(args: &[String]) -> ExitCode {
-    let mut opts = PerfOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--samples" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => opts.samples = n,
-                _ => return usage(),
-            },
-            "--warmup" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.warmup = n,
-                None => return usage(),
-            },
-            "--baseline" => match it.next() {
-                Some(p) => opts.baseline = p.into(),
-                None => return usage(),
-            },
-            "--bless" => opts.bless = true,
-            _ => return usage(),
-        }
-    }
-    match matc::perf::run_gate(&opts) {
+    let bless = match args {
+        [] => false,
+        [a] if a == "--bless" => true,
+        _ => return usage(),
+    };
+    match matc::perf::run_gate(bless) {
         Ok(report) => {
             print!("{report}");
             ExitCode::SUCCESS

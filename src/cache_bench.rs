@@ -18,7 +18,7 @@ use crate::gctd::{ArtifactCache, CacheOutcome, GctdOptions};
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Stage count used by the gate (matches the perf gate's
+/// Stage count used by the gate (matches the benchmark corpus's
 /// `paper_scale`).
 pub const CACHE_BENCH_STAGES: usize = 80;
 

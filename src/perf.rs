@@ -1,732 +1,446 @@
-//! The `matc perf-bench` gate: a tracked performance benchmark over
-//! the full benchsuite plus the synthetic `paper_scale` stress unit.
+//! The `matc perf-bench` gate: the benchmark's host-scaled results
+//! (`perfbench/`, declared by `BENCHMARK.json`) against the committed
+//! baseline `PERF_BASELINE.json`.
 //!
-//! The gate compiles every unit single-threaded (so phase times are
-//! not diluted by scheduling), repeats the run `samples` times after a
-//! warmup, and takes the per-metric median (via the criterion shim's
-//! [`median`]). The result is written to a machine-readable JSON
-//! document — `BENCH_gctd.json` at the repo root — recording phase
-//! times, dataflow fixpoint iterations, interference edges and
-//! edges/second, audit CFG edges and audit edges/second, and the peak
-//! dense live-set row width in words (see DESIGN.md §8 for the
-//! schema).
-//!
-//! When a baseline document already exists the run *compares* instead
-//! of rewriting: any gated metric more than `tolerance` (default 25%,
-//! overridable through the [`TOLERANCE_ENV`] environment variable for
-//! slow CI machines) above the baseline fails the gate. `--bless`
-//! rewrites the baseline in place.
+//! `just perf-bench` first runs the benchmark binary for the three
+//! short passes in [`PASSES`], each of which writes
+//! `target/benchmark/result-<workload>-seed1-trace<T>.json`. The gate
+//! reads those files and compares the nine lines of [`GATES`] against
+//! the baseline, each in the direction `BENCHMARK.json` declares for its
+//! metric: a value more than the tolerance (default 25%, overridable
+//! through [`TOLERANCE_ENV`]) worse than its baseline fails, and so does
+//! a pass whose result reads `correct: false`. `--bless` rewrites the
+//! baseline from the current results.
 
-use crate::batch::{bench_units, run_batch, BatchConfig, Unit};
 use crate::json::Json;
-use criterion::median;
-use matc_benchsuite::{paper_scale_source, Preset, PAPER_SCALE_STAGES};
-use matc_gctd::{GctdOptions, Phase};
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 /// Environment variable holding a replacement regression tolerance
-/// (a fraction: `0.25` allows 25% over baseline). CI machines with
-/// noisy or slower clocks can widen the gate without editing the
-/// committed baseline.
+/// (a fraction: `0.25` allows 25% worse than baseline).
 pub const TOLERANCE_ENV: &str = "MATC_PERF_TOLERANCE";
+const DEFAULT_TOLERANCE: f64 = 0.25;
+const BASELINE: &str = "PERF_BASELINE.json";
+const REGISTRY: &str = "BENCHMARK.json";
 
-/// Default regression tolerance: 25% over baseline fails.
-pub const DEFAULT_TOLERANCE: f64 = 0.25;
+/// The benchmark passes the gate reads, as `(workload, traced)`; the
+/// `perf-bench` recipe in `justfile` runs them with seed 1.
+pub const PASSES: [(&str, bool); 3] = [
+    ("compile-batch", false),
+    ("compile-batch", true),
+    ("serve-warm", false),
+];
 
-/// Schema version of the `BENCH_gctd.json` document. Version 2 adds
-/// the serve-mode throughput metrics (`serve_rps`, `serve_p50_micros`,
-/// `serve_p99_micros`) measured against an in-process `matc serve`
-/// daemon. Version 3 promotes the plan auditor to a first-class gated
-/// phase: `audit_edges` (deterministic CFG-edge count the auditor
-/// processes) and `audit_edges_per_sec` (audit throughput), with
-/// `phase_audit_micros` and `audit_edges_per_sec` joining the gate.
-/// Version 4 replaces the closed-loop single-connection serve load
-/// generator (whose `serve_rps` could never exceed 1/p50) with
-/// [`SERVE_BENCH_CONNS`] concurrent pipelined connections against the
-/// event-driven reactor, adds the `serve_conns` field recording that
-/// concurrency, and measures the cache-warm steady state (cold
-/// compiles are warmup, off the clock).
-pub const BENCH_SCHEMA: u64 = 4;
+/// The gated lines: an index into [`PASSES`] and the metrics whose sum
+/// is gated. Dataflow and interference are gated as one sum because
+/// the interference build alone reads in two clusters from run to run.
+pub const GATES: [(usize, &[&str]); 9] = [
+    (0, &["throughput"]),
+    (2, &["throughput"]),
+    (2, &["latency_p99_ms"]),
+    (1, &["gctd.dataflow_ms"]),
+    (1, &["gctd.dataflow_ms", "gctd.interference_ms"]),
+    (1, &["gctd.coloring_ms"]),
+    (1, &["analysis.audit_ms"]),
+    (1, &["analysis.auditflow_ms"]),
+    (1, &["gctd.dataflow_iters"]),
+];
 
-/// Concurrent pipelined connections the serve bench drives. Each sends
-/// one pipelined batch of the 11 paper benchmarks per round — many
-/// frames in flight per socket, responses read back in order.
-pub const SERVE_BENCH_CONNS: usize = 32;
-
-/// Default baseline path, relative to the invocation directory.
-pub const DEFAULT_BASELINE: &str = "BENCH_gctd.json";
-
-/// Gate configuration (see [`run_gate`]).
-#[derive(Debug, Clone)]
-pub struct PerfOptions {
-    /// Timed runs per metric (the median is kept).
-    pub samples: usize,
-    /// Untimed runs before sampling starts.
-    pub warmup: usize,
-    /// Baseline document path.
-    pub baseline: PathBuf,
-    /// Rewrite the baseline instead of comparing against it.
-    pub bless: bool,
+/// A line's name in the baseline and the report:
+/// `<workload>[ traced] <metric>[+<metric>...]`.
+fn gate_name((pass, metrics): (usize, &[&str])) -> String {
+    let (workload, traced) = PASSES[pass];
+    let traced = if traced { " traced" } else { "" };
+    format!("{workload}{traced} {}", metrics.join("+"))
 }
 
-impl Default for PerfOptions {
-    fn default() -> Self {
-        PerfOptions {
-            samples: 5,
-            warmup: 1,
-            baseline: PathBuf::from(DEFAULT_BASELINE),
-            bless: false,
-        }
-    }
+fn result_path(pass: usize) -> String {
+    let (workload, traced) = PASSES[pass];
+    let trace = u8::from(traced);
+    format!("target/benchmark/result-{workload}-seed1-trace{trace}.json")
 }
 
-/// One measured (or parsed-from-baseline) benchmark document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchDoc {
-    /// Timed runs the medians were taken over.
-    pub samples: u64,
-    /// Compilation units in the suite (11 paper benchmarks + `paper_scale`).
-    pub units: u64,
-    /// Dataflow worklist visits (liveness + availability + reachability),
-    /// summed over all functions of all units. Deterministic.
-    pub fixpoint_iters: u64,
-    /// Interference-graph edges, summed over units. Deterministic.
-    pub interference_edges: u64,
-    /// Widest dense live-set row, in `u64` words, over all functions.
-    pub peak_live_words: u64,
-    /// Interference edges built per second of interference-phase time.
-    pub edges_per_sec: u64,
-    /// CFG edges the plan auditor processed, summed over units.
-    /// Deterministic.
-    pub audit_edges: u64,
-    /// Audit CFG edges processed per second of audit-phase time — the
-    /// auditor's gated throughput metric.
-    pub audit_edges_per_sec: u64,
-    /// Median microseconds inside the dataflow fixpoints alone.
-    pub dataflow_micros: u64,
-    /// Median per-phase totals, microseconds, in [`Phase::ALL`] order.
-    pub phase_micros: [u64; Phase::ALL.len()],
-    /// Median end-to-end wall time of one suite compilation.
-    pub wall_micros: u64,
-    /// Serve-mode throughput: compile requests per second against a
-    /// local daemon, aggregated over [`SERVE_BENCH_CONNS`] concurrent
-    /// pipelined connections in the cache-warm steady state a
-    /// long-lived daemon actually serves.
-    pub serve_rps: u64,
-    /// Concurrent connections the serve generator drove.
-    pub serve_conns: u64,
-    /// Median (p50) serve request latency, microseconds, measured from
-    /// a pipelined batch's send to that response's arrival.
-    pub serve_p50_micros: u64,
-    /// Tail (p99) serve request latency, microseconds — dominated by
-    /// the last responses of each pipelined batch under full
-    /// concurrency.
-    pub serve_p99_micros: u64,
-}
-
-impl BenchDoc {
-    /// Renders the document as deterministic, diff-friendly JSON.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": {},", BENCH_SCHEMA);
-        let _ = writeln!(s, "  \"samples\": {},", self.samples);
-        let _ = writeln!(s, "  \"units\": {},", self.units);
-        let _ = writeln!(s, "  \"fixpoint_iters\": {},", self.fixpoint_iters);
-        let _ = writeln!(s, "  \"interference_edges\": {},", self.interference_edges);
-        let _ = writeln!(s, "  \"peak_live_words\": {},", self.peak_live_words);
-        let _ = writeln!(s, "  \"edges_per_sec\": {},", self.edges_per_sec);
-        let _ = writeln!(s, "  \"audit_edges\": {},", self.audit_edges);
-        let _ = writeln!(
-            s,
-            "  \"audit_edges_per_sec\": {},",
-            self.audit_edges_per_sec
-        );
-        let _ = writeln!(s, "  \"dataflow_micros\": {},", self.dataflow_micros);
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "  \"phase_{}_micros\": {},",
-                p.name(),
-                self.phase_micros[i]
-            );
-        }
-        let _ = writeln!(s, "  \"wall_micros\": {},", self.wall_micros);
-        let _ = writeln!(s, "  \"serve_rps\": {},", self.serve_rps);
-        let _ = writeln!(s, "  \"serve_conns\": {},", self.serve_conns);
-        let _ = writeln!(s, "  \"serve_p50_micros\": {},", self.serve_p50_micros);
-        let _ = writeln!(s, "  \"serve_p99_micros\": {}", self.serve_p99_micros);
-        let _ = writeln!(s, "}}");
-        s
-    }
-
-    /// Parses a document previously written by [`BenchDoc::to_json`].
-    pub fn from_json(doc: &str) -> Result<BenchDoc, String> {
-        let doc = Json::parse(doc).map_err(|e| format!("baseline is not JSON: {e}"))?;
-        let get = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("baseline is missing \"{key}\""))
-        };
-        let schema = get("schema")?;
-        if schema != BENCH_SCHEMA {
+/// Each line's current value, in [`GATES`] order, from the result
+/// documents of the [`PASSES`]; an error for a pass that reads
+/// `correct: false` or lacks a gated metric.
+fn gate_values(results: &[Json]) -> Result<Vec<f64>, String> {
+    for (doc, (workload, traced)) in results.iter().zip(PASSES) {
+        if doc.get("correct").and_then(Json::as_bool) != Some(true) {
+            let count = |k| doc.get(k).map_or("?".to_string(), Json::render);
             return Err(format!(
-                "baseline schema {schema} != expected {BENCH_SCHEMA}; \
-                 re-bless with `matc perf-bench --bless`"
+                "{workload} (traced: {traced}) is not correct: {} of {} operation(s) failed",
+                count("failed"),
+                count("attempted")
             ));
         }
-        let mut phase_micros = [0u64; Phase::ALL.len()];
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            phase_micros[i] = get(&format!("phase_{}_micros", p.name()))?;
-        }
-        Ok(BenchDoc {
-            samples: get("samples")?,
-            units: get("units")?,
-            fixpoint_iters: get("fixpoint_iters")?,
-            interference_edges: get("interference_edges")?,
-            peak_live_words: get("peak_live_words")?,
-            edges_per_sec: get("edges_per_sec")?,
-            audit_edges: get("audit_edges")?,
-            audit_edges_per_sec: get("audit_edges_per_sec")?,
-            dataflow_micros: get("dataflow_micros")?,
-            phase_micros,
-            wall_micros: get("wall_micros")?,
-            serve_rps: get("serve_rps")?,
-            serve_conns: get("serve_conns")?,
-            serve_p50_micros: get("serve_p50_micros")?,
-            serve_p99_micros: get("serve_p99_micros")?,
-        })
     }
-
-    fn phase(&self, phase: Phase) -> u64 {
-        self.phase_micros[Phase::ALL.iter().position(|p| *p == phase).unwrap()]
-    }
-}
-
-/// The unit list the gate compiles: all paper benchmarks (Test preset)
-/// plus the deterministic `paper_scale` stress generator.
-pub fn gate_units() -> Vec<Unit> {
-    let mut units = bench_units(Preset::Test);
-    units.push(Unit::new(
-        "paper_scale",
-        vec![paper_scale_source(PAPER_SCALE_STAGES)],
-    ));
-    units
-}
-
-/// Compiles the gate suite `warmup + samples` times (single-threaded,
-/// uncached) and returns the median-of-samples document.
-pub fn measure(samples: usize, warmup: usize) -> Result<BenchDoc, String> {
-    let units = gate_units();
-    let config = BatchConfig {
-        jobs: 1,
-        options: GctdOptions::default(),
-        fail_fast: false,
-        phase_timeout_ms: None,
-        fuel: None,
-        faults: None,
-        deadline: None,
+    let value = |pass: usize, m: &str| {
+        results[pass]
+            .get("metrics")
+            .and_then(|ms| ms.get(m)?.get("value")?.as_f64())
+            .ok_or_else(|| format!("{} reports no metric {m}", result_path(pass)))
     };
-    let samples = samples.max(1);
-    let mut phase_samples: Vec<Vec<u64>> = vec![Vec::new(); Phase::ALL.len()];
-    let mut dataflow_samples: Vec<u64> = Vec::new();
-    let mut wall_samples: Vec<u64> = Vec::new();
-    let mut counters: Option<(u64, u64, u64, u64)> = None;
-    for round in 0..warmup + samples {
-        let res = run_batch(&units, &config, None);
-        if res.failed() > 0 {
-            let bad: Vec<&str> = res
-                .report
-                .units
-                .iter()
-                .filter(|u| !u.ok())
-                .map(|u| u.unit.as_str())
-                .collect();
-            return Err(format!("unit(s) failed to compile: {}", bad.join(", ")));
-        }
-        if round < warmup {
-            continue;
-        }
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            phase_samples[i].push(res.report.phase_total_micros(*p));
-        }
-        dataflow_samples.push(
-            res.report
-                .units
-                .iter()
-                .map(|u| u.dataflow_nanos / 1_000)
-                .sum(),
-        );
-        wall_samples.push(res.report.wall_micros);
-        let iters: u64 = res.report.units.iter().map(|u| u.dataflow_iters).sum();
-        let edges: u64 = res
-            .report
-            .units
-            .iter()
-            .map(|u| u.interference_edges as u64)
-            .sum();
-        let words = res
-            .report
-            .units
-            .iter()
-            .map(|u| u.peak_live_words)
-            .max()
-            .unwrap_or(0);
-        let audit: u64 = res.report.units.iter().map(|u| u.audit_edges).sum();
-        // The counter tuple is deterministic; any drift between
-        // samples means the compiler itself is nondeterministic.
-        match counters {
-            None => counters = Some((iters, edges, words, audit)),
-            Some(prev) if prev != (iters, edges, words, audit) => {
-                return Err(format!(
-                    "nondeterministic counters across samples: {prev:?} vs {:?}",
-                    (iters, edges, words, audit)
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    let (fixpoint_iters, interference_edges, peak_live_words, audit_edges) =
-        counters.expect("samples >= 1");
-    let mut phase_micros = [0u64; Phase::ALL.len()];
-    for (i, v) in phase_samples.iter_mut().enumerate() {
-        phase_micros[i] = median(v).unwrap_or(0);
-    }
-    let interference_micros = phase_micros[Phase::ALL
+    GATES
         .iter()
-        .position(|p| *p == Phase::Interference)
-        .unwrap()];
-    let audit_micros = phase_micros[Phase::ALL.iter().position(|p| *p == Phase::Audit).unwrap()];
-    let (serve_rps, serve_p50_micros, serve_p99_micros) = measure_serve(samples)?;
-    let serve_conns = SERVE_BENCH_CONNS as u64;
-    Ok(BenchDoc {
-        samples: samples as u64,
-        units: units.len() as u64,
-        fixpoint_iters,
-        interference_edges,
-        peak_live_words,
-        edges_per_sec: interference_edges * 1_000_000 / interference_micros.max(1),
-        audit_edges,
-        audit_edges_per_sec: audit_edges * 1_000_000 / audit_micros.max(1),
-        dataflow_micros: median(&mut dataflow_samples).unwrap_or(0),
-        phase_micros,
-        wall_micros: median(&mut wall_samples).unwrap_or(0),
-        serve_rps,
-        serve_conns,
-        serve_p50_micros,
-        serve_p99_micros,
-    })
+        .map(|(pass, metrics)| metrics.iter().map(|m| value(*pass, m)).sum())
+        .collect()
 }
 
-/// Serve-mode throughput against an in-process `matc serve` reactor
-/// (ephemeral port, in-memory cache): [`SERVE_BENCH_CONNS`] concurrent
-/// client threads each run `samples` rounds, and each round pipelines
-/// all 11 paper benchmarks down one connection before reading the
-/// responses back in order. Returns `(aggregate requests/sec, p50 us,
-/// p99 us)` where a request's latency runs from its batch's send to
-/// that response's arrival. One sequential warmup pass populates the
-/// cache first — the measurement is the cache-warm steady state a
-/// long-lived daemon actually serves, not cold-compile time.
-fn measure_serve(samples: usize) -> Result<(u64, u64, u64), String> {
-    let cfg = crate::serve::ServeConfig {
-        jobs: 2,
-        // Admission control would shed a synthetic burst this dense;
-        // the bench measures the reactor + pipeline, not the shedder.
-        queue_cap: 100_000,
-        high_water: 100_000,
-        ..crate::serve::ServeConfig::default()
-    };
-    let handle = crate::serve::start(cfg).map_err(|e| format!("cannot start daemon: {e}"))?;
-    let addr = handle.addr().to_string();
-    let units = bench_units(Preset::Test);
-    let frames: Vec<String> = units
-        .iter()
-        .map(|unit| {
-            Json::obj([
-                ("op", Json::str("compile")),
-                ("name", Json::str(unit.name.as_str())),
-                (
-                    "sources",
-                    Json::Arr(unit.sources.iter().map(Json::str).collect()),
-                ),
-            ])
-            .render()
-        })
-        .collect();
-    let timeout = Duration::from_secs(60);
-    let check = |line: &str| -> Result<(), String> {
-        let resp =
-            Json::parse(line).map_err(|e| format!("serve-bench: bad response: {e}: {line}"))?;
-        if resp.get("ok").and_then(Json::as_bool) != Some(true)
-            || resp.get("status").and_then(Json::as_str) != Some("ok")
-        {
-            return Err(format!("serve-bench: request failed: {line}"));
-        }
-        Ok(())
-    };
-    // Warmup: cold-compile each unit once so the timed phase measures
-    // steady-state (cache-hit) serving.
-    let warm = (|| -> Result<(), String> {
-        for f in &frames {
-            check(&crate::serve::send_once(&addr, f, timeout)?)?;
-        }
-        Ok(())
-    })();
-    if let Err(e) = warm {
-        handle.shutdown();
-        return Err(e);
-    }
+/// One line's comparison outcome.
+#[derive(Debug)]
+struct Line {
+    name: String,
+    higher_is_better: bool,
+    baseline: f64,
+    current: f64,
+    regressed: bool,
+}
 
-    let rounds = samples.max(1);
-    let started = Instant::now();
-    let clients: Vec<_> = (0..SERVE_BENCH_CONNS)
-        .map(|_| {
-            let addr = addr.clone();
-            let frames = frames.clone();
-            std::thread::spawn(move || -> Result<Vec<u64>, String> {
-                let mut lat = Vec::with_capacity(rounds * frames.len());
-                for _ in 0..rounds {
-                    let mut err = None;
-                    let batch = Instant::now();
-                    crate::serve::send_pipelined_with(&addr, &frames, timeout, |_, line| {
-                        lat.push(u64::try_from(batch.elapsed().as_micros()).unwrap_or(u64::MAX));
-                        if err.is_none() {
-                            if let Err(e) = check(line) {
-                                err = Some(e);
-                            }
-                        }
-                    })?;
-                    if let Some(e) = err {
-                        return Err(e);
-                    }
-                }
-                Ok(lat)
+/// Compares `current` (in [`GATES`] order) against the `baseline`
+/// document in each line's direction per `registry` (the
+/// `BENCHMARK.json` document; a sum takes its first metric's); an error
+/// for a metric without a declared direction or a line the baseline
+/// lacks.
+fn compare(
+    registry: &Json,
+    baseline: &Json,
+    current: &[f64],
+    tolerance: f64,
+) -> Result<Vec<Line>, String> {
+    let higher = |m: &str| {
+        ["end_to_end", "per_layer"]
+            .iter()
+            .filter_map(|k| registry.get(k)?.as_arr())
+            .flatten()
+            .find(|d| d.get("name").and_then(Json::as_str) == Some(m))
+            .and_then(|d| Some(d.get("better")?.as_str()? == "higher"))
+            .ok_or_else(|| format!("{REGISTRY} declares no direction for {m}"))
+    };
+    GATES
+        .iter()
+        .zip(current)
+        .map(|(&gate, &current)| {
+            let name = gate_name(gate);
+            let higher_is_better = higher(gate.1[0])?;
+            let baseline = baseline
+                .get(&name)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("{BASELINE} has no \"{name}\"; re-bless"))?;
+            let regressed = if higher_is_better {
+                current < baseline * (1.0 - tolerance)
+            } else {
+                current > baseline * (1.0 + tolerance)
+            };
+            Ok(Line {
+                name,
+                higher_is_better,
+                baseline,
+                current,
+                regressed,
             })
         })
-        .collect();
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut failure: Option<String> = None;
-    for c in clients {
-        match c.join() {
-            Ok(Ok(lat)) => latencies.extend(lat),
-            Ok(Err(e)) => failure = Some(e),
-            Err(_) => failure = Some("serve-bench: client thread panicked".to_string()),
-        }
-    }
-    let wall = started.elapsed();
-    handle.shutdown();
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    latencies.sort_unstable();
-    let pick = |pct: usize| latencies[((latencies.len() - 1) * pct) / 100];
-    let rps = latencies.len() as u64 * 1_000_000
-        / u64::try_from(wall.as_micros()).unwrap_or(u64::MAX).max(1);
-    Ok((rps, pick(50), pick(99)))
+        .collect()
 }
 
-/// One gated metric's comparison outcome.
-#[derive(Debug, Clone)]
-pub struct GateLine {
-    /// Metric name as it appears in the JSON document.
-    pub metric: &'static str,
-    /// Baseline value.
-    pub baseline: u64,
-    /// Freshly measured value.
-    pub current: u64,
-    /// Whether `current` exceeds `baseline * (1 + tolerance)`.
-    pub regressed: bool,
+/// Parses a [`TOLERANCE_ENV`] value; unset is the 25% default.
+fn parse_tolerance(value: Option<&str>) -> Result<f64, String> {
+    let Some(v) = value else {
+        return Ok(DEFAULT_TOLERANCE);
+    };
+    v.parse::<f64>()
+        .ok()
+        .filter(|t| t.is_finite() && *t >= 0.0)
+        .ok_or_else(|| format!("bad {TOLERANCE_ENV} value {v:?} (want a fraction like 0.25)"))
 }
 
-/// Compares the gated metrics of `current` against `baseline`.
-/// Timing metrics and the (deterministic) fixpoint-iteration count are
-/// gated lower-is-better; throughput metrics (`serve_rps`,
-/// `audit_edges_per_sec`) are gated higher-is-better (a drop below
-/// `baseline * (1 - tolerance)` fails).
-/// Pure so it is unit-testable without timing anything.
-pub fn compare(baseline: &BenchDoc, current: &BenchDoc, tolerance: f64) -> Vec<GateLine> {
-    let gated: [(&'static str, u64, u64); 7] = [
-        (
-            "dataflow_micros",
-            baseline.dataflow_micros,
-            current.dataflow_micros,
-        ),
-        (
-            "phase_interference_micros",
-            baseline.phase(Phase::Interference),
-            current.phase(Phase::Interference),
-        ),
-        (
-            "phase_coloring_micros",
-            baseline.phase(Phase::Coloring),
-            current.phase(Phase::Coloring),
-        ),
-        (
-            "phase_audit_micros",
-            baseline.phase(Phase::Audit),
-            current.phase(Phase::Audit),
-        ),
-        ("wall_micros", baseline.wall_micros, current.wall_micros),
-        (
-            "fixpoint_iters",
-            baseline.fixpoint_iters,
-            current.fixpoint_iters,
-        ),
-        (
-            "serve_p99_micros",
-            baseline.serve_p99_micros,
-            current.serve_p99_micros,
-        ),
-    ];
-    let mut lines: Vec<GateLine> = gated
+/// The baseline document, one line per gate.
+fn baseline_json(current: &[f64]) -> String {
+    let lines: Vec<String> = GATES
         .iter()
-        .map(|(metric, b, c)| GateLine {
-            metric,
-            baseline: *b,
-            current: *c,
-            regressed: (*c as f64) > (*b as f64) * (1.0 + tolerance),
-        })
+        .zip(current)
+        .map(|(g, v)| format!("  {}: {v}", Json::str(gate_name(*g)).render()))
         .collect();
-    // Throughput gates in the other direction: slower serving (or a
-    // slower auditor) fails.
-    lines.push(GateLine {
-        metric: "serve_rps",
-        baseline: baseline.serve_rps,
-        current: current.serve_rps,
-        regressed: (current.serve_rps as f64) < (baseline.serve_rps as f64) * (1.0 - tolerance),
-    });
-    lines.push(GateLine {
-        metric: "audit_edges_per_sec",
-        baseline: baseline.audit_edges_per_sec,
-        current: current.audit_edges_per_sec,
-        regressed: (current.audit_edges_per_sec as f64)
-            < (baseline.audit_edges_per_sec as f64) * (1.0 - tolerance),
-    });
-    lines
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
 }
 
-/// The regression tolerance: [`TOLERANCE_ENV`] if set and parseable,
-/// [`DEFAULT_TOLERANCE`] otherwise.
-pub fn tolerance_from_env() -> Result<f64, String> {
-    match std::env::var(TOLERANCE_ENV) {
-        Ok(v) => v
-            .parse::<f64>()
-            .ok()
-            .filter(|t| t.is_finite() && *t >= 0.0)
-            .ok_or_else(|| format!("bad {TOLERANCE_ENV} value {v:?} (want a fraction like 0.25)")),
-        Err(_) => Ok(DEFAULT_TOLERANCE),
+/// Runs the gate from the repo root: reads the pass results, then
+/// blesses or compares the baseline. Returns the report, or an error
+/// naming the regressed lines (or the IO/parse failure).
+pub fn run_gate(bless: bool) -> Result<String, String> {
+    let read = |path: &str| {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        Json::parse(&text).map_err(|e| format!("{path}: {e}"))
+    };
+    let results = (0..PASSES.len())
+        .map(|p| read(&result_path(p)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let current = gate_values(&results)?;
+    let registry = read(REGISTRY)?;
+    let tolerance = parse_tolerance(std::env::var(TOLERANCE_ENV).ok().as_deref())?;
+    if bless || !std::path::Path::new(BASELINE).exists() {
+        let doc = baseline_json(&current);
+        compare(&registry, &Json::parse(&doc)?, &current, tolerance)?;
+        std::fs::write(BASELINE, &doc).map_err(|e| format!("cannot write {BASELINE}: {e}"))?;
+        return Ok(format!("perf-bench: baseline written to {BASELINE}\n{doc}"));
     }
-}
-
-/// Renders the comparison table.
-pub fn render_gate(lines: &[GateLine], tolerance: f64) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:26} {:>12} {:>12} {:>8}  gate (+{:.0}%)",
+    let lines = compare(&registry, &read(BASELINE)?, &current, tolerance)?;
+    let mut table = format!(
+        "{:58} {:>11} {:>11} {:>6}  gate ({:.0}%)\n",
         "metric",
         "baseline",
         "current",
         "ratio",
         tolerance * 100.0
     );
-    for l in lines {
-        let ratio = l.current as f64 / (l.baseline as f64).max(1.0);
+    let mut failed = Vec::new();
+    for l in &lines {
+        let better = ["lower", "higher"][usize::from(l.higher_is_better)];
+        let verdict = if l.regressed { "FAIL" } else { "ok" };
+        let ratio = l.current / l.baseline;
         let _ = writeln!(
-            s,
-            "{:26} {:>12} {:>12} {:>7.2}x  {}",
-            l.metric,
-            l.baseline,
-            l.current,
-            ratio,
-            if l.regressed { "FAIL" } else { "ok" }
+            table,
+            "{:58} {:>11.4} {:>11.4} {ratio:>5.2}x  {better} is better: {verdict}",
+            l.name, l.baseline, l.current
         );
+        if l.regressed {
+            failed.push(l.name.as_str());
+        }
     }
-    s
-}
-
-/// Runs the full gate: measure, then bless or compare `opts.baseline`.
-/// Returns the human-readable report, or an error describing the
-/// regression (or IO/parse failure).
-pub fn run_gate(opts: &PerfOptions) -> Result<String, String> {
-    let current = measure(opts.samples, opts.warmup)?;
-    let path: &Path = &opts.baseline;
-    let existing = std::fs::read_to_string(path).ok();
-    if opts.bless || existing.is_none() {
-        std::fs::write(path, current.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        return Ok(format!(
-            "perf-bench: baseline {} {} ({} units, {} samples; interference {} us, \
-             dataflow {} us, {} fixpoint iters, {} edges, {} edges/s, {} live words; \
-             audit {} us, {} audit edges, {} audit edges/s; \
-             serve {} req/s, p50 {} us, p99 {} us)\n",
-            if opts.bless {
-                "blessed to"
-            } else {
-                "written to"
-            },
-            path.display(),
-            current.units,
-            current.samples,
-            current.phase(Phase::Interference),
-            current.dataflow_micros,
-            current.fixpoint_iters,
-            current.interference_edges,
-            current.edges_per_sec,
-            current.peak_live_words,
-            current.phase(Phase::Audit),
-            current.audit_edges,
-            current.audit_edges_per_sec,
-            current.serve_rps,
-            current.serve_p50_micros,
-            current.serve_p99_micros,
-        ));
-    }
-    let baseline = BenchDoc::from_json(&existing.expect("checked above"))
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    let tolerance = tolerance_from_env()?;
-    let lines = compare(&baseline, &current, tolerance);
-    let table = render_gate(&lines, tolerance);
-    let failed: Vec<&str> = lines
-        .iter()
-        .filter(|l| l.regressed)
-        .map(|l| l.metric)
-        .collect();
     if failed.is_empty() {
-        Ok(format!("perf-bench: PASS vs {}\n{table}", path.display()))
-    } else {
-        Err(format!(
-            "perf-bench: REGRESSION in {} vs {}\n{table}",
-            failed.join(", "),
-            path.display()
-        ))
+        return Ok(format!("perf-bench: PASS vs {BASELINE}\n{table}"));
     }
+    let failed = failed.join(", ");
+    Err(format!(
+        "perf-bench: REGRESSION in {failed} vs {BASELINE}\n{table}"
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn doc() -> BenchDoc {
-        BenchDoc {
-            samples: 3,
-            units: 12,
-            fixpoint_iters: 1000,
-            interference_edges: 500,
-            peak_live_words: 4,
-            edges_per_sec: 250_000,
-            audit_edges: 300,
-            audit_edges_per_sec: 120_000,
-            dataflow_micros: 100,
-            phase_micros: [10, 20, 30, 40, 50, 60, 70, 80, 90, 100],
-            wall_micros: 2000,
-            serve_rps: 40,
-            serve_conns: 32,
-            serve_p50_micros: 15_000,
-            serve_p99_micros: 90_000,
-        }
+    const REGISTRY_DOC: &str = r#"{
+      "end_to_end": [
+        {"name": "throughput", "better": "higher"},
+        {"name": "latency_p99_ms", "better": "lower"}
+      ],
+      "per_layer": [
+        {"name": "gctd.dataflow_ms", "better": "lower"},
+        {"name": "gctd.dataflow_iters", "better": "lower"},
+        {"name": "gctd.interference_ms", "better": "lower"},
+        {"name": "gctd.coloring_ms", "better": "lower"},
+        {"name": "analysis.audit_ms", "better": "lower"},
+        {"name": "analysis.auditflow_ms", "better": "lower"}
+      ]
+    }"#;
+
+    const BASELINE_DOC: &str = r#"{
+      "compile-batch throughput": 550,
+      "serve-warm throughput": 38000,
+      "serve-warm latency_p99_ms": 0.44,
+      "compile-batch traced gctd.dataflow_ms": 4.2,
+      "compile-batch traced gctd.dataflow_ms+gctd.interference_ms": 5.4,
+      "compile-batch traced gctd.coloring_ms": 0.4,
+      "compile-batch traced analysis.audit_ms": 9,
+      "compile-batch traced analysis.auditflow_ms": 0.85,
+      "compile-batch traced gctd.dataflow_iters": 3660
+    }"#;
+
+    /// Result documents of the three passes, at the baseline's values.
+    fn results() -> Vec<Json> {
+        [
+            r#"{"correct": true, "attempted": 1282, "failed": 0,
+                "metrics": {"throughput": {"value": 550}, "latency_p99_ms": {"value": 27}}}"#,
+            r#"{"correct": true, "attempted": 442, "failed": 0, "metrics": {
+                "gctd.dataflow_ms": {"value": 4.2}, "gctd.interference_ms": {"value": 1.2},
+                "gctd.coloring_ms": {"value": 0.4}, "analysis.audit_ms": {"value": 9},
+                "analysis.auditflow_ms": {"value": 0.85}, "gctd.dataflow_iters": {"value": 3660}}}"#,
+            r#"{"correct": true, "attempted": 81799, "failed": 0,
+                "metrics": {"throughput": {"value": 38000}, "latency_p99_ms": {"value": 0.44}}}"#,
+        ]
+        .iter()
+        .map(|d| Json::parse(d).unwrap())
+        .collect()
     }
 
-    #[test]
-    fn json_round_trips() {
-        let d = doc();
-        let j = d.to_json();
-        assert!(j.starts_with("{\n  \"schema\": 4,"), "{j}");
-        assert_eq!(BenchDoc::from_json(&j).unwrap(), d);
+    /// Sets `metric` of pass `pass` to `value`.
+    fn set(results: &mut [Json], pass: usize, metric: &str, value: f64) {
+        let Json::Obj(top) = &mut results[pass] else {
+            unreachable!()
+        };
+        let (_, Json::Obj(metrics)) = top.iter_mut().find(|(k, _)| k == "metrics").unwrap() else {
+            unreachable!()
+        };
+        let entry = metrics.iter_mut().find(|(k, _)| k == metric).unwrap();
+        entry.1 = Json::obj([("value", Json::Num(value))]);
     }
 
-    #[test]
-    fn from_json_rejects_missing_keys_and_bad_schema() {
-        assert!(BenchDoc::from_json("{}").unwrap_err().contains("schema"));
-        let j = doc().to_json().replace("\"schema\": 4", "\"schema\": 9");
-        assert!(BenchDoc::from_json(&j).unwrap_err().contains("schema 9"));
-        let j = doc().to_json().replace("wall_micros", "wall_milliparsecs");
-        assert!(BenchDoc::from_json(&j).unwrap_err().contains("wall_micros"));
+    /// The names of the gates `results` regress at `tolerance`.
+    fn regressed(results: &[Json], tolerance: f64) -> Vec<String> {
+        let registry = Json::parse(REGISTRY_DOC).unwrap();
+        let baseline = Json::parse(BASELINE_DOC).unwrap();
+        let current = gate_values(results).unwrap();
+        compare(&registry, &baseline, &current, tolerance)
+            .unwrap()
+            .into_iter()
+            .filter(|l| l.regressed)
+            .map(|l| l.name)
+            .collect()
     }
 
     #[test]
     fn compare_gates_on_tolerance() {
-        let base = doc();
-        let mut cur = doc();
-        let lines = compare(&base, &cur, 0.25);
-        assert!(lines.iter().all(|l| !l.regressed));
+        let mut r = results();
+        assert!(regressed(&r, 0.25).is_empty());
         // 30% slower dataflow: out of a 25% gate, inside a 50% one.
-        cur.dataflow_micros = 130;
-        let lines = compare(&base, &cur, 0.25);
+        // The dataflow + interference sum moves with it but stays
+        // inside its own gate (6.66 against 6.75).
+        set(&mut r, 1, "gctd.dataflow_ms", 4.2 * 1.3);
         assert_eq!(
-            lines
-                .iter()
-                .filter(|l| l.regressed)
-                .map(|l| l.metric)
-                .collect::<Vec<_>>(),
-            vec!["dataflow_micros"]
+            regressed(&r, 0.25),
+            vec!["compile-batch traced gctd.dataflow_ms"]
         );
-        assert!(compare(&base, &cur, 0.5).iter().all(|l| !l.regressed));
-        let table = render_gate(&lines, 0.25);
-        assert!(table.contains("FAIL"), "{table}");
+        assert!(regressed(&r, 0.5).is_empty());
     }
 
     #[test]
     fn serve_throughput_gates_higher_is_better() {
-        let base = doc();
-        let mut cur = doc();
-        // Faster serving (more rps, lower latency) must never fail.
-        cur.serve_rps = 80;
-        cur.serve_p99_micros = 50_000;
-        assert!(compare(&base, &cur, 0.25).iter().all(|l| !l.regressed));
+        let mut r = results();
+        // Faster serving (more throughput, lower latency) never fails.
+        set(&mut r, 2, "throughput", 80_000.0);
+        set(&mut r, 2, "latency_p99_ms", 0.2);
+        assert!(regressed(&r, 0.25).is_empty());
         // A 50% throughput collapse is out of a 25% gate.
-        cur.serve_rps = 20;
-        let regressed: Vec<&str> = compare(&base, &cur, 0.25)
-            .iter()
-            .filter(|l| l.regressed)
-            .map(|l| l.metric)
-            .collect();
-        assert_eq!(regressed, vec!["serve_rps"]);
+        set(&mut r, 2, "throughput", 19_000.0);
+        assert_eq!(regressed(&r, 0.25), vec!["serve-warm throughput"]);
         // And a p99 blow-up trips the lower-is-better side.
-        cur.serve_rps = 40;
-        cur.serve_p99_micros = 200_000;
-        let regressed: Vec<&str> = compare(&base, &cur, 0.25)
-            .iter()
-            .filter(|l| l.regressed)
-            .map(|l| l.metric)
-            .collect();
-        assert_eq!(regressed, vec!["serve_p99_micros"]);
+        set(&mut r, 2, "throughput", 38_000.0);
+        set(&mut r, 2, "latency_p99_ms", 1.0);
+        assert_eq!(regressed(&r, 0.25), vec!["serve-warm latency_p99_ms"]);
     }
 
     #[test]
     fn audit_metrics_gate_both_directions() {
-        let base = doc();
-        let mut cur = doc();
-        // A faster, higher-throughput auditor must never fail.
-        cur.phase_micros[7] = 8; // audit phase
-        cur.audit_edges_per_sec = 1_000_000;
-        assert!(compare(&base, &cur, 0.25).iter().all(|l| !l.regressed));
-        // A slow audit phase trips the lower-is-better gate.
-        cur.phase_micros[7] = 200;
-        cur.audit_edges_per_sec = base.audit_edges_per_sec;
-        let regressed: Vec<&str> = compare(&base, &cur, 0.25)
-            .iter()
-            .filter(|l| l.regressed)
-            .map(|l| l.metric)
-            .collect();
-        assert_eq!(regressed, vec!["phase_audit_micros"]);
-        // A throughput collapse trips the higher-is-better gate.
-        cur.phase_micros[7] = base.phase_micros[7];
-        cur.audit_edges_per_sec = 10_000;
-        let regressed: Vec<&str> = compare(&base, &cur, 0.25)
-            .iter()
-            .filter(|l| l.regressed)
-            .map(|l| l.metric)
-            .collect();
-        assert_eq!(regressed, vec!["audit_edges_per_sec"]);
+        let mut r = results();
+        // A faster auditor never fails.
+        set(&mut r, 1, "analysis.audit_ms", 2.0);
+        set(&mut r, 1, "analysis.auditflow_ms", 0.1);
+        assert!(regressed(&r, 0.25).is_empty());
+        // A slow audit phase trips its gate ...
+        set(&mut r, 1, "analysis.audit_ms", 20.0);
+        assert_eq!(
+            regressed(&r, 0.25),
+            vec!["compile-batch traced analysis.audit_ms"]
+        );
+        // ... and a slow audit dataflow trips its own.
+        set(&mut r, 1, "analysis.audit_ms", 9.0);
+        set(&mut r, 1, "analysis.auditflow_ms", 2.0);
+        assert_eq!(
+            regressed(&r, 0.25),
+            vec!["compile-batch traced analysis.auditflow_ms"]
+        );
     }
 
     #[test]
-    fn gate_unit_list_ends_with_paper_scale() {
-        let units = gate_units();
-        assert_eq!(units.last().unwrap().name, "paper_scale");
-        assert_eq!(units.len(), 12);
+    fn every_gate_fails_thirty_percent_worse() {
+        let registry = Json::parse(REGISTRY_DOC).unwrap();
+        let baseline = Json::parse(BASELINE_DOC).unwrap();
+        let at_baseline = gate_values(&results()).unwrap();
+        let lines = compare(&registry, &baseline, &at_baseline, 0.0).unwrap();
+        for (i, line) in lines.iter().enumerate() {
+            assert!(!line.regressed, "{line:?}");
+            let mut current = at_baseline.clone();
+            current[i] *= if line.higher_is_better { 0.7 } else { 1.3 };
+            let failed: Vec<String> = compare(&registry, &baseline, &current, DEFAULT_TOLERANCE)
+                .unwrap()
+                .into_iter()
+                .filter(|l| l.regressed)
+                .map(|l| l.name)
+                .collect();
+            assert_eq!(failed, vec![line.name.clone()]);
+        }
+        // The directions come from the registry: only the two
+        // throughput lines gate higher-is-better.
+        assert_eq!(
+            lines.iter().filter(|l| l.higher_is_better).count(),
+            2,
+            "{lines:?}"
+        );
+    }
+
+    #[test]
+    fn missing_metric_is_an_error() {
+        let mut r = results();
+        let Json::Obj(top) = &mut r[1] else {
+            unreachable!()
+        };
+        let (_, Json::Obj(metrics)) = top.iter_mut().find(|(k, _)| k == "metrics").unwrap() else {
+            unreachable!()
+        };
+        metrics.retain(|(k, _)| k != "gctd.coloring_ms");
+        let err = gate_values(&r).unwrap_err();
+        assert!(err.contains("gctd.coloring_ms"), "{err}");
+        // A gate the registry or the baseline does not know is one too.
+        let current = gate_values(&results()).unwrap();
+        let registry = Json::parse(r#"{"end_to_end": [], "per_layer": []}"#).unwrap();
+        let baseline = Json::parse(BASELINE_DOC).unwrap();
+        let err = compare(&registry, &baseline, &current, 0.25).unwrap_err();
+        assert!(err.contains("throughput"), "{err}");
+        let registry = Json::parse(REGISTRY_DOC).unwrap();
+        let err = compare(&registry, &Json::parse("{}").unwrap(), &current, 0.25).unwrap_err();
+        assert!(err.contains("re-bless"), "{err}");
+    }
+
+    #[test]
+    fn incorrect_pass_fails() {
+        let mut r = results();
+        r[2] = Json::parse(
+            r#"{"correct": false, "attempted": 100, "failed": 3,
+                "metrics": {"throughput": {"value": 38000}, "latency_p99_ms": {"value": 0.44}}}"#,
+        )
+        .unwrap();
+        let err = gate_values(&r).unwrap_err();
+        assert!(
+            err.contains("serve-warm") && err.contains("3 of 100"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn bad_tolerance_is_rejected() {
+        assert_eq!(parse_tolerance(None), Ok(DEFAULT_TOLERANCE));
+        assert_eq!(parse_tolerance(Some("1.0")), Ok(1.0));
+        for bad in ["", "abc", "-0.1", "NaN", "inf"] {
+            let err = parse_tolerance(Some(bad)).unwrap_err();
+            assert!(err.contains(TOLERANCE_ENV), "{err}");
+        }
+    }
+
+    #[test]
+    fn baseline_round_trips_and_the_registry_declares_every_gate() {
+        let current = gate_values(&results()).unwrap();
+        let doc = Json::parse(&baseline_json(&current)).unwrap();
+        let registry = Json::parse(REGISTRY_DOC).unwrap();
+        let lines = compare(&registry, &doc, &current, 0.0).unwrap();
+        assert!(lines
+            .iter()
+            .all(|l| !l.regressed && l.baseline == l.current));
+        let real = std::fs::read_to_string(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(REGISTRY),
+        )
+        .unwrap();
+        let real = Json::parse(&real).unwrap();
+        compare(&real, &doc, &current, 0.0).unwrap();
+        // A summed line's metrics all gate in one direction.
+        let better = |m: &str| {
+            let per_layer = real.get("per_layer").and_then(Json::as_arr).unwrap();
+            let def = per_layer
+                .iter()
+                .find(|d| d.get("name").and_then(Json::as_str) == Some(m));
+            def.and_then(|d| d.get("better")?.as_str())
+                .map(str::to_string)
+        };
+        for (_, metrics) in GATES.iter().filter(|(_, ms)| ms.len() > 1) {
+            assert!(metrics.iter().all(|m| better(m) == better(metrics[0])));
+        }
     }
 }

@@ -1664,33 +1664,23 @@ impl Default for RequestOptions {
 /// Returns a transport-level description (connect/write/read failure,
 /// or a torn/empty response).
 pub fn send_once(addr: &str, frame: &str, timeout: Duration) -> Result<String, String> {
-    let mut out = Vec::with_capacity(1);
-    send_pipelined_with(
-        addr,
-        std::slice::from_ref(&frame.to_string()),
-        timeout,
-        |_, l| {
-            out.push(l.to_string());
-        },
-    )?;
+    let mut out = send_pipelined(addr, std::slice::from_ref(&frame.to_string()), timeout)?;
     out.pop().ok_or_else(|| "read: no response".to_string())
 }
 
 /// Connects once, writes every frame back-to-back (one syscall), then
-/// reads responses in order, invoking `on_response(index, line)` as
-/// each arrives — the pipelined transport under [`send_pipelined`],
-/// the perf bench's latency probe, and `matc request --pipeline`.
+/// reads the responses and returns them in request order — the
+/// transport under [`send_once`] and `matc request --pipeline`.
 ///
 /// # Errors
 ///
 /// Returns a transport-level description (connect/write/read failure,
 /// a torn response, or a timeout before every response arrived).
-pub fn send_pipelined_with<F: FnMut(usize, &str)>(
+pub fn send_pipelined(
     addr: &str,
     frames: &[String],
     timeout: Duration,
-    mut on_response: F,
-) -> Result<(), String> {
+) -> Result<Vec<String>, String> {
     let sock_addr = addr
         .to_socket_addrs()
         .map_err(|e| format!("resolve {addr}: {e}"))?
@@ -1714,24 +1704,23 @@ pub fn send_pipelined_with<F: FnMut(usize, &str)>(
     let mut buf: Vec<u8> = Vec::new();
     let mut consumed = 0usize;
     let mut scanned = 0usize;
-    let mut got = 0usize;
+    let mut out = Vec::with_capacity(frames.len());
     let mut chunk = [0u8; 16 * 1024];
     let start = Instant::now();
-    while got < frames.len() {
+    while out.len() < frames.len() {
         while let Some(nl) = json::scan_frame(&buf, scanned.max(consumed)) {
-            let line = String::from_utf8_lossy(&buf[consumed..nl]).into_owned();
+            out.push(String::from_utf8_lossy(&buf[consumed..nl]).into_owned());
             consumed = nl + 1;
             scanned = consumed;
-            on_response(got, &line);
-            got += 1;
-            if got == frames.len() {
-                return Ok(());
+            if out.len() == frames.len() {
+                return Ok(out);
             }
         }
         scanned = buf.len();
         if start.elapsed() > timeout {
             return Err(format!(
-                "read: timed out after {got} of {} response(s)",
+                "read: timed out after {} of {} response(s)",
+                out.len(),
                 frames.len()
             ));
         }
@@ -1739,7 +1728,8 @@ pub fn send_pipelined_with<F: FnMut(usize, &str)>(
             Ok(0) => {
                 return Err(if buf.len() == consumed {
                     format!(
-                        "read: connection closed after {got} of {} response(s)",
+                        "read: connection closed after {} of {} response(s)",
+                        out.len(),
                         frames.len()
                     )
                 } else {
@@ -1757,22 +1747,6 @@ pub fn send_pipelined_with<F: FnMut(usize, &str)>(
             Err(e) => return Err(format!("read: {e}")),
         }
     }
-    Ok(())
-}
-
-/// Sends every frame on one connection before reading anything, then
-/// returns the response lines in request order.
-///
-/// # Errors
-///
-/// Propagates [`send_pipelined_with`]'s transport errors.
-pub fn send_pipelined(
-    addr: &str,
-    frames: &[String],
-    timeout: Duration,
-) -> Result<Vec<String>, String> {
-    let mut out = Vec::with_capacity(frames.len());
-    send_pipelined_with(addr, frames, timeout, |_, l| out.push(l.to_string()))?;
     Ok(out)
 }
 

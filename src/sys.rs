@@ -415,11 +415,6 @@ impl Clock {
         }
     }
 
-    /// True for the virtual variant.
-    pub fn is_virtual(&self) -> bool {
-        self.virt.is_some()
-    }
-
     /// The current instant on this clock's timeline.
     pub fn now(&self) -> Instant {
         match &self.virt {

@@ -2,7 +2,9 @@
 //! reference interpreter, the planned VM, the mcc VM AND as native C
 //! (optimizations may not erase an *observable* error — design note
 //! 12 permits eliding only dead failing computations; a typed scalar
-//! fast path may not drop one either).
+//! fast path may not drop one either). The edge values that decide
+//! between a real and a complex result (NaN) are held to one output
+//! the same way.
 
 use matc::frontend::parse_program;
 use matc::gctd::GctdOptions;
@@ -177,19 +179,56 @@ fn undefined_function_rejected_at_compile_time() {
 
 #[test]
 fn recursion_limit_errors() {
-    // MATLAB's RecursionLimit (100) in the three Rust executors; the
-    // emitted C has no recursion limit, so it is not run natively.
-    // Debug-build native frames are large, so give the checker a roomy
-    // stack.
-    std::thread::Builder::new()
+    // MATLAB's RecursionLimit (100) in every executor: emitted C guards
+    // the call depth of functions on a call-graph cycle. Debug-build
+    // Rust frames are large, so give the checker a roomy stack.
+    let compiled = std::thread::Builder::new()
         .stack_size(64 * 1024 * 1024)
         .spawn(|| {
             let body = "disp(down(200));\n\nfunction r = down(k)\nif k <= 0\n  r = 0;\nelse\n  r = down(k - 1);\nend";
-            assert_vm_errors(body);
+            assert_vm_errors(body)
         })
         .unwrap()
         .join()
         .unwrap();
+    let Some(runs) = run_native(&[compiled]) else {
+        return;
+    };
+    let stderr = String::from_utf8_lossy(&runs[0].stderr);
+    assert_eq!(runs[0].status.code(), Some(70), "{stderr}");
+    assert!(
+        stderr.contains("mrt: maximum recursion depth exceeded"),
+        "{stderr}"
+    );
+}
+
+/// A real NaN is not negative: `sqrt` and `log` keep it a real NaN,
+/// and every executor, native C included, prints the same.
+#[test]
+fn sqrt_and_log_keep_nan_real() {
+    let bodies = [
+        "x = 0/0;\ndisp(sqrt([x 4]));",
+        "x = 0/0;\ndisp(log([x 2]));",
+        "x = 0/0;\ndisp(sqrt(x));\ndisp(log(x));",
+    ];
+    let mut programs = Vec::new();
+    let mut outputs = Vec::new();
+    for body in bodies {
+        let src = format!("function f()\n{body}\n");
+        let ast = parse_program([src.as_str()]).unwrap();
+        let want = Interp::new(&ast).run().unwrap();
+        assert!(want.contains("NaN") && !want.contains('i'), "{want}");
+        let compiled = compile(&ast, GctdOptions::default()).unwrap();
+        assert_eq!(PlannedVm::new(&compiled).run().unwrap(), want, "{src}");
+        let mcc = MccVm::new(&lower_for_mcc(&ast).unwrap()).run().unwrap();
+        assert_eq!(mcc, want, "{src}");
+        programs.push(compiled);
+        outputs.push(want);
+    }
+    for (run, want) in run_native(&programs).into_iter().flatten().zip(&outputs) {
+        assert!(run.status.success());
+        assert_eq!(&String::from_utf8_lossy(&run.stdout), want);
+    }
 }
 
 #[test]
