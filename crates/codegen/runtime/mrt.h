@@ -94,8 +94,9 @@ int mrt_istrue(const mrt_val *v);
 void mrt_display(const char *name, const mrt_val *v);
 /* The trip count of a for loop over x:s:y (exits 70 when s is 0). */
 double mrt_range_count(double x, double s, double y);
-/* Entry and exit of a function on a call-graph cycle: past MATLAB's
- * RecursionLimit (100) such frames deep, exits 70. */
+/* Entry and exit of every emitted function: past MATLAB's
+ * RecursionLimit (100) frames deep, the entry function's included,
+ * exits 70. */
 void mrt_enter(void);
 void mrt_leave(void);
 /* Exits 70 with the error a(i[, j[, k]]) raises when the subscripts do

@@ -122,9 +122,22 @@ pub fn emit_unit_prologue(functions: &[FuncIr]) -> String {
 /// inference facts the fragment keys hash).
 pub fn emit_function_unit(f: &FuncIr, plan: &StoragePlan, probe_fi: Option<usize>) -> String {
     let mut out = String::new();
-    emit_function(&mut out, f, plan, probe_fi);
+    emit_function(&mut out, f, plan, probe_fi, &mut Vec::new());
     out.push('\n');
     out
+}
+
+/// Where [`emit_function_unit`] writes typed C: `(block index,
+/// Some(instruction index))` for an instruction computed as a `double`
+/// expression (a typed definition, copy, scalar subscript or in-place
+/// element store) and `(block index, None)` for a typed branch test.
+/// The planned VM decodes the same sites as typed steps; a test holds
+/// the two executors to one notion of "typed".
+#[doc(hidden)]
+pub fn typed_sites(f: &FuncIr, plan: &StoragePlan) -> Vec<(usize, Option<usize>)> {
+    let mut sites = Vec::new();
+    emit_function(&mut String::new(), f, plan, None, &mut sites);
+    sites
 }
 
 /// The closing `main` of an emitted translation unit (calls the entry
@@ -198,8 +211,15 @@ fn instr_dsts(instr: &matc_ir::Instr) -> Vec<VarId> {
     }
 }
 
-/// `probe_fi` is `Some(function index)` when shadow probes are emitted.
-fn emit_function(out: &mut String, f: &FuncIr, plan: &StoragePlan, probe_fi: Option<usize>) {
+/// `probe_fi` is `Some(function index)` when shadow probes are emitted;
+/// the typed sites ([`typed_sites`]) are appended to `sites`.
+fn emit_function(
+    out: &mut String,
+    f: &FuncIr,
+    plan: &StoragePlan,
+    probe_fi: Option<usize>,
+    sites: &mut Vec<(usize, Option<usize>)>,
+) {
     let _ = writeln!(out, "/* ---- function {} ---- */", f.name);
     let outs = if f.ssa_outs.is_empty() {
         f.outs.clone()
@@ -209,9 +229,9 @@ fn emit_function(out: &mut String, f: &FuncIr, plan: &StoragePlan, probe_fi: Opt
     let sig = signature(f);
     let _ = writeln!(out, "static void f_{}({})", f.name, sig.join(", "));
     out.push_str("{\n");
-    if plan.recursive {
-        out.push_str("    mrt_enter();\n");
-    }
+    // Every frame counts against the recursion limit, as `call_depth`
+    // does in the Rust executors.
+    out.push_str("    mrt_enter();\n");
 
     // ------------------------------------------------------------------
     // Frame: one declaration per slot. Stack groups get fixed buffers at
@@ -279,8 +299,10 @@ fn emit_function(out: &mut String, f: &FuncIr, plan: &StoragePlan, probe_fi: Opt
     let em = Emitter::new(f, plan);
     for b in f.block_ids() {
         let _ = writeln!(out, "bb{}: ;", b.index());
-        for instr in &f.block(b).instrs {
-            em.instr(out, instr);
+        for (i, instr) in f.block(b).instrs.iter().enumerate() {
+            if em.instr(out, instr) {
+                sites.push((b.index(), Some(i)));
+            }
             if let Some(fi) = probe_fi {
                 for dst in instr_dsts(instr) {
                     if let Some(s) = plan.slot_of(dst) {
@@ -309,7 +331,10 @@ fn emit_function(out: &mut String, f: &FuncIr, plan: &StoragePlan, probe_fi: Opt
                 else_bb,
             } => {
                 let test = match em.scalar(&Operand::Var(*cond)) {
-                    Some(x) => format!("{x} != 0.0"),
+                    Some(x) => {
+                        sites.push((b.index(), None));
+                        format!("{x} != 0.0")
+                    }
                     None => format!("mrt_istrue(&{})", var_ref(f, plan, *cond)),
                 };
                 let _ = writeln!(
@@ -338,9 +363,7 @@ fn emit_function(out: &mut String, f: &FuncIr, plan: &StoragePlan, probe_fi: Opt
                         }
                     }
                 }
-                if plan.recursive {
-                    out.push_str("    mrt_leave();\n");
-                }
+                out.push_str("    mrt_leave();\n");
                 out.push_str("    return;\n");
             }
         }
@@ -478,7 +501,8 @@ impl<'a> Emitter<'a> {
         Some(parts.join(", "))
     }
 
-    fn instr(&self, out: &mut String, instr: &matc_ir::Instr) {
+    /// Emits one instruction; returns whether it is typed C.
+    fn instr(&self, out: &mut String, instr: &matc_ir::Instr) -> bool {
         match &instr.kind {
             InstrKind::Const { dst, value } => {
                 // Immediates become C literals bound to scalar locals.
@@ -494,6 +518,7 @@ impl<'a> Emitter<'a> {
                     let _ = writeln!(out, "    const mrt_imm imm_{} = {text};", dst.0);
                 } else if let (Some(_), Some(x)) = (self.typed(*dst), numeric(value)) {
                     let _ = writeln!(out, "    mrt_put(&{d}, {});", c_f64(x));
+                    return true;
                 } else {
                     let _ = writeln!(out, "    mrt_op(&{d}, MRT_OP_COPY, 1, mrt_wrap({text}));");
                 }
@@ -503,15 +528,20 @@ impl<'a> Emitter<'a> {
                 let from = self.operand(&Operand::Var(*src));
                 if self.typed(*dst).is_some() && self.typed(*src).is_some() {
                     let _ = writeln!(out, "    mrt_copy1(&{d}, {from});");
+                    return true;
                 } else if let (Some(_), Some(x)) = (self.typed(*dst), self.lit(*src)) {
                     let _ = writeln!(out, "    mrt_put(&{d}, {});", c_f64(x));
+                    return true;
                 } else {
                     let _ = writeln!(out, "    mrt_op(&{d}, MRT_OP_COPY, 1, {from});");
                 }
             }
             InstrKind::Compute { dst, op, args } => {
                 emit_resize_guard(out, self.plan, *dst, "MRT_NEEDED");
-                if !self.typed_compute(out, *dst, op, args) && !self.in_place(out, *dst, op, args) {
+                if self.typed_compute(out, *dst, op, args) {
+                    return true;
+                }
+                if !self.in_place(out, *dst, op, args) {
                     self.library_call(out, *dst, op, args);
                 }
             }
@@ -562,6 +592,7 @@ impl<'a> Emitter<'a> {
                 );
             }
         }
+        false
     }
 
     /// Emits `dst = op(args)` as plain C over doubles when the result
@@ -1102,6 +1133,38 @@ mod tests {
         let c = emit(&["function entryfn()\nfprintf('hi\\n');\n"]);
         assert!(c.contains("int main(void)"));
         assert!(c.contains("f_entryfn();"));
+    }
+
+    #[test]
+    fn typed_c_is_typed_in_the_planned_vm() {
+        // One notion of "typed" across the two executors: every site the
+        // emitter writes as a `double` expression is a decoded typed step
+        // of the planned VM (which also ticks literals' `Const`s).
+        use matc_benchsuite::{all, Preset};
+        let (mut c_sites, mut vm_sites) = (0, 0);
+        for bench in all() {
+            let sources = bench.sources(Preset::Test);
+            let ast = parse_program(sources.iter().map(String::as_str)).unwrap();
+            let compiled = compile(&ast, GctdOptions::default()).unwrap();
+            let vm = matc_vm::PlannedVm::new(&compiled);
+            for (i, f) in compiled.ir.functions.iter().enumerate() {
+                let fid = FuncId::new(i);
+                let typed = typed_sites(f, compiled.plans.plan(fid));
+                let decoded = vm.typed_sites(fid);
+                for site in &typed {
+                    assert!(
+                        decoded.contains(site),
+                        "{}: {}: {site:?}",
+                        bench.name,
+                        f.name
+                    );
+                }
+                c_sites += typed.len();
+                vm_sites += decoded.len();
+            }
+        }
+        assert!(c_sites > 300, "{c_sites} typed C sites");
+        assert!(vm_sites >= c_sites);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use matc_codegen::{emit_program, MRT_C, MRT_H};
 use matc_frontend::parser::parse_program;
 use matc_gctd::GctdOptions;
 use matc_vm::compile::compile;
-use matc_vm::Interp;
+use matc_vm::{Interp, PlannedVm};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::Duration;
@@ -356,6 +356,33 @@ fn generated_c_matches_display_and_concat_paths() {
 /// and a loop counter read after its loop (the φ of its `[]` start and
 /// the counter). Inferred shapes join to `1 x 1` in some of these, so
 /// the C must stay on the runtime's generic path for them.
+/// Values that are 1x1 on one path only, go complex, are empty in a
+/// scalar-sized slot or are a loop counter read after its loop: each
+/// program's source (the body of `f`) and the variables that must not
+/// be typed scalars.
+const NOT_REAL_SCALARS: &[(&str, &str, &[&str])] = &[
+    (
+        "scalar_or_row",
+        "for t = 1:2\n  if t == 1\n    x = 5;\n  else\n    x = [1 2 3];\n  end\n  y = x + 1;\n  disp(y);\n  disp(x(1) * 2);\nend\n",
+        &["/*y.", "/*x.3*/"],
+    ),
+    (
+        "goes_complex",
+        "r = sqrt(-1);\ndisp(r);\ns = r * 2;\ndisp(s);\ndisp(abs(s) + 1);\n",
+        &["/*r.", "/*s."],
+    ),
+    (
+        "empty_in_scalar_slot",
+        "for t = 1:2\n  z = [];\n  if t == 2\n    z = 3;\n  end\n  disp(isempty(z));\n  disp(z);\n  disp(numel(z));\nend\n",
+        &["/*z.5*/"],
+    ),
+    (
+        "counter_after_loop",
+        "for i = 1:3\nend\ndisp(i);\nk = i + 1;\ndisp(k);\n",
+        &["/*i.2*/", "/*k."],
+    ),
+];
+
 #[test]
 fn generated_c_keeps_values_that_are_not_real_scalars_generic() {
     let Some(cc) = find_cc() else {
@@ -363,29 +390,7 @@ fn generated_c_keeps_values_that_are_not_real_scalars_generic() {
         return;
     };
     let dir = runtime_dir("matc-c-run-untyped");
-    let programs: &[(&str, &str, &[&str])] = &[
-        (
-            "scalar_or_row",
-            "for t = 1:2\n  if t == 1\n    x = 5;\n  else\n    x = [1 2 3];\n  end\n  y = x + 1;\n  disp(y);\n  disp(x(1) * 2);\nend\n",
-            &["/*y.", "/*x.3*/"],
-        ),
-        (
-            "goes_complex",
-            "r = sqrt(-1);\ndisp(r);\ns = r * 2;\ndisp(s);\ndisp(abs(s) + 1);\n",
-            &["/*r.", "/*s."],
-        ),
-        (
-            "empty_in_scalar_slot",
-            "for t = 1:2\n  z = [];\n  if t == 2\n    z = 3;\n  end\n  disp(isempty(z));\n  disp(z);\n  disp(numel(z));\nend\n",
-            &["/*z.5*/"],
-        ),
-        (
-            "counter_after_loop",
-            "for i = 1:3\nend\ndisp(i);\nk = i + 1;\ndisp(k);\n",
-            &["/*i.2*/", "/*k."],
-        ),
-    ];
-    for (name, src, untyped) in programs {
+    for (name, src, untyped) in NOT_REAL_SCALARS {
         let (want, code) = interp_and_c(&[&format!("function f()\n{src}")]);
         for var in *untyped {
             assert!(code.contains(var), "{name}: no {var}\n{code}");
@@ -399,6 +404,20 @@ fn generated_c_keeps_values_that_are_not_real_scalars_generic() {
         let exe = build_c(cc, &dir, name, &code, &[]);
         let got = String::from_utf8_lossy(&run_ok(&exe).stdout).into_owned();
         assert_eq!(got, want, "{name}: C output diverged");
+    }
+}
+
+/// The planned VM's typed steps cover the same variables as typed C:
+/// on the programs above its output is the interpreter's.
+#[test]
+fn planned_vm_keeps_values_that_are_not_real_scalars_generic() {
+    for (name, src, _) in NOT_REAL_SCALARS {
+        let ast = parse_program([format!("function f()\n{src}").as_str()]).unwrap();
+        let want = Interp::new(&ast).run().unwrap();
+        let compiled = compile(&ast, GctdOptions::default()).unwrap();
+        let mut vm = PlannedVm::new(&compiled);
+        assert_eq!(vm.run().unwrap(), want, "{name}");
+        assert_eq!(vm.plan_violations, 0, "{name}");
     }
 }
 

@@ -207,14 +207,16 @@ impl CacheKey {
     /// length-prefixed stream of the option fingerprint and every source
     /// file. Length prefixes make the encoding injective — no two
     /// distinct `(fingerprint, sources)` inputs share a stream. The
-    /// version tag (`matc-cache-v3`) names the emitted C's interface
+    /// version tag (`matc-cache-v4`) names the emitted C's interface
     /// to the `mrt` runtime: a store written under `v1` holds C that
     /// dispatches ops by name string, which no longer links against
-    /// `mrt.h`, and one written under `v2` holds recursive functions
-    /// without their call-depth guard, so those entries must miss.
+    /// `mrt.h`; one written under `v2` holds recursive functions
+    /// without their call-depth guard, and one written under `v3`
+    /// guards only functions on a call-graph cycle, where every frame
+    /// now counts; so those entries must miss.
     pub fn compute<'a>(sources: impl IntoIterator<Item = &'a str>, fingerprint: &str) -> CacheKey {
         let mut h = Sha256::new();
-        h.update(b"matc-cache-v3\0");
+        h.update(b"matc-cache-v4\0");
         h.update(&(fingerprint.len() as u64).to_le_bytes());
         h.update(fingerprint.as_bytes());
         for src in sources {
@@ -226,7 +228,7 @@ impl CacheKey {
 
     /// Derives a key in a caller-chosen domain: a digest over the
     /// domain tag and a length-prefixed stream of `parts`. Per-function
-    /// fragment keys use domain `"matc-frag-v3"`, where the parts are
+    /// fragment keys use domain `"matc-frag-v4"`, where the parts are
     /// the option fingerprint, the probes flag and one byte stream
     /// holding the canonical walk of the function's optimized IR
     /// (`FuncIr::encode_canonical`) followed by the canonical walk of
@@ -1234,7 +1236,7 @@ mod tests {
         // the version tag on purpose, then re-pin.
         assert_eq!(
             CacheKey::compute(["function f()\n"], "fp").hex(),
-            "be85afacb68f952380badafbe33e2178691ae8f6367abb84dcb59738a8e680f2"
+            "3c17c397abf8185a02a085f53b8ed88ab3733d7a04338f026c6ee75ae329e992"
         );
     }
 

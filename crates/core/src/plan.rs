@@ -142,9 +142,6 @@ pub struct StoragePlan {
     /// (`FuncTypes::is_exact_scalar`). The C backend computes them as
     /// plain `double`s in element 0 of their slot.
     pub scalars: BTreeSet<VarId>,
-    /// Whether the function lies on a call-graph cycle
-    /// (`FuncTypes::is_recursive`): the C backend guards its call depth.
-    pub recursive: bool,
     /// Statistics.
     pub stats: PlanStats,
 }
@@ -283,8 +280,7 @@ pub fn plan_function_budgeted(
     let sizing = Sizing::compute(func, fid, types);
 
     if !options.coalesce {
-        let mut plan = plan_without_coalescing(func, &graph, &sizing);
-        plan.recursive = types.funcs[fid.index()].is_recursive();
+        let plan = plan_without_coalescing(func, &graph, &sizing);
         if let Some(r) = rec.as_deref_mut() {
             r.record(Phase::Decompose, t.elapsed());
         }
@@ -561,7 +557,6 @@ pub fn plan_function_budgeted(
         var_slot,
         resize,
         scalars,
-        recursive: ftypes.is_recursive(),
         stats,
     })
 }
@@ -611,7 +606,6 @@ fn plan_without_coalescing(
         var_slot,
         resize: BTreeMap::new(),
         scalars: BTreeSet::new(),
-        recursive: false,
         stats,
     }
 }

@@ -1,7 +1,7 @@
 //! Control-flow graph containers: variables, blocks, functions, programs.
 
 use crate::ids::{BlockId, FuncId, VarId};
-use crate::instr::{Instr, InstrKind, Op, Terminator};
+use crate::instr::{Instr, InstrKind, Terminator};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -271,44 +271,6 @@ impl IrProgram {
     pub fn entry_func(&self) -> &FuncIr {
         self.func(self.entry.expect("entry function not set"))
     }
-
-    /// Whether each function, by [`FuncId`] index, lies on a cycle of
-    /// the call graph: it can reach itself through user calls.
-    pub fn on_call_cycle(&self) -> Vec<bool> {
-        let callees: Vec<Vec<usize>> = self
-            .functions
-            .iter()
-            .map(|f| {
-                f.blocks
-                    .iter()
-                    .flat_map(|b| &b.instrs)
-                    .filter_map(|i| match &i.kind {
-                        InstrKind::Compute {
-                            op: Op::Call(name), ..
-                        }
-                        | InstrKind::CallMulti { func: name, .. } => self.by_name.get(name),
-                        _ => None,
-                    })
-                    .map(|id| id.index())
-                    .collect()
-            })
-            .collect();
-        (0..callees.len())
-            .map(|start| {
-                let mut seen = vec![false; callees.len()];
-                let mut stack = callees[start].clone();
-                while let Some(f) = stack.pop() {
-                    if f == start {
-                        return true;
-                    }
-                    if !std::mem::replace(&mut seen[f], true) {
-                        stack.extend(&callees[f]);
-                    }
-                }
-                false
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for FuncIr {
@@ -477,35 +439,6 @@ mod tests {
         p.entry = Some(id);
         assert!(p.by_name.contains_key("kern"));
         assert_eq!(p.entry_func().name, "kern");
-    }
-
-    #[test]
-    fn call_cycles_cover_self_and_mutual_recursion() {
-        // main -> a <-> b, main -> c -> c, d calls the builtin `size`.
-        let calls: [(&str, &[&str]); 5] = [
-            ("main", &["a", "c"]),
-            ("a", &["b"]),
-            ("b", &["a"]),
-            ("c", &["c"]),
-            ("d", &["size"]),
-        ];
-        let mut p = IrProgram::default();
-        for (name, callees) in calls {
-            let mut f = FuncIr::new(name);
-            for callee in callees {
-                let dst = f.new_temp();
-                let kind = InstrKind::Compute {
-                    dst,
-                    op: Op::Call(callee.to_string()),
-                    args: vec![],
-                };
-                f.block_mut(f.entry)
-                    .instrs
-                    .push(Instr::new(kind, Span::dummy()));
-            }
-            p.add(f);
-        }
-        assert_eq!(p.on_call_cycle(), [false, true, true, true, false]);
     }
 
     #[test]

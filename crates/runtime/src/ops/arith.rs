@@ -238,13 +238,16 @@ pub fn modulo(a: &Value, b: &Value) -> Result<Value> {
     if a.is_complex() || b.is_complex() {
         return err("mod of complex values is not defined");
     }
-    Ok(ew_real(a, b, dims, |x, y| {
-        if y == 0.0 {
-            x
-        } else {
-            x - y * (x / y).floor()
-        }
-    }))
+    Ok(ew_real(a, b, dims, mod_real))
+}
+
+/// `mod(x, y)` on two reals: `x - y·floor(x/y)`, and `x` when `y` is 0.
+pub fn mod_real(x: f64, y: f64) -> f64 {
+    if y == 0.0 {
+        x
+    } else {
+        x - y * (x / y).floor()
+    }
 }
 
 /// `rem(a, b)` — result takes `a`'s sign.
@@ -253,13 +256,16 @@ pub fn rem(a: &Value, b: &Value) -> Result<Value> {
     if a.is_complex() || b.is_complex() {
         return err("rem of complex values is not defined");
     }
-    Ok(ew_real(a, b, dims, |x, y| {
-        if y == 0.0 {
-            f64::NAN
-        } else {
-            x - y * (x / y).trunc()
-        }
-    }))
+    Ok(ew_real(a, b, dims, rem_real))
+}
+
+/// `rem(x, y)` on two reals: `x - y·fix(x/y)`, and NaN when `y` is 0.
+pub fn rem_real(x: f64, y: f64) -> f64 {
+    if y == 0.0 {
+        f64::NAN
+    } else {
+        x - y * (x / y).trunc()
+    }
 }
 
 /// Elementwise two-argument `max(a, b)` / `min(a, b)`.
@@ -284,9 +290,13 @@ pub fn atan2(a: &Value, b: &Value) -> Result<Value> {
 /// planned VM's allocation-free hot path. Only legal when `dst` is
 /// non-scalar real with `other` equal-shaped or scalar real.
 ///
+/// Generic over the kernel, so a caller that names its kernel once per
+/// operator gets the element loop inlined with it (no indirect call per
+/// element).
+///
 /// Returns `false` (leaving `dst` untouched) when the fast path does not
 /// apply; the caller then falls back to the allocating version.
-pub fn ew_assign(dst: &mut Value, other: &Value, k: fn(f64, f64) -> f64) -> bool {
+pub fn ew_assign(dst: &mut Value, other: &Value, k: impl Fn(f64, f64) -> f64) -> bool {
     if dst.is_complex() || other.is_complex() {
         return false;
     }

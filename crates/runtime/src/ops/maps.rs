@@ -133,13 +133,16 @@ pub fn ceil(a: &Value) -> Value {
 
 /// `round(x)` — MATLAB rounds halves away from zero.
 pub fn round(a: &Value) -> Value {
-    round_like(a, |x| {
-        if x >= 0.0 {
-            (x + 0.5).floor()
-        } else {
-            (x - 0.5).ceil()
-        }
-    })
+    round_like(a, round_real)
+}
+
+/// `round` of one real: halves go away from zero.
+pub fn round_real(x: f64) -> f64 {
+    if x >= 0.0 {
+        (x + 0.5).floor()
+    } else {
+        (x - 0.5).ceil()
+    }
 }
 
 /// `fix(x)` — truncation toward zero.
@@ -162,15 +165,7 @@ fn round_like(a: &Value, k: fn(f64) -> f64) -> Value {
 /// `sign(x)` — for complex input MATLAB's `z / |z|` (and 0 at 0).
 pub fn sign(a: &Value) -> Value {
     match a.im() {
-        None => map_real(a, |x| {
-            if x > 0.0 {
-                1.0
-            } else if x < 0.0 {
-                -1.0
-            } else {
-                0.0
-            }
-        }),
+        None => map_real(a, sign_real),
         Some(_) => map_complex(a, |(r, i)| {
             let m = (r * r + i * i).sqrt();
             if m == 0.0 {
@@ -180,6 +175,17 @@ pub fn sign(a: &Value) -> Value {
             }
         })
         .normalized(),
+    }
+}
+
+/// `sign` of one real: 1, -1, or 0 (NaN for NaN).
+pub fn sign_real(x: f64) -> f64 {
+    if x > 0.0 {
+        1.0
+    } else if x < 0.0 {
+        -1.0
+    } else {
+        0.0
     }
 }
 

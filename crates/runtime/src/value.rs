@@ -341,12 +341,17 @@ impl Value {
     /// keeping its buffers: the planned VM writes scalar results into
     /// their slot's existing storage this way.
     pub fn set_scalar(&mut self, x: f64, class: Class) {
+        self.class = class;
+        if self.re.len() == 1 && self.dims.len() == 2 && self.im.is_none() {
+            // Already a real 1x1: only the element changes.
+            self.re[0] = x;
+            return;
+        }
         self.dims.clear();
         self.dims.extend_from_slice(&[1, 1]);
         self.re.clear();
         self.re.push(x);
         self.im = None;
-        self.class = class;
     }
 
     /// Takes the value apart into `(dims, re, im, class)` without

@@ -103,17 +103,9 @@ pub struct FuncTypes {
     /// Whether each variable's every value is exactly 1×1
     /// ([`crate::exact`]), by [`VarId`] index.
     exact: Vec<bool>,
-    /// Whether the function lies on a call-graph cycle
-    /// ([`IrProgram::on_call_cycle`]).
-    recursive: bool,
 }
 
 impl FuncTypes {
-    /// Whether the function can reach itself through user calls.
-    pub fn is_recursive(&self) -> bool {
-        self.recursive
-    }
-
     /// Whether every value of `v` is exactly 1×1 ([`crate::exact`]);
     /// its shape fact alone is only an upper bound.
     pub fn is_exact_scalar(&self, v: VarId) -> bool {
@@ -277,11 +269,6 @@ impl ProgramTypes {
             }
             FactStep::Close => {}
         });
-        // Only recursive functions carry the tag, so every other key
-        // stays as it was.
-        if self.funcs[f.index()].recursive {
-            out.push(13);
-        }
     }
 
     /// The text rendering of [`ProgramTypes::walk_func_facts`], one
@@ -483,10 +470,8 @@ pub fn infer_program_budgeted(
             .summaries
             .into_iter()
             .zip(crate::exact::exact_scalars(prog))
-            .zip(prog.on_call_cycle())
-            .map(|((s, exact), recursive)| FuncTypes {
+            .map(|(s, exact)| FuncTypes {
                 exact,
-                recursive,
                 ..s.types.unwrap_or_default()
             })
             .collect(),

@@ -207,7 +207,7 @@ fn flag(t: bool) -> f64 {
 /// `+ - .* ./ .\ .^` and of the comparisons; `*`, `/` and `\` reduce to
 /// it only when an operand is scalar. For `^` and `.^` the result is
 /// complex when the base is negative and the exponent fractional —
-/// [`scalar_binop`] checks that case.
+/// [`ScalarKernel::apply`] checks that case.
 pub(crate) fn real_kernel(b: BinOp) -> (RealKernel, Class) {
     match b {
         BinOp::Add => (|x, y| x + y, Class::Double),
@@ -227,15 +227,148 @@ pub(crate) fn real_kernel(b: BinOp) -> (RealKernel, Class) {
     }
 }
 
-/// `x b y` on two real scalars, bit-for-bit what [`eval_binop`] returns,
-/// or `None` when that result is not a real scalar (a power of a
-/// negative base with a fractional exponent).
-fn scalar_binop(b: BinOp, x: f64, y: f64) -> Option<(f64, Class)> {
-    if matches!(b, BinOp::MatPow | BinOp::ElemPow) && x < 0.0 && y.fract() != 0.0 {
-        return None;
+/// What [`eval_op`] computes for an op whose operands are real 1×1
+/// values and whose result is one, decoded once per op: the one
+/// definition of scalar semantics that the planned VM's typed steps
+/// and [`eval_scalar`] share. The ops are those the C backend writes as
+/// `double` expressions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ScalarKernel {
+    /// A binary operator's [`real_kernel`]; `pow` marks `^`/`.^`, whose
+    /// result is complex for a negative base and fractional exponent.
+    Bin {
+        k: RealKernel,
+        class: Class,
+        pow: bool,
+    },
+    /// A map to a double (`-`, `abs`, `floor`, `real`, one-input `max`).
+    Map(fn(f64) -> f64),
+    /// `sqrt` (`open: false`) or `log` (`open: true`): complex below
+    /// zero (or at zero for `log`); NaN stays real.
+    Domain { k: fn(f64) -> f64, open: bool },
+    /// A map to a logical (`~`, `istrue`).
+    Test(fn(f64) -> bool),
+    /// The operand itself, its class kept (transpose, `conj`, unary `+`).
+    Same,
+    /// A two-input builtin to a double (`mod`, `rem`, `atan2`, `max`, `min`).
+    Map2(fn(f64, f64) -> f64),
+    /// `range_count(start, step, stop)`: fails on a zero or non-finite
+    /// operand.
+    RangeCount,
+    /// `loop_index(start, step, _, k)`: fails on a non-finite operand.
+    LoopIndex,
+    /// A constant builtin (`pi`, `Inf`, `NaN`, `eps`).
+    Const(f64),
+}
+
+/// Operand positions a [`ScalarKernel`] reads, by arity.
+const READS: [&[usize]; 4] = [&[], &[0], &[0, 1], &[0, 1, 2]];
+
+impl ScalarKernel {
+    /// The kernel of `op` applied to `arity` operands, and the operand
+    /// positions it reads (a loop index does not read the loop's stop
+    /// value), or `None` when the op has no scalar form.
+    pub(crate) fn of(op: &Op, arity: usize) -> Option<(ScalarKernel, &'static [usize])> {
+        use ScalarKernel::*;
+        let k = match (op, arity) {
+            (Op::Bin(b), 2) => {
+                let (k, class) = real_kernel(*b);
+                let pow = matches!(b, BinOp::MatPow | BinOp::ElemPow);
+                Bin { k, class, pow }
+            }
+            (Op::Un(UnOp::Neg), 1) => Map(|x| -x),
+            (Op::Un(UnOp::Not), 1) => Test(|x| x == 0.0),
+            (Op::Un(UnOp::Plus | UnOp::Transpose | UnOp::CTranspose), 1) => Same,
+            (Op::Builtin(b), n) => return Self::builtin(*b, n),
+            _ => return None,
+        };
+        Some((k, READS[arity]))
     }
-    let (k, class) = real_kernel(b);
-    Some((k(x, y), class))
+
+    fn builtin(b: Builtin, arity: usize) -> Option<(ScalarKernel, &'static [usize])> {
+        use ScalarKernel::*;
+        let k = match (b, arity) {
+            (Builtin::Abs, 1) => Map(f64::abs),
+            (Builtin::Sqrt, 1) => Domain {
+                k: f64::sqrt,
+                open: false,
+            },
+            (Builtin::Log, 1) => Domain {
+                k: f64::ln,
+                open: true,
+            },
+            (Builtin::Sin, 1) => Map(f64::sin),
+            (Builtin::Cos, 1) => Map(f64::cos),
+            (Builtin::Tan, 1) => Map(f64::tan),
+            (Builtin::Atan, 1) => Map(f64::atan),
+            (Builtin::Exp, 1) => Map(f64::exp),
+            (Builtin::Floor, 1) => Map(f64::floor),
+            (Builtin::Ceil, 1) => Map(f64::ceil),
+            (Builtin::Round, 1) => Map(maps::round_real),
+            (Builtin::Fix, 1) => Map(f64::trunc),
+            (Builtin::Sign, 1) => Map(maps::sign_real),
+            (Builtin::Real | Builtin::Max | Builtin::Min, 1) => Map(|x| x),
+            (Builtin::Imag, 1) => Map(|_| 0.0),
+            (Builtin::Conj, 1) => Same,
+            (Builtin::Mod, 2) => Map2(arith::mod_real),
+            (Builtin::Rem, 2) => Map2(arith::rem_real),
+            (Builtin::Atan2, 2) => Map2(f64::atan2),
+            (Builtin::Max, 2) => Map2(f64::max),
+            (Builtin::Min, 2) => Map2(f64::min),
+            (Builtin::IsTrue, 1) => Test(|x| x != 0.0),
+            (Builtin::RangeCount, 3) => RangeCount,
+            (Builtin::LoopIndex, 4) => return Some((LoopIndex, &[0, 1, 3])),
+            (Builtin::Pi, 0) => Const(std::f64::consts::PI),
+            (Builtin::Inf, 0) => Const(f64::INFINITY),
+            (Builtin::NaN, 0) => Const(f64::NAN),
+            (Builtin::Eps, 0) => Const(f64::EPSILON),
+            _ => return None,
+        };
+        Some((k, READS[arity]))
+    }
+
+    /// The result on the operands the kernel reads, in order (`class0` is
+    /// the first one's class), bit for bit what [`eval_op`] returns on
+    /// real 1×1 values; `None` when that result is complex or an error,
+    /// which the general path then reports.
+    #[inline]
+    pub(crate) fn apply(self, x: [f64; 3], class0: Class) -> Option<(f64, Class)> {
+        use ScalarKernel::*;
+        let [a, b, c] = x;
+        let finite = |v: f64| v.is_finite();
+        Some(match self {
+            Bin { k, class, pow } => {
+                if pow && a < 0.0 && b.fract() != 0.0 {
+                    return None;
+                }
+                (k(a, b), class)
+            }
+            Map(k) => (k(a), Class::Double),
+            Domain { k, open } => {
+                let real = if open { a > 0.0 } else { a >= 0.0 };
+                if !real && !a.is_nan() {
+                    return None;
+                }
+                (k(a), Class::Double)
+            }
+            Test(k) => (flag(k(a)), Class::Logical),
+            Same => (a, class0),
+            Map2(k) => (k(a, b), Class::Double),
+            RangeCount => {
+                if b == 0.0 || !finite(a) || !finite(b) || !finite(c) {
+                    return None;
+                }
+                ((((c - a) / b).floor() + 1.0).max(0.0), Class::Double)
+            }
+            LoopIndex => {
+                if !finite(a) || !finite(b) || !finite(c) {
+                    return None;
+                }
+                (a + b * (c - 1.0), Class::Double)
+            }
+            Const(v) => (v, Class::Double),
+        })
+    }
 }
 
 /// The operand as a real scalar, if it is one.
@@ -252,17 +385,31 @@ fn real_scalar(a: &Arg<'_>) -> Option<f64> {
 /// dimension. `None` sends the caller to the general path, which also
 /// owns every error message.
 pub(crate) fn scalar_index(a: &Value, subs: &[Arg<'_>]) -> Option<usize> {
-    let dims = a.dims();
-    if subs.len() != 1 && subs.len() != dims.len() {
+    let mut xs = [0.0; 4];
+    if subs.len() > xs.len() {
         return None;
     }
-    let extent = |k: usize| if subs.len() == 1 { a.numel() } else { dims[k] };
-    let (mut idx, mut stride) = (0, 1);
-    for (k, s) in subs.iter().enumerate() {
-        let x = match s {
+    for (x, s) in xs.iter_mut().zip(subs) {
+        *x = match s {
             Arg::Val(v) if v.class() != Class::Logical => v.as_scalar()?,
             _ => return None,
         };
+    }
+    linear_index(a, &xs[..subs.len()])
+}
+
+/// The 0-based linear index that the real, non-logical subscripts `xs`
+/// select in `a`: `None` unless each is a positive integer within its
+/// extent and there is one subscript or one per dimension.
+#[inline]
+pub(crate) fn linear_index(a: &Value, xs: &[f64]) -> Option<usize> {
+    let dims = a.dims();
+    if xs.len() != 1 && xs.len() != dims.len() {
+        return None;
+    }
+    let extent = |k: usize| if xs.len() == 1 { a.numel() } else { dims[k] };
+    let (mut idx, mut stride) = (0, 1);
+    for (k, &x) in xs.iter().enumerate() {
         if !(x >= 1.0 && x.fract() == 0.0 && x.is_finite()) || x as usize > extent(k) {
             return None;
         }
@@ -273,31 +420,16 @@ pub(crate) fn scalar_index(a: &Value, subs: &[Arg<'_>]) -> Option<usize> {
 }
 
 /// Evaluates `op` when its result is a real scalar computable without
-/// allocating: binary operators on real scalars, `istrue`,
-/// `loop_index`, `abs` of a real scalar, and `subsref` with scalar
-/// subscripts into a real array. Returns the value and class
-/// [`eval_op`] would produce; `None` means "take the general path"
-/// (which also reports every error).
+/// allocating: a [`ScalarKernel`] over real scalar operands, `istrue`
+/// of any value, and `subsref` with scalar subscripts into a real
+/// array. Returns the value and class [`eval_op`] would produce; `None`
+/// means "take the general path" (which also reports every error).
 pub(crate) fn eval_scalar(op: &Op, args: &[Arg<'_>]) -> Option<(f64, Class)> {
     match op {
-        Op::Bin(b) => scalar_binop(*b, real_scalar(&args[0])?, real_scalar(&args[1])?),
         // A builtin given `:` fails on the general path.
         Op::Builtin(_) if args.iter().any(|a| matches!(a, Arg::Colon)) => None,
         Op::Builtin(Builtin::IsTrue) => match args {
             [Arg::Val(v)] => Some((flag(v.is_true()), Class::Logical)),
-            _ => None,
-        },
-        Op::Builtin(Builtin::LoopIndex) => {
-            let (a, s, k) = (
-                real_scalar(args.first()?)?,
-                real_scalar(args.get(1)?)?,
-                real_scalar(args.get(3)?)?,
-            );
-            (a.is_finite() && s.is_finite() && k.is_finite())
-                .then_some((a + s * (k - 1.0), Class::Double))
-        }
-        Op::Builtin(Builtin::Abs) => match args {
-            [a] => Some((real_scalar(a)?.abs(), Class::Double)),
             _ => None,
         },
         Op::Subsref => {
@@ -310,7 +442,18 @@ pub(crate) fn eval_scalar(op: &Op, args: &[Arg<'_>]) -> Option<(f64, Class)> {
             let i = scalar_index(a, &args[1..])?;
             Some((a.re()[i], a.class()))
         }
-        _ => None,
+        _ => {
+            let (k, reads) = ScalarKernel::of(op, args.len())?;
+            let mut x = [0.0; 3];
+            for (x, &i) in x.iter_mut().zip(reads) {
+                *x = real_scalar(&args[i])?;
+            }
+            let class0 = match reads.first() {
+                Some(&i) => args[i].value().ok()?.class(),
+                None => Class::Double,
+            };
+            k.apply(x, class0)
+        }
     }
 }
 
@@ -779,6 +922,72 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_scalar_kernel_matches_eval_op() {
+        // Each op with a scalar form, over every pair of swept scalars:
+        // the kernel's result is the general path's bit for bit, or the
+        // kernel declines and the general path is complex or an error.
+        let mut sh = Shared::new();
+        let vals = sweep();
+        let mut ops: Vec<(Op, usize)> = ALL_BINOPS.iter().map(|b| (Op::Bin(*b), 2)).collect();
+        for u in [
+            UnOp::Neg,
+            UnOp::Not,
+            UnOp::Plus,
+            UnOp::Transpose,
+            UnOp::CTranspose,
+        ] {
+            ops.push((Op::Un(u), 1));
+        }
+        let names = "abs sqrt log sin cos tan atan exp floor ceil round fix sign real imag conj \
+                     max min mod rem atan2 pi Inf NaN eps";
+        for n in names.split_whitespace() {
+            let b = Builtin::from_name(n).unwrap();
+            for arity in 0..=2 {
+                if ScalarKernel::of(&Op::Builtin(b), arity).is_some() {
+                    ops.push((Op::Builtin(b), arity));
+                }
+            }
+        }
+        ops.push((Op::Builtin(Builtin::RangeCount), 3));
+        let mut checked = 0;
+        for (op, arity) in &ops {
+            for x in &vals {
+                for y in &vals {
+                    for z in [&Value::scalar(5.0), y] {
+                        let args: Vec<Arg<'_>> =
+                            [x, y, z][..*arity].iter().map(|v| Arg::Val(v)).collect();
+                        let general = eval_op(op, &args, &mut sh);
+                        match (eval_scalar(op, &args), general) {
+                            (Some(fast), Ok(g)) => {
+                                assert!(same(fast, &g), "{op:?} {x} {y} {z}: {fast:?} vs {g:?}")
+                            }
+                            // Declines where the result may be complex:
+                            // a negative base to a fractional power, and
+                            // `log(0)` (real for +0, complex for -0).
+                            (None, Ok(g)) => {
+                                let (xs, ys) = (x.re()[0], y.re()[0]);
+                                let pow = matches!(op, Op::Bin(BinOp::MatPow | BinOp::ElemPow));
+                                let declines = (pow && xs < 0.0 && ys.fract() != 0.0)
+                                    || (*op == Op::Builtin(Builtin::Log) && xs == 0.0);
+                                assert!(
+                                    g.is_complex() || declines,
+                                    "{op:?} {x} {y} {z} left the fast path: {g:?}"
+                                );
+                            }
+                            (None, Err(_)) => {}
+                            (Some(fast), Err(e)) => {
+                                panic!("{op:?} {x} {y} {z}: {fast:?} vs error {e}")
+                            }
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 10_000, "{checked}");
     }
 
     #[test]

@@ -11,11 +11,27 @@
 //! Execution is table-driven: [`PlannedVm::new`] resolves, once per
 //! function, every variable to a dense cell index (planned slots first,
 //! then one cell per unplanned immediate or temporary), every definition
-//! to its resize annotation and every call site to its callee. Results
-//! that are real scalars, scalar-subscript `subsasgn`s, copies and
-//! array indexing are written into the destination cell's existing
-//! buffer; everything else goes through [`dispatch::eval_op`]
-//! (DESIGN.md §16, §17).
+//! to its resize annotation and every call site to its callee.
+//!
+//! It also decodes **typed steps**, as the C backend emits `double`
+//! expressions: an instruction whose destination is a proven scalar
+//! ([`StoragePlan::scalars`]) and whose operands are proven scalars or
+//! numeric literals runs as a pre-decoded step over cell indices, with
+//! its literals baked in and its scalar kernel chosen once
+//! (`dispatch::ScalarKernel`). A step reads and writes element 0 of
+//! its cells' values, so the generic ops, shadow probes and Equation 2
+//! see one storage. A run of typed steps charges its clock ticks in one
+//! [`MemRecorder::advance`] (the integration is linear, so Equation 2 is
+//! bit-identical), and a literal's `Const` that only typed steps read is
+//! a tick only. A step that misses at run time (an unset cell, a power
+//! that would go complex, an out-of-range or fractional subscript)
+//! leaves its instruction to the generic path, which owns every error.
+//!
+//! On the generic path, results that are real scalars, scalar-subscript
+//! `subsasgn`s, copies and array indexing are written into the
+//! destination cell's existing buffer, and Figure 1's in-place update
+//! picks its elementwise kernel once per op; everything else goes
+//! through [`dispatch::eval_op`] (DESIGN.md §16, §17).
 //!
 //! Soundness telemetry: if a definition ever needs more bytes than a
 //! `∘`-annotated slot holds (which a correct plan rules out), the VM
@@ -27,7 +43,7 @@
 //! replay (`matc shadow`), and violations are reported, not fatal.
 
 use crate::compile::Compiled;
-use crate::dispatch::{self, Arg, Shared};
+use crate::dispatch::{self, Arg, ScalarKernel, Shared};
 use matc_analysis::shadow::{DefAction, ShadowLog};
 use matc_frontend::ast::BinOp;
 use matc_gctd::{ResizeKind, SlotKind, StoragePlan};
@@ -68,17 +84,24 @@ struct FuncTable {
     cells: usize,
     /// Bytes one activation pushes on the stack.
     frame_bytes: u64,
-    /// Index of each block's first instruction in `callees`.
+    /// Index of each block's first instruction in `callees` and `steps`.
     block_base: Vec<usize>,
     /// The callee of every instruction (`Undefined` for non-calls).
     callees: Vec<Callee>,
+    /// Every instruction's decoded step.
+    steps: Vec<Step>,
+    /// Each block's branch condition when it is typed.
+    branch: Vec<Option<Src>>,
+    /// The value of each literal whose `Const` only ticks: a typed step
+    /// that misses writes it into its cell before the generic path runs.
+    elided: Vec<Option<(f64, Class)>>,
 }
 
 impl FuncTable {
     fn new(func: &FuncIr, plan: &StoragePlan, ir: &IrProgram) -> FuncTable {
         let vars = || (0..func.vars.len()).map(VarId::new);
         let mut cells = plan.slots.len();
-        let cell = vars()
+        let cell: Vec<usize> = vars()
             .map(|v| {
                 plan.slot_of(v).unwrap_or_else(|| {
                     cells += 1;
@@ -114,6 +137,7 @@ impl FuncTable {
                 .unwrap_or(Callee::Undefined)
             }));
         }
+        let decoded = Decoder::new(func, plan, &cell).decode();
         FuncTable {
             cell,
             resize,
@@ -121,6 +145,294 @@ impl FuncTable {
             frame_bytes,
             block_base,
             callees,
+            steps: decoded.steps,
+            branch: decoded.branch,
+            elided: decoded.elided,
+        }
+    }
+}
+
+/// An operand of a typed step: a typed scalar's cell, or a numeric
+/// literal baked into the step.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    Cell(usize),
+    Lit(f64, Class),
+}
+
+/// The operand slot a step does not read.
+const NONE: Src = Src::Lit(0.0, Class::Double);
+
+/// The real scalar an operand holds and its class; `None` when its cell
+/// is unset or holds anything but a real 1×1.
+#[inline]
+fn read(cells: &[Cell], s: Src) -> Option<(f64, Class)> {
+    match s {
+        Src::Lit(x, class) => Some((x, class)),
+        Src::Cell(c) => {
+            let v = cells[c].value.as_ref()?;
+            Some((v.as_scalar()?, v.class()))
+        }
+    }
+}
+
+/// Up to three scalar subscripts as reals; `None` when one misses or is
+/// logical (a mask, not a position).
+#[inline]
+fn subscripts(cells: &[Cell], subs: &[Src]) -> Option<[f64; 3]> {
+    let mut xs = [0.0; 3];
+    for (x, s) in xs.iter_mut().zip(subs) {
+        match read(cells, *s)? {
+            (_, Class::Logical) => return None,
+            (v, _) => *x = v,
+        }
+    }
+    Some(xs)
+}
+
+/// One instruction as [`FuncTable::new`] decoded it. A typed step reads
+/// and writes element 0 of its cells' values over variables the plan
+/// proves to be real 1×1 scalars in stack slots
+/// ([`StoragePlan::scalars`]) and numeric literals, the instructions the
+/// C backend writes as `double` expressions; anything it cannot finish
+/// at run time goes to the generic path.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Runs on the generic path.
+    Generic,
+    /// The `Const` of a literal that only typed steps read: one tick.
+    Tick,
+    /// `dst = k(xs)` over typed scalars and literals. A numeric `Const`
+    /// into a typed scalar or a literal's cell, and a copy into a typed
+    /// scalar, are `ScalarKernel::Same` of one operand.
+    Scalar {
+        dst: usize,
+        var: VarId,
+        k: ScalarKernel,
+        xs: [Src; 3],
+    },
+    /// `dst = a(subs)`: scalar subscripts into a real array.
+    Get {
+        dst: usize,
+        var: VarId,
+        array: usize,
+        subs: [Src; 3],
+        n: usize,
+    },
+    /// `a(subs) = x` in place: the destination shares the array's slot.
+    Set {
+        dst: usize,
+        var: VarId,
+        x: Src,
+        subs: [Src; 3],
+        n: usize,
+    },
+}
+
+/// The steps [`Decoder::decode`] produces for one function.
+struct Decoded {
+    steps: Vec<Step>,
+    branch: Vec<Option<Src>>,
+    elided: Vec<Option<(f64, Class)>>,
+}
+
+/// Decodes one function's typed steps.
+struct Decoder<'a> {
+    func: &'a FuncIr,
+    cell: &'a [usize],
+    /// Planned slots (cells below this index).
+    slots: usize,
+    /// Per variable: whether it is a typed scalar.
+    typed: Vec<bool>,
+    /// Per variable: its value when it is a numeric literal (an
+    /// unplanned variable whose one definition is a numeric `Const`).
+    lits: Vec<Option<(f64, Class)>>,
+}
+
+/// The value and class of a numeric or logical constant.
+fn numeric(c: &Const) -> Option<(f64, Class)> {
+    match c {
+        Const::Num(x) => Some((*x, Class::Double)),
+        Const::Bool(b) => Some((f64::from(u8::from(*b)), Class::Logical)),
+        _ => None,
+    }
+}
+
+impl<'a> Decoder<'a> {
+    fn new(func: &'a FuncIr, plan: &StoragePlan, cell: &'a [usize]) -> Self {
+        let n = func.vars.len();
+        let mut typed = vec![false; n];
+        for v in plan.scalars.iter().filter(|v| v.index() < n) {
+            // A stack slot that holds one element of its type: the
+            // generic path's size check can never fire.
+            typed[v.index()] = plan.slot_of(*v).is_some_and(|s| {
+                let slot = &plan.slots[s];
+                matches!(slot.kind, SlotKind::Stack { bytes } if bytes >= slot.intrinsic.byte_size())
+            });
+        }
+        let mut defs = vec![0u32; n];
+        let mut lits = vec![None; n];
+        for instr in func.blocks.iter().flat_map(|b| &b.instrs) {
+            for d in instr.defs() {
+                defs[d.index()] += 1;
+            }
+            if let InstrKind::Const { dst, value } = &instr.kind {
+                if plan.slot_of(*dst).is_none() {
+                    lits[dst.index()] = numeric(value);
+                }
+            }
+        }
+        for (lit, d) in lits.iter_mut().zip(&defs) {
+            if *d != 1 {
+                *lit = None;
+            }
+        }
+        Decoder {
+            func,
+            cell,
+            slots: plan.slots.len(),
+            typed,
+            lits,
+        }
+    }
+
+    /// A typed scalar or literal operand.
+    fn src(&self, o: &Operand) -> Option<Src> {
+        let v = o.as_var()?;
+        if self.typed[v.index()] {
+            Some(Src::Cell(self.cell[v.index()]))
+        } else {
+            self.lits[v.index()].map(|(x, class)| Src::Lit(x, class))
+        }
+    }
+
+    /// One to three scalar subscripts.
+    fn subs(&self, subs: &[Operand]) -> Option<([Src; 3], usize)> {
+        if !(1..=3).contains(&subs.len()) {
+            return None;
+        }
+        let mut out = [NONE; 3];
+        for (o, s) in out.iter_mut().zip(subs) {
+            *o = self.src(s)?;
+        }
+        Some((out, subs.len()))
+    }
+
+    fn step(&self, instr: &Instr) -> Step {
+        let same = |var: VarId, x: Src| Step::Scalar {
+            dst: self.cell[var.index()],
+            var,
+            k: ScalarKernel::Same,
+            xs: [x, NONE, NONE],
+        };
+        let step = match &instr.kind {
+            InstrKind::Const { dst, value }
+                if self.typed[dst.index()] || self.lits[dst.index()].is_some() =>
+            {
+                numeric(value).map(|(x, class)| same(*dst, Src::Lit(x, class)))
+            }
+            InstrKind::Copy { dst, src } if self.typed[dst.index()] => {
+                self.src(&Operand::Var(*src)).map(|x| same(*dst, x))
+            }
+            InstrKind::Compute { dst, op, args } => self.compute(*dst, op, args),
+            _ => None,
+        };
+        step.unwrap_or(Step::Generic)
+    }
+
+    fn compute(&self, dst: VarId, op: &Op, args: &[Operand]) -> Option<Step> {
+        let (var, cell) = (dst, self.cell[dst.index()]);
+        match (op, args) {
+            (Op::Subsasgn, [Operand::Var(base), x, subs @ ..])
+                if cell < self.slots && self.cell[base.index()] == cell =>
+            {
+                let (subs, n) = self.subs(subs)?;
+                Some(Step::Set {
+                    dst: cell,
+                    var,
+                    x: self.src(x)?,
+                    subs,
+                    n,
+                })
+            }
+            (Op::Subsref, [Operand::Var(array), subs @ ..]) if self.typed[dst.index()] => {
+                let (subs, n) = self.subs(subs)?;
+                Some(Step::Get {
+                    dst: cell,
+                    var,
+                    array: self.cell[array.index()],
+                    subs,
+                    n,
+                })
+            }
+            _ if self.typed[dst.index()] => {
+                let (k, reads) = ScalarKernel::of(op, args.len())?;
+                let mut xs = [NONE; 3];
+                for (x, &i) in xs.iter_mut().zip(reads) {
+                    *x = self.src(&args[i])?;
+                }
+                Some(Step::Scalar {
+                    dst: cell,
+                    var,
+                    k,
+                    xs,
+                })
+            }
+            _ => None,
+        }
+    }
+
+    fn decode(self) -> Decoded {
+        let func = self.func;
+        // Literals whose cell some generic read needs.
+        let mut needed = vec![false; func.vars.len()];
+        let mut steps = Vec::new();
+        for instr in func.blocks.iter().flat_map(|b| &b.instrs) {
+            let step = self.step(instr);
+            match (step, &instr.kind) {
+                (Step::Generic, _) => instr.uses().iter().for_each(|v| needed[v.index()] = true),
+                // The array operand is read from its cell.
+                (Step::Get { .. }, InstrKind::Compute { args, .. }) => {
+                    if let Some(v) = args[0].as_var() {
+                        needed[v.index()] = true;
+                    }
+                }
+                _ => {}
+            }
+            steps.push(step);
+        }
+        let outs = if func.ssa_outs.is_empty() {
+            &func.outs
+        } else {
+            &func.ssa_outs
+        };
+        outs.iter().for_each(|v| needed[v.index()] = true);
+        let branch = (func.blocks.iter())
+            .map(|b| {
+                let cond = b.term.used_var()?;
+                let src = self.src(&Operand::Var(cond));
+                needed[cond.index()] |= src.is_none();
+                src
+            })
+            .collect();
+        let mut elided = vec![None; func.vars.len()];
+        for step in &mut steps {
+            if let Step::Scalar {
+                var,
+                xs: [Src::Lit(x, class), ..],
+                ..
+            } = *step
+            {
+                if self.lits[var.index()].is_some() && !needed[var.index()] {
+                    elided[var.index()] = Some((x, class));
+                    *step = Step::Tick;
+                }
+            }
+        }
+        Decoded {
+            steps,
+            branch,
+            elided,
         }
     }
 }
@@ -162,11 +474,33 @@ fn put_scalar(cell: &mut Cell, x: f64, class: Class) {
     }
 }
 
+/// Writes the value of `v`, when it is a literal whose `Const` only
+/// ticked, into its cell for the generic path to read.
+fn materialize(t: &FuncTable, cells: &mut [Cell], v: VarId) {
+    if let Some((x, class)) = t.elided[v.index()] {
+        put_scalar(&mut cells[t.cell[v.index()]], x, class);
+    }
+}
+
 /// Copies cell `src`'s value into cell `dst`, reusing `dst`'s buffers.
 fn copy_cell(cells: &mut [Cell], dst: usize, src: usize) {
     let mut out = cells[dst].value.take();
     out.clone_from(&cells[src].value);
     cells[dst].value = out;
+}
+
+/// Figure 1's in-place update `dst = dst b rhs` for `+ - .* ./` (and
+/// `*`, `/` against a scalar), with the kernel chosen once per op so
+/// the element loop is inlined with it; `false` when
+/// [`arith::ew_assign`] declines.
+fn ew_in_place(b: BinOp, dst: &mut Value, rhs: &Value) -> bool {
+    match b {
+        BinOp::Add => arith::ew_assign(dst, rhs, |x, y| x + y),
+        BinOp::Sub => arith::ew_assign(dst, rhs, |x, y| x - y),
+        BinOp::ElemMul | BinOp::MatMul => arith::ew_assign(dst, rhs, |x, y| x * y),
+        BinOp::ElemDiv | BinOp::MatDiv => arith::ew_assign(dst, rhs, |x, y| x / y),
+        _ => false,
+    }
 }
 
 /// The result of the allocation-free path.
@@ -237,6 +571,25 @@ impl<'p> PlannedVm<'p> {
     pub fn with_shadow(mut self) -> Self {
         self.shadow = Some(ShadowLog::new());
         self
+    }
+
+    /// The typed steps [`PlannedVm::new`] decoded for function `f`:
+    /// `(block index, Some(instruction index))` per instruction and
+    /// `(block index, None)` per typed branch test, the form of
+    /// `matc_codegen::typed_sites`.
+    #[doc(hidden)]
+    pub fn typed_sites(&self, f: FuncId) -> Vec<(usize, Option<usize>)> {
+        let t = &self.tables[f.index()];
+        let mut sites = Vec::new();
+        for (b, &base) in t.block_base.iter().enumerate() {
+            let end = t.block_base.get(b + 1).copied().unwrap_or(t.steps.len());
+            let typed = (base..end).filter(|&at| !matches!(t.steps[at], Step::Generic));
+            sites.extend(typed.map(|at| (b, Some(at - base))));
+            if t.branch[b].is_some() {
+                sites.push((b, None));
+            }
+        }
+        sites
     }
 
     /// Takes the probe log recorded by a [`PlannedVm::with_shadow`]
@@ -326,18 +679,30 @@ impl<'p> PlannedVm<'p> {
     }
 
     fn exec(&mut self, cx: Ctx<'_>, cells: &mut [Cell]) -> Result<Vec<Value>> {
-        let func = cx.func;
+        let (func, t) = (cx.func, cx.table);
         let mut block = func.entry;
         let mut guard = 0u64;
+        // Clock ticks not yet charged: a run of typed steps is one
+        // `advance`, which is exact because the Equation 2 integration is
+        // linear in time. Flushed before anything that reads the clock.
+        let mut ticks = 0u64;
         loop {
             guard += 1;
             if guard > 500_000_000 {
+                self.flush(&mut ticks);
                 return err("execution exceeded the instruction guard");
             }
             self.cur_block = block.index();
-            let base = cx.table.block_base[block.index()];
+            let base = t.block_base[block.index()];
             for (i, instr) in func.block(block).instrs.iter().enumerate() {
-                self.instr(cx, cells, instr, base + i)?;
+                let step = t.steps[base + i];
+                if !self.typed(cx, cells, step, instr, &mut ticks) {
+                    self.flush(&mut ticks);
+                    if !matches!(step, Step::Generic) {
+                        instr.uses().iter().for_each(|v| materialize(t, cells, *v));
+                    }
+                    self.instr(cx, cells, instr, base + i)?;
+                }
             }
             match &func.block(block).term {
                 Terminator::Jump(b) => block = *b,
@@ -346,12 +711,21 @@ impl<'p> PlannedVm<'p> {
                     then_bb,
                     else_bb,
                 } => {
-                    let t = value(cells, cx.table, *cond)?.is_true();
+                    // A literal test never misses, so its cell is never
+                    // read here.
+                    let truth = match t.branch[block.index()].and_then(|s| read(cells, s)) {
+                        Some((x, _)) => x != 0.0,
+                        None => {
+                            self.flush(&mut ticks);
+                            value(cells, t, *cond)?.is_true()
+                        }
+                    };
                     self.note_read(cx, *cond);
-                    self.mem.advance(1);
-                    block = if t { *then_bb } else { *else_bb };
+                    ticks += 1;
+                    block = if truth { *then_bb } else { *else_bb };
                 }
                 Terminator::Return => {
+                    self.flush(&mut ticks);
                     let outs = if func.ssa_outs.is_empty() {
                         &func.outs
                     } else {
@@ -359,13 +733,13 @@ impl<'p> PlannedVm<'p> {
                     };
                     let mut vals = Vec::with_capacity(outs.len());
                     for (k, o) in outs.iter().enumerate() {
-                        let c = cx.table.cell[o.index()];
+                        let c = t.cell[o.index()];
                         if cells[c].value.is_some() {
                             self.note_read(cx, *o);
                         }
                         // The frame dies here: move each result out,
                         // unless a later output reads the same cell.
-                        let later = outs[k + 1..].iter().any(|p| cx.table.cell[p.index()] == c);
+                        let later = outs[k + 1..].iter().any(|p| t.cell[p.index()] == c);
                         let v = if later {
                             cells[c].value.clone()
                         } else {
@@ -377,6 +751,106 @@ impl<'p> PlannedVm<'p> {
                 }
             }
         }
+    }
+
+    /// Charges the pending clock ticks.
+    fn flush(&mut self, ticks: &mut u64) {
+        if *ticks > 0 {
+            self.mem.advance(*ticks);
+            *ticks = 0;
+        }
+    }
+
+    /// Runs a typed step, adding its clock ticks to `ticks`. Returns
+    /// `false`, having changed nothing, when the generic path must run
+    /// the instruction: it is not typed, or its operands miss at run
+    /// time (an unset cell, a power that would go complex, a subscript
+    /// out of range or fractional). Under shadow observation it records
+    /// the events the generic path records.
+    #[inline]
+    fn typed(
+        &mut self,
+        cx: Ctx<'_>,
+        cells: &mut [Cell],
+        step: Step,
+        instr: &Instr,
+        ticks: &mut u64,
+    ) -> bool {
+        let (dst, var, (x, class)) = match step {
+            Step::Generic => return false,
+            Step::Tick => {
+                *ticks += 1;
+                return true;
+            }
+            Step::Scalar { dst, var, k, xs } => {
+                let [a, b, c] = xs.map(|s| read(cells, s));
+                let (Some((a, class0)), Some((b, _)), Some((c, _))) = (a, b, c) else {
+                    return false;
+                };
+                match k.apply([a, b, c], class0) {
+                    Some(r) => (dst, var, r),
+                    None => return false,
+                }
+            }
+            Step::Get {
+                dst,
+                var,
+                array,
+                subs,
+                n,
+            } => {
+                let (Some(a), Some(xs)) = (&cells[array].value, subscripts(cells, &subs[..n]))
+                else {
+                    return false;
+                };
+                match dispatch::linear_index(a, &xs[..n]) {
+                    Some(i) if !a.is_complex() => (dst, var, (a.re()[i], a.class())),
+                    _ => return false,
+                }
+            }
+            Step::Set {
+                dst,
+                var,
+                x,
+                subs,
+                n,
+            } => {
+                let (Some((x, _)), Some(xs)) = (read(cells, x), subscripts(cells, &subs[..n]))
+                else {
+                    return false;
+                };
+                let Some(a) = cells[dst].value.as_mut().filter(|a| !a.is_complex()) else {
+                    return false;
+                };
+                let Some(i) = dispatch::linear_index(a, &xs[..n]) else {
+                    return false;
+                };
+                a.re_mut()[i] = x;
+                let numel = a.numel();
+                if let (Some(_), InstrKind::Compute { args, .. }) = (&self.shadow, &instr.kind) {
+                    args[1..]
+                        .iter()
+                        .filter_map(|a| a.as_var())
+                        .for_each(|v| self.note_read(cx, v));
+                }
+                *ticks += numel as u64;
+                // A heap slot's definition reads the clock.
+                if matches!(cx.plan.slots[dst].kind, SlotKind::Heap) {
+                    self.flush(ticks);
+                }
+                self.define(cx, cells, var, numel, None);
+                return true;
+            }
+        };
+        *ticks += 1;
+        if self.shadow.is_some() {
+            if let InstrKind::Copy { src, .. } = &instr.kind {
+                self.note_read(cx, *src);
+            }
+            self.define(cx, cells, var, 1, None);
+        }
+        put_scalar(&mut cells[dst], x, class);
+        true
     }
 
     /// Charges a definition of `v` — `numel` elements, plus its payload
@@ -717,7 +1191,6 @@ impl<'p> PlannedVm<'p> {
                 _ => None,
             };
             if let Some((commutative, need_scalar)) = shape {
-                let (k, _) = dispatch::real_kernel(*b);
                 let v0 = args[0].as_var().expect("binary operand");
                 let v1 = args[1].as_var().expect("binary operand");
                 // Operand order: the one sharing dst's slot is updated.
@@ -738,9 +1211,9 @@ impl<'p> PlannedVm<'p> {
                     // `c = a op a`: the operand is the taken buffer.
                     let done = if t.cell[other.index()] == dc {
                         let rhs = buf.clone();
-                        arith::ew_assign(&mut buf, &rhs, k)
+                        ew_in_place(*b, &mut buf, &rhs)
                     } else {
-                        arith::ew_assign(&mut buf, value(cells, t, other)?, k)
+                        ew_in_place(*b, &mut buf, value(cells, t, other)?)
                     };
                     if done {
                         return Ok(buf);
@@ -948,6 +1421,68 @@ mod tests {
         assert!(on.plans.total_stats().stack_bytes_total > 0);
         assert_eq!(off.plans.total_stats().stack_bytes_total, 0);
         assert!(vm_off.mem.avg_heap() > 0.0, "baseline lives on the heap");
+    }
+}
+
+#[cfg(test)]
+mod kernel_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Reals of every kind the kernels must keep bit for bit.
+    fn arb_elem() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            -1e3..1e3f64,
+            -1e3..1e3f64,
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(1e300),
+        ]
+    }
+
+    /// A real r×c array and an operand of the same shape or 1×1.
+    fn arb_operands() -> impl Strategy<Value = (Value, Value)> {
+        (1..5usize, 1..5usize, any::<bool>()).prop_flat_map(|(r, c, scalar)| {
+            let n = if scalar { 1 } else { r * c };
+            (
+                proptest::collection::vec(arb_elem(), r * c),
+                proptest::collection::vec(arb_elem(), n),
+            )
+                .prop_map(move |(x, y)| {
+                    let dims = if scalar { vec![1, 1] } else { vec![r, c] };
+                    (Value::from_parts(vec![r, c], x), Value::from_parts(dims, y))
+                })
+        })
+    }
+
+    fn bits(v: &Value) -> Vec<u64> {
+        v.re().iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Figure 1's in-place update, with its kernel chosen per op,
+        /// is the allocating op bit for bit: `+ - .* ./` on equal shapes
+        /// or a scalar operand, and `*`, `/` by a scalar.
+        #[test]
+        fn in_place_kernels_match_the_allocating_ops((a, b) in arb_operands()) {
+            use BinOp::*;
+            for op in [Add, Sub, ElemMul, ElemDiv, MatMul, MatDiv] {
+                if matches!(op, MatMul | MatDiv) && !b.is_scalar() {
+                    continue;
+                }
+                let want = dispatch::eval_binop(op, &a, &b).unwrap();
+                let mut got = a.clone();
+                prop_assert!(ew_in_place(op, &mut got, &b), "{op:?} declined");
+                prop_assert_eq!(got.dims(), want.dims(), "{:?}", op);
+                prop_assert_eq!(got.class(), want.class(), "{:?}", op);
+                prop_assert_eq!(bits(&got), bits(&want), "{:?} {} {}", op, a, b);
+            }
+        }
     }
 }
 

@@ -46,15 +46,16 @@ audit-bench:
 batch-bench:
     cargo run -q --release --bin matc -- batch --bench --selfcheck --jobs 8
 
-# The tracked performance gate (DESIGN.md §8): three short passes of
+# The tracked performance gate (DESIGN.md §8): four short passes of
 # the benchmark (perfbench/BENCHMARK.md, seed 1) — compile-batch
-# untraced for 5 s and traced for 40 s, serve-warm for 5 s — then
-# `matc perf-bench` compares nine of their host-scaled results with
+# untraced for 5 s and traced for 40 s, serve-warm for 5 s, run-paper
+# traced for 5 s (it builds the programs' C, so it needs `cc`) — then
+# `matc perf-bench` compares ten of their host-scaled results with
 # the committed PERF_BASELINE.json, each in the direction
 # BENCHMARK.json declares, and fails on a >25% regression or on a
-# pass that reports a failed operation. The traced pass is the long
-# one because its first seconds can run in a slower allocator state
-# (DESIGN.md §8). Widen the tolerance on a slow machine with
+# pass that reports a failed operation. The traced compile-batch pass
+# is the long one because its first seconds can run in a slower
+# allocator state (DESIGN.md §8). Widen the tolerance on a slow machine with
 # `MATC_PERF_TOLERANCE=1.0 just perf-bench` instead of editing the
 # baseline; re-bless after an intentional change with
 # `just perf-bench --bless`.
@@ -65,6 +66,8 @@ perf-bench *ARGS:
         --workload compile-batch --seed 1 --seconds 40 --trace 1 > /dev/null
     cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin benchmark -- \
         --workload serve-warm --seed 1 --seconds 5 --trace 0 > /dev/null
+    cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin benchmark -- \
+        --workload run-paper --seed 1 --seconds 5 --trace 1 > /dev/null
     cargo run -q --release --bin matc -- perf-bench {{ARGS}}
 
 # The plan-validating shadow runtime (DESIGN.md §11): run all 11

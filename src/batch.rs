@@ -316,12 +316,14 @@ fn merge_func_metrics(m: &mut UnitMetrics, fm: &UnitMetrics) {
 /// fingerprint, the probes flag and the canonical walks of the
 /// function's optimized IR and of its inference facts
 /// (`FuncIr::encode_canonical`, `ProgramTypes::encode_canonical_facts`),
-/// in domain `matc-frag-v3`. Equal keys ⇒ equal optimized IR, equal
+/// in domain `matc-frag-v4`. Equal keys ⇒ equal optimized IR, equal
 /// facts (canonically renumbered) and equal options ⇒ identical plan,
 /// audit and emitted body (the facts decide which variables the body
 /// computes as typed scalars). The domain names the emitter's output
 /// form: `v3` is op-id dispatch with typed scalars, whose bodies do not
-/// link against the `v2` runtime interface. `buf` is scratch space,
+/// link against the `v2` runtime interface, and `v4` counts every
+/// frame against the recursion limit (`mrt_enter`/`mrt_leave` in every
+/// body). `buf` is scratch space,
 /// reused across calls.
 pub fn fragment_key(
     fingerprint: &str,
@@ -333,7 +335,7 @@ pub fn fragment_key(
     front.ir.func(fid).encode_canonical(buf);
     front.types.encode_canonical_facts(fid, buf);
     CacheKey::compute_parts(
-        "matc-frag-v3",
+        "matc-frag-v4",
         [
             fingerprint.as_bytes(),
             b"probes=0".as_slice(),

@@ -2,10 +2,10 @@
 //! (`perfbench/`, declared by `BENCHMARK.json`) against the committed
 //! baseline `PERF_BASELINE.json`.
 //!
-//! `just perf-bench` first runs the benchmark binary for the three
+//! `just perf-bench` first runs the benchmark binary for the four
 //! short passes in [`PASSES`], each of which writes
 //! `target/benchmark/result-<workload>-seed1-trace<T>.json`. The gate
-//! reads those files and compares the nine lines of [`GATES`] against
+//! reads those files and compares the ten lines of [`GATES`] against
 //! the baseline, each in the direction `BENCHMARK.json` declares for its
 //! metric: a value more than the tolerance (default 25%, overridable
 //! through [`TOLERANCE_ENV`]) worse than its baseline fails, and so does
@@ -23,17 +23,21 @@ const BASELINE: &str = "PERF_BASELINE.json";
 const REGISTRY: &str = "BENCHMARK.json";
 
 /// The benchmark passes the gate reads, as `(workload, traced)`; the
-/// `perf-bench` recipe in `justfile` runs them with seed 1.
-pub const PASSES: [(&str, bool); 3] = [
+/// `perf-bench` recipe in `justfile` runs them with seed 1. The traced
+/// `run-paper` pass builds the programs' C, so it needs `cc`.
+pub const PASSES: [(&str, bool); 4] = [
     ("compile-batch", false),
     ("compile-batch", true),
     ("serve-warm", false),
+    ("run-paper", true),
 ];
 
 /// The gated lines: an index into [`PASSES`] and the metrics whose sum
 /// is gated. Dataflow and interference are gated as one sum because
 /// the interference build alone reads in two clusters from run to run.
-pub const GATES: [(usize, &[&str]); 9] = [
+/// `vm.run_s` is the planned VM's host-scaled run time over the 11
+/// programs at the Paper preset.
+pub const GATES: [(usize, &[&str]); 10] = [
     (0, &["throughput"]),
     (2, &["throughput"]),
     (2, &["latency_p99_ms"]),
@@ -43,6 +47,7 @@ pub const GATES: [(usize, &[&str]); 9] = [
     (1, &["analysis.audit_ms"]),
     (1, &["analysis.auditflow_ms"]),
     (1, &["gctd.dataflow_iters"]),
+    (3, &["vm.run_s"]),
 ];
 
 /// A line's name in the baseline and the report:
@@ -229,7 +234,8 @@ mod tests {
         {"name": "gctd.interference_ms", "better": "lower"},
         {"name": "gctd.coloring_ms", "better": "lower"},
         {"name": "analysis.audit_ms", "better": "lower"},
-        {"name": "analysis.auditflow_ms", "better": "lower"}
+        {"name": "analysis.auditflow_ms", "better": "lower"},
+        {"name": "vm.run_s", "better": "lower"}
       ]
     }"#;
 
@@ -242,10 +248,11 @@ mod tests {
       "compile-batch traced gctd.coloring_ms": 0.4,
       "compile-batch traced analysis.audit_ms": 9,
       "compile-batch traced analysis.auditflow_ms": 0.85,
-      "compile-batch traced gctd.dataflow_iters": 3660
+      "compile-batch traced gctd.dataflow_iters": 3660,
+      "run-paper traced vm.run_s": 0.016
     }"#;
 
-    /// Result documents of the three passes, at the baseline's values.
+    /// Result documents of the four passes, at the baseline's values.
     fn results() -> Vec<Json> {
         [
             r#"{"correct": true, "attempted": 1282, "failed": 0,
@@ -256,6 +263,8 @@ mod tests {
                 "analysis.auditflow_ms": {"value": 0.85}, "gctd.dataflow_iters": {"value": 3660}}}"#,
             r#"{"correct": true, "attempted": 81799, "failed": 0,
                 "metrics": {"throughput": {"value": 38000}, "latency_p99_ms": {"value": 0.44}}}"#,
+            r#"{"correct": true, "attempted": 66, "failed": 0,
+                "metrics": {"vm.run_s": {"value": 0.016}}}"#,
         ]
         .iter()
         .map(|d| Json::parse(d).unwrap())
@@ -358,6 +367,11 @@ mod tests {
                 .collect();
             assert_eq!(failed, vec![line.name.clone()]);
         }
+        // The planned VM's run time is one of the lines.
+        assert!(
+            lines.iter().any(|l| l.name == "run-paper traced vm.run_s"),
+            "{lines:?}"
+        );
         // The directions come from the registry: only the two
         // throughput lines gate higher-is-better.
         assert_eq!(

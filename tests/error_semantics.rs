@@ -14,8 +14,9 @@ use std::fmt::Write as _;
 use std::process::{Command, Output};
 
 /// Runs `body` (as the entry function `f`) under the three Rust
-/// executors, asserts every one errors, and returns the compiled
-/// program.
+/// executors, asserts every one errors, the planned VM with the
+/// interpreter's message (its typed steps leave every error to the
+/// generic path), and returns the compiled program.
 fn assert_vm_errors(body: &str) -> Compiled {
     let src = format!("function f()\n{body}\n");
     let ast = parse_program([src.as_str()]).unwrap_or_else(|e| panic!("{e}\n{src}"));
@@ -26,6 +27,7 @@ fn assert_vm_errors(body: &str) -> Compiled {
     let mut vm = PlannedVm::new(&compiled);
     let p = vm.run();
     assert!(p.is_err(), "planned VM succeeded on:\n{src}");
+    assert_eq!(p.unwrap_err().message, i.unwrap_err().message, "{src}");
     // The mcc model runs the unplanned program (as `matc run --mcc`
     // does): the planned IR leaves out the copies between coalesced
     // variables, so under mcc a loop counter would never advance.
@@ -179,27 +181,118 @@ fn undefined_function_rejected_at_compile_time() {
 
 #[test]
 fn recursion_limit_errors() {
-    // MATLAB's RecursionLimit (100) in every executor: emitted C guards
-    // the call depth of functions on a call-graph cycle. Debug-build
-    // Rust frames are large, so give the checker a roomy stack.
-    let compiled = std::thread::Builder::new()
-        .stack_size(64 * 1024 * 1024)
-        .spawn(|| {
-            let body = "disp(down(200));\n\nfunction r = down(k)\nif k <= 0\n  r = 0;\nelse\n  r = down(k - 1);\nend";
-            assert_vm_errors(body)
-        })
-        .unwrap()
-        .join()
-        .unwrap();
+    // MATLAB's RecursionLimit (100) in every executor: emitted C counts
+    // every frame in `mrt_enter`. Debug-build Rust frames are large, so
+    // give the checker a roomy stack.
+    let compiled = on_big_stack(|| {
+        let body = "disp(down(200));\n\nfunction r = down(k)\nif k <= 0\n  r = 0;\nelse\n  r = down(k - 1);\nend";
+        assert_vm_errors(body)
+    });
     let Some(runs) = run_native(&[compiled]) else {
         return;
     };
-    let stderr = String::from_utf8_lossy(&runs[0].stderr);
-    assert_eq!(runs[0].status.code(), Some(70), "{stderr}");
+    assert_recursion_limit(&runs[0]);
+}
+
+/// Runs `f` on a thread with a 64 MiB stack (debug-build interpreter
+/// frames are large).
+fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(64 * 1024 * 1024)
+        .spawn(f)
+        .unwrap()
+        .join()
+        .unwrap()
+}
+
+/// Asserts a native run stopped at the recursion limit.
+fn assert_recursion_limit(run: &Output) {
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(70), "{stderr}");
     assert!(
         stderr.contains("mrt: maximum recursion depth exceeded"),
         "{stderr}"
     );
+}
+
+/// Runs `src` in the three Rust executors; returns the common output,
+/// or `None` when all three fail with the recursion limit.
+fn run_vms_to_the_limit(src: &str) -> (Option<String>, Compiled) {
+    let ast = parse_program([src]).unwrap_or_else(|e| panic!("{e}\n{src}"));
+    let compiled = compile(&ast, GctdOptions::default()).unwrap();
+    let runs = [
+        Interp::new(&ast).run(),
+        PlannedVm::new(&compiled).run(),
+        MccVm::new(&lower_for_mcc(&ast).unwrap()).run(),
+    ];
+    let out = match &runs[0] {
+        Ok(out) => Some(out.clone()),
+        Err(e) => {
+            assert_eq!(e.message, "maximum recursion depth exceeded", "{src}");
+            None
+        }
+    };
+    for r in &runs[1..] {
+        assert_eq!(r.as_ref().ok(), out.as_ref(), "{src}");
+        if let Err(e) = r {
+            assert_eq!(e.message, "maximum recursion depth exceeded", "{src}");
+        }
+    }
+    (out, compiled)
+}
+
+/// Every frame counts, the entry function's included, in all four
+/// executors: `down(98)` runs in 100 frames and `down(99)` needs 101,
+/// and a chain of 100 distinct non-recursive functions runs while one
+/// of 101 fails.
+#[test]
+fn recursion_limit_counts_every_frame_in_every_executor() {
+    let down = |k: u32| {
+        format!("function f()\ndisp(down({k}));\nend\nfunction r = down(k)\nif k <= 0\n  r = 0;\nelse\n  r = down(k - 1);\nend\nend\n")
+    };
+    // `f` calls `g1`, and each `g<i>` calls `g<i + 1>`: `n` functions.
+    let chain = |n: u32| {
+        let mut src = String::from("function f()\ndisp(g1(0));\nend\n");
+        for i in 1..n - 1 {
+            let _ = write!(src, "function y = g{i}(x)\ny = g{}(x + 1);\nend\n", i + 1);
+        }
+        let _ = write!(src, "function y = g{}(x)\ny = x + 1;\nend\n", n - 1);
+        src
+    };
+    let cases = [
+        (down(98), true),
+        (down(99), false),
+        (chain(100), true),
+        (chain(101), false),
+    ];
+    let (outs, programs): (Vec<Option<String>>, Vec<Compiled>) = on_big_stack(move || {
+        cases
+            .iter()
+            .map(|(src, runs)| {
+                let (out, compiled) = run_vms_to_the_limit(src);
+                assert_eq!(out.is_some(), *runs, "{src}");
+                (out, compiled)
+            })
+            .unzip()
+    });
+    assert_eq!(outs[0].as_deref(), Some("    0\n"));
+    assert_eq!(outs[2].as_deref(), Some("    99\n"));
+    let Some(runs) = run_native(&programs) else {
+        return;
+    };
+    for (run, out) in runs.iter().zip(&outs) {
+        match out {
+            Some(out) => {
+                assert!(
+                    run.status.success(),
+                    "{}",
+                    String::from_utf8_lossy(&run.stderr)
+                );
+                assert_eq!(&String::from_utf8_lossy(&run.stdout), out);
+            }
+            None => assert_recursion_limit(run),
+        }
+    }
 }
 
 /// A real NaN is not negative: `sqrt` and `log` keep it a real NaN,

@@ -9,6 +9,7 @@ static void f_humps(const mrt_val *arg_20, mrt_val *out_0);
 /* ---- function adpt_driver ---- */
 static void f_adpt_driver(void)
 {
+    mrt_enter();
     double slot0[1];            /* stack group (double): q.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 1);
@@ -27,12 +28,14 @@ bb0: ;
     mrt_op(NULL, MRT_OP_FPRINTF, 2, mrt_wrap(imm_13), &v_slot1 /*cnt.1*/);
     goto bb1;
 bb1: ;
+    mrt_leave();
     return;
 }
 
 /* ---- function adpt ---- */
 static void f_adpt(const mrt_val *arg_38, const mrt_val *arg_39, const mrt_val *arg_40, mrt_val *out_0, mrt_val *out_1)
 {
+    mrt_enter();
     double slot0[1];            /* stack group (unsigned char): a.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 1);
@@ -106,6 +109,7 @@ bb1: ;
     mrt_op(out_1, MRT_OP_COPY, 1, &v_slot6 /*cnt.2*/);
     mrt_free(&v_slot1);
     mrt_free(&v_slot5);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot8 /*%t112.3*/, (double)(slot7[0] > 0.0));
@@ -162,6 +166,7 @@ bb7: ;
 /* ---- function simp ---- */
 static void f_simp(const mrt_val *arg_16, const mrt_val *arg_17, mrt_val *out_0)
 {
+    mrt_enter();
     double slot0[1];            /* stack group (double): x1.1, %t24.1, %t28.1, %t30.1, s.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 1);
@@ -195,12 +200,14 @@ bb0: ;
     goto bb1;
 bb1: ;
     mrt_op(out_0, MRT_OP_COPY, 1, &v_slot0 /*s.1*/);
+    mrt_leave();
     return;
 }
 
 /* ---- function humps ---- */
 static void f_humps(const mrt_val *arg_20, mrt_val *out_0)
 {
+    mrt_enter();
     double slot0[1];            /* stack group (double): x.1, %t31.1, %t33.1, %t35.1, %t36.1, %t37.1, y.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 1);
@@ -230,6 +237,7 @@ bb0: ;
     goto bb1;
 bb1: ;
     mrt_op(out_0, MRT_OP_COPY, 1, &v_slot0 /*y.1*/);
+    mrt_leave();
     return;
 }
 

@@ -10,6 +10,7 @@ static void f_gquad(const mrt_val *arg_32, const mrt_val *arg_33, const mrt_val 
 /* ---- function capr_driver ---- */
 static void f_capr_driver(void)
 {
+    mrt_enter();
     double slot0[1];            /* stack group (double): cap.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 1);
@@ -29,12 +30,14 @@ bb0: ;
     mrt_op(NULL, MRT_OP_FPRINTF, 2, mrt_wrap(imm_15), &v_slot1 /*iters.1*/);
     goto bb1;
 bb1: ;
+    mrt_leave();
     return;
 }
 
 /* ---- function capacitor ---- */
 static void f_capacitor(const mrt_val *arg_31, const mrt_val *arg_32, const mrt_val *arg_33, const mrt_val *arg_34, mrt_val *out_0, mrt_val *out_1)
 {
+    mrt_enter();
     double slot0[1];            /* stack group (double): w.1, cap.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 1);
@@ -107,6 +110,7 @@ bb1: ;
     mrt_op(out_0, MRT_OP_COPY, 1, &v_slot0 /*cap.1*/);
     mrt_op(out_1, MRT_OP_COPY, 1, &v_slot11 /*iters.2*/);
     mrt_free(&v_slot9);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot13 /*%t69.3*/, (double)(slot12[0] > slot5[0]));
@@ -124,6 +128,7 @@ bb4: ;
 /* ---- function setedge ---- */
 static void f_setedge(const mrt_val *arg_20, const mrt_val *arg_21, const mrt_val *arg_22, mrt_val *out_0)
 {
+    mrt_enter();
     mrt_val v_slot0 = {0};          /* heap group (unsigned char): f.1, f.2, f.3, f.4 */
     mrt_bind(&v_slot0, NULL, 0);
     double slot1[1];            /* stack group (unsigned char): iw.1, %t26.1 */
@@ -173,6 +178,7 @@ bb0: ;
 bb1: ;
     mrt_op(out_0, MRT_OP_COPY, 1, &v_slot0 /*f.2*/);
     mrt_free(&v_slot0);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot4 /*%t53.3*/, (slot4[0] + 1.0));
@@ -203,6 +209,7 @@ bb7: ;
 /* ---- function seidel ---- */
 static void f_seidel(const mrt_val *arg_52, const mrt_val *arg_53, const mrt_val *arg_54, const mrt_val *arg_55, const mrt_val *arg_56, mrt_val *out_0, mrt_val *out_1)
 {
+    mrt_enter();
     mrt_val v_slot0 = {0};          /* heap group (double): f.1, f.2, f.3, f.4 */
     mrt_bind(&v_slot0, NULL, 0);
     double slot1[1];            /* stack group (unsigned char): n.1 */
@@ -283,6 +290,7 @@ bb1: ;
     mrt_op(out_0, MRT_OP_COPY, 1, &v_slot0 /*f.2*/);
     mrt_op(out_1, MRT_OP_COPY, 1, &v_slot6 /*err.2*/);
     mrt_free(&v_slot0);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot7 /*%t149.3*/, (slot7[0] + 1.0));
@@ -358,6 +366,7 @@ bb15: ;
 /* ---- function gquad ---- */
 static void f_gquad(const mrt_val *arg_32, const mrt_val *arg_33, const mrt_val *arg_34, const mrt_val *arg_35, mrt_val *out_0)
 {
+    mrt_enter();
     mrt_val v_slot0 = {0};          /* heap group (double): f.1 */
     mrt_bind(&v_slot0, NULL, 0);
     double slot1[1];            /* stack group (double): %t76.1, cap.1 */
@@ -412,6 +421,7 @@ bb0: ;
 bb1: ;
     mrt_op(out_0, MRT_OP_COPY, 1, &v_slot1 /*cap.1*/);
     mrt_free(&v_slot0);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot9 /*%t53.3*/, (slot9[0] + 1.0));

@@ -7,6 +7,7 @@ static void f_closure(const mrt_val *arg_10, const mrt_val *arg_11, mrt_val *out
 /* ---- function clos_driver ---- */
 static void f_clos_driver(void)
 {
+    mrt_enter();
     double slot0[256];            /* stack group (double): %t11.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 256);
@@ -40,12 +41,14 @@ bb0: ;
     mrt_op(NULL, MRT_OP_FPRINTF, 2, mrt_wrap(imm_17), &v_slot3 /*%t19.1*/);
     goto bb1;
 bb1: ;
+    mrt_leave();
     return;
 }
 
 /* ---- function closure ---- */
 static void f_closure(const mrt_val *arg_10, const mrt_val *arg_11, mrt_val *out_0)
 {
+    mrt_enter();
     double slot0[256];            /* stack group (unsigned char): g.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 256);
@@ -75,6 +78,7 @@ bb0: ;
     goto bb2;
 bb1: ;
     mrt_op(out_0, MRT_OP_COPY, 1, &v_slot1 /*r.2*/);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot4 /*%t27.3*/, (double)(slot3[0] < slot2[0]));

@@ -8,6 +8,7 @@ static void f_trisolve(const mrt_val *arg_71, const mrt_val *arg_72, const mrt_v
 /* ---- function crni_driver ---- */
 static void f_crni_driver(void)
 {
+    mrt_enter();
     double slot0[33];            /* stack group (double): u.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 33);
@@ -29,12 +30,14 @@ bb0: ;
     mrt_op(NULL, MRT_OP_FPRINTF, 2, mrt_wrap(imm_20), &v_slot1 /*%t21.1*/);
     goto bb1;
 bb1: ;
+    mrt_leave();
     return;
 }
 
 /* ---- function crnich ---- */
 static void f_crnich(const mrt_val *arg_86, const mrt_val *arg_87, const mrt_val *arg_88, mrt_val *out_0)
 {
+    mrt_enter();
     double slot0[1];            /* stack group (unsigned char): c.1, %t95.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 1);
@@ -141,6 +144,7 @@ bb0: ;
     goto bb2;
 bb1: ;
     mrt_op(out_0, MRT_OP_COPY, 1, &v_slot10 /*u.3*/);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot11 /*%t143.3*/, (slot11[0] + 1.0));
@@ -224,6 +228,7 @@ bb13: ;
 /* ---- function trisolve ---- */
 static void f_trisolve(const mrt_val *arg_71, const mrt_val *arg_72, const mrt_val *arg_73, const mrt_val *arg_74, const mrt_val *arg_75, mrt_val *out_0)
 {
+    mrt_enter();
     double slot0[33];            /* stack group (double): a.1, %t150.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 33);
@@ -341,6 +346,7 @@ bb0: ;
     goto bb2;
 bb1: ;
     mrt_op(out_0, MRT_OP_COPY, 1, &v_slot3 /*x.3*/);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot18 /*%t146.3*/, (slot18[0] + 1.0));

@@ -7,6 +7,7 @@ static void f_dirich(const mrt_val *arg_73, const mrt_val *arg_74, mrt_val *out_
 /* ---- function dich_driver ---- */
 static void f_dich_driver(void)
 {
+    mrt_enter();
     double slot0[256];            /* stack group (double): u.1, %t27.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 256);
@@ -28,12 +29,14 @@ bb0: ;
     mrt_op(NULL, MRT_OP_FPRINTF, 2, mrt_wrap(imm_25), &v_slot0 /*%t27.1*/);
     goto bb1;
 bb1: ;
+    mrt_leave();
     return;
 }
 
 /* ---- function dirich ---- */
 static void f_dirich(const mrt_val *arg_73, const mrt_val *arg_74, mrt_val *out_0)
 {
+    mrt_enter();
     double slot0[1];            /* stack group (unsigned char): n.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 1);
@@ -95,6 +98,7 @@ bb0: ;
     goto bb2;
 bb1: ;
     mrt_op(out_0, MRT_OP_COPY, 1, &v_slot3 /*u.3*/);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot9 /*%t104.3*/, (slot9[0] + 1.0));

@@ -7,6 +7,7 @@ static void f_young(const mrt_val *arg_73, mrt_val *out_0);
 /* ---- function diff_driver ---- */
 static void f_diff_driver(void)
 {
+    mrt_enter();
     mrt_val v_slot0 = {0};          /* heap group (double): inten.1 */
     mrt_bind(&v_slot0, NULL, 0);
     mrt_val v_slot1 = {0};          /* heap group (double): peak.1 */
@@ -33,12 +34,14 @@ bb1: ;
     mrt_free(&v_slot1);
     mrt_free(&v_slot2);
     mrt_free(&v_slot3);
+    mrt_leave();
     return;
 }
 
 /* ---- function young ---- */
 static void f_young(const mrt_val *arg_73, mrt_val *out_0)
 {
+    mrt_enter();
     double slot0[1];            /* stack group (unsigned char): npts.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 1);
@@ -160,6 +163,7 @@ bb1: ;
     mrt_free(&v_slot2);
     mrt_free(&v_slot7);
     mrt_free(&v_slot11);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot15 /*%t154.3*/, (slot15[0] + 1.0));

@@ -8,6 +8,7 @@ static void f_mkstring(const mrt_val *arg_19, const mrt_val *arg_20, mrt_val *ou
 /* ---- function edit_driver ---- */
 static void f_edit_driver(void)
 {
+    mrt_enter();
     mrt_val v_slot0 = {0};          /* heap group (unsigned char): s.1 */
     mrt_bind(&v_slot0, NULL, 0);
     double slot1[1];            /* stack group (double): d.1 */
@@ -32,12 +33,14 @@ bb0: ;
 bb1: ;
     mrt_free(&v_slot0);
     mrt_free(&v_slot2);
+    mrt_leave();
     return;
 }
 
 /* ---- function editdist ---- */
 static void f_editdist(const mrt_val *arg_79, const mrt_val *arg_80, mrt_val *out_0)
 {
+    mrt_enter();
     mrt_val v_slot0 = {0};          /* heap group (unsigned char): s.1 */
     mrt_bind(&v_slot0, NULL, 0);
     double slot1[1];            /* stack group (double): d.1 */
@@ -133,6 +136,7 @@ bb1: ;
     mrt_free(&v_slot0);
     mrt_free(&v_slot2);
     mrt_free(&v_slot7);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot9 /*%t106.3*/, (slot9[0] + 1.0));
@@ -232,6 +236,7 @@ bb22: ;
 /* ---- function mkstring ---- */
 static void f_mkstring(const mrt_val *arg_19, const mrt_val *arg_20, mrt_val *out_0)
 {
+    mrt_enter();
     double slot0[1];            /* stack group (unsigned char): n.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 1);
@@ -272,6 +277,7 @@ bb0: ;
 bb1: ;
     mrt_op(out_0, MRT_OP_COPY, 1, &v_slot3 /*s.2*/);
     mrt_free(&v_slot3);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot4 /*%t52.3*/, (slot4[0] + 1.0));

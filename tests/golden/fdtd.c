@@ -7,6 +7,7 @@ static void f_fdtd(const mrt_val *arg_423, const mrt_val *arg_424, mrt_val *out_
 /* ---- function fdtd_driver ---- */
 static void f_fdtd_driver(void)
 {
+    mrt_enter();
     double slot0[1];            /* stack group (double): e.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 1);
@@ -19,12 +20,14 @@ bb0: ;
     mrt_op(NULL, MRT_OP_FPRINTF, 2, mrt_wrap(imm_7), &v_slot0 /*e.1*/);
     goto bb1;
 bb1: ;
+    mrt_leave();
     return;
 }
 
 /* ---- function fdtd ---- */
 static void f_fdtd(const mrt_val *arg_423, const mrt_val *arg_424, mrt_val *out_0)
 {
+    mrt_enter();
     double slot0[1];            /* stack group (unsigned char): n.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 1);
@@ -112,6 +115,7 @@ bb0: ;
     goto bb2;
 bb1: ;
     mrt_op(out_0, MRT_OP_COPY, 1, &v_slot3 /*energy.1*/);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot11 /*%t1220.3*/, (slot11[0] + 1.0));

@@ -7,6 +7,7 @@ static void f_fiff(const mrt_val *arg_106, const mrt_val *arg_107, mrt_val *out_
 /* ---- function fiff_driver ---- */
 static void f_fiff_driver(void)
 {
+    mrt_enter();
     double slot0[576];            /* stack group (double): u.1, %t27.1, %t29.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 576);
@@ -29,12 +30,14 @@ bb0: ;
     mrt_op(NULL, MRT_OP_FPRINTF, 2, mrt_wrap(imm_26), &v_slot0 /*%t29.1*/);
     goto bb1;
 bb1: ;
+    mrt_leave();
     return;
 }
 
 /* ---- function fiff ---- */
 static void f_fiff(const mrt_val *arg_106, const mrt_val *arg_107, mrt_val *out_0)
 {
+    mrt_enter();
     double slot0[1];            /* stack group (unsigned char): n.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 1);
@@ -110,6 +113,7 @@ bb0: ;
     goto bb2;
 bb1: ;
     mrt_op(out_0, MRT_OP_COPY, 1, &v_slot5 /*u1.3*/);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot7 /*%t172.3*/, (slot7[0] + 1.0));

@@ -7,6 +7,7 @@ static void f_nbody1d(const mrt_val *arg_60, const mrt_val *arg_61, mrt_val *out
 /* ---- function nb1d_driver ---- */
 static void f_nb1d_driver(void)
 {
+    mrt_enter();
     double slot0[12];            /* stack group (double): x.1, %t17.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 12);
@@ -37,12 +38,14 @@ bb0: ;
     goto bb1;
 bb1: ;
     mrt_free(&v_slot2);
+    mrt_leave();
     return;
 }
 
 /* ---- function nbody1d ---- */
 static void f_nbody1d(const mrt_val *arg_60, const mrt_val *arg_61, mrt_val *out_0, mrt_val *out_1)
 {
+    mrt_enter();
     double slot0[1];            /* stack group (unsigned char): n.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 1);
@@ -149,6 +152,7 @@ bb1: ;
     mrt_op(out_0, MRT_OP_COPY, 1, &v_slot4 /*x.3*/);
     mrt_op(out_1, MRT_OP_COPY, 1, &v_slot9 /*hist.2*/);
     mrt_free(&v_slot9);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot6 /*%t93.3*/, (slot6[0] + 1.0));

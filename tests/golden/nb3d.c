@@ -7,6 +7,7 @@ static void f_nbody3d(const mrt_val *arg_83, const mrt_val *arg_84, mrt_val *out
 /* ---- function nb3d_driver ---- */
 static void f_nb3d_driver(void)
 {
+    mrt_enter();
     double slot0[24];            /* stack group (mrt_complex): p.1, %t17.1, %t19.1, %t21.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 24);
@@ -36,12 +37,14 @@ bb0: ;
     goto bb1;
 bb1: ;
     mrt_free(&v_slot2);
+    mrt_leave();
     return;
 }
 
 /* ---- function nbody3d ---- */
 static void f_nbody3d(const mrt_val *arg_83, const mrt_val *arg_84, mrt_val *out_0, mrt_val *out_1)
 {
+    mrt_enter();
     double slot0[1];            /* stack group (unsigned char): n.1 */
     mrt_val v_slot0 = {0};
     mrt_bind(&v_slot0, slot0, 1);
@@ -142,6 +145,7 @@ bb1: ;
     mrt_op(out_0, MRT_OP_COPY, 1, &v_slot5 /*p.3*/);
     mrt_op(out_1, MRT_OP_COPY, 1, &v_slot10 /*hist.2*/);
     mrt_free(&v_slot10);
+    mrt_leave();
     return;
 bb2: ;
     mrt_put(&v_slot7 /*%t113.3*/, (slot7[0] + 1.0));

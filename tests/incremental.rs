@@ -245,12 +245,12 @@ fn keys_of(src: &str) -> Vec<(String, CacheKey)> {
 
 #[test]
 fn fragment_keys_are_pinned() {
-    // A changed key stream (or domain, `matc-frag-v3`) orphans every
+    // A changed key stream (or domain, `matc-frag-v4`) orphans every
     // persisted fragment: bump the domain on purpose, then re-pin.
     let keys = keys_of("function f()\ndisp(1);\n");
     assert_eq!(
         keys[0].1.hex(),
-        "c727feebb6a224b87e6771dd0dcef68d3dd04b47cf34b7302e94f9a6f2587cc6"
+        "8a35ec7ea43313960de8c4fc1306dfc1adf5849ec5c9dd84abd4aadafefc67c8"
     );
 }
 
