@@ -215,6 +215,18 @@ static void assign(mrt_val *dst, const mrt_val *src) {
     dst->is_char = src->is_char;
 }
 
+/* -a elementwise, as the Rust runtime's `arith::neg`: the sign of a
+ * zero flips (`0 - a` would keep +0), and chars become doubles. */
+static void negate(mrt_val *dst, const mrt_val *a) {
+    assign(dst, a);
+    dst->is_char = 0;
+    size_t n = numel(dst);
+    for (size_t i = 0; i < n; i++) {
+        dst->re[i] = -dst->re[i];
+        if (dst->im) dst->im[i] = -dst->im[i];
+    }
+}
+
 /* Drops an all-zero imaginary part (the Rust `normalized`). */
 static void normalize(mrt_val *v) {
     if (!v->im) return;
@@ -351,10 +363,9 @@ static void k_pow(double ar, double ai, double br, double bi, double *cr, double
 
 /* Real elementwise ops on the real parts of a and b (a scalar operand
  * broadcasts), the expression chosen once, outside the element loop.
- * Arithmetic is bit-identical to the complex kernels' real part with
- * zero imaginary parts: `./` is mrt_rdiv (k_div's real part), k_mul's
- * `x*y - 0*0` is exactly x*y, and `.^` comes here only when
- * pow_is_real holds. The scalar kernels are mrt.h's, which typed
+ * Arithmetic is what the Rust runtime computes on real operands: `./`
+ * is `x / y` (so x./0 is Inf), k_mul's `x*y - 0*0` is exactly x*y, and
+ * `.^` comes here only when pow_is_real holds. The scalar kernels are mrt.h's, which typed
  * scalars in the generated C call too. */
 static void ew_real(mrt_val *out, const mrt_val *a, const mrt_val *b, int id) {
     int d0, d1, d2;
@@ -373,7 +384,7 @@ static void ew_real(mrt_val *out, const mrt_val *a, const mrt_val *b, int id) {
     case MRT_OP_ADD: EW_LOOP(x + y); break;
     case MRT_OP_SUB: EW_LOOP(x - y); break;
     case MRT_OP_TIMES: EW_LOOP(x * y); break;
-    case MRT_OP_RDIVIDE: EW_LOOP(mrt_rdiv(x, y)); break;
+    case MRT_OP_RDIVIDE: EW_LOOP(x / y); break;
     case MRT_OP_EQ: EW_LOOP(x == y); break;
     case MRT_OP_NE: EW_LOOP(x != y); break;
     case MRT_OP_LT: EW_LOOP(x < y); break;
@@ -1424,7 +1435,7 @@ static void dispatch(mrt_val *out, int id, const mrt_val *const *a, int argc) {
     case MRT_OP_GT: case MRT_OP_GE: case MRT_OP_AND: case MRT_OP_OR:
         cmp_op(out, a[0], a[1], id);
         return;
-    case MRT_OP_UMINUS: ew_op(out, mrt_wrap(mrt_numv(0.0)), a[0], MRT_OP_SUB); return;
+    case MRT_OP_UMINUS: negate(out, a[0]); return;
     case MRT_OP_NOT: cmp_op(out, a[0], mrt_wrap(mrt_numv(0.0)), MRT_OP_EQ); return;
     case MRT_OP_TRANSPOSE: transpose(out, a[0], 0); return;
     case MRT_OP_CTRANSPOSE: transpose(out, a[0], 1); return;

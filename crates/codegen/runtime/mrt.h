@@ -106,10 +106,9 @@ void mrt_index_error(const mrt_val *a, int n, double i, double j, double k);
 /* ------------------------------------------------------------------ */
 /* Scalar kernels: the real branch of each elementwise operation, used
  * by the generated C for typed scalars and by mrt.c's real loops, so
- * both print the same digits. `./` keeps the complex kernel's `+ 0*0`
- * terms (they decide the sign of zero quotients and make x./0 NaN).  */
+ * both print the same digits. Real `./` is plain `x / y`, as in the
+ * Rust runtime (x./0 is Inf).                                        */
 
-static inline double mrt_rdiv(double x, double y) { return (x * y + 0.0) / (y * y + 0.0); }
 static inline double mrt_mod(double x, double y) { return y == 0.0 ? x : x - y * floor(x / y); }
 static inline double mrt_rem(double x, double y) {
     return y == 0.0 ? (0.0 / 0.0) : x - y * trunc(x / y);

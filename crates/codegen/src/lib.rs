@@ -12,19 +12,21 @@
 //! frame, shared by all its variables; resize checks appear only where
 //! the plan's `±`/`+` annotations require them.
 //!
-//! **Typed scalars.** A variable is *typed* when the plan lists it in
-//! [`StoragePlan::scalars`]: it lives in a real stack slot, inference
-//! gives it a real, integer or boolean intrinsic, and every value it can
-//! hold is exactly 1×1 by construction (inferred shapes are upper bounds,
-//! so a φ of `[]` and a scalar does not qualify). A typed variable stays
-//! in its slot: its value is `slotN[0]`, and each definition updates the
-//! slot's `mrt_val` handle through `mrt_put`, so generic ops, probes and
-//! Equation 2 see the same storage. Constants, arithmetic, comparisons,
-//! branch tests, loop counters and the scalar operand of Figure 1 over
-//! typed values and literals are plain C over `double`s, using `mrt.h`'s
-//! scalar kernels; scalar subscripts become `mrt_elem_get` /
-//! `mrt_elem_set`, which keep the runtime's checks and errors. Every
-//! other op passes its `MRT_OP_*` id, resolved here at emit time.
+//! **Typed scalars.** Which instructions become plain C over `double`s
+//! is decided once, by the typed lowering [`matc_vm::typed`], whose
+//! sites the planned VM runs too. A variable is *typed* when the plan
+//! lists it in [`StoragePlan::scalars`] (inference gives it a real,
+//! integer or boolean intrinsic and proves every value it can hold
+//! 1×1) and its stack slot holds at least one element. A typed variable
+//! stays in its slot: its value is `slotN[0]`, and each definition
+//! updates the slot's `mrt_val` handle through `mrt_put`, so generic
+//! ops, probes and Equation 2 see the same storage. The emitter only
+//! spells the sites: constants, copies, branch tests and the scalar
+//! operand of Figure 1 over typed values and literals, each scalar
+//! kernel from one table (`scalar_expr`, over `mrt.h`'s scalar kernels),
+//! and scalar subscripts as `mrt_elem_get` / `mrt_elem_set`, which keep
+//! the runtime's checks and errors. Every other op passes its
+//! `MRT_OP_*` id, resolved here at emit time.
 //!
 //! ```
 //! use matc_frontend::parser::parse_program;
@@ -49,6 +51,7 @@ use matc_ir::instr::{Const, InstrKind, Op, Operand, Terminator};
 use matc_ir::{Builtin, FuncIr};
 use matc_typeinf::Intrinsic;
 use matc_vm::compile::Compiled;
+use matc_vm::typed::{self, Lowering, Site, Src};
 use std::fmt::Write as _;
 
 /// The C header of the `mrt` support runtime the generated code
@@ -122,22 +125,9 @@ pub fn emit_unit_prologue(functions: &[FuncIr]) -> String {
 /// inference facts the fragment keys hash).
 pub fn emit_function_unit(f: &FuncIr, plan: &StoragePlan, probe_fi: Option<usize>) -> String {
     let mut out = String::new();
-    emit_function(&mut out, f, plan, probe_fi, &mut Vec::new());
+    emit_function(&mut out, f, plan, probe_fi);
     out.push('\n');
     out
-}
-
-/// Where [`emit_function_unit`] writes typed C: `(block index,
-/// Some(instruction index))` for an instruction computed as a `double`
-/// expression (a typed definition, copy, scalar subscript or in-place
-/// element store) and `(block index, None)` for a typed branch test.
-/// The planned VM decodes the same sites as typed steps; a test holds
-/// the two executors to one notion of "typed".
-#[doc(hidden)]
-pub fn typed_sites(f: &FuncIr, plan: &StoragePlan) -> Vec<(usize, Option<usize>)> {
-    let mut sites = Vec::new();
-    emit_function(&mut String::new(), f, plan, None, &mut sites);
-    sites
 }
 
 /// The closing `main` of an emitted translation unit (calls the entry
@@ -211,15 +201,8 @@ fn instr_dsts(instr: &matc_ir::Instr) -> Vec<VarId> {
     }
 }
 
-/// `probe_fi` is `Some(function index)` when shadow probes are emitted;
-/// the typed sites ([`typed_sites`]) are appended to `sites`.
-fn emit_function(
-    out: &mut String,
-    f: &FuncIr,
-    plan: &StoragePlan,
-    probe_fi: Option<usize>,
-    sites: &mut Vec<(usize, Option<usize>)>,
-) {
+/// `probe_fi` is `Some(function index)` when shadow probes are emitted.
+fn emit_function(out: &mut String, f: &FuncIr, plan: &StoragePlan, probe_fi: Option<usize>) {
     let _ = writeln!(out, "/* ---- function {} ---- */", f.name);
     let outs = if f.ssa_outs.is_empty() {
         f.outs.clone()
@@ -296,13 +279,16 @@ fn emit_function(
     // ------------------------------------------------------------------
     // Body: blocks become labels; instructions become statements.
     // ------------------------------------------------------------------
-    let em = Emitter::new(f, plan);
+    let em = Emitter {
+        f,
+        plan,
+        typed: typed::lower(f, plan),
+    };
+    let mut sites = em.typed.sites.iter();
     for b in f.block_ids() {
         let _ = writeln!(out, "bb{}: ;", b.index());
-        for (i, instr) in f.block(b).instrs.iter().enumerate() {
-            if em.instr(out, instr) {
-                sites.push((b.index(), Some(i)));
-            }
+        for instr in &f.block(b).instrs {
+            em.instr(out, instr, sites.next().copied().flatten());
             if let Some(fi) = probe_fi {
                 for dst in instr_dsts(instr) {
                     if let Some(s) = plan.slot_of(dst) {
@@ -330,11 +316,8 @@ fn emit_function(
                 then_bb,
                 else_bb,
             } => {
-                let test = match em.scalar(&Operand::Var(*cond)) {
-                    Some(x) => {
-                        sites.push((b.index(), None));
-                        format!("{x} != 0.0")
-                    }
+                let test = match em.typed.branch[b.index()] {
+                    Some(x) => format!("{} != 0.0", c_src(x)),
                     None => format!("mrt_istrue(&{})", var_ref(f, plan, *cond)),
                 };
                 let _ = writeln!(
@@ -424,42 +407,31 @@ fn operand_ref(f: &FuncIr, plan: &StoragePlan, o: &Operand) -> String {
     }
 }
 
-/// One function's emission context: its IR and plan, and per variable
-/// (by [`VarId`] index) its slot when it is a typed scalar and its value
-/// when it is an unplanned numeric immediate (the literal typed code
-/// uses in place of `mrt_wrap(imm_N)`).
+/// One function's emission context: its IR, plan and typed sites.
 struct Emitter<'a> {
     f: &'a FuncIr,
     plan: &'a StoragePlan,
-    typed: Vec<Option<usize>>,
-    lits: Vec<Option<f64>>,
+    typed: Lowering,
+}
+
+/// A typed operand as a C `double` expression: element 0 of a typed
+/// scalar's slot, or a literal.
+fn c_src(s: Src) -> String {
+    match s {
+        Src::Slot(s) => format!("{}[0]", slot_name(s)),
+        Src::Lit(x, _) => c_f64(x),
+    }
+}
+
+/// `n, i, j, k` for one to three scalar subscripts (`0.0` pads).
+fn c_subscripts(subs: &[Src]) -> String {
+    let mut parts = vec![subs.len().to_string()];
+    parts.extend(subs.iter().map(|s| c_src(*s)));
+    parts.resize(4, "0.0".to_string());
+    parts.join(", ")
 }
 
 impl<'a> Emitter<'a> {
-    fn new(f: &'a FuncIr, plan: &'a StoragePlan) -> Self {
-        let n = f.vars.len();
-        let mut typed = vec![None; n];
-        for v in plan.scalars.iter().filter(|v| v.index() < n) {
-            typed[v.index()] = plan.slot_of(*v);
-        }
-        let mut lits = vec![None; n];
-        for b in f.block_ids() {
-            for instr in &f.block(b).instrs {
-                if let InstrKind::Const { dst, value } = &instr.kind {
-                    if plan.slot_of(*dst).is_none() && dst.index() < n {
-                        lits[dst.index()] = numeric(value);
-                    }
-                }
-            }
-        }
-        Emitter {
-            f,
-            plan,
-            typed,
-            lits,
-        }
-    }
-
     fn var(&self, v: VarId) -> String {
         var_ref(self.f, self.plan, v)
     }
@@ -468,41 +440,8 @@ impl<'a> Emitter<'a> {
         operand_ref(self.f, self.plan, o)
     }
 
-    /// The slot of a typed scalar: a variable the plan proves to be a
-    /// real 1×1 scalar in a stack slot (`StoragePlan::scalars`).
-    fn typed(&self, v: VarId) -> Option<usize> {
-        self.typed.get(v.index()).copied().flatten()
-    }
-
-    fn lit(&self, v: VarId) -> Option<f64> {
-        self.lits.get(v.index()).copied().flatten()
-    }
-
-    /// `o` as a C `double` expression: element 0 of a typed scalar's
-    /// slot, or a numeric literal.
-    fn scalar(&self, o: &Operand) -> Option<String> {
-        let Operand::Var(v) = o else { return None };
-        match self.typed(*v) {
-            Some(s) => Some(format!("{}[0]", slot_name(s))),
-            None => self.lit(*v).map(c_f64),
-        }
-    }
-
-    /// `n, i, j, k` for one to three scalar subscripts (`0.0` pads).
-    fn subscripts(&self, subs: &[Operand]) -> Option<String> {
-        if !(1..=3).contains(&subs.len()) {
-            return None;
-        }
-        let mut parts = vec![subs.len().to_string()];
-        for s in subs {
-            parts.push(self.scalar(s)?);
-        }
-        parts.resize(4, "0.0".to_string());
-        Some(parts.join(", "))
-    }
-
-    /// Emits one instruction; returns whether it is typed C.
-    fn instr(&self, out: &mut String, instr: &matc_ir::Instr) -> bool {
+    /// Emits one instruction, as typed C when it is a typed site.
+    fn instr(&self, out: &mut String, instr: &matc_ir::Instr, site: Option<Site>) {
         match &instr.kind {
             InstrKind::Const { dst, value } => {
                 // Immediates become C literals bound to scalar locals.
@@ -516,9 +455,8 @@ impl<'a> Emitter<'a> {
                 let d = self.var(*dst);
                 if self.plan.slot_of(*dst).is_none() {
                     let _ = writeln!(out, "    const mrt_imm imm_{} = {text};", dst.0);
-                } else if let (Some(_), Some(x)) = (self.typed(*dst), numeric(value)) {
+                } else if let Some(Site::Const(x, _)) = site {
                     let _ = writeln!(out, "    mrt_put(&{d}, {});", c_f64(x));
-                    return true;
                 } else {
                     let _ = writeln!(out, "    mrt_op(&{d}, MRT_OP_COPY, 1, mrt_wrap({text}));");
                 }
@@ -526,23 +464,24 @@ impl<'a> Emitter<'a> {
             InstrKind::Copy { dst, src } => {
                 let d = self.var(*dst);
                 let from = self.operand(&Operand::Var(*src));
-                if self.typed(*dst).is_some() && self.typed(*src).is_some() {
-                    let _ = writeln!(out, "    mrt_copy1(&{d}, {from});");
-                    return true;
-                } else if let (Some(_), Some(x)) = (self.typed(*dst), self.lit(*src)) {
-                    let _ = writeln!(out, "    mrt_put(&{d}, {});", c_f64(x));
-                    return true;
-                } else {
-                    let _ = writeln!(out, "    mrt_op(&{d}, MRT_OP_COPY, 1, {from});");
-                }
+                let line = match site {
+                    Some(Site::Scalar {
+                        xs: [Src::Slot(_), ..],
+                        ..
+                    }) => format!("mrt_copy1(&{d}, {from})"),
+                    Some(Site::Scalar { xs: [x, ..], .. }) => {
+                        format!("mrt_put(&{d}, {})", c_src(x))
+                    }
+                    _ => format!("mrt_op(&{d}, MRT_OP_COPY, 1, {from})"),
+                };
+                let _ = writeln!(out, "    {line};");
             }
             InstrKind::Compute { dst, op, args } => {
                 emit_resize_guard(out, self.plan, *dst, "MRT_NEEDED");
-                if self.typed_compute(out, *dst, op, args) {
-                    return true;
-                }
-                if !self.in_place(out, *dst, op, args) {
-                    self.library_call(out, *dst, op, args);
+                match site {
+                    Some(site) => self.typed_compute(out, *dst, op, args, site),
+                    None if self.in_place(out, *dst, op, args) => {}
+                    None => self.library_call(out, *dst, op, args),
                 }
             }
             InstrKind::Phi { .. } => {
@@ -592,59 +531,35 @@ impl<'a> Emitter<'a> {
                 );
             }
         }
-        false
     }
 
-    /// Emits `dst = op(args)` as plain C over doubles when the result
-    /// is a typed scalar and every operand is one (or a literal), and
-    /// scalar subscripts into a real value as one element access.
-    /// Returns whether it emitted anything.
-    fn typed_compute(&self, out: &mut String, dst: VarId, op: &Op, args: &[Operand]) -> bool {
-        let d = || self.var(dst);
-        let line = match (op, args) {
-            // In place: the base is the destination's own slot.
-            (Op::Subsasgn, [Operand::Var(base), value, subs @ ..])
-                if self.plan.slot_of(dst).is_some()
-                    && self.plan.slot_of(dst) == self.plan.slot_of(*base) =>
-            {
-                let (Some(x), Some(idx)) = (self.scalar(value), self.subscripts(subs)) else {
-                    return false;
-                };
+    /// Emits a typed `dst = op(args)`: a scalar kernel as plain C over
+    /// doubles, or one element access.
+    fn typed_compute(&self, out: &mut String, dst: VarId, op: &Op, args: &[Operand], site: Site) {
+        let d = self.var(dst);
+        match site {
+            Site::Set { x, subs, n } => {
                 let mut fallback = String::new();
                 self.library_call(&mut fallback, dst, op, args);
-                format!(
-                    "    if (!mrt_elem_set(&{}, {idx}, {x}))\n    {fallback}",
-                    d()
-                )
+                let idx = c_subscripts(&subs[..n]);
+                let _ = write!(
+                    out,
+                    "    if (!mrt_elem_set(&{d}, {idx}, {}))\n    {fallback}",
+                    c_src(x)
+                );
             }
-            (Op::Subsref, [array, subs @ ..]) if self.typed(dst).is_some() => {
-                let Some(idx) = self.subscripts(subs) else {
-                    return false;
-                };
-                format!(
-                    "    mrt_elem_get(&{}, {}, {idx});\n",
-                    d(),
-                    self.operand(array)
-                )
+            Site::Get { subs, n } => {
+                let idx = c_subscripts(&subs[..n]);
+                let a = self.operand(&args[0]);
+                let _ = writeln!(out, "    mrt_elem_get(&{d}, {a}, {idx});");
             }
-            _ if self.typed(dst).is_some() => {
-                // A loop index does not read the loop's stop value.
-                let unread = |k: usize| k == 2 && *op == Op::Builtin(Builtin::LoopIndex);
-                let xs: Option<Vec<String>> = (args.iter().enumerate())
-                    .map(|(k, a)| match unread(k) {
-                        true => Some(String::new()),
-                        false => self.scalar(a),
-                    })
-                    .collect();
-                let Some(e) = xs.and_then(|xs| scalar_expr(op, &xs)) else {
-                    return false;
-                };
-                format!("    mrt_put(&{}, {e});\n", d())
+            Site::Scalar { xs, n, .. } => {
+                let xs: Vec<String> = xs[..n].iter().map(|x| c_src(*x)).collect();
+                let e = scalar_expr(op, &xs).expect("every scalar kernel has a C spelling");
+                let _ = writeln!(out, "    mrt_put(&{d}, {e});");
             }
-            _ => return false,
-        };
-        out.push_str(&line);
-        true
+            Site::Const(..) => unreachable!("a Const site is a Const instruction"),
+        }
     }
 
     /// Figure 1: an elementwise `+ - .* ./` whose destination shares
@@ -673,16 +588,16 @@ impl<'a> Emitter<'a> {
         let elem = "d->re[i]";
         let _ = writeln!(out, "    {{ /* in-place {sym} (Figure 1) */");
         let _ = writeln!(out, "      mrt_val *d = &{};", self.var(dst));
-        match self.scalar(a1) {
+        match self.typed.src(a1).map(c_src) {
             Some(s) => {
-                let e = scalar_bin(*b, elem, "s").expect("Figure-1 operator");
+                let e = scalar_bin(*b, elem, "s");
                 let _ = writeln!(out, "      size_t i, n = MRT_NUMEL(*d);");
                 let _ = writeln!(out, "      double s = {s}; /* scalar operand */");
                 let _ = writeln!(out, "      for (i = 0; i < n; i++) {elem} = {e};");
             }
             None => {
-                let scalar = scalar_bin(*b, elem, "r->re[0]").expect("Figure-1 operator");
-                let same = scalar_bin(*b, elem, "r->re[i]").expect("Figure-1 operator");
+                let scalar = scalar_bin(*b, elem, "r->re[0]");
+                let same = scalar_bin(*b, elem, "r->re[i]");
                 let _ = writeln!(out, "      const mrt_val *r = {};", self.operand(a1));
                 let _ = writeln!(out, "      size_t i, n = MRT_NUMEL(*d);");
                 let _ = writeln!(out, "      if (MRT_NUMEL(*r) == 1) {{ /* scalar operand */");
@@ -785,39 +700,34 @@ impl<'a> Emitter<'a> {
     }
 }
 
-/// The value of a numeric or logical constant.
-fn numeric(c: &Const) -> Option<f64> {
-    match c {
-        Const::Num(v) => Some(*v),
-        Const::Bool(b) => Some(f64::from(u8::from(*b))),
-        _ => None,
-    }
-}
-
-/// `op` over scalar operand expressions `x`, as a C `double`
-/// expression computing what the runtime computes for real 1×1
-/// operands (mrt.h's scalar kernels), or `None` for ops that have no
-/// scalar form.
+/// The C spelling of every [`ScalarKernel`](matc_vm::dispatch::ScalarKernel):
+/// `op` over the expressions `x` of the operands its kernel reads, as a
+/// C `double` expression computing what the runtime computes for real
+/// 1×1 operands (mrt.h's scalar kernels), or `None` for ops that have
+/// no scalar form.
 fn scalar_expr(op: &Op, x: &[String]) -> Option<String> {
     match (op, x) {
-        (Op::Bin(b), [a, c]) => scalar_bin(*b, a, c),
-        (Op::Un(UnOp::Neg), [a]) => Some(format!("(0.0 - {a})")),
+        (Op::Bin(b), [a, c]) => Some(scalar_bin(*b, a, c)),
+        // A negative literal keeps its own parentheses: `--` is C's
+        // decrement.
+        (Op::Un(UnOp::Neg), [a]) if a.starts_with('-') => Some(format!("(-({a}))")),
+        (Op::Un(UnOp::Neg), [a]) => Some(format!("(-{a})")),
         (Op::Un(UnOp::Not), [a]) => Some(format!("(double)({a} == 0.0)")),
-        (Op::Un(UnOp::Transpose | UnOp::CTranspose), [a]) => Some(a.clone()),
+        (Op::Un(UnOp::Plus | UnOp::Transpose | UnOp::CTranspose), [a]) => Some(a.clone()),
         (Op::Builtin(bi), _) => scalar_builtin(*bi, x),
         _ => None,
     }
 }
 
-fn scalar_bin(b: BinOp, x: &str, y: &str) -> Option<String> {
+fn scalar_bin(b: BinOp, x: &str, y: &str) -> String {
     let infix = |sym: &str| format!("({x} {sym} {y})");
     let test = |sym: &str| format!("(double)({x} {sym} {y})");
-    Some(match b {
+    match b {
         BinOp::Add => infix("+"),
         BinOp::Sub => infix("-"),
         BinOp::ElemMul | BinOp::MatMul => infix("*"),
-        BinOp::ElemDiv | BinOp::MatDiv => format!("mrt_rdiv({x}, {y})"),
-        BinOp::ElemLeftDiv | BinOp::MatLeftDiv => format!("mrt_rdiv({y}, {x})"),
+        BinOp::ElemDiv | BinOp::MatDiv => infix("/"),
+        BinOp::ElemLeftDiv | BinOp::MatLeftDiv => format!("({y} / {x})"),
         // Typing proves the real branch: a base that is not negative or
         // an integral exponent.
         BinOp::ElemPow | BinOp::MatPow => format!("pow({x}, {y})"),
@@ -827,10 +737,9 @@ fn scalar_bin(b: BinOp, x: &str, y: &str) -> Option<String> {
         BinOp::Le => test("<="),
         BinOp::Gt => test(">"),
         BinOp::Ge => test(">="),
-        BinOp::And => format!("(double)({x} != 0.0 && {y} != 0.0)"),
-        BinOp::Or => format!("(double)({x} != 0.0 || {y} != 0.0)"),
-        BinOp::ShortAnd | BinOp::ShortOr => return None,
-    })
+        BinOp::And | BinOp::ShortAnd => format!("(double)({x} != 0.0 && {y} != 0.0)"),
+        BinOp::Or | BinOp::ShortOr => format!("(double)({x} != 0.0 || {y} != 0.0)"),
+    }
 }
 
 fn scalar_builtin(bi: Builtin, x: &[String]) -> Option<String> {
@@ -858,7 +767,8 @@ fn scalar_builtin(bi: Builtin, x: &[String]) -> Option<String> {
         (Builtin::Min, [_, _]) => call("mrt_min2"),
         (Builtin::IsTrue, [a]) => Some(format!("(double)({a} != 0.0)")),
         (Builtin::RangeCount, [_, _, _]) => call("mrt_range_count"),
-        (Builtin::LoopIndex, [st, sp, _, k]) => Some(format!("mrt_loop_index({st}, {sp}, {k})")),
+        // The loop's stop value is not read.
+        (Builtin::LoopIndex, [_, _, _]) => call("mrt_loop_index"),
         (Builtin::Pi, []) => Some(c_f64(std::f64::consts::PI)),
         (Builtin::Inf, []) => Some(c_f64(f64::INFINITY)),
         (Builtin::NaN, []) => Some(c_f64(f64::NAN)),
@@ -1012,44 +922,39 @@ mod tests {
         assert!(typed("/*%t17.1*/"), "the test of rand(1, 1) is typed\n{c}");
     }
 
-    #[test]
-    fn every_emitted_op_id_is_declared_in_mrt_h() {
-        let mut ids: Vec<String> = "COPY SUBSREF SUBSASGN RANGE RANGE3"
-            .split(' ')
-            .map(String::from)
-            .collect();
-        use BinOp::*;
-        let bins = [
-            Add,
-            Sub,
-            MatMul,
-            ElemMul,
-            MatDiv,
-            ElemDiv,
-            MatLeftDiv,
-            ElemLeftDiv,
-            MatPow,
-            ElemPow,
-            Eq,
-            Ne,
-            Lt,
-            Le,
-            Gt,
-            Ge,
-            And,
-            Or,
-            ShortAnd,
-            ShortOr,
-        ];
-        ids.extend(bins.iter().map(|b| bin_id(*b).to_string()));
-        let uns = [
-            UnOp::Neg,
-            UnOp::Plus,
-            UnOp::Not,
-            UnOp::Transpose,
-            UnOp::CTranspose,
-        ];
-        ids.extend(uns.iter().map(|u| un_id(*u).to_string()));
+    use BinOp::*;
+    const BINOPS: [BinOp; 20] = [
+        Add,
+        Sub,
+        MatMul,
+        ElemMul,
+        MatDiv,
+        ElemDiv,
+        MatLeftDiv,
+        ElemLeftDiv,
+        MatPow,
+        ElemPow,
+        Eq,
+        Ne,
+        Lt,
+        Le,
+        Gt,
+        Ge,
+        And,
+        Or,
+        ShortAnd,
+        ShortOr,
+    ];
+    const UNOPS: [UnOp; 5] = [
+        UnOp::Neg,
+        UnOp::Plus,
+        UnOp::Not,
+        UnOp::Transpose,
+        UnOp::CTranspose,
+    ];
+
+    /// Every builtin, the lowering's internal helpers included.
+    fn builtins() -> Vec<Builtin> {
         let names = "zeros ones eye rand size length numel ndims disp fprintf sqrt abs sin cos \
                      tan atan atan2 exp log floor ceil round fix mod rem max min sum prod mean \
                      norm real imag conj isempty any all sign linspace pi Inf eps NaN error";
@@ -1058,13 +963,64 @@ mod tests {
             .map(|n| Builtin::from_name(n).unwrap_or_else(|| panic!("{n}")))
             .collect();
         builtins.extend([Builtin::RangeCount, Builtin::IsTrue, Builtin::LoopIndex]);
-        ids.extend(builtins.into_iter().map(builtin_id));
+        builtins
+    }
+
+    #[test]
+    fn every_emitted_op_id_is_declared_in_mrt_h() {
+        let mut ids: Vec<String> = "COPY SUBSREF SUBSASGN RANGE RANGE3"
+            .split(' ')
+            .map(String::from)
+            .collect();
+        ids.extend(BINOPS.iter().map(|b| bin_id(*b).to_string()));
+        ids.extend(UNOPS.iter().map(|u| un_id(*u).to_string()));
+        ids.extend(builtins().into_iter().map(builtin_id));
         for id in ids {
             assert!(
                 MRT_H.contains(&format!("MRT_OP_{id},")),
                 "mrt.h lacks MRT_OP_{id}"
             );
         }
+    }
+
+    #[test]
+    fn every_scalar_kernel_has_a_c_spelling() {
+        // The typed lowering types exactly the ops with a scalar kernel;
+        // the emitter must spell each one, or emission would panic.
+        use matc_vm::dispatch::ScalarKernel;
+        let mut ops: Vec<Op> = BINOPS.iter().map(|b| Op::Bin(*b)).collect();
+        ops.extend(UNOPS.iter().map(|u| Op::Un(*u)));
+        ops.extend(builtins().into_iter().map(Op::Builtin));
+        let mut spelled = 0;
+        for op in &ops {
+            for arity in 0..=4 {
+                let Some((_, reads)) = ScalarKernel::of(op, arity) else {
+                    continue;
+                };
+                let xs: Vec<String> = (0..reads.len()).map(|i| format!("x{i}")).collect();
+                let c = scalar_expr(op, &xs).unwrap_or_else(|| panic!("{op:?}/{arity}"));
+                // Each operand the kernel reads appears in its spelling
+                // (`imag` of a real is 0 whatever it is).
+                let read = |x: &String| c.contains(x.as_str()) || *op == Op::Builtin(Builtin::Imag);
+                assert!(xs.iter().all(read), "{op:?}: {c}");
+                spelled += 1;
+            }
+        }
+        assert!(spelled >= 50, "{spelled}");
+        // Division is IEEE division and negation flips a zero's sign,
+        // as in the Rust runtime; a negative literal is not decremented.
+        let (x, y) = ("x".to_string(), "y".to_string());
+        assert_eq!(
+            scalar_expr(&Op::Bin(ElemDiv), &[x.clone(), y.clone()]).unwrap(),
+            "(x / y)"
+        );
+        assert_eq!(
+            scalar_expr(&Op::Bin(MatLeftDiv), &[x.clone(), y]).unwrap(),
+            "(y / x)"
+        );
+        assert_eq!(scalar_expr(&Op::Un(UnOp::Neg), &[x]).unwrap(), "(-x)");
+        let neg = scalar_expr(&Op::Un(UnOp::Neg), &[c_f64(-2.0)]).unwrap();
+        assert_eq!(neg, "(-(-2.0))");
     }
 
     #[test]
@@ -1133,38 +1089,6 @@ mod tests {
         let c = emit(&["function entryfn()\nfprintf('hi\\n');\n"]);
         assert!(c.contains("int main(void)"));
         assert!(c.contains("f_entryfn();"));
-    }
-
-    #[test]
-    fn typed_c_is_typed_in_the_planned_vm() {
-        // One notion of "typed" across the two executors: every site the
-        // emitter writes as a `double` expression is a decoded typed step
-        // of the planned VM (which also ticks literals' `Const`s).
-        use matc_benchsuite::{all, Preset};
-        let (mut c_sites, mut vm_sites) = (0, 0);
-        for bench in all() {
-            let sources = bench.sources(Preset::Test);
-            let ast = parse_program(sources.iter().map(String::as_str)).unwrap();
-            let compiled = compile(&ast, GctdOptions::default()).unwrap();
-            let vm = matc_vm::PlannedVm::new(&compiled);
-            for (i, f) in compiled.ir.functions.iter().enumerate() {
-                let fid = FuncId::new(i);
-                let typed = typed_sites(f, compiled.plans.plan(fid));
-                let decoded = vm.typed_sites(fid);
-                for site in &typed {
-                    assert!(
-                        decoded.contains(site),
-                        "{}: {}: {site:?}",
-                        bench.name,
-                        f.name
-                    );
-                }
-                c_sites += typed.len();
-                vm_sites += decoded.len();
-            }
-        }
-        assert!(c_sites > 300, "{c_sites} typed C sites");
-        assert!(vm_sites >= c_sites);
     }
 
     #[test]

@@ -354,15 +354,16 @@ int main(int argc, char **argv) {
     check("mrt_concat", "grid literal", &g, &d);
 
     /* The real fast paths compute the complex kernels' real parts bit
-     * for bit when the imaginary parts are all zero (a complex x./0 also
-     * has a NaN imaginary part, which the real path never had). */
+     * for bit when the imaginary parts are all zero. Division is the
+     * exception: real `./` is IEEE division, as in the Rust runtime, so
+     * x./0 is +-Inf where the complex formula gives NaN. */
     static const double none[6] = {0};
     static const int kernels[] = {
-        MRT_OP_ADD, MRT_OP_SUB, MRT_OP_TIMES, MRT_OP_RDIVIDE, MRT_OP_EQ, MRT_OP_NE,
+        MRT_OP_ADD, MRT_OP_SUB, MRT_OP_TIMES, MRT_OP_EQ, MRT_OP_NE,
         MRT_OP_LT, MRT_OP_LE, MRT_OP_GT, MRT_OP_GE, MRT_OP_AND, MRT_OP_OR,
     };
     static const char *const kernel_names[] = {
-        "add", "sub", "times", "rdivide", "eq", "ne", "lt", "le", "gt", "ge", "and", "or",
+        "add", "sub", "times", "eq", "ne", "lt", "le", "gt", "ge", "and", "or",
     };
     mrt_val bz = make(2, 3, bre, none, 0), cz = make(3, 2, cre, none, 0), got;
     mrt_bind(&got, NULL, 0);
@@ -373,6 +374,26 @@ int main(int argc, char **argv) {
         mrt_op(&want, kernels[k], 2, &b, &a);
         mrt_op(&got, kernels[k], 2, &bz, &a);
         check_parts(kernel_names[k], "real vs complex kernel, swapped", &want, &got, 1);
+    }
+    {
+        double q[6], r[6];
+        for (int k = 0; k < 6; k++) {
+            q[k] = are[k] / bre[k];
+            r[k] = bre[k] / are[k];
+        }
+        mrt_val wq = make(2, 3, q, NULL, 0), wr = make(2, 3, r, NULL, 0);
+        mrt_op(&got, MRT_OP_RDIVIDE, 2, &a, &b);
+        check("rdivide", "IEEE division", &wq, &got);
+        mrt_op(&got, MRT_OP_RDIVIDE, 2, &b, &a);
+        check("rdivide", "IEEE division, swapped", &wr, &got);
+        mrt_free(&wq);
+        mrt_free(&wr);
+        /* Unary minus flips the sign of a zero, as in the Rust runtime. */
+        for (int k = 0; k < 6; k++) q[k] = -are[k];
+        mrt_val wn = make(2, 3, q, NULL, 0);
+        mrt_op(&got, MRT_OP_UMINUS, 1, &a);
+        check("uminus", "negates every element", &wn, &got);
+        mrt_free(&wn);
     }
     mrt_op(&want, MRT_OP_MTIMES, 2, &a, &c);
     mrt_op(&got, MRT_OP_MTIMES, 2, &a, &cz);
@@ -453,7 +474,7 @@ int main(int argc, char **argv) {
         for (size_t u = 0; u < sizeof xs / sizeof *xs; u++)
             for (size_t v = 0; v < sizeof xs / sizeof *xs; v++) {
                 double x = xs[u], y = xs[v];
-                double typed[] = {mrt_rdiv(x, y), mrt_mod(x, y), mrt_rem(x, y),
+                double typed[] = {x / y, mrt_mod(x, y), mrt_rem(x, y),
                                   mrt_max2(x, y), mrt_min2(x, y), atan2(x, y)};
                 for (size_t o = 0; o < sizeof ops / sizeof *ops; o++) {
                     mrt_op(&r, ops[o], 2, mrt_wrap(mrt_numv(x)), mrt_wrap(mrt_numv(y)));

@@ -195,7 +195,7 @@ pub fn eval_binop(b: BinOp, x: &Value, y: &Value) -> Result<Value> {
 }
 
 /// A real elementwise kernel.
-pub(crate) type RealKernel = fn(f64, f64) -> f64;
+pub type RealKernel = fn(f64, f64) -> f64;
 
 /// A comparison or logical result as MATLAB's 0/1.
 fn flag(t: bool) -> f64 {
@@ -229,23 +229,32 @@ pub(crate) fn real_kernel(b: BinOp) -> (RealKernel, Class) {
 
 /// What [`eval_op`] computes for an op whose operands are real 1×1
 /// values and whose result is one, decoded once per op: the one
-/// definition of scalar semantics that the planned VM's typed steps
-/// and [`eval_scalar`] share. The ops are those the C backend writes as
-/// `double` expressions.
+/// definition of scalar semantics. The typed lowering
+/// ([`crate::typed`]) types exactly the ops that have a kernel; the
+/// planned VM applies it, and the C backend spells each one as a
+/// `double` expression.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum ScalarKernel {
-    /// A binary operator's [`real_kernel`]; `pow` marks `^`/`.^`, whose
-    /// result is complex for a negative base and fractional exponent.
+pub enum ScalarKernel {
+    /// A binary operator's real kernel.
     Bin {
+        /// The kernel [`eval_binop`] applies to two real scalars.
         k: RealKernel,
+        /// The class of its result.
         class: Class,
+        /// `^`/`.^`, whose result is complex for a negative base and a
+        /// fractional exponent.
         pow: bool,
     },
     /// A map to a double (`-`, `abs`, `floor`, `real`, one-input `max`).
     Map(fn(f64) -> f64),
     /// `sqrt` (`open: false`) or `log` (`open: true`): complex below
     /// zero (or at zero for `log`); NaN stays real.
-    Domain { k: fn(f64) -> f64, open: bool },
+    Domain {
+        /// The map.
+        k: fn(f64) -> f64,
+        /// Whether zero is outside the real domain.
+        open: bool,
+    },
     /// A map to a logical (`~`, `istrue`).
     Test(fn(f64) -> bool),
     /// The operand itself, its class kept (transpose, `conj`, unary `+`).
@@ -268,7 +277,7 @@ impl ScalarKernel {
     /// The kernel of `op` applied to `arity` operands, and the operand
     /// positions it reads (a loop index does not read the loop's stop
     /// value), or `None` when the op has no scalar form.
-    pub(crate) fn of(op: &Op, arity: usize) -> Option<(ScalarKernel, &'static [usize])> {
+    pub fn of(op: &Op, arity: usize) -> Option<(ScalarKernel, &'static [usize])> {
         use ScalarKernel::*;
         let k = match (op, arity) {
             (Op::Bin(b), 2) => {
@@ -332,7 +341,7 @@ impl ScalarKernel {
     /// real 1×1 values; `None` when that result is complex or an error,
     /// which the general path then reports.
     #[inline]
-    pub(crate) fn apply(self, x: [f64; 3], class0: Class) -> Option<(f64, Class)> {
+    pub fn apply(self, x: [f64; 3], class0: Class) -> Option<(f64, Class)> {
         use ScalarKernel::*;
         let [a, b, c] = x;
         let finite = |v: f64| v.is_finite();
@@ -371,33 +380,6 @@ impl ScalarKernel {
     }
 }
 
-/// The operand as a real scalar, if it is one.
-fn real_scalar(a: &Arg<'_>) -> Option<f64> {
-    match a {
-        Arg::Val(v) => v.as_scalar(),
-        Arg::Colon => None,
-    }
-}
-
-/// The 0-based linear index that scalar subscripts `subs` select in
-/// `a`, when every subscript is a real, non-logical, positive integral
-/// scalar within its extent and there is one subscript or one per
-/// dimension. `None` sends the caller to the general path, which also
-/// owns every error message.
-pub(crate) fn scalar_index(a: &Value, subs: &[Arg<'_>]) -> Option<usize> {
-    let mut xs = [0.0; 4];
-    if subs.len() > xs.len() {
-        return None;
-    }
-    for (x, s) in xs.iter_mut().zip(subs) {
-        *x = match s {
-            Arg::Val(v) if v.class() != Class::Logical => v.as_scalar()?,
-            _ => return None,
-        };
-    }
-    linear_index(a, &xs[..subs.len()])
-}
-
 /// The 0-based linear index that the real, non-logical subscripts `xs`
 /// select in `a`: `None` unless each is a positive integer within its
 /// extent and there is one subscript or one per dimension.
@@ -417,44 +399,6 @@ pub(crate) fn linear_index(a: &Value, xs: &[f64]) -> Option<usize> {
         stride *= extent(k);
     }
     Some(idx)
-}
-
-/// Evaluates `op` when its result is a real scalar computable without
-/// allocating: a [`ScalarKernel`] over real scalar operands, `istrue`
-/// of any value, and `subsref` with scalar subscripts into a real
-/// array. Returns the value and class [`eval_op`] would produce; `None`
-/// means "take the general path" (which also reports every error).
-pub(crate) fn eval_scalar(op: &Op, args: &[Arg<'_>]) -> Option<(f64, Class)> {
-    match op {
-        // A builtin given `:` fails on the general path.
-        Op::Builtin(_) if args.iter().any(|a| matches!(a, Arg::Colon)) => None,
-        Op::Builtin(Builtin::IsTrue) => match args {
-            [Arg::Val(v)] => Some((flag(v.is_true()), Class::Logical)),
-            _ => None,
-        },
-        Op::Subsref => {
-            let Arg::Val(a) = args.first()? else {
-                return None;
-            };
-            if a.is_complex() || args.len() < 2 {
-                return None;
-            }
-            let i = scalar_index(a, &args[1..])?;
-            Some((a.re()[i], a.class()))
-        }
-        _ => {
-            let (k, reads) = ScalarKernel::of(op, args.len())?;
-            let mut x = [0.0; 3];
-            for (x, &i) in x.iter_mut().zip(reads) {
-                *x = real_scalar(&args[i])?;
-            }
-            let class0 = match reads.first() {
-                Some(&i) => args[i].value().ok()?.class(),
-                None => Class::Double,
-            };
-            k.apply(x, class0)
-        }
-    }
 }
 
 /// Evaluates a unary operator.
@@ -846,13 +790,43 @@ mod tests {
         v
     }
 
-    /// Whether the fast path's `(x, class)` is exactly the general
+    /// Whether a typed step's `(x, class)` is exactly the general
     /// path's value: a real 1x1 of the same class and the same bits.
     fn same(fast: (f64, Class), general: &Value) -> bool {
         general.dims() == [1, 1]
             && !general.is_complex()
             && general.class() == fast.1
             && general.re()[0].to_bits() == fast.0.to_bits()
+    }
+
+    /// What a typed step computes for `op` over `args`: the op's
+    /// [`ScalarKernel`] on the operands it reads, each a real 1x1;
+    /// `None` when an operand is not one or the kernel declines.
+    fn kernel(op: &Op, args: &[&Value]) -> Option<(f64, Class)> {
+        let (k, reads) = ScalarKernel::of(op, args.len())?;
+        let mut x = [0.0; 3];
+        for (x, &i) in x.iter_mut().zip(reads) {
+            *x = args[i].as_scalar()?;
+        }
+        let class0 = reads.first().map_or(Class::Double, |&i| args[i].class());
+        k.apply(x, class0)
+    }
+
+    /// The element a typed `Get`/`Set` step addresses: one to three
+    /// real, non-logical scalar subscripts into a real array, through
+    /// [`linear_index`]; `None` sends the step to the general path.
+    fn element(a: &Value, subs: &[&Value]) -> Option<usize> {
+        if a.is_complex() || !(1..=3).contains(&subs.len()) {
+            return None;
+        }
+        let mut xs = [0.0; 3];
+        for (x, s) in xs.iter_mut().zip(subs) {
+            if s.class() == Class::Logical {
+                return None;
+            }
+            *x = s.as_scalar()?;
+        }
+        linear_index(a, &xs[..subs.len()])
     }
 
     #[test]
@@ -865,7 +839,7 @@ mod tests {
                     let args = [Arg::Val(x), Arg::Val(y)];
                     let general = eval_op(&Op::Bin(b), &args, &mut sh).unwrap();
                     let (xs, ys) = (x.re()[0], y.re()[0]);
-                    match eval_scalar(&Op::Bin(b), &args) {
+                    match kernel(&Op::Bin(b), &[x, y]) {
                         Some(fast) => assert!(
                             same(fast, &general),
                             "{b:?} {x} {y}: fast {fast:?}, general {general:?}"
@@ -874,7 +848,7 @@ mod tests {
                             matches!(b, BinOp::MatPow | BinOp::ElemPow)
                                 && xs < 0.0
                                 && ys.fract() != 0.0,
-                            "{b:?} {x} {y} left the fast path"
+                            "{b:?} {x} {y} left the typed path"
                         ),
                     }
                 }
@@ -883,7 +857,7 @@ mod tests {
         // The case that leaves it: (-8)^(1/3) is complex.
         let (x, y) = (Value::scalar(-8.0), Value::scalar(1.0 / 3.0));
         let args = [Arg::Val(&x), Arg::Val(&y)];
-        assert_eq!(eval_scalar(&Op::Bin(BinOp::ElemPow), &args), None);
+        assert_eq!(kernel(&Op::Bin(BinOp::ElemPow), &[&x, &y]), None);
         assert!(eval_op(&Op::Bin(BinOp::ElemPow), &args, &mut sh)
             .unwrap()
             .is_complex());
@@ -901,10 +875,11 @@ mod tests {
             for b in [Builtin::IsTrue, Builtin::Abs] {
                 let op = Op::Builtin(b);
                 let general = eval_op(&op, &args, &mut sh).unwrap();
-                match eval_scalar(&op, &args) {
+                match kernel(&op, &[x]) {
                     Some(fast) => assert!(same(fast, &general), "{b:?} {x}"),
-                    // abs of a non-scalar or complex value allocates.
-                    None => assert!(b == Builtin::Abs && x.as_scalar().is_none(), "{b:?} {x}"),
+                    // A non-scalar or complex operand is no typed
+                    // scalar: the general path computes it.
+                    None => assert!(x.as_scalar().is_none(), "{b:?} {x}"),
                 }
             }
         }
@@ -914,7 +889,10 @@ mod tests {
             for st in &vals {
                 for k in &vals {
                     let args = [Arg::Val(a), Arg::Val(st), Arg::Val(&count), Arg::Val(k)];
-                    match (eval_scalar(&op, &args), eval_op(&op, &args, &mut sh)) {
+                    match (
+                        kernel(&op, &[a, st, &count, k]),
+                        eval_op(&op, &args, &mut sh),
+                    ) {
                         (Some(fast), Ok(general)) => assert!(same(fast, &general)),
                         (None, Err(e)) => assert_eq!(e.message, "invalid for-loop index"),
                         (fast, general) => panic!("{a} {st} {k}: {fast:?} vs {general:?}"),
@@ -957,10 +935,10 @@ mod tests {
             for x in &vals {
                 for y in &vals {
                     for z in [&Value::scalar(5.0), y] {
-                        let args: Vec<Arg<'_>> =
-                            [x, y, z][..*arity].iter().map(|v| Arg::Val(v)).collect();
+                        let operands = &[x, y, z][..*arity];
+                        let args: Vec<Arg<'_>> = operands.iter().map(|v| Arg::Val(v)).collect();
                         let general = eval_op(op, &args, &mut sh);
-                        match (eval_scalar(op, &args), general) {
+                        match (kernel(op, operands), general) {
                             (Some(fast), Ok(g)) => {
                                 assert!(same(fast, &g), "{op:?} {x} {y} {z}: {fast:?} vs {g:?}")
                             }
@@ -974,7 +952,7 @@ mod tests {
                                     || (*op == Op::Builtin(Builtin::Log) && xs == 0.0);
                                 assert!(
                                     g.is_complex() || declines,
-                                    "{op:?} {x} {y} {z} left the fast path: {g:?}"
+                                    "{op:?} {x} {y} {z} left the typed path: {g:?}"
                                 );
                             }
                             (None, Err(_)) => {}
@@ -1017,11 +995,12 @@ mod tests {
                 forms.push(subs);
             }
             for subs in &forms {
+                let sub_refs: Vec<&Value> = subs.iter().collect();
+                let i = element(a, &sub_refs).expect("scalar subscripts");
                 let mut args = vec![Arg::Val(a)];
                 args.extend(subs.iter().map(Arg::Val));
                 let general = eval_op(&Op::Subsref, &args, &mut sh).unwrap();
-                let fast = eval_scalar(&Op::Subsref, &args).expect("scalar subscripts");
-                assert!(same(fast, &general), "{a}({subs:?})");
+                assert!(same((a.re()[i], a.class()), &general), "{a}({subs:?})");
 
                 // subsasgn: the element written in place is the general
                 // path's whole result.
@@ -1029,7 +1008,7 @@ mod tests {
                 asgn.extend(subs.iter().map(Arg::Val));
                 let general = eval_op(&Op::Subsasgn, &asgn, &mut sh).unwrap();
                 let mut fast = a.clone();
-                fast.re_mut()[scalar_index(a, &args[1..]).unwrap()] = -3.5;
+                fast.re_mut()[i] = -3.5;
                 assert_eq!(fast.class(), general.class());
                 assert_eq!(fast.dims(), general.dims());
                 let bits = |v: &Value| v.re().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1043,31 +1022,32 @@ mod tests {
         let mut sh = Shared::new();
         let a = Value::from_parts(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let cube = Value::from_parts(vec![2, 2, 2], (1..=8).map(f64::from).collect());
-        let subsref = |args: &[Arg<'_>], sh: &mut Shared| {
-            assert_eq!(eval_scalar(&Op::Subsref, args), None);
-            eval_op(&Op::Subsref, args, sh)
+        let subsref = |args: &[&Value], sh: &mut Shared| {
+            assert_eq!(element(args[0], &args[1..]), None);
+            let args: Vec<Arg<'_>> = args.iter().map(|v| Arg::Val(v)).collect();
+            eval_op(&Op::Subsref, &args, sh)
         };
         // A logical subscript selects by mask, not by position.
         let t = Value::logical(true);
-        let r = subsref(&[Arg::Val(&a), Arg::Val(&t)], &mut sh).unwrap();
+        let r = subsref(&[&a, &t], &mut sh).unwrap();
         assert_eq!((r.re(), r.class()), (&[1.0][..], Class::Double));
         // Out of range and non-integral: the general path's errors.
         let seven = Value::scalar(7.0);
-        let e = subsref(&[Arg::Val(&a), Arg::Val(&seven)], &mut sh).unwrap_err();
+        let e = subsref(&[&a, &seven], &mut sh).unwrap_err();
         assert_eq!(e.message, "index 7 exceeds the 6 elements of the array");
         let three = Value::scalar(3.0);
-        let e = subsref(&[Arg::Val(&a), Arg::Val(&three), Arg::Val(&three)], &mut sh).unwrap_err();
+        let e = subsref(&[&a, &three, &three], &mut sh).unwrap_err();
         assert_eq!(e.message, "index 3 exceeds extent 2 in dimension 1");
         let half = Value::scalar(1.5);
-        let e = subsref(&[Arg::Val(&a), Arg::Val(&half)], &mut sh).unwrap_err();
+        let e = subsref(&[&a, &half], &mut sh).unwrap_err();
         assert_eq!(e.message, "subscript must be a positive integer, got 1.5");
         // Two subscripts into a 2x2x2 array fold the trailing dims.
         let (one, four) = (Value::scalar(1.0), Value::scalar(4.0));
-        let r = subsref(&[Arg::Val(&cube), Arg::Val(&one), Arg::Val(&four)], &mut sh).unwrap();
+        let r = subsref(&[&cube, &one, &four], &mut sh).unwrap();
         assert_eq!(r.as_scalar(), Some(7.0));
         // A complex array allocates.
         let z = Value::from_complex_parts(vec![1, 2], vec![1.0, 2.0], vec![0.0, 1.0]);
-        let r = subsref(&[Arg::Val(&z), Arg::Val(&one)], &mut sh).unwrap();
+        let r = subsref(&[&z, &one], &mut sh).unwrap();
         assert_eq!(r.as_scalar(), Some(1.0));
     }
 

@@ -47,6 +47,7 @@ pub mod interp;
 pub mod mcc;
 pub mod planned;
 pub mod resilient;
+pub mod typed;
 
 pub use compile::{compile, lower_for_mcc, Compiled};
 pub use interp::Interp;

@@ -13,23 +13,22 @@
 //! then one cell per unplanned immediate or temporary), every definition
 //! to its resize annotation and every call site to its callee.
 //!
-//! It also decodes **typed steps**, as the C backend emits `double`
-//! expressions: an instruction whose destination is a proven scalar
-//! ([`StoragePlan::scalars`]) and whose operands are proven scalars or
-//! numeric literals runs as a pre-decoded step over cell indices, with
-//! its literals baked in and its scalar kernel chosen once
-//! (`dispatch::ScalarKernel`). A step reads and writes element 0 of
-//! its cells' values, so the generic ops, shadow probes and Equation 2
-//! see one storage. A run of typed steps charges its clock ticks in one
-//! [`MemRecorder::advance`] (the integration is linear, so Equation 2 is
-//! bit-identical), and a literal's `Const` that only typed steps read is
-//! a tick only. A step that misses at run time (an unset cell, a power
-//! that would go complex, an out-of-range or fractional subscript)
-//! leaves its instruction to the generic path, which owns every error.
+//! It also turns the function's typed sites ([`crate::typed`], the
+//! lowering the C backend prints as `double` expressions) into **typed
+//! steps** over cell indices: a planned variable's cell is its slot, so
+//! a site's sources index the cells directly, and its literals and
+//! scalar kernel (`dispatch::ScalarKernel`) are baked in. A step reads
+//! and writes element 0 of its cells' values, so the generic ops,
+//! shadow probes and Equation 2 see one storage. A run of typed steps
+//! charges its clock ticks in one [`MemRecorder::advance`] (the
+//! integration is linear, so Equation 2 is bit-identical), and a
+//! literal's `Const` that only typed steps read is a tick only. A step
+//! that misses at run time (an unset cell, a power that would go
+//! complex, an out-of-range or fractional subscript) leaves its
+//! instruction to the generic path, which owns every error.
 //!
-//! On the generic path, results that are real scalars, scalar-subscript
-//! `subsasgn`s, copies and array indexing are written into the
-//! destination cell's existing buffer, and Figure 1's in-place update
+//! On the generic path, numeric constants, copies and array indexing are
+//! written into the destination cell's existing buffer, and Figure 1's in-place update
 //! picks its elementwise kernel once per op; everything else goes
 //! through [`dispatch::eval_op`] (DESIGN.md §16, §17).
 //!
@@ -44,11 +43,12 @@
 
 use crate::compile::Compiled;
 use crate::dispatch::{self, Arg, ScalarKernel, Shared};
+use crate::typed::{self, Site, Src, UNUSED};
 use matc_analysis::shadow::{DefAction, ShadowLog};
 use matc_frontend::ast::BinOp;
 use matc_gctd::{ResizeKind, SlotKind, StoragePlan};
 use matc_ir::ids::{FuncId, VarId};
-use matc_ir::instr::{Const, InstrKind, Op, Operand, Terminator};
+use matc_ir::instr::{InstrKind, Op, Operand, Terminator};
 use matc_ir::{Builtin, FuncIr, Instr, IrProgram};
 use matc_runtime::error::{err, Result};
 use matc_runtime::format;
@@ -56,8 +56,8 @@ use matc_runtime::mem::{ImageModel, MemRecorder};
 use matc_runtime::ops::{arith, index};
 use matc_runtime::value::{Class, Value};
 
-/// Operands the allocation-free path gathers at most (a 3-D
-/// `subsasgn` takes five).
+/// Operands [`PlannedVm::compute_into`] gathers on the stack at most (a
+/// 3-D `subsasgn` takes five).
 const FAST_ARGS: usize = 5;
 
 /// A call site's callee, resolved once per executor.
@@ -137,7 +137,8 @@ impl FuncTable {
                 .unwrap_or(Callee::Undefined)
             }));
         }
-        let decoded = Decoder::new(func, plan, &cell).decode();
+        let typed = typed::lower(func, plan);
+        let (steps, elided) = decode(func, &typed, &cell);
         FuncTable {
             cell,
             resize,
@@ -145,31 +146,21 @@ impl FuncTable {
             frame_bytes,
             block_base,
             callees,
-            steps: decoded.steps,
-            branch: decoded.branch,
-            elided: decoded.elided,
+            steps,
+            branch: typed.branch,
+            elided,
         }
     }
 }
 
-/// An operand of a typed step: a typed scalar's cell, or a numeric
-/// literal baked into the step.
-#[derive(Debug, Clone, Copy)]
-enum Src {
-    Cell(usize),
-    Lit(f64, Class),
-}
-
-/// The operand slot a step does not read.
-const NONE: Src = Src::Lit(0.0, Class::Double);
-
 /// The real scalar an operand holds and its class; `None` when its cell
-/// is unset or holds anything but a real 1×1.
+/// is unset or holds anything but a real 1×1. A slot's cell is the
+/// slot's index.
 #[inline]
 fn read(cells: &[Cell], s: Src) -> Option<(f64, Class)> {
     match s {
         Src::Lit(x, class) => Some((x, class)),
-        Src::Cell(c) => {
+        Src::Slot(c) => {
             let v = cells[c].value.as_ref()?;
             Some((v.as_scalar()?, v.class()))
         }
@@ -190,21 +181,18 @@ fn subscripts(cells: &[Cell], subs: &[Src]) -> Option<[f64; 3]> {
     Some(xs)
 }
 
-/// One instruction as [`FuncTable::new`] decoded it. A typed step reads
-/// and writes element 0 of its cells' values over variables the plan
-/// proves to be real 1×1 scalars in stack slots
-/// ([`StoragePlan::scalars`]) and numeric literals, the instructions the
-/// C backend writes as `double` expressions; anything it cannot finish
-/// at run time goes to the generic path.
+/// One instruction as [`FuncTable::new`] decoded it: generic, or a
+/// typed [`Site`] over cell indices. A typed step reads and writes
+/// element 0 of its cells' values; anything it cannot finish at run
+/// time goes to the generic path.
 #[derive(Debug, Clone, Copy)]
 enum Step {
     /// Runs on the generic path.
     Generic,
     /// The `Const` of a literal that only typed steps read: one tick.
     Tick,
-    /// `dst = k(xs)` over typed scalars and literals. A numeric `Const`
-    /// into a typed scalar or a literal's cell, and a copy into a typed
-    /// scalar, are `ScalarKernel::Same` of one operand.
+    /// `dst = k(xs)`. A numeric `Const` is `ScalarKernel::Same` of its
+    /// literal.
     Scalar {
         dst: usize,
         var: VarId,
@@ -229,212 +217,86 @@ enum Step {
     },
 }
 
-/// The steps [`Decoder::decode`] produces for one function.
-struct Decoded {
-    steps: Vec<Step>,
-    branch: Vec<Option<Src>>,
-    elided: Vec<Option<(f64, Class)>>,
-}
-
-/// Decodes one function's typed steps.
-struct Decoder<'a> {
-    func: &'a FuncIr,
-    cell: &'a [usize],
-    /// Planned slots (cells below this index).
-    slots: usize,
-    /// Per variable: whether it is a typed scalar.
-    typed: Vec<bool>,
-    /// Per variable: its value when it is a numeric literal (an
-    /// unplanned variable whose one definition is a numeric `Const`).
-    lits: Vec<Option<(f64, Class)>>,
-}
-
-/// The value and class of a numeric or logical constant.
-fn numeric(c: &Const) -> Option<(f64, Class)> {
-    match c {
-        Const::Num(x) => Some((*x, Class::Double)),
-        Const::Bool(b) => Some((f64::from(u8::from(*b)), Class::Logical)),
-        _ => None,
-    }
-}
-
-impl<'a> Decoder<'a> {
-    fn new(func: &'a FuncIr, plan: &StoragePlan, cell: &'a [usize]) -> Self {
-        let n = func.vars.len();
-        let mut typed = vec![false; n];
-        for v in plan.scalars.iter().filter(|v| v.index() < n) {
-            // A stack slot that holds one element of its type: the
-            // generic path's size check can never fire.
-            typed[v.index()] = plan.slot_of(*v).is_some_and(|s| {
-                let slot = &plan.slots[s];
-                matches!(slot.kind, SlotKind::Stack { bytes } if bytes >= slot.intrinsic.byte_size())
-            });
-        }
-        let mut defs = vec![0u32; n];
-        let mut lits = vec![None; n];
-        for instr in func.blocks.iter().flat_map(|b| &b.instrs) {
-            for d in instr.defs() {
-                defs[d.index()] += 1;
-            }
-            if let InstrKind::Const { dst, value } = &instr.kind {
-                if plan.slot_of(*dst).is_none() {
-                    lits[dst.index()] = numeric(value);
-                }
-            }
-        }
-        for (lit, d) in lits.iter_mut().zip(&defs) {
-            if *d != 1 {
-                *lit = None;
-            }
-        }
-        Decoder {
-            func,
-            cell,
-            slots: plan.slots.len(),
-            typed,
-            lits,
-        }
-    }
-
-    /// A typed scalar or literal operand.
-    fn src(&self, o: &Operand) -> Option<Src> {
-        let v = o.as_var()?;
-        if self.typed[v.index()] {
-            Some(Src::Cell(self.cell[v.index()]))
-        } else {
-            self.lits[v.index()].map(|(x, class)| Src::Lit(x, class))
-        }
-    }
-
-    /// One to three scalar subscripts.
-    fn subs(&self, subs: &[Operand]) -> Option<([Src; 3], usize)> {
-        if !(1..=3).contains(&subs.len()) {
-            return None;
-        }
-        let mut out = [NONE; 3];
-        for (o, s) in out.iter_mut().zip(subs) {
-            *o = self.src(s)?;
-        }
-        Some((out, subs.len()))
-    }
-
-    fn step(&self, instr: &Instr) -> Step {
-        let same = |var: VarId, x: Src| Step::Scalar {
-            dst: self.cell[var.index()],
-            var,
-            k: ScalarKernel::Same,
-            xs: [x, NONE, NONE],
-        };
-        let step = match &instr.kind {
-            InstrKind::Const { dst, value }
-                if self.typed[dst.index()] || self.lits[dst.index()].is_some() =>
-            {
-                numeric(value).map(|(x, class)| same(*dst, Src::Lit(x, class)))
-            }
-            InstrKind::Copy { dst, src } if self.typed[dst.index()] => {
-                self.src(&Operand::Var(*src)).map(|x| same(*dst, x))
-            }
-            InstrKind::Compute { dst, op, args } => self.compute(*dst, op, args),
-            _ => None,
-        };
-        step.unwrap_or(Step::Generic)
-    }
-
-    fn compute(&self, dst: VarId, op: &Op, args: &[Operand]) -> Option<Step> {
-        let (var, cell) = (dst, self.cell[dst.index()]);
-        match (op, args) {
-            (Op::Subsasgn, [Operand::Var(base), x, subs @ ..])
-                if cell < self.slots && self.cell[base.index()] == cell =>
-            {
-                let (subs, n) = self.subs(subs)?;
-                Some(Step::Set {
-                    dst: cell,
+/// Each instruction's step over cell indices, and the value of each
+/// literal whose `Const` only ticks (a typed step that misses writes it
+/// into its cell before the generic path runs).
+fn decode(
+    func: &FuncIr,
+    typed: &typed::Lowering,
+    cell: &[usize],
+) -> (Vec<Step>, Vec<Option<(f64, Class)>>) {
+    let instrs = func.blocks.iter().flat_map(|b| &b.instrs);
+    let mut steps: Vec<Step> = (instrs.clone().zip(&typed.sites))
+        .map(|(instr, site)| {
+            let (var, args) = match &instr.kind {
+                InstrKind::Const { dst, .. } | InstrKind::Copy { dst, .. } => (*dst, &[][..]),
+                InstrKind::Compute { dst, args, .. } => (*dst, &args[..]),
+                _ => return Step::Generic,
+            };
+            let dst = cell[var.index()];
+            match *site {
+                None => Step::Generic,
+                Some(Site::Const(x, class)) => Step::Scalar {
+                    dst,
                     var,
-                    x: self.src(x)?,
+                    k: ScalarKernel::Same,
+                    xs: [Src::Lit(x, class), UNUSED, UNUSED],
+                },
+                Some(Site::Scalar { k, xs, .. }) => Step::Scalar { dst, var, k, xs },
+                Some(Site::Get { subs, n }) => Step::Get {
+                    dst,
+                    var,
+                    array: cell[args[0].as_var().expect("array operand").index()],
                     subs,
                     n,
-                })
-            }
-            (Op::Subsref, [Operand::Var(array), subs @ ..]) if self.typed[dst.index()] => {
-                let (subs, n) = self.subs(subs)?;
-                Some(Step::Get {
-                    dst: cell,
+                },
+                Some(Site::Set { x, subs, n }) => Step::Set {
+                    dst,
                     var,
-                    array: self.cell[array.index()],
+                    x,
                     subs,
                     n,
-                })
+                },
             }
-            _ if self.typed[dst.index()] => {
-                let (k, reads) = ScalarKernel::of(op, args.len())?;
-                let mut xs = [NONE; 3];
-                for (x, &i) in xs.iter_mut().zip(reads) {
-                    *x = self.src(&args[i])?;
+        })
+        .collect();
+    // Literals whose cell some generic read needs.
+    let mut needed = vec![false; func.vars.len()];
+    for (instr, step) in instrs.zip(&steps) {
+        match (step, &instr.kind) {
+            (Step::Generic, _) => instr.uses().iter().for_each(|v| needed[v.index()] = true),
+            // The array operand is read from its cell.
+            (Step::Get { .. }, InstrKind::Compute { args, .. }) => {
+                if let Some(v) = args[0].as_var() {
+                    needed[v.index()] = true;
                 }
-                Some(Step::Scalar {
-                    dst: cell,
-                    var,
-                    k,
-                    xs,
-                })
             }
-            _ => None,
+            _ => {}
         }
     }
-
-    fn decode(self) -> Decoded {
-        let func = self.func;
-        // Literals whose cell some generic read needs.
-        let mut needed = vec![false; func.vars.len()];
-        let mut steps = Vec::new();
-        for instr in func.blocks.iter().flat_map(|b| &b.instrs) {
-            let step = self.step(instr);
-            match (step, &instr.kind) {
-                (Step::Generic, _) => instr.uses().iter().for_each(|v| needed[v.index()] = true),
-                // The array operand is read from its cell.
-                (Step::Get { .. }, InstrKind::Compute { args, .. }) => {
-                    if let Some(v) = args[0].as_var() {
-                        needed[v.index()] = true;
-                    }
-                }
-                _ => {}
-            }
-            steps.push(step);
+    let outs = if func.ssa_outs.is_empty() {
+        &func.outs
+    } else {
+        &func.ssa_outs
+    };
+    outs.iter().for_each(|v| needed[v.index()] = true);
+    for (b, src) in func.blocks.iter().zip(&typed.branch) {
+        if let (Some(cond), None) = (b.term.used_var(), src) {
+            needed[cond.index()] = true;
         }
-        let outs = if func.ssa_outs.is_empty() {
-            &func.outs
-        } else {
-            &func.ssa_outs
-        };
-        outs.iter().for_each(|v| needed[v.index()] = true);
-        let branch = (func.blocks.iter())
-            .map(|b| {
-                let cond = b.term.used_var()?;
-                let src = self.src(&Operand::Var(cond));
-                needed[cond.index()] |= src.is_none();
-                src
-            })
-            .collect();
-        let mut elided = vec![None; func.vars.len()];
-        for step in &mut steps {
-            if let Step::Scalar {
-                var,
-                xs: [Src::Lit(x, class), ..],
-                ..
-            } = *step
+    }
+    let mut elided = vec![None; func.vars.len()];
+    for step in &mut steps {
+        if let Step::Scalar { var, .. } = *step {
+            if let (Some(Src::Lit(x, class)), false) =
+                (typed.src(&Operand::Var(var)), needed[var.index()])
             {
-                if self.lits[var.index()].is_some() && !needed[var.index()] {
-                    elided[var.index()] = Some((x, class));
-                    *step = Step::Tick;
-                }
+                elided[var.index()] = Some((x, class));
+                *step = Step::Tick;
             }
         }
-        Decoded {
-            steps,
-            branch,
-            elided,
-        }
     }
+    (steps, elided)
 }
 
 /// One storage cell of an activation.
@@ -503,15 +365,6 @@ fn ew_in_place(b: BinOp, dst: &mut Value, rhs: &Value) -> bool {
     }
 }
 
-/// The result of the allocation-free path.
-enum Fast {
-    /// A real scalar and its class.
-    Scalar(f64, Class),
-    /// `subsasgn` storing one real element at a linear index of an
-    /// array of `numel` elements.
-    Assign { index: usize, x: f64, numel: usize },
-}
-
 /// The planned executor.
 pub struct PlannedVm<'p> {
     compiled: &'p Compiled,
@@ -571,25 +424,6 @@ impl<'p> PlannedVm<'p> {
     pub fn with_shadow(mut self) -> Self {
         self.shadow = Some(ShadowLog::new());
         self
-    }
-
-    /// The typed steps [`PlannedVm::new`] decoded for function `f`:
-    /// `(block index, Some(instruction index))` per instruction and
-    /// `(block index, None)` per typed branch test, the form of
-    /// `matc_codegen::typed_sites`.
-    #[doc(hidden)]
-    pub fn typed_sites(&self, f: FuncId) -> Vec<(usize, Option<usize>)> {
-        let t = &self.tables[f.index()];
-        let mut sites = Vec::new();
-        for (b, &base) in t.block_base.iter().enumerate() {
-            let end = t.block_base.get(b + 1).copied().unwrap_or(t.steps.len());
-            let typed = (base..end).filter(|&at| !matches!(t.steps[at], Step::Generic));
-            sites.extend(typed.map(|at| (b, Some(at - base))));
-            if t.branch[b].is_some() {
-                sites.push((b, None));
-            }
-        }
-        sites
     }
 
     /// Takes the probe log recorded by a [`PlannedVm::with_shadow`]
@@ -783,7 +617,8 @@ impl<'p> PlannedVm<'p> {
                 return true;
             }
             Step::Scalar { dst, var, k, xs } => {
-                let [a, b, c] = xs.map(|s| read(cells, s));
+                // Three plain reads: `xs.map(..)` is not reliably inlined.
+                let [a, b, c] = [read(cells, xs[0]), read(cells, xs[1]), read(cells, xs[2])];
                 let (Some((a, class0)), Some((b, _)), Some((c, _))) = (a, b, c) else {
                     return false;
                 };
@@ -944,12 +779,7 @@ impl<'p> PlannedVm<'p> {
         match &instr.kind {
             InstrKind::Const { dst, value } => {
                 self.mem.advance(1);
-                let scalar = match value {
-                    Const::Num(x) => Some((*x, Class::Double)),
-                    Const::Bool(b) => Some((f64::from(u8::from(*b)), Class::Logical)),
-                    _ => None,
-                };
-                match scalar {
+                match typed::numeric(value) {
                     Some((x, class)) => {
                         let c = self.define(cx, cells, *dst, 1, None);
                         put_scalar(&mut cells[c], x, class);
@@ -972,9 +802,7 @@ impl<'p> PlannedVm<'p> {
                 }
             }
             InstrKind::Compute { dst, op, args } => {
-                if !self.compute_fast(cx, cells, *dst, op, args)
-                    && !self.compute_into(cx, cells, *dst, op, args)?
-                {
+                if !self.compute_into(cx, cells, *dst, op, args)? {
                     let result = self.compute(cx, cells, *dst, op, args, at)?;
                     self.mem.advance(result.numel() as u64);
                     self.store(cx, cells, *dst, result);
@@ -1049,76 +877,6 @@ impl<'p> PlannedVm<'p> {
         Ok(vals)
     }
 
-    /// The allocation-free path: a real-scalar result written into the
-    /// destination cell's buffer, or a scalar-subscript `subsasgn`
-    /// storing one element in place (or into the destination's buffer).
-    /// Returns `false`, having done nothing, when the general path must
-    /// run — that path also owns every error message.
-    fn compute_fast(
-        &mut self,
-        cx: Ctx<'_>,
-        cells: &mut [Cell],
-        dst: VarId,
-        op: &Op,
-        args: &[Operand],
-    ) -> bool {
-        if args.len() > FAST_ARGS || matches!(op, Op::Call(_)) {
-            return false;
-        }
-        let mut argv = [Arg::Colon; FAST_ARGS];
-        for (slot, a) in argv.iter_mut().zip(args) {
-            if let Operand::Var(v) = a {
-                match &cells[cx.table.cell[v.index()]].value {
-                    Some(val) => *slot = Arg::Val(val),
-                    None => return false,
-                }
-            }
-        }
-        let argv = &argv[..args.len()];
-        let fast = match (op, argv) {
-            (Op::Subsasgn, [Arg::Val(a), Arg::Val(r), subs @ ..]) if !a.is_complex() => {
-                match (r.as_scalar(), dispatch::scalar_index(a, subs)) {
-                    (Some(x), Some(index)) => Fast::Assign {
-                        index,
-                        x,
-                        numel: a.numel(),
-                    },
-                    _ => return false,
-                }
-            }
-            _ => match dispatch::eval_scalar(op, argv) {
-                Some((x, class)) => Fast::Scalar(x, class),
-                None => return false,
-            },
-        };
-        match fast {
-            Fast::Scalar(x, class) => {
-                self.mem.advance(1);
-                let c = self.define(cx, cells, dst, 1, None);
-                put_scalar(&mut cells[c], x, class);
-            }
-            Fast::Assign { index, x, numel } => {
-                let ac = cx.table.cell[args[0].as_var().expect("array operand").index()];
-                let dc = cx.table.cell[dst.index()];
-                if ac == dc && dc < cx.plan.slots.len() {
-                    // In place, like the general in-place path: the value
-                    // and subscripts are read, the array stays put.
-                    for a in &args[1..] {
-                        if let Operand::Var(v) = a {
-                            self.note_read(cx, *v);
-                        }
-                    }
-                } else {
-                    copy_cell(cells, dc, ac);
-                }
-                cells[dc].value.as_mut().expect("written above").re_mut()[index] = x;
-                self.mem.advance(numel as u64);
-                self.define(cx, cells, dst, numel, None);
-            }
-        }
-        true
-    }
-
     /// The buffer-reusing path for array indexing: a `subsref`, or a
     /// `subsasgn` whose array lives in another cell, is written into the
     /// destination cell's existing buffer. Returns `false`, having done
@@ -1164,7 +922,9 @@ impl<'p> PlannedVm<'p> {
     }
 
     /// Computes an operation, taking the allocation-free in-place path
-    /// when the destination shares its array operand's slot.
+    /// when the destination shares its array operand's slot. Out of
+    /// line, so that the typed steps' loop in `exec` stays small.
+    #[inline(never)]
     fn compute(
         &mut self,
         cx: Ctx<'_>,

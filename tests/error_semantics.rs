@@ -324,6 +324,41 @@ fn sqrt_and_log_keep_nan_real() {
     }
 }
 
+/// Real division and negation are IEEE in every executor, native C
+/// included: `1 / 0` is Inf, `1 / -0` is -Inf and `1 / 1e300` is
+/// 1e-300, whether the operands are typed scalars or arrays.
+#[test]
+fn division_and_negation_match_in_every_executor() {
+    let zero = "x = floor(rand(1, 1));\n";
+    let big = "x = 1e300 * (1 + floor(rand(1, 1)));\n";
+    let cases = [
+        (zero, "disp(1 / x);", "Inf"),
+        (zero, "disp([1 2 3] ./ x);", "Inf"),
+        (zero, "disp(1 / (-x));", "-Inf"),
+        (zero, "disp(x \\ 1);", "Inf"),
+        (zero, "disp(1 ./ (-[x x]));", "-Inf"),
+        (big, "fprintf('%g\\n', 1 / x);", "1e-300"),
+    ];
+    let mut programs = Vec::new();
+    let mut outputs = Vec::new();
+    for (setup, body, needle) in cases {
+        let src = format!("function f()\n{setup}{body}\n");
+        let ast = parse_program([src.as_str()]).unwrap();
+        let want = Interp::new(&ast).run().unwrap();
+        assert!(want.contains(needle), "{src}{want}");
+        let compiled = compile(&ast, GctdOptions::default()).unwrap();
+        assert_eq!(PlannedVm::new(&compiled).run().unwrap(), want, "{src}");
+        let mcc = MccVm::new(&lower_for_mcc(&ast).unwrap()).run().unwrap();
+        assert_eq!(mcc, want, "{src}");
+        programs.push(compiled);
+        outputs.push(want);
+    }
+    for (run, want) in run_native(&programs).into_iter().flatten().zip(&outputs) {
+        assert!(run.status.success());
+        assert_eq!(&String::from_utf8_lossy(&run.stdout), want);
+    }
+}
+
 #[test]
 fn transpose_of_nd_errors() {
     assert_all_error(&["a = zeros(2, 2, 2);\ndisp(a');"]);

@@ -245,12 +245,12 @@ fn keys_of(src: &str) -> Vec<(String, CacheKey)> {
 
 #[test]
 fn fragment_keys_are_pinned() {
-    // A changed key stream (or domain, `matc-frag-v4`) orphans every
+    // A changed key stream (or domain, `matc-frag-v5`) orphans every
     // persisted fragment: bump the domain on purpose, then re-pin.
     let keys = keys_of("function f()\ndisp(1);\n");
     assert_eq!(
         keys[0].1.hex(),
-        "8a35ec7ea43313960de8c4fc1306dfc1adf5849ec5c9dd84abd4aadafefc67c8"
+        "1b96e2477f385cfd3fef2ae3b3dcf3aa1827d42266cbb43efd12e92cbf9390d9"
     );
 }
 
