@@ -1135,21 +1135,21 @@ static void do_fprintf(const mrt_val *const *args, int argc) {
     }
 }
 
+/* One number, disp-style (the Rust fmt_num): an integer, a nonzero
+ * below what %.4f shows in %.4e, else %.4f. */
+static void fmt_num(char *buf, size_t cap, double x) {
+    if (nonfinite_str(x, buf, cap)) return;
+    if (x == floor(x) && fabs(x) < 1e15) snprintf(buf, cap, "%lld", (long long)x);
+    else if (fabs(x) < 1e-4) snprintf(buf, cap, "%.4e", x);
+    else snprintf(buf, cap, "%.4f", x);
+}
+
 /* One element, disp-style (matches the Rust fmt_elem/fmt_num pair). */
 static void fmt_cell(char *cell, size_t cap, double re, double im) {
     char rp[64], ip[64];
-    if (!nonfinite_str(re, rp, sizeof rp)) {
-        if (re == floor(re) && fabs(re) < 1e15)
-            snprintf(rp, sizeof rp, "%lld", (long long)re);
-        else snprintf(rp, sizeof rp, "%.4f", re);
-    }
+    fmt_num(rp, sizeof rp, re);
     if (im == 0.0) { snprintf(cell, cap, "%s", rp); return; }
-    double aim = fabs(im);
-    if (!nonfinite_str(aim, ip, sizeof ip)) {
-        if (aim == floor(aim) && fabs(aim) < 1e15)
-            snprintf(ip, sizeof ip, "%lld", (long long)aim);
-        else snprintf(ip, sizeof ip, "%.4f", aim);
-    }
+    fmt_num(ip, sizeof ip, fabs(im));
     snprintf(cell, cap, "%s %c %si", rp, im < 0.0 ? '-' : '+', ip);
 }
 
@@ -1594,6 +1594,46 @@ void mrt_op(mrt_val *dst, int op, int argc, ...) {
     mrt_opv(dst, op, argc, args);
 }
 
+/* §2.3's in-place rule for a dst that shares storage with an operand:
+ * real `+ - .* ./`, and `*` or `/` against a scalar, are computed by
+ * ew_real straight into dst, the bits dispatch would give. It holds
+ * when the operands are real and conform, dst has the capacity for the
+ * result (so no realloc moves the buffer under an operand), and every
+ * operand over dst's buffer has the result's element count, so element
+ * i is read before it is written and by no later element (not so for
+ * `s = s + A` with s scalar, which takes the spare). Returns 0, having
+ * changed nothing, when it does not hold. */
+static int ew_in_place(mrt_val *dst, int op, int argc, const mrt_val *const *args) {
+    if (argc != 2) return 0;
+    const mrt_val *a = args[0], *b = args[1];
+    int id = op;
+    switch (op) {
+    case MRT_OP_ADD: case MRT_OP_SUB: case MRT_OP_TIMES: case MRT_OP_RDIVIDE: break;
+    case MRT_OP_MTIMES:
+        if (!is_scalar(a) && !is_scalar(b)) return 0;
+        id = MRT_OP_TIMES;
+        break;
+    case MRT_OP_MRDIVIDE:
+        if (!is_scalar(b)) return 0;
+        id = MRT_OP_RDIVIDE;
+        break;
+    default: return 0;
+    }
+    if (a->im || b->im) return 0;
+    if (!is_scalar(a) && !is_scalar(b) && (a->d0 != b->d0 || a->d1 != b->d1 || a->d2 != b->d2))
+        return 0;
+    size_t n = numel(is_scalar(a) ? b : a);
+    if (n > dst->cap) return 0;
+    for (int i = 0; i < 2; i++) {
+        const mrt_val *x = args[i];
+        if ((x == dst || (x->re && x->re == dst->re)) && numel(x) != n) return 0;
+    }
+    ew_real(dst, a, b, id);
+    drop_im(dst);
+    dst->is_char = 0;
+    return 1;
+}
+
 /* Runtime-owned scratch results, for a dst that aliases an operand and
  * for multi-output calls: each grows as needed and is reused, so no
  * call pays an allocation once it has reached its size. */
@@ -1626,12 +1666,14 @@ void mrt_opv(mrt_val *dst, int op, int argc, const mrt_val *const *args) {
     }
     /* The result goes straight into dst's planned storage; only a
      * missing dst or one sharing storage with an operand takes the
-     * spare result, which is then copied in. */
+     * spare result, which is then copied in, unless the op can run in
+     * place. */
     if (dst && !aliases(dst, args, argc)) {
         reset(dst);
         dispatch(dst, op, args, argc);
         return;
     }
+    if (dst && ew_in_place(dst, op, argc, args)) return;
     mrt_val *scr = take_spare(0);
     dispatch(scr, op, args, argc);
     if (dst) assign(dst, scr);

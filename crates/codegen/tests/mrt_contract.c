@@ -431,14 +431,20 @@ int main(int argc, char **argv) {
         printf("FAIL bin_power (a .^ 0.5): no imaginary part\n");
     }
 
-    /* Aliased results go through the runtime's reused scratch: r = r*r
-     * and the gather x = x(idx) (both in dst == operand 0's handle),
-     * repeated while the values grow and shrink, must equal the same op
-     * into a distinct dst every time. */
+    /* Aliased results: r = r*r and the gather x = x(idx) go through the
+     * runtime's reused scratch, and the elementwise r = r + r, x = 2*x,
+     * x = y - x and x = x ./ s run in place in dst's buffer, while the
+     * scalar-broadcast hazard s = s + A (dst is the scalar operand) takes
+     * the scratch. Each (in dst == an operand's handle, or in a frame
+     * buffer) is repeated while the values grow and shrink, and must
+     * equal the same op into a distinct dst every time. */
     {
         static const double seed[] = {0.5, -1, 2, 0.25, 1.5, -0.75, 3, 1, -2};
         static const double pick[] = {3, 1, 2, 2};
         mrt_val r, x, ref, idx = make(1, 4, pick, NULL, 0);
+        double frame[CAP];
+        mrt_val f;
+        mrt_bind(&f, frame, CAP);
         mrt_bind(&r, NULL, 0);
         mrt_bind(&x, NULL, 0);
         mrt_bind(&ref, NULL, 0);
@@ -453,6 +459,32 @@ int main(int argc, char **argv) {
             mrt_op(&ref, MRT_OP_SUBSREF, 2, &x, &idx);
             mrt_op(&x, MRT_OP_SUBSREF, 2, &x, &idx);
             check("aliased x = x(idx)", "equals a distinct dst", &ref, &x);
+
+            mrt_val *dsts[] = {&r, &f};
+            for (int h = 0; h < 2; h++) {
+                mrt_val *d = dsts[h];
+                /* Fresh immediates: the wrap pool rotates. */
+                const mrt_val *y = &row, *k2 = mrt_wrap(mrt_numv(2.0)),
+                              *s1 = mrt_wrap(mrt_numv(0.5));
+                mrt_op(d, MRT_OP_COPY, 1, &sq);
+                mrt_op(&ref, MRT_OP_ADD, 2, d, d);
+                mrt_op(d, MRT_OP_ADD, 2, d, d);
+                check("aliased r = r + r", "equals a distinct dst", &ref, d);
+                mrt_op(d, MRT_OP_COPY, 1, &row);
+                mrt_op(&ref, MRT_OP_MTIMES, 2, k2, d);
+                mrt_op(d, MRT_OP_MTIMES, 2, k2, d);
+                check("aliased x = 2 * x", "equals a distinct dst", &ref, d);
+                mrt_op(&ref, MRT_OP_SUB, 2, y, d);
+                mrt_op(d, MRT_OP_SUB, 2, y, d);
+                check("aliased x = y - x", "equals a distinct dst", &ref, d);
+                mrt_op(&ref, MRT_OP_RDIVIDE, 2, d, s1);
+                mrt_op(d, MRT_OP_RDIVIDE, 2, d, s1);
+                check("aliased x = x ./ s", "equals a distinct dst", &ref, d);
+                mrt_op(d, MRT_OP_COPY, 1, mrt_wrap(mrt_numv(0.5 + k)));
+                mrt_op(&ref, MRT_OP_ADD, 2, d, &sq);
+                mrt_op(d, MRT_OP_ADD, 2, d, &sq);
+                check("aliased s = s + A", "equals a distinct dst", &ref, d);
+            }
             mrt_free(&sq);
             mrt_free(&row);
         }

@@ -57,6 +57,14 @@ fn fmt_num(x: f64) -> String {
         s.to_string()
     } else if x == x.trunc() && x.abs() < 1e15 {
         format!("{}", x as i64)
+    } else if x.abs() < 1e-4 {
+        // A nonzero below what `%.4f` shows, as C's `%.4e` spells it: a
+        // signed exponent of at least two digits (`1.0000e-05`).
+        let s = format!("{x:.4e}");
+        let (mantissa, exp) = s.split_once('e').expect("`{:e}` has an exponent");
+        let exp: i32 = exp.parse().expect("`{:e}` exponent");
+        let sign = if exp < 0 { '-' } else { '+' };
+        format!("{mantissa}e{sign}{:02}", exp.abs())
     } else {
         format!("{x:.4}")
     }

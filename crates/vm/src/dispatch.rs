@@ -194,36 +194,35 @@ pub fn eval_binop(b: BinOp, x: &Value, y: &Value) -> Result<Value> {
     }
 }
 
-/// A real elementwise kernel.
-pub type RealKernel = fn(f64, f64) -> f64;
-
 /// A comparison or logical result as MATLAB's 0/1.
 fn flag(t: bool) -> f64 {
     f64::from(u8::from(t))
 }
 
-/// The kernel [`eval_binop`] applies to two real scalars, and the class
-/// of its result. On real arrays it is also the elementwise kernel of
-/// `+ - .* ./ .\ .^` and of the comparisons; `*`, `/` and `\` reduce to
-/// it only when an operand is scalar. For `^` and `.^` the result is
-/// complex when the base is negative and the exponent fractional —
-/// [`ScalarKernel::apply`] checks that case.
-pub(crate) fn real_kernel(b: BinOp) -> (RealKernel, Class) {
+/// What [`eval_binop`] gives on two real scalars and its class, the
+/// operator matched per call so that a caller's loop inlines it; `None`
+/// for `^`/`.^` of a negative base and a fractional exponent, whose
+/// result is complex.
+#[inline(always)]
+pub(crate) fn real_bin(b: BinOp, x: f64, y: f64) -> Option<(f64, Class)> {
+    let logical = |t: bool| Some((flag(t), Class::Logical));
+    let double = |r: f64| Some((r, Class::Double));
     match b {
-        BinOp::Add => (|x, y| x + y, Class::Double),
-        BinOp::Sub => (|x, y| x - y, Class::Double),
-        BinOp::MatMul | BinOp::ElemMul => (|x, y| x * y, Class::Double),
-        BinOp::MatDiv | BinOp::ElemDiv => (|x, y| x / y, Class::Double),
-        BinOp::MatLeftDiv | BinOp::ElemLeftDiv => (|x, y| y / x, Class::Double),
-        BinOp::MatPow | BinOp::ElemPow => (f64::powf, Class::Double),
-        BinOp::Eq => (|x, y| flag(x == y), Class::Logical),
-        BinOp::Ne => (|x, y| flag(x != y), Class::Logical),
-        BinOp::Lt => (|x, y| flag(x < y), Class::Logical),
-        BinOp::Le => (|x, y| flag(x <= y), Class::Logical),
-        BinOp::Gt => (|x, y| flag(x > y), Class::Logical),
-        BinOp::Ge => (|x, y| flag(x >= y), Class::Logical),
-        BinOp::And | BinOp::ShortAnd => (|x, y| flag(x != 0.0 && y != 0.0), Class::Logical),
-        BinOp::Or | BinOp::ShortOr => (|x, y| flag(x != 0.0 || y != 0.0), Class::Logical),
+        BinOp::Add => double(x + y),
+        BinOp::Sub => double(x - y),
+        BinOp::MatMul | BinOp::ElemMul => double(x * y),
+        BinOp::MatDiv | BinOp::ElemDiv => double(x / y),
+        BinOp::MatLeftDiv | BinOp::ElemLeftDiv => double(y / x),
+        BinOp::MatPow | BinOp::ElemPow if x < 0.0 && y.fract() != 0.0 => None,
+        BinOp::MatPow | BinOp::ElemPow => double(x.powf(y)),
+        BinOp::Eq => logical(x == y),
+        BinOp::Ne => logical(x != y),
+        BinOp::Lt => logical(x < y),
+        BinOp::Le => logical(x <= y),
+        BinOp::Gt => logical(x > y),
+        BinOp::Ge => logical(x >= y),
+        BinOp::And | BinOp::ShortAnd => logical(x != 0.0 && y != 0.0),
+        BinOp::Or | BinOp::ShortOr => logical(x != 0.0 || y != 0.0),
     }
 }
 
@@ -235,16 +234,8 @@ pub(crate) fn real_kernel(b: BinOp) -> (RealKernel, Class) {
 /// `double` expression.
 #[derive(Debug, Clone, Copy)]
 pub enum ScalarKernel {
-    /// A binary operator's real kernel.
-    Bin {
-        /// The kernel [`eval_binop`] applies to two real scalars.
-        k: RealKernel,
-        /// The class of its result.
-        class: Class,
-        /// `^`/`.^`, whose result is complex for a negative base and a
-        /// fractional exponent.
-        pow: bool,
-    },
+    /// A binary operator on two real scalars.
+    Bin(BinOp),
     /// A map to a double (`-`, `abs`, `floor`, `real`, one-input `max`).
     Map(fn(f64) -> f64),
     /// `sqrt` (`open: false`) or `log` (`open: true`): complex below
@@ -280,11 +271,7 @@ impl ScalarKernel {
     pub fn of(op: &Op, arity: usize) -> Option<(ScalarKernel, &'static [usize])> {
         use ScalarKernel::*;
         let k = match (op, arity) {
-            (Op::Bin(b), 2) => {
-                let (k, class) = real_kernel(*b);
-                let pow = matches!(b, BinOp::MatPow | BinOp::ElemPow);
-                Bin { k, class, pow }
-            }
+            (Op::Bin(b), 2) => Bin(*b),
             (Op::Un(UnOp::Neg), 1) => Map(|x| -x),
             (Op::Un(UnOp::Not), 1) => Test(|x| x == 0.0),
             (Op::Un(UnOp::Plus | UnOp::Transpose | UnOp::CTranspose), 1) => Same,
@@ -340,18 +327,13 @@ impl ScalarKernel {
     /// the first one's class), bit for bit what [`eval_op`] returns on
     /// real 1×1 values; `None` when that result is complex or an error,
     /// which the general path then reports.
-    #[inline]
+    #[inline(always)]
     pub fn apply(self, x: [f64; 3], class0: Class) -> Option<(f64, Class)> {
         use ScalarKernel::*;
         let [a, b, c] = x;
         let finite = |v: f64| v.is_finite();
         Some(match self {
-            Bin { k, class, pow } => {
-                if pow && a < 0.0 && b.fract() != 0.0 {
-                    return None;
-                }
-                (k(a, b), class)
-            }
+            Bin(op) => return real_bin(op, a, b),
             Map(k) => (k(a), Class::Double),
             Domain { k, open } => {
                 let real = if open { a > 0.0 } else { a >= 0.0 };
@@ -385,18 +367,23 @@ impl ScalarKernel {
 /// extent and there is one subscript or one per dimension.
 #[inline]
 pub(crate) fn linear_index(a: &Value, xs: &[f64]) -> Option<usize> {
+    // `x as usize` saturates (NaN to 0), so the round trip holds exactly
+    // for the positive integers a `usize` holds.
+    let position = |x: f64, extent: usize| {
+        let i = x as usize;
+        (i >= 1 && i as f64 == x && i <= extent).then(|| i - 1)
+    };
+    if let [x] = xs {
+        return position(*x, a.re().len());
+    }
     let dims = a.dims();
-    if xs.len() != 1 && xs.len() != dims.len() {
+    if xs.len() != dims.len() {
         return None;
     }
-    let extent = |k: usize| if xs.len() == 1 { a.numel() } else { dims[k] };
     let (mut idx, mut stride) = (0, 1);
-    for (k, &x) in xs.iter().enumerate() {
-        if !(x >= 1.0 && x.fract() == 0.0 && x.is_finite()) || x as usize > extent(k) {
-            return None;
-        }
-        idx += (x as usize - 1) * stride;
-        stride *= extent(k);
+    for (&x, &extent) in xs.iter().zip(dims) {
+        idx += position(x, extent)? * stride;
+        stride *= extent;
     }
     Some(idx)
 }

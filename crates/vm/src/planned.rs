@@ -17,15 +17,28 @@
 //! lowering the C backend prints as `double` expressions) into **typed
 //! steps** over cell indices: a planned variable's cell is its slot, so
 //! a site's sources index the cells directly, and its literals and
-//! scalar kernel (`dispatch::ScalarKernel`) are baked in. A step reads
-//! and writes element 0 of its cells' values, so the generic ops,
-//! shadow probes and Equation 2 see one storage. A run of typed steps
-//! charges its clock ticks in one [`MemRecorder::advance`] (the
-//! integration is linear, so Equation 2 is bit-identical), and a
-//! literal's `Const` that only typed steps read is a tick only. A step
-//! that misses at run time (an unset cell, a power that would go
-//! complex, an out-of-range or fractional subscript) leaves its
-//! instruction to the generic path, which owns every error.
+//! scalar kernel (`dispatch::ScalarKernel`) are baked in.
+//!
+//! Each cell carries a **scalar register**: an `f64`, its [`Class`] and
+//! a stale bit. Typed steps read and write registers, not values; a
+//! register that is empty is loaded from a real 1×1 value on first read.
+//! A stale register is written back into the cell's value only where
+//! something else reads the cell: before a generic instruction (for its
+//! operand cells, listed per instruction in `FuncTable`), before a
+//! generic branch test, before a typed `Get` or `Set` on that cell and
+//! before a `Return` reads an output. Every generic definition rewrites
+//! the value, so `PlannedVm::define` drops the register. The shadow
+//! probes and Equation 2 see the same definitions and reads as when
+//! every step wrote its value.
+//!
+//! One runner (`PlannedVm::run_typed`, out of line) executes a block's
+//! consecutive typed steps until one misses or a generic step comes; a
+//! run of typed steps charges its clock ticks in one
+//! [`MemRecorder::advance`] (the integration is linear, so Equation 2 is
+//! bit-identical), and a literal's `Const` that only typed steps read is
+//! a tick only. A step that misses at run time (an unset cell, a power
+//! that would go complex, an out-of-range or fractional subscript)
+//! leaves its instruction to the generic path, which owns every error.
 //!
 //! On the generic path, numeric constants, copies and array indexing are
 //! written into the destination cell's existing buffer, and Figure 1's in-place update
@@ -84,17 +97,25 @@ struct FuncTable {
     cells: usize,
     /// Bytes one activation pushes on the stack.
     frame_bytes: u64,
-    /// Index of each block's first instruction in `callees` and `steps`.
+    /// Index of each block's first instruction in `callees` and `steps`,
+    /// plus the end of the last block.
     block_base: Vec<usize>,
     /// The callee of every instruction (`Undefined` for non-calls).
     callees: Vec<Callee>,
     /// Every instruction's decoded step.
     steps: Vec<Step>,
-    /// Each block's branch condition when it is typed.
-    branch: Vec<Option<Src>>,
-    /// The value of each literal whose `Const` only ticks: a typed step
-    /// that misses writes it into its cell before the generic path runs.
+    /// Each block's terminator.
+    terms: Vec<Term>,
+    /// By cell, the value of each literal whose `Const` only ticks: a
+    /// typed step that misses writes it into its cell before the generic
+    /// path runs.
     elided: Vec<Option<(f64, Class)>>,
+    /// The distinct cells each instruction reads, from `reads_at[i]` to
+    /// `reads_at[i + 1]`: written back (or materialized) before the
+    /// generic path runs the instruction.
+    reads: Vec<usize>,
+    /// Each instruction's start in `reads`, plus the end.
+    reads_at: Vec<usize>,
 }
 
 impl FuncTable {
@@ -137,8 +158,36 @@ impl FuncTable {
                 .unwrap_or(Callee::Undefined)
             }));
         }
+        block_base.push(callees.len());
         let typed = typed::lower(func, plan);
-        let (steps, elided) = decode(func, &typed, &cell);
+        let (steps, elided) = decode(func, &typed, &cell, cells);
+        let (mut reads, mut reads_at) = (Vec::new(), vec![0]);
+        for instr in func.blocks.iter().flat_map(|b| &b.instrs) {
+            let start = reads.len();
+            for v in instr.uses() {
+                let c = cell[v.index()];
+                if !reads[start..].contains(&c) {
+                    reads.push(c);
+                }
+            }
+            reads_at.push(reads.len());
+        }
+        let terms = (func.blocks.iter().zip(&typed.branch))
+            .map(|(b, &test)| match b.term {
+                Terminator::Jump(to) => Term::Jump(to.index()),
+                Terminator::Branch {
+                    cond,
+                    then_bb,
+                    else_bb,
+                } => Term::Branch {
+                    cond,
+                    test,
+                    then_bb: then_bb.index(),
+                    else_bb: else_bb.index(),
+                },
+                Terminator::Return => Term::Return,
+            })
+            .collect();
         FuncTable {
             cell,
             resize,
@@ -147,30 +196,77 @@ impl FuncTable {
             block_base,
             callees,
             steps,
-            branch: typed.branch,
+            terms,
             elided,
+            reads,
+            reads_at,
         }
+    }
+
+    /// The distinct cells instruction `at` reads.
+    fn reads(&self, at: usize) -> &[usize] {
+        &self.reads[self.reads_at[at]..self.reads_at[at + 1]]
     }
 }
 
-/// The real scalar an operand holds and its class; `None` when its cell
-/// is unset or holds anything but a real 1×1. A slot's cell is the
-/// slot's index.
-#[inline]
-fn read(cells: &[Cell], s: Src) -> Option<(f64, Class)> {
+/// A block's terminator over block indices.
+#[derive(Debug, Clone, Copy)]
+enum Term {
+    /// An unconditional jump.
+    Jump(usize),
+    /// A two-way branch on `cond`, whose `test` is typed when it is a
+    /// typed scalar or a literal.
+    Branch {
+        cond: VarId,
+        test: Option<Src>,
+        then_bb: usize,
+        else_bb: usize,
+    },
+    /// The function returns.
+    Return,
+}
+
+/// Where execution is in a function: a block and the index (in the
+/// function's tables) of its next instruction.
+#[derive(Debug, Clone, Copy)]
+struct Pos {
+    block: usize,
+    at: usize,
+}
+
+/// Why [`PlannedVm::run_typed`] stopped.
+#[derive(Debug, Clone, Copy)]
+enum Stop {
+    /// The generic path must run the instruction at the position.
+    Instr,
+    /// The block's terminator returns or tests a generic condition.
+    Term,
+    /// The instruction guard ran out.
+    Guard,
+}
+
+/// Blocks one activation may enter before it is stopped.
+const GUARD: u64 = 500_000_000;
+
+/// The real scalar an operand holds and its class: a literal, or the
+/// register of its cell, loaded from the cell's value when empty. `None`
+/// when the register is empty and the cell is unset or holds anything
+/// but a real 1×1. A slot's cell is the slot's index.
+#[inline(always)]
+fn read(cells: &mut [Cell], s: Src) -> Option<(f64, Class)> {
     match s {
         Src::Lit(x, class) => Some((x, class)),
-        Src::Slot(c) => {
-            let v = cells[c].value.as_ref()?;
-            Some((v.as_scalar()?, v.class()))
-        }
+        Src::Slot(c) => match cells[c].reg {
+            Some(r) => Some((r.x, r.class)),
+            None => cells[c].load(),
+        },
     }
 }
 
 /// Up to three scalar subscripts as reals; `None` when one misses or is
 /// logical (a mask, not a position).
-#[inline]
-fn subscripts(cells: &[Cell], subs: &[Src]) -> Option<[f64; 3]> {
+#[inline(always)]
+fn subscripts(cells: &mut [Cell], subs: &[Src]) -> Option<[f64; 3]> {
     let mut xs = [0.0; 3];
     for (x, s) in xs.iter_mut().zip(subs) {
         match read(cells, *s)? {
@@ -182,9 +278,10 @@ fn subscripts(cells: &[Cell], subs: &[Src]) -> Option<[f64; 3]> {
 }
 
 /// One instruction as [`FuncTable::new`] decoded it: generic, or a
-/// typed [`Site`] over cell indices. A typed step reads and writes
-/// element 0 of its cells' values; anything it cannot finish at run
-/// time goes to the generic path.
+/// typed [`Site`] over cell indices. A typed step reads and writes its
+/// cells' registers (a `Get` reads its array's value, a `Set` writes
+/// its array's value); anything it cannot finish at run time goes to
+/// the generic path.
 #[derive(Debug, Clone, Copy)]
 enum Step {
     /// Runs on the generic path.
@@ -198,6 +295,15 @@ enum Step {
         var: VarId,
         k: ScalarKernel,
         xs: [Src; 3],
+    },
+    /// `dst = a op b`: [`ScalarKernel::Bin`], its two operands read
+    /// without the third.
+    Bin {
+        dst: usize,
+        var: VarId,
+        op: BinOp,
+        a: Src,
+        b: Src,
     },
     /// `dst = a(subs)`: scalar subscripts into a real array.
     Get {
@@ -217,13 +323,14 @@ enum Step {
     },
 }
 
-/// Each instruction's step over cell indices, and the value of each
-/// literal whose `Const` only ticks (a typed step that misses writes it
-/// into its cell before the generic path runs).
+/// Each instruction's step over cell indices, and, by cell, the value of
+/// each literal whose `Const` only ticks (a typed step that misses
+/// writes it into its cell before the generic path runs).
 fn decode(
     func: &FuncIr,
     typed: &typed::Lowering,
     cell: &[usize],
+    cells: usize,
 ) -> (Vec<Step>, Vec<Option<(f64, Class)>>) {
     let instrs = func.blocks.iter().flat_map(|b| &b.instrs);
     let mut steps: Vec<Step> = (instrs.clone().zip(&typed.sites))
@@ -242,6 +349,11 @@ fn decode(
                     k: ScalarKernel::Same,
                     xs: [Src::Lit(x, class), UNUSED, UNUSED],
                 },
+                Some(Site::Scalar {
+                    k: ScalarKernel::Bin(op),
+                    xs: [a, b, _],
+                    ..
+                }) => Step::Bin { dst, var, op, a, b },
                 Some(Site::Scalar { k, xs, .. }) => Step::Scalar { dst, var, k, xs },
                 Some(Site::Get { subs, n }) => Step::Get {
                     dst,
@@ -285,13 +397,13 @@ fn decode(
             needed[cond.index()] = true;
         }
     }
-    let mut elided = vec![None; func.vars.len()];
+    let mut elided = vec![None; cells];
     for step in &mut steps {
-        if let Step::Scalar { var, .. } = *step {
+        if let Step::Scalar { dst, var, .. } = *step {
             if let (Some(Src::Lit(x, class)), false) =
                 (typed.src(&Operand::Var(var)), needed[var.index()])
             {
-                elided[var.index()] = Some((x, class));
+                elided[dst] = Some((x, class));
                 *step = Step::Tick;
             }
         }
@@ -302,11 +414,54 @@ fn decode(
 /// One storage cell of an activation.
 #[derive(Debug, Default)]
 struct Cell {
-    /// The current value; `None` until a definition writes the cell.
+    /// The scalar register: the cell's current value when that is a real
+    /// 1×1 a typed step wrote or read; `None` when `value` is the truth.
+    reg: Option<Reg>,
+    /// The current value, unless `reg` is stale; `None` until a
+    /// definition writes the cell.
     value: Option<Value>,
     /// Bytes charged to the heap for this cell (0 for stack slots,
     /// unallocated heap slots and unplanned cells).
     charged: u64,
+}
+
+/// A cell's scalar register.
+#[derive(Debug, Clone, Copy)]
+struct Reg {
+    /// The element.
+    x: f64,
+    /// Its class.
+    class: Class,
+    /// The cell's `value` is older than `x` and must be written back
+    /// before anything but a typed step reads it.
+    stale: bool,
+}
+
+impl Cell {
+    /// Loads the register from a real 1×1 value; `None` when the value
+    /// is unset or anything else.
+    #[inline(never)]
+    fn load(&mut self) -> Option<(f64, Class)> {
+        let v = self.value.as_ref()?;
+        let (x, class) = (v.as_scalar()?, v.class());
+        self.reg = Some(Reg {
+            x,
+            class,
+            stale: false,
+        });
+        Some((x, class))
+    }
+
+    /// Writes a stale register back into the value.
+    #[inline]
+    fn write_back(&mut self) {
+        if let Some(r) = &mut self.reg {
+            if r.stale {
+                r.stale = false;
+                put_scalar(&mut self.value, r.x, r.class);
+            }
+        }
+    }
 }
 
 /// What an activation executes: its function, plan and tables, plus
@@ -328,19 +483,28 @@ fn value<'c>(cells: &'c [Cell], t: &FuncTable, v: VarId) -> Result<&'c Value> {
     }
 }
 
-/// Writes a real scalar into a cell, reusing its buffer.
-fn put_scalar(cell: &mut Cell, x: f64, class: Class) {
-    match &mut cell.value {
+/// Writes a real scalar into a cell's value, reusing its buffer.
+fn put_scalar(value: &mut Option<Value>, x: f64, class: Class) {
+    match value {
         Some(v) => v.set_scalar(x, class),
-        None => cell.value = Some(Value::scalar(x).with_class(class)),
+        None => *value = Some(Value::scalar(x).with_class(class)),
     }
 }
 
-/// Writes the value of `v`, when it is a literal whose `Const` only
-/// ticked, into its cell for the generic path to read.
-fn materialize(t: &FuncTable, cells: &mut [Cell], v: VarId) {
-    if let Some((x, class)) = t.elided[v.index()] {
-        put_scalar(&mut cells[t.cell[v.index()]], x, class);
+/// The instruction at `pos`.
+fn instr_at<'a>(cx: Ctx<'a>, pos: Pos) -> &'a Instr {
+    &cx.func.blocks[pos.block].instrs[pos.at - cx.table.block_base[pos.block]]
+}
+
+/// Readies the cells instruction `at` reads for the generic path: writes
+/// back their stale registers and writes in the literals whose `Const`
+/// only ticked.
+fn sync(t: &FuncTable, cells: &mut [Cell], at: usize) {
+    for &c in t.reads(at) {
+        match t.elided[c] {
+            Some((x, class)) => put_scalar(&mut cells[c].value, x, class),
+            None => cells[c].write_back(),
+        }
     }
 }
 
@@ -514,77 +678,92 @@ impl<'p> PlannedVm<'p> {
 
     fn exec(&mut self, cx: Ctx<'_>, cells: &mut [Cell]) -> Result<Vec<Value>> {
         let (func, t) = (cx.func, cx.table);
-        let mut block = func.entry;
-        let mut guard = 0u64;
+        let entry = func.entry.index();
+        let mut pos = Pos {
+            block: entry,
+            at: t.block_base[entry],
+        };
+        let mut guard = 1u64;
         // Clock ticks not yet charged: a run of typed steps is one
         // `advance`, which is exact because the Equation 2 integration is
         // linear in time. Flushed before anything that reads the clock.
         let mut ticks = 0u64;
         loop {
-            guard += 1;
-            if guard > 500_000_000 {
-                self.flush(&mut ticks);
-                return err("execution exceeded the instruction guard");
-            }
-            self.cur_block = block.index();
-            let base = t.block_base[block.index()];
-            for (i, instr) in func.block(block).instrs.iter().enumerate() {
-                let step = t.steps[base + i];
-                if !self.typed(cx, cells, step, instr, &mut ticks) {
+            match self.run_typed(cx, cells, &mut pos, &mut guard, &mut ticks) {
+                Stop::Instr => {
                     self.flush(&mut ticks);
-                    if !matches!(step, Step::Generic) {
-                        instr.uses().iter().for_each(|v| materialize(t, cells, *v));
-                    }
-                    self.instr(cx, cells, instr, base + i)?;
+                    sync(t, cells, pos.at);
+                    let instr = instr_at(cx, pos);
+                    self.instr(cx, cells, instr, pos.at)?;
+                    pos.at += 1;
                 }
-            }
-            match &func.block(block).term {
-                Terminator::Jump(b) => block = *b,
-                Terminator::Branch {
-                    cond,
-                    then_bb,
-                    else_bb,
-                } => {
-                    // A literal test never misses, so its cell is never
-                    // read here.
-                    let truth = match t.branch[block.index()].and_then(|s| read(cells, s)) {
-                        Some((x, _)) => x != 0.0,
-                        None => {
-                            self.flush(&mut ticks);
-                            value(cells, t, *cond)?.is_true()
-                        }
-                    };
-                    self.note_read(cx, *cond);
-                    ticks += 1;
-                    block = if truth { *then_bb } else { *else_bb };
-                }
-                Terminator::Return => {
+                Stop::Guard => {
                     self.flush(&mut ticks);
-                    let outs = if func.ssa_outs.is_empty() {
-                        &func.outs
-                    } else {
-                        &func.ssa_outs
-                    };
-                    let mut vals = Vec::with_capacity(outs.len());
-                    for (k, o) in outs.iter().enumerate() {
-                        let c = t.cell[o.index()];
-                        if cells[c].value.is_some() {
-                            self.note_read(cx, *o);
-                        }
-                        // The frame dies here: move each result out,
-                        // unless a later output reads the same cell.
-                        let later = outs[k + 1..].iter().any(|p| t.cell[p.index()] == c);
-                        let v = if later {
-                            cells[c].value.clone()
-                        } else {
-                            cells[c].value.take()
-                        };
-                        vals.push(v.unwrap_or_else(Value::empty));
-                    }
-                    return Ok(vals);
+                    return err("execution exceeded the instruction guard");
                 }
+                Stop::Term => match t.terms[pos.block] {
+                    Term::Branch {
+                        cond,
+                        then_bb,
+                        else_bb,
+                        ..
+                    } => {
+                        self.flush(&mut ticks);
+                        cells[t.cell[cond.index()]].write_back();
+                        let truth = value(cells, t, cond)?.is_true();
+                        self.note_read(cx, cond);
+                        ticks += 1;
+                        let next = if truth { then_bb } else { else_bb };
+                        self.enter(t, &mut pos, &mut guard, next);
+                    }
+                    Term::Jump(_) => unreachable!("the typed runner follows every jump"),
+                    Term::Return => {
+                        self.flush(&mut ticks);
+                        return Ok(self.results(cx, cells));
+                    }
+                },
             }
         }
+    }
+
+    /// Moves `pos` to the start of block `b`, counting it against the
+    /// instruction guard.
+    #[inline(always)]
+    fn enter(&mut self, t: &FuncTable, pos: &mut Pos, guard: &mut u64, b: usize) {
+        *guard += 1;
+        self.cur_block = b;
+        *pos = Pos {
+            block: b,
+            at: t.block_base[b],
+        };
+    }
+
+    /// The function's outputs at a `Return`, each written back first.
+    fn results(&mut self, cx: Ctx<'_>, cells: &mut [Cell]) -> Vec<Value> {
+        let (func, t) = (cx.func, cx.table);
+        let outs = if func.ssa_outs.is_empty() {
+            &func.outs
+        } else {
+            &func.ssa_outs
+        };
+        let mut vals = Vec::with_capacity(outs.len());
+        for (k, o) in outs.iter().enumerate() {
+            let c = t.cell[o.index()];
+            cells[c].write_back();
+            if cells[c].value.is_some() {
+                self.note_read(cx, *o);
+            }
+            // The frame dies here: move each result out, unless a later
+            // output reads the same cell.
+            let later = outs[k + 1..].iter().any(|p| t.cell[p.index()] == c);
+            let v = if later {
+                cells[c].value.clone()
+            } else {
+                cells[c].value.take()
+            };
+            vals.push(v.unwrap_or_else(Value::empty));
+        }
+        vals
     }
 
     /// Charges the pending clock ticks.
@@ -595,103 +774,177 @@ impl<'p> PlannedVm<'p> {
         }
     }
 
-    /// Runs a typed step, adding its clock ticks to `ticks`. Returns
-    /// `false`, having changed nothing, when the generic path must run
-    /// the instruction: it is not typed, or its operands miss at run
-    /// time (an unset cell, a power that would go complex, a subscript
-    /// out of range or fractional). Under shadow observation it records
-    /// the events the generic path records.
-    #[inline]
-    fn typed(
+    /// Runs typed steps from `pos`, following jumps and typed branch
+    /// tests from block to block, and adds their clock ticks to `ticks`.
+    /// It stops, having changed nothing for that step or test, where the
+    /// generic path must go on: at a step that is not typed or whose
+    /// operands miss at run time (an unset cell, a power that would go
+    /// complex, a subscript out of range or fractional), at a branch
+    /// test that is generic or misses, at a `Return`, or when the guard
+    /// runs out. Under shadow observation it records the events the
+    /// generic path records.
+    #[inline(never)]
+    fn run_typed(
         &mut self,
         cx: Ctx<'_>,
         cells: &mut [Cell],
-        step: Step,
-        instr: &Instr,
+        pos: &mut Pos,
+        guard: &mut u64,
         ticks: &mut u64,
-    ) -> bool {
-        let (dst, var, (x, class)) = match step {
-            Step::Generic => return false,
-            Step::Tick => {
+    ) -> Stop {
+        let t = cx.table;
+        loop {
+            if *guard > GUARD {
+                return Stop::Guard;
+            }
+            let end = t.block_base[pos.block + 1];
+            while pos.at < end {
+                let (dst, var, (x, class)) = match t.steps[pos.at] {
+                    Step::Generic => return Stop::Instr,
+                    Step::Tick => {
+                        *ticks += 1;
+                        pos.at += 1;
+                        continue;
+                    }
+                    Step::Scalar { dst, var, k, xs } => {
+                        // Three plain reads: `xs.map(..)` is not reliably inlined.
+                        let [a, b, c] =
+                            [read(cells, xs[0]), read(cells, xs[1]), read(cells, xs[2])];
+                        let (Some((a, class0)), Some((b, _)), Some((c, _))) = (a, b, c) else {
+                            return Stop::Instr;
+                        };
+                        match k.apply([a, b, c], class0) {
+                            Some(r) => (dst, var, r),
+                            None => return Stop::Instr,
+                        }
+                    }
+                    Step::Bin { dst, var, op, a, b } => {
+                        let (Some((a, _)), Some((b, _))) = (read(cells, a), read(cells, b)) else {
+                            return Stop::Instr;
+                        };
+                        match dispatch::real_bin(op, a, b) {
+                            Some(r) => (dst, var, r),
+                            None => return Stop::Instr,
+                        }
+                    }
+                    Step::Get {
+                        dst,
+                        var,
+                        array,
+                        subs,
+                        n,
+                    } => {
+                        let Some(xs) = subscripts(cells, &subs[..n]) else {
+                            return Stop::Instr;
+                        };
+                        cells[array].write_back();
+                        let Some(a) = &cells[array].value else {
+                            return Stop::Instr;
+                        };
+                        match dispatch::linear_index(a, &xs[..n]) {
+                            Some(j) if !a.is_complex() => (dst, var, (a.re()[j], a.class())),
+                            _ => return Stop::Instr,
+                        }
+                    }
+                    Step::Set {
+                        dst,
+                        var,
+                        x,
+                        subs,
+                        n,
+                    } => {
+                        let (Some((x, _)), Some(xs)) =
+                            (read(cells, x), subscripts(cells, &subs[..n]))
+                        else {
+                            return Stop::Instr;
+                        };
+                        cells[dst].write_back();
+                        let Some(a) = cells[dst].value.as_mut().filter(|a| !a.is_complex()) else {
+                            return Stop::Instr;
+                        };
+                        let Some(j) = dispatch::linear_index(a, &xs[..n]) else {
+                            return Stop::Instr;
+                        };
+                        a.re_mut()[j] = x;
+                        let numel = a.numel();
+                        if self.shadow.is_some() {
+                            self.observe_set(cx, instr_at(cx, *pos));
+                        }
+                        *ticks += numel as u64;
+                        // A heap slot's definition reads the clock.
+                        if matches!(cx.plan.slots[dst].kind, SlotKind::Heap) {
+                            self.flush(ticks);
+                        }
+                        self.define(cx, cells, var, numel, None);
+                        pos.at += 1;
+                        continue;
+                    }
+                };
                 *ticks += 1;
-                return true;
-            }
-            Step::Scalar { dst, var, k, xs } => {
-                // Three plain reads: `xs.map(..)` is not reliably inlined.
-                let [a, b, c] = [read(cells, xs[0]), read(cells, xs[1]), read(cells, xs[2])];
-                let (Some((a, class0)), Some((b, _)), Some((c, _))) = (a, b, c) else {
-                    return false;
-                };
-                match k.apply([a, b, c], class0) {
-                    Some(r) => (dst, var, r),
-                    None => return false,
+                if self.shadow.is_some() {
+                    self.observe_scalar(cx, cells, instr_at(cx, *pos), var);
                 }
+                cells[dst].reg = Some(Reg {
+                    x,
+                    class,
+                    stale: true,
+                });
+                pos.at += 1;
             }
-            Step::Get {
-                dst,
-                var,
-                array,
-                subs,
-                n,
-            } => {
-                let (Some(a), Some(xs)) = (&cells[array].value, subscripts(cells, &subs[..n]))
-                else {
-                    return false;
-                };
-                match dispatch::linear_index(a, &xs[..n]) {
-                    Some(i) if !a.is_complex() => (dst, var, (a.re()[i], a.class())),
-                    _ => return false,
+            let next = match t.terms[pos.block] {
+                Term::Jump(b) => b,
+                Term::Branch {
+                    cond,
+                    test: Some(test),
+                    then_bb,
+                    else_bb,
+                } => {
+                    // A literal test never misses.
+                    let Some((x, _)) = read(cells, test) else {
+                        return Stop::Term;
+                    };
+                    self.note_read(cx, cond);
+                    *ticks += 1;
+                    if x != 0.0 {
+                        then_bb
+                    } else {
+                        else_bb
+                    }
                 }
-            }
-            Step::Set {
-                dst,
-                var,
-                x,
-                subs,
-                n,
-            } => {
-                let (Some((x, _)), Some(xs)) = (read(cells, x), subscripts(cells, &subs[..n]))
-                else {
-                    return false;
-                };
-                let Some(a) = cells[dst].value.as_mut().filter(|a| !a.is_complex()) else {
-                    return false;
-                };
-                let Some(i) = dispatch::linear_index(a, &xs[..n]) else {
-                    return false;
-                };
-                a.re_mut()[i] = x;
-                let numel = a.numel();
-                if let (Some(_), InstrKind::Compute { args, .. }) = (&self.shadow, &instr.kind) {
-                    args[1..]
-                        .iter()
-                        .filter_map(|a| a.as_var())
-                        .for_each(|v| self.note_read(cx, v));
-                }
-                *ticks += numel as u64;
-                // A heap slot's definition reads the clock.
-                if matches!(cx.plan.slots[dst].kind, SlotKind::Heap) {
-                    self.flush(ticks);
-                }
-                self.define(cx, cells, var, numel, None);
-                return true;
-            }
-        };
-        *ticks += 1;
-        if self.shadow.is_some() {
-            if let InstrKind::Copy { src, .. } = &instr.kind {
-                self.note_read(cx, *src);
-            }
-            self.define(cx, cells, var, 1, None);
+                _ => return Stop::Term,
+            };
+            self.enter(t, pos, guard, next);
         }
-        put_scalar(&mut cells[dst], x, class);
-        true
+    }
+
+    /// The shadow events of a typed scalar definition of `var`: the read
+    /// of a copy's source, then the definition.
+    #[cold]
+    #[inline(never)]
+    fn observe_scalar(&mut self, cx: Ctx<'_>, cells: &mut [Cell], instr: &Instr, var: VarId) {
+        if let InstrKind::Copy { src, .. } = &instr.kind {
+            self.note_read(cx, *src);
+        }
+        self.define(cx, cells, var, 1, None);
+    }
+
+    /// The shadow reads of a typed `Set`: its value and subscripts.
+    #[cold]
+    #[inline(never)]
+    fn observe_set(&mut self, cx: Ctx<'_>, instr: &Instr) {
+        if let InstrKind::Compute { args, .. } = &instr.kind {
+            args[1..]
+                .iter()
+                .filter_map(|a| a.as_var())
+                .for_each(|v| self.note_read(cx, v));
+        }
     }
 
     /// Charges a definition of `v` — `numel` elements, plus its payload
     /// bytes when complex — to `v`'s slot under the slot discipline and
     /// resize annotation, records it for the shadow log, and returns the
-    /// cell the value goes to. The caller writes the value.
+    /// cell the value goes to. The caller writes the value, so the cell's
+    /// register is dropped.
     fn define(
         &mut self,
         cx: Ctx<'_>,
@@ -701,6 +954,7 @@ impl<'p> PlannedVm<'p> {
         complex_bytes: Option<u64>,
     ) -> usize {
         let si = cx.table.cell[v.index()];
+        cells[si].reg = None;
         if si >= cx.plan.slots.len() {
             return si;
         }
@@ -782,7 +1036,7 @@ impl<'p> PlannedVm<'p> {
                 match typed::numeric(value) {
                     Some((x, class)) => {
                         let c = self.define(cx, cells, *dst, 1, None);
-                        put_scalar(&mut cells[c], x, class);
+                        put_scalar(&mut cells[c].value, x, class);
                     }
                     None => self.store(cx, cells, *dst, crate::mcc::value_of_const(value)),
                 }
@@ -1379,6 +1633,167 @@ end
             let interp = crate::interp::Interp::new(&ast).run().unwrap_err();
             assert_eq!(e.message, want);
             assert_eq!(e.message, interp.message);
+        }
+    }
+
+    /// The steps `src`'s function `name` decoded to.
+    fn steps_of(compiled: &Compiled, name: &str) -> Vec<Step> {
+        let fid = compiled.ir.by_name[name];
+        let f = compiled.ir.func(fid);
+        FuncTable::new(f, compiled.plans.plan(fid), &compiled.ir).steps
+    }
+
+    /// Whether `f`'s variable named `name` shares a slot with one named
+    /// `other`.
+    fn share_a_slot(compiled: &Compiled, fid: usize, name: &str, other: &str) -> bool {
+        let f = &compiled.ir.functions[fid];
+        compiled.plans.plans[fid].slots.iter().any(|s| {
+            let names: Vec<&str> = (s.members.iter())
+                .filter_map(|v| f.vars.info(*v).name.as_deref())
+                .collect();
+            names.contains(&name) && names.contains(&other)
+        })
+    }
+
+    /// Runs `src` as [`agrees_cleanly`] does, once more under shadow
+    /// observation, and asserts both runs print the same and integrate
+    /// the same Equation 2 bits; returns the output.
+    fn agrees_with_shadow(src: &str) -> String {
+        let out = agrees_cleanly(src);
+        let ast = parse_program([src]).unwrap();
+        let compiled = compile(&ast, GctdOptions::default()).unwrap();
+        let (plain, shadowed) = eq2_bits_plain_and_shadowed(&compiled);
+        assert_eq!(plain, shadowed, "{src}");
+        out
+    }
+
+    /// Output and Equation 2 bits of a plain run and of a shadow run.
+    fn eq2_bits_plain_and_shadowed(
+        compiled: &Compiled,
+    ) -> ((String, u64, u64), (String, u64, u64)) {
+        let run = |vm: &mut PlannedVm| {
+            let out = vm.run().unwrap_or_else(|e| panic!("planned vm error: {e}"));
+            (
+                out,
+                vm.mem.avg_stack().to_bits(),
+                vm.mem.avg_heap().to_bits(),
+            )
+        };
+        let plain = run(&mut PlannedVm::new(compiled));
+        let shadowed = run(&mut PlannedVm::new(compiled).with_shadow());
+        (plain, shadowed)
+    }
+
+    #[test]
+    fn a_generic_op_reads_a_typed_scalar_written_back() {
+        let src = "function f()\nx = 0;\nfor i = 1:4\nx = x + i * 0.5;\nend\ny = [x x];\nfprintf('%g %g\\n', y);\n";
+        let ast = parse_program([src]).unwrap();
+        let compiled = compile(&ast, GctdOptions::default()).unwrap();
+        let steps = steps_of(&compiled, "f");
+        assert!(
+            steps.iter().any(|s| matches!(s, Step::Bin { .. })),
+            "{steps:?}"
+        );
+        assert_eq!(agrees_with_shadow(src), "5 5\n");
+    }
+
+    #[test]
+    fn a_generic_branch_test_sees_typed_scalars() {
+        // `mean` of a row is not proven an exact scalar, so the test runs
+        // generically on a value built from typed scalars. (A generic
+        // test's own cell never holds a stale register under a sound
+        // plan, since only typed scalars are written to registers; the
+        // write-back there is a guard.)
+        let src = "function f()\nx = 0;\nfor i = 1:4\nx = x + i;\nif mean([x i]) > 4\nfprintf('%g\\n', x);\nend\nend\n";
+        assert_eq!(agrees_with_shadow(src), "6\n10\n");
+    }
+
+    #[test]
+    fn outputs_and_call_arguments_are_written_back() {
+        let src = "function f()\ns = 0;\nfor k = 1:3\nt = k * 2;\ns = s + twice(t);\nend\nfprintf('%g %g\\n', s, acc(4));\nend\nfunction y = twice(x)\ny = x + x;\nend\nfunction s = acc(n)\ns = 0;\nfor i = 1:n\ns = s + i * 2;\nend\nend\n";
+        let ast = parse_program([src]).unwrap();
+        let compiled = compile(&ast, GctdOptions::default()).unwrap();
+        for name in ["f", "twice", "acc"] {
+            let steps = steps_of(&compiled, name);
+            assert!(
+                steps.iter().any(|s| matches!(s, Step::Bin { .. })),
+                "{name}"
+            );
+        }
+        assert_eq!(agrees_with_shadow(src), "24 20\n");
+    }
+
+    #[test]
+    fn typed_get_and_set_write_back_the_cell_first() {
+        // `a`'s typed product leaves its register stale; then `b = a(1)`
+        // and `a(1) = ..` address the cell's value.
+        let src = "function f()\nfor i = 1:3\na = i * 2;\nb = a(1);\na(1) = b + 1;\nfprintf('%g %g\\n', a, b);\nend\n";
+        let ast = parse_program([src]).unwrap();
+        let compiled = compile(&ast, GctdOptions::default()).unwrap();
+        let steps = steps_of(&compiled, "f");
+        assert!(
+            steps.iter().any(|s| matches!(s, Step::Set { .. })),
+            "{steps:?}"
+        );
+        assert!(
+            steps.iter().any(|s| matches!(s, Step::Get { .. })),
+            "{steps:?}"
+        );
+        assert_eq!(agrees_with_shadow(src), "3 2\n5 4\n7 6\n");
+    }
+
+    #[test]
+    fn a_typed_set_never_stores_into_a_stale_array() {
+        // `s` takes `b`'s slot; its typed `Get` leaves the register stale
+        // over `b`'s 4x4 value, which the `Set` must not update.
+        let src = "function f()\nfor k = 1:3\na = rand(4, 4) * k;\nb = a + 1;\ns = b(2, 3);\ns(1) = s * 2;\nfprintf('%.6f\\n', s);\nend\n";
+        let ast = parse_program([src]).unwrap();
+        let compiled = compile(&ast, GctdOptions::default()).unwrap();
+        assert!(
+            share_a_slot(&compiled, 0, "s", "b"),
+            "the scalar takes the array's slot"
+        );
+        let steps = steps_of(&compiled, "f");
+        assert!(
+            steps.iter().any(|s| matches!(s, Step::Set { .. })),
+            "{steps:?}"
+        );
+        assert_eq!(agrees_with_shadow(src).lines().count(), 3);
+    }
+
+    #[test]
+    fn a_slot_holds_a_scalar_then_an_array_then_a_scalar() {
+        let src = "function f()\nfor k = 1:3\ns = k * 2;\nfprintf('%g\\n', s);\na = ones(4, 4) * s;\nb = a + 1;\nt = b(2, 3) * 3;\nfprintf('%g\\n', t);\nend\n";
+        let ast = parse_program([src]).unwrap();
+        let compiled = compile(&ast, GctdOptions::default()).unwrap();
+        assert!(
+            share_a_slot(&compiled, 0, "s", "b"),
+            "the scalar and the array share a slot"
+        );
+        assert!(
+            share_a_slot(&compiled, 0, "b", "t"),
+            "the array and the scalar share a slot"
+        );
+        assert_eq!(agrees_with_shadow(src), "2\n9\n4\n15\n6\n21\n");
+    }
+
+    #[test]
+    fn recursion_reuses_cells_without_their_registers() {
+        // Each call takes a returned activation's cell vector from
+        // `spare`; a register left in it would feed a stale scalar.
+        let src = "function f()\ns = 0;\nfor i = 1:6\ns = s + fact(i) - tri(i);\nend\nfprintf('%g\\n', s);\nend\nfunction r = fact(n)\nif n <= 1\nr = 1;\nelse\nt = n - 1;\nr = n * fact(t);\nend\nend\nfunction r = tri(n)\nr = 0;\nfor j = 1:n\nr = r + j;\nend\nend\n";
+        assert_eq!(agrees_with_shadow(src), "817\n");
+    }
+
+    #[test]
+    fn shadow_runs_match_plain_runs_on_every_benchmark() {
+        use matc_benchsuite::{all, Preset};
+        for bench in all() {
+            let sources = bench.sources(Preset::Test);
+            let ast = parse_program(sources.iter().map(String::as_str)).unwrap();
+            let compiled = compile(&ast, GctdOptions::default()).unwrap();
+            let (plain, shadowed) = eq2_bits_plain_and_shadowed(&compiled);
+            assert_eq!(plain, shadowed, "{}", bench.name);
         }
     }
 

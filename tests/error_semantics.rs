@@ -359,6 +359,40 @@ fn division_and_negation_match_in_every_executor() {
     }
 }
 
+/// `disp` prints a nonzero real below 1e-4 as `%.4e`, with a signed
+/// exponent of at least two digits, in every executor, native C
+/// included; `%.4f` would print it as zero.
+#[test]
+fn disp_of_tiny_values_matches_in_every_executor() {
+    let one = "k = 1 + floor(rand(1, 1));\n";
+    let cases = [
+        ("disp(1e-5 * k);", "    1.0000e-05\n"),
+        ("disp(1e-300 * k);", "    1.0000e-300\n"),
+        ("disp(-2.5e-7 * k);", "    -2.5000e-07\n"),
+        ("disp(9.99996e-5 * k);", "    1.0000e-04\n"),
+        ("disp([1e-5 * k, 0.5; 0, -3e-9]);", "1.0000e-05"),
+        ("disp(1.5 * k + 1e-6i);", "    1.5000 + 1.0000e-06i\n"),
+    ];
+    let mut programs = Vec::new();
+    let mut outputs = Vec::new();
+    for (body, needle) in cases {
+        let src = format!("function f()\n{one}{body}\n");
+        let ast = parse_program([src.as_str()]).unwrap();
+        let want = Interp::new(&ast).run().unwrap();
+        assert!(want.contains(needle), "{src}{want}");
+        let compiled = compile(&ast, GctdOptions::default()).unwrap();
+        assert_eq!(PlannedVm::new(&compiled).run().unwrap(), want, "{src}");
+        let mcc = MccVm::new(&lower_for_mcc(&ast).unwrap()).run().unwrap();
+        assert_eq!(mcc, want, "{src}");
+        programs.push(compiled);
+        outputs.push(want);
+    }
+    for (run, want) in run_native(&programs).into_iter().flatten().zip(&outputs) {
+        assert!(run.status.success());
+        assert_eq!(&String::from_utf8_lossy(&run.stdout), want);
+    }
+}
+
 #[test]
 fn transpose_of_nd_errors() {
     assert_all_error(&["a = zeros(2, 2, 2);\ndisp(a');"]);
